@@ -13,8 +13,8 @@ from .ingest import (CookieEvent, FactorDictionary, FactorTable, HourlySeries,
                      RequestBatch, RequestRecord, Schema, aggregate_hourly,
                      build_factor_table, parse_cookie_events, parse_requests)
 from .predictor import (BatchScores, PacingState, ScoredRequest,
-                        SparseRateModel, load_model, pace, save_model, score,
-                        score_batch, train)
+                        SparseRateModel, load_model, pace, pace_batch,
+                        save_model, score, score_batch, train)
 from .repeatbuy import (ChurnAdjustment, FrequencyTable, NbdModel,
                         SurvivalTable, adjust_for_churn, build_frequency_table,
                         compare_frequencies, estimate_survival, fit_nbd_moments,

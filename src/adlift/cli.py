@@ -14,6 +14,7 @@ import csv
 import difflib
 import json
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,22 +35,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_report(columns, rows, path, fmt: str = "csv") -> None:
-    """Write a report with a deterministic column order and float format."""
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    elif fmt == "json":
-        doc = {"columns": list(columns),
-               "rows": [[_fmt(v) if isinstance(v, float) else v for v in row]
-                        for row in rows]}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+_TEMPLATE_CELLS = {int: "%d", float: "%.12g"}
+
+
+def _row_template(rows) -> str | None:
+    """A ``%`` template for tuple rows that hold one int or float type per
+    column; None for any other rows."""
+    first = rows[0] if rows else None
+    if type(first) is not tuple:
+        return None
+    cells = [_TEMPLATE_CELLS.get(type(v)) for v in first]
+    if None in cells or set(map(type, rows)) != {tuple} \
+            or set(map(len, rows)) != {len(first)}:
+        return None
+    for j, v in enumerate(first):
+        if set(map(type, map(itemgetter(j), rows))) != {type(v)}:
+            return None
+    return ",".join(cells) + "\n"
+
+
+def emit_report(columns, rows, path) -> None:
+    """Write a CSV report with a deterministic column order and float format.
+
+    Purely numeric rows go out through one row template; rows holding other
+    cells are written cell by cell, with CSV quoting for strings.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        template = _row_template(rows)
+        if template is not None:
+            fh.writelines(map(template.__mod__, rows))
+        else:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(doc, path) -> None:
@@ -175,26 +193,14 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
 
 
 def _read_request_rows(path, factor_names) -> list[list[str]]:
-    """Read raw level labels for the given factors, one row per request."""
+    """Read the raw level labels of the given factors, one column per factor."""
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumn(f"{path}: empty input")
-        positions = {name: j for j, name in enumerate(header)}
-        missing = [name for name in factor_names if name not in positions]
-        if missing:
-            raise MissingColumn(f"{path}: missing columns {missing}")
-        cols = [positions[name] for name in factor_names]
-        return [[row[j] or ingest.MISSING_LEVEL for j in cols] for row in reader]
+        return ingest.read_columns(fh, factor_names)
 
 
 def _encoded_batch(model: predictor.SparseRateModel, path) -> ingest.RequestBatch:
-    rows = _read_request_rows(path, model.factor_names)
-    matrix = np.full((len(rows), model.m), -1, dtype=np.int32)
-    for j, labels in enumerate(rows):
-        matrix[j] = model.encode_labels(labels)
-    return ingest.RequestBatch(matrix, np.zeros(len(rows), dtype=np.int8))
+    matrix = model.encode_columns(_read_request_rows(path, model.factor_names))
+    return ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -282,12 +288,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     model = predictor.load_model(args.model)
-    batch = _encoded_batch(model, args.input)
-    result = predictor.score_batch(model, batch)
+    result = predictor.score_batch(model, _encoded_batch(model, args.input))
     emit_report(["index", "score", "used_factors"],
-                [(j, float(s), int(u))
-                 for j, (s, u) in enumerate(zip(result.scores, result.used_factors))],
-                args.out)
+                list(zip(range(len(result)), result.scores.tolist(),
+                         result.used_factors.tolist())), args.out)
     _info(f"scored {len(result)} requests at "
           f"{result.throughput_rps:,.0f} req/s -> {args.out}")
     return 0
@@ -295,19 +299,19 @@ def _cmd_score(args) -> int:
 
 def _cmd_pace(args) -> int:
     model = predictor.load_model(args.model)
-    batch = _encoded_batch(model, args.input)
-    result = predictor.score_batch(model, batch)
-    horizon = args.horizon if args.horizon is not None else len(batch)
+    result = predictor.score_batch(model, _encoded_batch(model, args.input))
+    n = len(result)
+    horizon = args.horizon if args.horizon is not None else n
     state = predictor.PacingState(target_total=args.target,
                                   horizon_requests=horizon,
                                   threshold=args.threshold,
                                   block_size=args.block, gamma=args.gamma)
-    rows = []
-    for j, scored in enumerate(result):
-        show = predictor.pace(state, scored)
-        rows.append((j, scored.score, 1 if show else 0, state.threshold))
-    emit_report(["index", "score", "show", "threshold"], rows, args.out)
-    _info(f"showed {state.shown_so_far}/{args.target} over {len(rows)} requests "
+    show, threshold = predictor.pace_batch(state, result.scores)
+    emit_report(["index", "score", "show", "threshold"],
+                list(zip(range(n), result.scores.tolist(),
+                         show.astype(np.int64).tolist(), threshold.tolist())),
+                args.out)
+    _info(f"showed {state.shown_so_far}/{args.target} over {n} requests "
           f"-> {args.out}")
     return 0
 

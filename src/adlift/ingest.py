@@ -15,6 +15,9 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
+from sys import intern
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -84,11 +87,9 @@ class FactorDictionary:
         self.factor_names = list(factor_names)
         self._levels: list[list[str]] = [list(ls) for ls in levels] if levels \
             else [[] for _ in factor_names]
-        self._index: list[dict[str, int]] = [
-            {label: k for k, label in enumerate(ls)} for ls in self._levels]
-        for i, idx in enumerate(self._index):
-            if len(idx) != len(self._levels[i]):
-                raise ValueError(f"duplicate level labels in factor {self.factor_names[i]!r}")
+        for name, ls in zip(self.factor_names, self._levels):
+            if len(set(ls)) != len(ls):
+                raise ValueError(f"duplicate level labels in factor {name!r}")
 
     @property
     def m(self) -> int:
@@ -100,24 +101,8 @@ class FactorDictionary:
     def level_count(self, factor: int) -> int:
         return len(self._levels[factor])
 
-    def level_counts(self) -> list[int]:
-        return [len(ls) for ls in self._levels]
-
-    def id_of(self, factor: int, label: str) -> int:
-        return self._index[factor][label]
-
     def label_of(self, factor: int, level_id: int) -> str:
         return self._levels[factor][level_id]
-
-    def intern(self, factor: int, label: str) -> int:
-        """Return the id for ``label``, assigning the next id if unseen."""
-        idx = self._index[factor]
-        level_id = idx.get(label)
-        if level_id is None:
-            level_id = len(self._levels[factor])
-            self._levels[factor].append(label)
-            idx[label] = level_id
-        return level_id
 
     def fingerprint(self) -> str:
         """Stable digest of factor names and level labels, in id order."""
@@ -236,51 +221,85 @@ class HourlySeries:
         return len(self.counts)
 
 
+def read_columns(stream: Iterable[str] | str, names: Sequence[str],
+                 delimiter: str = ",", check=None) -> list[list[str]]:
+    """Read the named columns of a delimited file with a header row.
+
+    Returns one list of raw cells per name, in input order; extra columns are
+    ignored. Raises MissingColumn for an empty input or a name missing from
+    the header, and RaggedRow for a row (a blank line included) whose width
+    differs from the header's. Before raising RaggedRow, ``check`` is called
+    with the columns of the rows above the ragged one, so that an error it
+    raises on an earlier line wins.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise MissingColumn("input is empty: no header row")
+    positions = {name: j for j, name in enumerate(header)}
+    for name in names:
+        if name not in positions:
+            raise MissingColumn(f"column {name!r} not found in header")
+    width = len(header)
+    getters = [itemgetter(positions[name]) for name in names]
+    columns: list[list[str]] = [[] for _ in names]
+    lineno = 2
+    # read in chunks and intern the cells, so that a column holds one string
+    # per distinct label rather than one per row
+    while rows := list(islice(reader, 1 << 16)):
+        good = rows
+        if set(map(len, rows)) - {width}:
+            good = rows[:next(i for i, row in enumerate(rows) if len(row) != width)]
+        for column, get in zip(columns, getters):
+            column += map(intern, map(get, good))
+        lineno += len(good)
+        if len(good) < len(rows):
+            if check is not None:
+                check(columns)
+            raise RaggedRow(f"line {lineno}: expected {width} fields, "
+                            f"got {len(rows[len(good)])}")
+    return columns
+
+
+_LABEL_IDS = {"0": 0, "1": 1}
+
+
+def _label_ids(column: Sequence[str]) -> np.ndarray:
+    labels = np.fromiter(map(_LABEL_IDS.get, column, repeat(-1)), np.int8, len(column))
+    bad = np.flatnonzero(labels < 0)
+    if len(bad):
+        j = int(bad[0])
+        raise BadLabel(f"line {j + 2}: label must be 0 or 1, got {column[j]!r}")
+    return labels
+
+
+def _level_ids(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Levels in first-seen order, "" read as MISSING_LEVEL, and each cell's id."""
+    seen = dict.fromkeys(column)
+    levels = list(dict.fromkeys(label or MISSING_LEVEL for label in seen))
+    index = {label: k for k, label in enumerate(levels)}
+    if "" in seen:
+        index[""] = index[MISSING_LEVEL]
+    return levels, np.fromiter(map(index.__getitem__, column), np.int32, len(column))
+
+
 def parse_requests(stream: Iterable[str] | str, schema: Schema,
                    delimiter: str = ",") -> tuple[FactorDictionary, RequestBatch]:
     """Parse delimited request-log lines into level ids against a fresh dictionary.
 
     The header row must contain every schema column (extras are ignored).
-    Raises MissingColumn, BadLabel (with the offending line number) or
-    RaggedRow. Input order is preserved.
+    Raises MissingColumn, BadLabel or RaggedRow; the two row errors name the
+    earliest offending line. Input order is preserved.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingColumn("input is empty: no header row") from None
-
-    positions = {name: j for j, name in enumerate(header)}
-    for col in (*schema.factor_columns, schema.label_column):
-        if col not in positions:
-            raise MissingColumn(f"column {col!r} not found in header")
-    factor_pos = [positions[c] for c in schema.factor_columns]
-    label_pos = positions[schema.label_column]
-    width = len(header)
-
-    dictionary = FactorDictionary(list(schema.factor_columns))
-    intern = dictionary.intern
-    factor_rows: list[list[int]] = []
-    labels: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != width:
-            raise RaggedRow(f"line {lineno}: expected {width} fields, got {len(row)}")
-        raw_label = row[label_pos]
-        if raw_label == "0":
-            label = 0
-        elif raw_label == "1":
-            label = 1
-        else:
-            raise BadLabel(f"line {lineno}: label must be 0 or 1, got {raw_label!r}")
-        factor_rows.append([intern(i, row[j] or MISSING_LEVEL)
-                            for i, j in enumerate(factor_pos)])
-        labels.append(label)
-
-    factors = (np.array(factor_rows, dtype=np.int32) if factor_rows
-               else np.empty((0, schema.m), dtype=np.int32))
-    return dictionary, RequestBatch(factors, np.array(labels, dtype=np.int8))
+    *factor_columns, label_column = read_columns(
+        stream, [*schema.factor_columns, schema.label_column], delimiter,
+        check=lambda columns: _label_ids(columns[-1]))
+    labels = _label_ids(label_column)
+    levels, ids = zip(*map(_level_ids, factor_columns))
+    return (FactorDictionary(list(schema.factor_columns), levels),
+            RequestBatch(np.stack(ids, axis=1), labels))
 
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,

@@ -17,6 +17,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,8 @@ import numpy as np
 from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
-from .ingest import FactorDictionary, FactorTable, RequestBatch, RequestRecord
+from .ingest import (MISSING_LEVEL, FactorDictionary, FactorTable, RequestBatch,
+                     RequestRecord)
 
 MODEL_VERSION = 1
 
@@ -83,6 +85,20 @@ class SparseRateModel:
         if len(labels) != self.m:
             raise DimensionMismatch(f"expected {self.m} labels, got {len(labels)}")
         return tuple(lm.get(lab, -1) for lm, lab in zip(self._level_maps, labels))
+
+    def encode_columns(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
+        """Map one label column per factor to an (n, m) int32 id matrix.
+
+        Unseen labels become -1; an empty label is the ``__missing__`` level.
+        """
+        if len(columns) != self.m:
+            raise DimensionMismatch(f"expected {self.m} columns, got {len(columns)}")
+        n = len(columns[0]) if columns else 0
+        matrix = np.empty((n, self.m), dtype=np.int32)
+        for i, (level_map, column) in enumerate(zip(self._level_maps, columns)):
+            lookup = {**level_map, "": level_map.get(MISSING_LEVEL, -1)}
+            matrix[:, i] = np.fromiter(map(lookup.get, column, repeat(-1)), np.int32, n)
+        return matrix
 
 
 def train(table: FactorTable, importance: ImportanceVector,
@@ -258,7 +274,8 @@ def score_batch(model: SparseRateModel,
 class PacingState:
     """Feedback controller spending ``target_total`` impressions over a stream.
 
-    Mutated in place by ``pace``; confine one state to one decision thread.
+    Mutated in place by ``pace`` and ``pace_batch``; confine one state to one
+    decision thread.
     """
 
     target_total: int
@@ -289,18 +306,57 @@ def pace(state: PacingState, scored: ScoredRequest) -> bool:
     state.seen_so_far += 1
     state.block_seen += 1
     if state.block_seen >= state.block_size:
-        shown_rate = state.block_shown / state.block_seen
-        remaining = state.target_total - state.shown_so_far
-        horizon_left = state.horizon_requests - state.seen_so_far
-        target_rate = remaining / horizon_left if horizon_left > 0 else 0.0
-        if target_rate <= 0.0:
-            state.threshold = 1.0
-        else:
-            state.threshold = min(1.0, max(0.0, state.threshold
-                                           * (shown_rate / target_rate) ** state.gamma))
-        state.block_seen = 0
-        state.block_shown = 0
+        _close_block(state)
     return show
+
+
+def pace_batch(state: PacingState, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pace a stream of scores; returns (show, threshold after each request).
+
+    Makes the same decisions, threshold trace and final state as one ``pace``
+    call per score. The threshold is constant within a block, so a block is
+    decided at once: a request is shown iff its score clears the threshold
+    and the eligible requests up to it fit in the remaining target.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+    show = np.zeros(n, dtype=bool)
+    trace = np.empty(n)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, state.block_size - state.block_seen))
+        shown = scores[start:stop] >= state.threshold
+        room = state.target_total - state.shown_so_far
+        if room < stop - start:
+            shown &= np.cumsum(shown) <= room
+        show[start:stop] = shown
+        trace[start:stop] = state.threshold
+        k = int(np.count_nonzero(shown))
+        state.shown_so_far += k
+        state.block_shown += k
+        state.seen_so_far += stop - start
+        state.block_seen += stop - start
+        if state.block_seen >= state.block_size:
+            _close_block(state)
+            trace[stop - 1] = state.threshold
+        start = stop
+    return show, trace
+
+
+def _close_block(state: PacingState) -> None:
+    """Move the threshold multiplicatively toward the pace that would spend
+    the remaining target by the horizon, then start a new block."""
+    shown_rate = state.block_shown / state.block_seen
+    remaining = state.target_total - state.shown_so_far
+    horizon_left = state.horizon_requests - state.seen_so_far
+    target_rate = remaining / horizon_left if horizon_left > 0 else 0.0
+    if target_rate <= 0.0:
+        state.threshold = 1.0
+    else:
+        state.threshold = min(1.0, max(0.0, state.threshold
+                                       * (shown_rate / target_rate) ** state.gamma))
+    state.block_seen = 0
+    state.block_shown = 0
 
 
 def save_model(model: SparseRateModel, path) -> None:

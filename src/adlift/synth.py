@@ -135,10 +135,6 @@ class IntensitySpec:
                                          + h.phase)
         return v
 
-    def hourly_values(self) -> np.ndarray:
-        """Intensity sampled at hour starts, one value per hour."""
-        return np.asarray(self.value(np.arange(self.n_hours, dtype=np.float64)))
-
     def hourly_integrals(self) -> np.ndarray:
         """Exact integral of the intensity over each hour [h, h+1)."""
         h = np.arange(self.n_hours, dtype=np.float64)

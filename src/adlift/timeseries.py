@@ -182,11 +182,6 @@ class VirtualClock:
     def total_mass(self) -> float:
         return float(self.breakpoints[-1])
 
-    @property
-    def domain_seconds(self) -> tuple[int, int]:
-        t0 = self.start_hour * SECONDS_PER_HOUR
-        return t0, t0 + self.n_hours * SECONDS_PER_HOUR
-
     def cumulative(self, timestamps) -> np.ndarray:
         """Piecewise-linear cumulative intensity at epoch-second timestamps."""
         ts = np.asarray(timestamps, dtype=np.float64)

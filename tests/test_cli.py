@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adlift.cli import dispatch
+from adlift.cli import dispatch, emit_report
 
 SYNTH_SPEC = {
     "seed": 42,
@@ -161,6 +164,25 @@ class TestPipeline:
         assert len(rows) == len(kept) + 1
 
 
+class TestEmitReport:
+    @given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.floats()), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_numeric_rows_match_cell_formatting(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("report") / "r.csv"
+        emit_report(["i", "x"], rows, path)
+        expected = "".join(f"{i},{format(x, '.12g')}\n" for i, x in rows)
+        assert path.read_text() == "i,x\n" + expected
+
+    def test_mixed_cells_keep_their_formatting(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit_report(["a", "b", "c"], [(1, 0.5, True), (2, 1.5, False)], path)
+        assert path.read_text() == "a,b,c\n1,0.5,True\n2,1.5,False\n"
+        emit_report(["a", "b"], [(1, 2), (2, 2.5), (3, 10**13)], path)
+        assert path.read_text() == "a,b\n1,2\n2,2.5\n3,10000000000000\n"
+        emit_report(["a", "b"], [("x,y", 1.0 / 3.0), ("", float("nan"))], path)
+        assert path.read_text() == 'a,b\n"x,y",0.333333333333\n,nan\n'
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, workdir):
         d = workdir
@@ -217,3 +239,86 @@ class TestExitCodes:
         (d / "events.csv").write_text("cookie_id,browser,timestamp\nc,chrome,50\n")
         assert run("survival", "--events", d / "events.csv",
                    "--window", "0:40", "--out", d / "s.csv") == 2
+
+    def test_short_row_in_heldout_is_data_error(self, workdir, capsys):
+        d = workdir
+        model = _train_small_model(d)
+        for text in ("browser,os,label\nchrome,win,1\nchrome\n",
+                     "browser,os,label\nchrome,win,1\n\nsafari,mac,0\n"):
+            (d / "short.csv").write_text(text)
+            capsys.readouterr()
+            assert run("score", "--model", model, "--input", d / "short.csv",
+                       "--out", d / "s.csv") == 2
+            assert run("pace", "--model", model, "--input", d / "short.csv",
+                       "--target", "1", "--out", d / "p.csv") == 2
+            assert capsys.readouterr().err.count("line 3") == 2
+
+
+def _train_small_model(d):
+    run("synth", "--spec", d / "spec.json", "--out-requests", d / "requests.csv")
+    run("build-tables", "--schema", d / "schema.json",
+        "--input", d / "requests.csv", "--out", d / "tables.json")
+    run("rank", "--tables", d / "tables.json", "--out", d / "importance.json")
+    assert run("train", "--tables", d / "tables.json",
+               "--importance", d / "importance.json", "--out", d / "model.json") == 0
+    return d / "model.json"
+
+
+def _factor(name, levels, probs, effects):
+    return {"name": name, "levels": levels, "probs": probs, "effects": effects}
+
+
+# "" cells parse to __missing__: in browser and os they are seen at training
+# (os also holds a literal "__missing__"); in site they, like s_new, are not.
+GOLDEN_TRAIN = [
+    _factor("browser", ["chrome", "safari", "ff", ""], [0.45, 0.3, 0.15, 0.1],
+            [0.6, -0.6, 0.2, 0.0]),
+    _factor("os", ["win", "mac", "__missing__", ""], [0.5, 0.3, 0.1, 0.1],
+            [-0.4, 0.5, 0.0, 0.1]),
+    _factor("site", ["s0", "s1", "s2", "s3"], [0.4, 0.3, 0.2, 0.1],
+            [0.8, -0.8, 0.3, -0.3]),
+]
+GOLDEN_HELDOUT = [*GOLDEN_TRAIN[:2], _factor(
+    "site", ["s0", "s1", "s2", "s3", "s_new", ""],
+    [0.36, 0.27, 0.18, 0.09, 0.05, 0.05], [0.8, -0.8, 0.3, -0.3, 0.0, 0.0])]
+
+# sha256 of the request reports, recorded before the columnar request path
+GOLDEN_DIGESTS = {
+    "tables.json": "7c07ebb7d6e13760482a72c58621d944939cdbea227e0fcac562e68c31869742",
+    "scores.csv": "a342eb78a6dafba43d4e52d56d14633fe277c85ce90d94e148b96bb30b951ec7",
+    "decisions.csv": "4cf6f51c8d5d00a0b8bb5a5192be610bcc50622d840933ffab840c55124355ee",
+}
+
+
+def golden_request_reports(d):
+    """Run synth -> build-tables -> rank -> train -> score -> pace on the
+    golden spec in ``d``; returns {report: sha256}."""
+    for name, factors in (("train", GOLDEN_TRAIN), ("heldout", GOLDEN_HELDOUT)):
+        (d / f"{name}_spec.json").write_text(json.dumps(
+            {"requests": {"n": 20000, "base_rate": 0.1, "factors": factors}}))
+    (d / "schema.json").write_text(json.dumps(
+        {"version": 1, "factors": ["browser", "os", "site"], "label": "label"}))
+    stages = [
+        ("synth", "--spec", d / "train_spec.json", "--seed", 7,
+         "--out-requests", d / "requests.csv"),
+        ("synth", "--spec", d / "heldout_spec.json", "--seed", 8,
+         "--out-requests", d / "heldout.csv"),
+        ("build-tables", "--schema", d / "schema.json", "--input", d / "requests.csv",
+         "--out", d / "tables.json"),
+        ("rank", "--tables", d / "tables.json", "--out", d / "importance.json"),
+        ("train", "--tables", d / "tables.json", "--importance", d / "importance.json",
+         "--epsilon", "0.0001", "--out", d / "model.json"),
+        ("score", "--model", d / "model.json", "--input", d / "heldout.csv",
+         "--out", d / "scores.csv"),
+        ("pace", "--model", d / "model.json", "--input", d / "heldout.csv",
+         "--target", 2000, "--block", 500, "--out", d / "decisions.csv"),
+    ]
+    for argv in stages:
+        assert run(*argv) == 0, argv[0]
+    return {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+            for name in GOLDEN_DIGESTS}
+
+
+class TestGoldenDigests:
+    def test_request_reports_match_recorded_digests(self, tmp_path):
+        assert golden_request_reports(tmp_path) == GOLDEN_DIGESTS

@@ -5,7 +5,7 @@ from adlift.errors import (BadLabel, MissingColumn, RaggedRow, UnalignedWindow)
 from adlift.ingest import (CookieEvent, FactorDictionary, MISSING_LEVEL,
                            RequestBatch, RequestRecord, Schema,
                            aggregate_hourly, build_factor_table,
-                           parse_cookie_events, parse_requests,
+                           parse_cookie_events, parse_requests, read_columns,
                            write_requests_csv)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
@@ -68,6 +68,36 @@ class TestParseRequests:
         assert dictionary.levels(0) == [MISSING_LEVEL]
         assert records[0].factors == (0,)
 
+    def test_empty_and_literal_missing_share_one_level(self):
+        text = "browser,label\nz,0\n__missing__,1\n,0\na,1\n,1\n"
+        dictionary, records = parse_requests(text, SCHEMA1)
+        assert dictionary.levels(0) == ["z", MISSING_LEVEL, "a"]
+        assert records.factors[:, 0].tolist() == [0, 1, 1, 2, 1]
+        dictionary, records = parse_requests("browser,label\n,0\n__missing__,1\n",
+                                             SCHEMA1)
+        assert dictionary.levels(0) == [MISSING_LEVEL]
+        assert records.factors[:, 0].tolist() == [0, 0]
+
+    @pytest.mark.parametrize("text, error, line", [
+        ("browser,label\nchrome,0\nchrome,2\nchrome\n", BadLabel, 3),
+        ("browser,label\nchrome,0\nchrome\nchrome,2\n", RaggedRow, 3),
+        ("browser,label\nchrome,x\n\nchrome,1\n", BadLabel, 2),
+        ("browser,label\nchrome,1\n\nchrome,x\n", RaggedRow, 3),
+    ])
+    def test_earliest_bad_line_wins(self, text, error, line):
+        with pytest.raises(error, match=f"line {line}:"):
+            parse_requests(text, SCHEMA1)
+
+    def test_earliest_bad_line_wins_across_read_chunks(self):
+        rows = ["chrome,0"] * 70_000
+        rows[65_999] = "chrome,7"
+        rows[69_999] = "chrome"
+        with pytest.raises(BadLabel, match="line 66001:"):
+            parse_requests("browser,label\n" + "\n".join(rows) + "\n", SCHEMA1)
+        rows[65_999] = "chrome,0"
+        with pytest.raises(RaggedRow, match="line 70001:"):
+            parse_requests("browser,label\n" + "\n".join(rows) + "\n", SCHEMA1)
+
     def test_extra_columns_ignored(self):
         text = "junk,browser,label\nx,chrome,1\n"
         _, records = parse_requests(text, SCHEMA1)
@@ -107,6 +137,26 @@ class TestParseRequests:
         assert d2 == d1
         assert np.array_equal(b2.factors, b1.factors)
         assert np.array_equal(b2.labels, b1.labels)
+
+
+class TestReadColumns:
+    def test_columns_in_requested_order(self):
+        text = "a,b,c\n1,2,3\n4,5,6\n"
+        assert read_columns(text, ["c", "a"]) == [["3", "6"], ["1", "4"]]
+
+    def test_quoted_cells_and_tabs(self):
+        assert read_columns('a,b\n"x,y",2\n', ["a"]) == [["x,y"]]
+        assert read_columns("a\tb\nx\t2\n", ["b"], delimiter="\t") == [["2"]]
+
+    def test_blank_line_is_ragged(self):
+        with pytest.raises(RaggedRow, match="line 3: expected 2 fields, got 0"):
+            read_columns("a,b\n1,2\n\n3,4\n", ["a"])
+
+    def test_empty_input_and_missing_column(self):
+        with pytest.raises(MissingColumn):
+            read_columns("", ["a"])
+        with pytest.raises(MissingColumn, match="'b'"):
+            read_columns("a\n1\n", ["a", "b"])
 
 
 class TestFactorTable:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                            FingerprintMismatch, VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
 from adlift.ingest import FactorDictionary, RequestRecord, build_factor_table
 from adlift.predictor import (PacingState, ScoredRequest, load_model, pace,
-                              save_model, score, score_batch, train)
+                              pace_batch, save_model, score, score_batch, train)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
 from conftest import make_table
@@ -242,6 +244,50 @@ class TestPace:
             pace(state, ScoredRequest(None, 0.9, 1))
         # block shown rate 1.0 vs target rate ~0.1: threshold must increase
         assert state.threshold > 0.2
+
+    @given(n=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1),
+           decimals=st.sampled_from([1, 3, 17]),
+           block_size=st.one_of(st.sampled_from([0, 1]), st.integers(2, 700)),
+           target_share=st.floats(0.0, 1.2), horizon_share=st.floats(0.0, 2.0),
+           threshold=st.floats(0.0, 1.0), gamma=st.floats(0.1, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_scalar_bit_for_bit(self, n, seed, decimals, block_size,
+                                              target_share, horizon_share,
+                                              threshold, gamma):
+        # rounded scores tie with rounded thresholds; target 0 and a horizon
+        # shorter than the stream are in range
+        scores = np.round(np.random.default_rng(seed).random(n), decimals)
+        threshold = round(threshold, decimals)
+
+        def fresh():
+            return PacingState(target_total=int(target_share * n),
+                               horizon_requests=int(horizon_share * n),
+                               threshold=threshold, block_size=block_size, gamma=gamma)
+
+        scalar = fresh()
+        decisions, trace = [], []
+        for s in scores.tolist():
+            decisions.append(pace(scalar, ScoredRequest(None, s, 1)))
+            trace.append(scalar.threshold)
+        batch = fresh()
+        show, thresholds = pace_batch(batch, scores)
+        assert show.dtype == bool and show.tolist() == decisions
+        assert thresholds.tobytes() == np.array(trace, dtype=np.float64).tobytes()
+        assert batch == scalar
+        assert np.float64(batch.threshold).tobytes() \
+            == np.float64(scalar.threshold).tobytes()
+
+    def test_batch_continues_a_started_block(self, rng):
+        scores = rng.random(2500)
+        scalar = PacingState(target_total=300, horizon_requests=2500, threshold=0.3,
+                             block_size=100)
+        expected = [pace(scalar, ScoredRequest(None, s, 1)) for s in scores.tolist()]
+        batch = PacingState(target_total=300, horizon_requests=2500, threshold=0.3,
+                            block_size=100)
+        parts = [pace_batch(batch, scores[a:b])[0]
+                 for a, b in ((0, 37), (37, 37), (37, 1290), (1290, 2500))]
+        assert np.concatenate(parts).tolist() == expected
+        assert batch == scalar
 
 
 class TestPersistence:
