@@ -9,7 +9,7 @@ correction, virtual-time detrending, SSA forecasting and change alarms.
 from .features import (ImportanceVector, SimilarityWeights, rank_factors,
                        renyi_mi, shannon_mi, weighted_hamming,
                        weights_from_importance)
-from .ingest import (CookieEvent, FactorDictionary, FactorTable, HourlySeries,
+from .ingest import (EventBatch, FactorDictionary, FactorTable, HourlySeries,
                      RequestBatch, RequestRecord, Schema, aggregate_hourly,
                      build_factor_table, parse_cookie_events, parse_requests)
 from .predictor import (BatchScores, PacingState, ScoredRequest,

@@ -19,7 +19,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import ingest, predictor, repeatbuy, synth, timeseries
-from .errors import AdliftError, MissingColumn
+from .errors import AdliftError, DataError, MissingColumn
 from .features import ImportanceVector, rank_factors
 
 PROG = "adlift"
@@ -35,12 +35,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_TEMPLATE_CELLS = {int: "%d", float: "%.12g"}
+_TEMPLATE_CELLS = {int: "%d", float: "%.12g", str: "%s"}
+
+# a cell holding one of these needs CSV quoting (csv.writer quotes "\r" on
+# some Python versions only)
+_QUOTED_CHARS = ',"\r\n'
 
 
 def _row_template(rows) -> str | None:
-    """A ``%`` template for tuple rows that hold one int or float type per
-    column; None for any other rows."""
+    """A ``%`` template for tuple rows that hold one int, float or str type
+    per column and no cell csv.writer would quote; None for any other rows."""
     first = rows[0] if rows else None
     if type(first) is not tuple:
         return None
@@ -49,16 +53,24 @@ def _row_template(rows) -> str | None:
             or set(map(len, rows)) != {len(first)}:
         return None
     for j, v in enumerate(first):
-        if set(map(type, map(itemgetter(j), rows))) != {type(v)}:
+        column = list(map(itemgetter(j), rows))
+        if set(map(type, column)) != {type(v)}:
             return None
+        if type(v) is str:
+            text = "".join(column)
+            # csv.writer writes a lone empty cell as ""
+            if any(c in text for c in _QUOTED_CHARS) or (len(first) == 1
+                                                         and "" in column):
+                return None
     return ",".join(cells) + "\n"
 
 
 def emit_report(columns, rows, path) -> None:
     """Write a CSV report with a deterministic column order and float format.
 
-    Purely numeric rows go out through one row template; rows holding other
-    cells are written cell by cell, with CSV quoting for strings.
+    Rows with one int, float or str type per column and nothing to quote go
+    out through one row template; other rows are written cell by cell, with
+    CSV quoting for strings.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -126,39 +138,77 @@ def _load_importance(path) -> ImportanceVector:
                             alpha=doc.get("alpha"))
 
 
+def _read_report(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
+    """The column positions of a small CSV file's header and its non-blank
+    rows as (line, cells).
+
+    Raises DataError naming ``path: line N`` for a row whose width differs
+    from the header's.
+    """
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [(line, cells) for line, cells in enumerate(reader, start=2) if cells]
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise DataError(f"{path}: line {line}: expected {len(header)} fields, "
+                            f"got {len(cells)}")
+    return {name: j for j, name in enumerate(header)}, rows
+
+
+def _report_column(path, positions, rows, name, convert) -> list:
+    """The ``name`` cell of every row through ``convert`` (int or float)."""
+    j = positions[name]
+    values = []
+    for line, cells in rows:
+        try:
+            values.append(convert(cells[j]))
+        except ValueError:
+            raise DataError(f"{path}: line {line}: {name} must be "
+                            f"{convert.__name__}, got {cells[j]!r}") from None
+    return values
+
+
+def _reject_repeats(path, rows, keys, name) -> None:
+    """DataError naming the first row whose key repeats an earlier row's."""
+    first_line = {}
+    for (line, _), key in zip(rows, keys):
+        if first_line.setdefault(key, line) != line:
+            raise DataError(f"{path}: line {line}: {name} {key!r} repeats line "
+                            f"{first_line[key]}")
+
+
 def _load_series(path) -> tuple[int, np.ndarray]:
     """Read an hourly series (count or forecast column) as (start_hour, values).
 
     Missing hours are filled with zero so the series is contiguous.
     """
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "hour" not in reader.fieldnames:
-            raise MissingColumn(f"{path}: expected columns hour,count")
-        value_col = "count" if "count" in reader.fieldnames else "forecast"
-        if value_col not in reader.fieldnames:
-            raise MissingColumn(f"{path}: expected a count or forecast column")
-        pairs = [(int(row["hour"]), float(row[value_col])) for row in reader]
-    if not pairs:
+    positions, rows = _read_report(path)
+    if "hour" not in positions:
+        raise MissingColumn(f"{path}: expected columns hour,count")
+    value_col = "count" if "count" in positions else "forecast"
+    if value_col not in positions:
+        raise MissingColumn(f"{path}: expected a count or forecast column")
+    hours = _report_column(path, positions, rows, "hour", int)
+    values = _report_column(path, positions, rows, value_col, float)
+    if not hours:
         raise AdliftError(f"{path}: empty series")
-    pairs.sort()
-    start = pairs[0][0]
-    values = np.zeros(pairs[-1][0] - start + 1)
-    for hour, value in pairs:
-        values[hour - start] = value
-    return start, values
+    _reject_repeats(path, rows, hours, "hour")
+    start = min(hours)
+    series = np.zeros(max(hours) - start + 1)
+    for hour, value in zip(hours, values):
+        series[hour - start] = value
+    return start, series
 
 
 def _load_forecast_csv(path) -> tuple[int, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "hour" not in reader.fieldnames \
-                or "forecast" not in reader.fieldnames:
-            raise MissingColumn(f"{path}: expected columns hour,forecast")
-        pairs = [(int(row["hour"]), float(row["forecast"])) for row in reader]
+    positions, rows = _read_report(path)
+    if "hour" not in positions or "forecast" not in positions:
+        raise MissingColumn(f"{path}: expected columns hour,forecast")
+    pairs = sorted(zip(_report_column(path, positions, rows, "hour", int),
+                       _report_column(path, positions, rows, "forecast", float)))
     if not pairs:
         raise AdliftError(f"{path}: empty forecast")
-    pairs.sort()
     hours = [h for h, _ in pairs]
     if hours != list(range(hours[0], hours[-1] + 1)):
         raise AdliftError(f"{path}: forecast hours must be contiguous")
@@ -166,30 +216,29 @@ def _load_forecast_csv(path) -> tuple[int, np.ndarray]:
 
 
 def _load_freq(path, window_hours: float | None) -> repeatbuy.FrequencyTable:
-    counts = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "n" not in reader.fieldnames \
-                or "count" not in reader.fieldnames:
-            raise MissingColumn(f"{path}: expected columns n,count")
-        for row in reader:
-            counts[int(row["n"])] = int(row["count"])
-    return repeatbuy.FrequencyTable(counts, window_hours)
+    positions, rows = _read_report(path)
+    if "n" not in positions or "count" not in positions:
+        raise MissingColumn(f"{path}: expected columns n,count")
+    ns = _report_column(path, positions, rows, "n", int)
+    _reject_repeats(path, rows, ns, "n")
+    return repeatbuy.FrequencyTable(
+        dict(zip(ns, _report_column(path, positions, rows, "count", int))), window_hours)
 
 
 def _load_survival(path) -> repeatbuy.SurvivalTable:
-    rows = {}
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"browser", "tau_days", "deaths", "censored"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise MissingColumn(f"{path}: expected columns browser,tau_days,"
-                                "deaths,censored")
-        for row in reader:
-            rows[row["browser"]] = repeatbuy.SurvivalRow(
-                tau_days=float(row["tau_days"]), deaths=int(row["deaths"]),
-                censored=int(row["censored"]))
-    return repeatbuy.SurvivalTable(rows=rows)
+    positions, rows = _read_report(path)
+    if not {"browser", "tau_days", "deaths", "censored"} <= positions.keys():
+        raise MissingColumn(f"{path}: expected columns browser,tau_days,"
+                            "deaths,censored")
+    browsers = [cells[positions["browser"]] for _, cells in rows]
+    _reject_repeats(path, rows, browsers, "browser")
+    taus, deaths, censored = (_report_column(path, positions, rows, name, convert)
+                              for name, convert in (("tau_days", float),
+                                                    ("deaths", int),
+                                                    ("censored", int)))
+    return repeatbuy.SurvivalTable(rows={
+        b: repeatbuy.SurvivalRow(tau_days=t, deaths=d, censored=c)
+        for b, t, d, c in zip(browsers, taus, deaths, censored)})
 
 
 def _read_request_rows(path, factor_names) -> list[list[str]]:
@@ -237,7 +286,7 @@ def _cmd_synth(args) -> int:
             raise AdliftError("spec has no 'intensity' section")
         times = synth.gen_inhomogeneous_poisson(spec.intensity, seed + 3)
         series, _ = ingest.aggregate_hourly(
-            synth.events_from_times(times),
+            (times * ingest.SECONDS_PER_HOUR).astype(np.int64),
             (0, spec.intensity.n_hours * ingest.SECONDS_PER_HOUR))
         emit_report(["hour", "count"],
                     [(series.start_hour + i, int(c))
@@ -389,11 +438,9 @@ def _cmd_virtualize(args) -> int:
     clock = timeseries.build_virtual_clock(values, start_hour=start)
     with open(args.events, encoding="utf-8") as fh:
         events = ingest.parse_cookie_events(fh)
-    ts = np.array([e.timestamp for e in events], dtype=np.float64)
-    virtual = timeseries.virtualize(clock, ts) if len(events) else np.empty(0)
+    virtual = timeseries.virtualize(clock, events.timestamps)
     emit_report(["cookie_id", "browser", "timestamp", "virtual"],
-                [(e.cookie_id, e.browser, e.timestamp, float(v))
-                 for e, v in zip(events, virtual)], args.out)
+                list(zip(*events.columns(), virtual.tolist())), args.out)
     _info(f"virtualized {len(events)} events -> {args.out}")
     return 0
 

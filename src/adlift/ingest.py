@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from operator import itemgetter
 from sys import intern
 from typing import Iterable, Iterator, Sequence
@@ -196,13 +196,33 @@ class FactorTable:
         return self.counts[factor].shape[0]
 
 
-@dataclass(frozen=True)
-class CookieEvent:
-    """One (cookie, browser, timestamp) observation."""
+class EventBatch:
+    """Cookie events as columns, one entry per event in input order.
 
-    cookie_id: str
-    browser: str
-    timestamp: int
+    ``cookies`` and ``browsers`` are int32 codes into ``cookie_labels`` and
+    ``browser_labels`` (``parse_cookie_events`` numbers labels in first-seen
+    order); ``timestamps`` are int64 epoch seconds.
+    """
+
+    def __init__(self, cookies, cookie_labels: Sequence[str], browsers,
+                 browser_labels: Sequence[str], timestamps):
+        self.cookies = np.asarray(cookies, dtype=np.int32)
+        self.browsers = np.asarray(browsers, dtype=np.int32)
+        self.timestamps = np.asarray(timestamps, dtype=np.int64)
+        self.cookie_labels = list(cookie_labels)
+        self.browser_labels = list(browser_labels)
+        shape = self.timestamps.shape
+        if len(shape) != 1 or self.cookies.shape != shape or self.browsers.shape != shape:
+            raise ValueError("cookies, browsers and timestamps must be (n,)")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def columns(self) -> tuple[list[str], list[str], list[int]]:
+        """Each event's cookie id, browser and timestamp, as three lists."""
+        return (np.array(self.cookie_labels, dtype=object)[self.cookies].tolist(),
+                np.array(self.browser_labels, dtype=object)[self.browsers].tolist(),
+                self.timestamps.tolist())
 
 
 @dataclass
@@ -245,15 +265,23 @@ def read_columns(stream: Iterable[str] | str, names: Sequence[str],
     width = len(header)
     getters = [itemgetter(positions[name]) for name in names]
     columns: list[list[str]] = [[] for _ in names]
+    interned = None
     lineno = 2
-    # read in chunks and intern the cells, so that a column holds one string
-    # per distinct label rather than one per row
-    while rows := list(islice(reader, 1 << 16)):
+    # Read in chunks smaller than the cyclic collector's first-generation
+    # threshold (gc.get_threshold()[0], 700 by default), so that each chunk's
+    # row lists are freed before a collection scans them; 64k-row chunks
+    # cost about as much in collections as the reading itself. Intern the
+    # cells of a column whose first chunk repeats its labels, so that it
+    # holds one string per distinct label rather than one per row; interning
+    # nearly distinct cells (cookie ids, timestamps) would only cost time.
+    while rows := list(islice(reader, 256)):
         good = rows
         if set(map(len, rows)) - {width}:
             good = rows[:next(i for i, row in enumerate(rows) if len(row) != width)]
-        for column, get in zip(columns, getters):
-            column += map(intern, map(get, good))
+        if interned is None:
+            interned = [len(set(map(get, good))) * 8 <= len(good) for get in getters]
+        for column, get, repeats in zip(columns, getters, interned):
+            column += map(intern, map(get, good)) if repeats else map(get, good)
         lineno += len(good)
         if len(good) < len(rows):
             if check is not None:
@@ -305,12 +333,12 @@ def parse_requests(stream: Iterable[str] | str, schema: Schema,
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
                        batch: RequestBatch) -> None:
     """Serialize records back to the delimited form parse_requests accepts."""
+    columns = [np.array(dictionary.levels(i), dtype=object)[batch.factors[:, i]].tolist()
+               for i in range(batch.m)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*schema.factor_columns, schema.label_column])
-        for row, label in zip(batch.factors, batch.labels):
-            writer.writerow([dictionary.label_of(i, int(k)) for i, k in enumerate(row)]
-                            + [int(label)])
+        writer.writerows(zip(*columns, batch.labels.tolist()))
 
 
 def build_factor_table(records: RequestBatch | Sequence[RequestRecord],
@@ -333,49 +361,56 @@ def build_factor_table(records: RequestBatch | Sequence[RequestRecord],
     return FactorTable(counts, n, dictionary)
 
 
-def parse_cookie_events(stream: Iterable[str] | str,
-                        delimiter: str = ",") -> list[CookieEvent]:
-    """Parse a ``cookie_id,browser,timestamp`` file into CookieEvents."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream, delimiter=delimiter)
+def _codes(column: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Each cell's index among the distinct cells, and those in first-seen order."""
+    first_row: dict[str, int] = {}
+    first = np.fromiter(map(first_row.setdefault, column, count()), np.int64,
+                        len(column))
+    is_first = np.zeros(len(column), dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first, dtype=np.int32) - 1
+    return rank[first], list(first_row)
+
+
+def _timestamps(column: Sequence[str]) -> np.ndarray:
+    """Cells read with Python ``int`` as int64; BadLabel names the first bad one."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingColumn("input is empty: no header row") from None
-    positions = {name: j for j, name in enumerate(header)}
-    for col in ("cookie_id", "browser", "timestamp"):
-        if col not in positions:
-            raise MissingColumn(f"column {col!r} not found in header")
-    ci, bi, ti = positions["cookie_id"], positions["browser"], positions["timestamp"]
-    width = len(header)
-    events = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != width:
-            raise RaggedRow(f"line {lineno}: expected {width} fields, got {len(row)}")
-        try:
-            ts = int(row[ti])
-        except ValueError:
-            raise BadLabel(f"line {lineno}: timestamp must be integer epoch seconds, "
-                           f"got {row[ti]!r}") from None
-        events.append(CookieEvent(row[ci], row[bi], ts))
-    return events
+        return np.fromiter(map(int, column), np.int64, len(column))
+    except (ValueError, OverflowError):
+        for lineno, cell in enumerate(column, start=2):
+            try:
+                np.int64(int(cell))
+            except (ValueError, OverflowError):
+                raise BadLabel(f"line {lineno}: timestamp must be integer epoch "
+                               f"seconds, got {cell!r}") from None
+        raise
 
 
-def write_events_csv(path, events: Sequence[CookieEvent]) -> None:
+def parse_cookie_events(stream: Iterable[str] | str,
+                        delimiter: str = ",") -> EventBatch:
+    """Parse a ``cookie_id,browser,timestamp`` file into an EventBatch.
+
+    Raises MissingColumn, RaggedRow, or BadLabel for a timestamp that is not
+    an int64 integer; the two row errors name the earliest offending line.
+    """
+    cookie_ids, browsers, stamps = read_columns(
+        stream, ("cookie_id", "browser", "timestamp"), delimiter,
+        check=lambda columns: _timestamps(columns[2]))
+    return EventBatch(*_codes(cookie_ids), *_codes(browsers), _timestamps(stamps))
+
+
+def write_events_csv(path, events: EventBatch) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cookie_id", "browser", "timestamp"])
-        for ev in events:
-            writer.writerow([ev.cookie_id, ev.browser, ev.timestamp])
+        writer.writerows(zip(*events.columns()))
 
 
-def aggregate_hourly(events: Sequence[CookieEvent],
-                     window: tuple[int, int]) -> tuple[HourlySeries, int]:
-    """Count events per hour inside ``window = [t0, t1)``.
+def aggregate_hourly(timestamps, window: tuple[int, int]) -> tuple[HourlySeries, int]:
+    """Count epoch-second timestamps per hour inside ``window = [t0, t1)``.
 
-    Both boundaries must be hour-aligned epoch seconds. Events outside the
-    window are dropped; their number is returned alongside the series.
+    Both boundaries must be hour-aligned epoch seconds. Timestamps outside
+    the window are dropped; their number is returned alongside the series.
     """
     t0, t1 = window
     if t0 % SECONDS_PER_HOUR or t1 % SECONDS_PER_HOUR:
@@ -384,12 +419,9 @@ def aggregate_hourly(events: Sequence[CookieEvent],
         raise UnalignedWindow(f"window must satisfy t0 < t1: {window}")
     start_hour = t0 // SECONDS_PER_HOUR
     n_hours = (t1 - t0) // SECONDS_PER_HOUR
-    counts = np.zeros(n_hours, dtype=np.int64)
-    dropped = 0
-    if events:
-        ts = np.fromiter((e.timestamp for e in events), dtype=np.int64, count=len(events))
-        inside = (ts >= t0) & (ts < t1)
-        dropped = int((~inside).sum())
-        hours = ts[inside] // SECONDS_PER_HOUR - start_hour
-        counts += np.bincount(hours, minlength=n_hours)
-    return HourlySeries(start_hour=int(start_hour), counts=counts), dropped
+    ts = np.asarray(timestamps, dtype=np.int64)
+    inside = (ts >= t0) & (ts < t1)
+    hours = ts[inside] // SECONDS_PER_HOUR - start_hour
+    counts = np.bincount(hours, minlength=n_hours)
+    return (HourlySeries(start_hour=int(start_hour), counts=counts),
+            int(len(ts) - len(hours)))

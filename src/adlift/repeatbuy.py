@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import optimize, stats
@@ -23,7 +23,7 @@ from scipy.special import gammaln
 
 from .errors import (DegenerateData, DomainError, InconsistentInputs,
                      NoConvergence, NoDeathsWarning)
-from .ingest import CookieEvent
+from .ingest import EventBatch
 
 HOURS_PER_DAY = 24.0
 SECONDS_PER_DAY = 86400.0
@@ -66,16 +66,11 @@ class FrequencyTable:
                               self.window_hours)
 
 
-def build_frequency_table(events: Sequence[CookieEvent],
+def build_frequency_table(events: EventBatch,
                           window_hours: float | None = None) -> FrequencyTable:
     """Histogram events-per-cookie into a zero-truncated frequency table."""
-    per_cookie: dict[str, int] = {}
-    for ev in events:
-        per_cookie[ev.cookie_id] = per_cookie.get(ev.cookie_id, 0) + 1
-    hist: dict[int, int] = {}
-    for n in per_cookie.values():
-        hist[n] = hist.get(n, 0) + 1
-    return FrequencyTable(hist, window_hours)
+    hist = np.bincount(np.bincount(events.cookies)).tolist()
+    return FrequencyTable({n: c for n, c in enumerate(hist) if n}, window_hours)
 
 
 @dataclass(frozen=True)
@@ -372,55 +367,51 @@ class SurvivalTable:
         return sorted(self.rows)
 
 
-def estimate_survival(events: Sequence[CookieEvent], window: tuple[int, int],
+def estimate_survival(events: EventBatch, window: tuple[int, int],
                       guard_days: float = 7.0) -> SurvivalTable:
     """Censored-exponential cookie lifetime estimate per browser.
 
-    A cookie's observed lifetime is last_seen - first_seen. Cookies last
-    seen within ``guard_days`` of the window end are right-censored. The
+    A cookie's observed lifetime is last_seen - first_seen, and its browser
+    is the browser of its first event in input order. Cookies last seen
+    within ``guard_days`` of the window end are right-censored. The
     exponential MLE is total observed lifetime (censored included) divided
     by the number of deaths; with zero deaths the total itself is reported
-    as a lower bound and flagged.
+    as a lower bound and flagged. DomainError names the first event outside
+    the window.
     """
     t0, t1 = window
     guard_s = guard_days * SECONDS_PER_DAY
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    browser_of: dict[str, str] = {}
-    for ev in events:
-        if not (t0 <= ev.timestamp < t1):
-            raise DomainError(f"event at {ev.timestamp} outside window {window}")
-        cid = ev.cookie_id
-        if cid not in first:
-            first[cid] = last[cid] = ev.timestamp
-            browser_of[cid] = ev.browser
-        else:
-            if ev.timestamp < first[cid]:
-                first[cid] = ev.timestamp
-            if ev.timestamp > last[cid]:
-                last[cid] = ev.timestamp
+    ts = events.timestamps
+    outside = np.flatnonzero((ts < t0) | (ts >= t1))
+    if len(outside):
+        raise DomainError(f"event at {int(ts[outside[0]])} outside window {window}")
+    # a stable sort keeps each cookie's events in input order, and cookies in
+    # code order, so the per-browser sums add lifetimes in first-seen order
+    order = np.argsort(events.cookies, kind="stable")
+    starts = np.flatnonzero(np.diff(events.cookies[order], prepend=-1))
+    by_cookie = ts[order]
+    first = np.minimum.reduceat(by_cookie, starts)
+    last = np.maximum.reduceat(by_cookie, starts)
+    browser = events.browsers[order[starts]]
+    censored = last >= t1 - guard_s
+    n_browsers = len(events.browser_labels)
+    totals = np.bincount(browser, weights=last - first, minlength=n_browsers).tolist()
+    deaths = np.bincount(browser[~censored], minlength=n_browsers).tolist()
+    n_censored = np.bincount(browser[censored], minlength=n_browsers).tolist()
 
-    acc: dict[str, list[float]] = {}
     rows: dict[str, SurvivalRow] = {}
-    for cid in first:
-        b = browser_of[cid]
-        lifetime = last[cid] - first[cid]
-        censored = last[cid] >= t1 - guard_s
-        acc.setdefault(b, [0.0, 0, 0])
-        acc[b][0] += lifetime
-        acc[b][1] += 0 if censored else 1
-        acc[b][2] += 1 if censored else 0
-    for b, (total_s, deaths, censored) in sorted(acc.items()):
-        total_days = total_s / SECONDS_PER_DAY
-        if deaths == 0:
-            warnings.warn(f"browser {b!r}: all cookies censored; lifetime is a "
+    for label, b in sorted((label, b) for b, label in enumerate(events.browser_labels)
+                           if deaths[b] + n_censored[b]):
+        total_days = totals[b] / SECONDS_PER_DAY
+        if deaths[b] == 0:
+            warnings.warn(f"browser {label!r}: all cookies censored; lifetime is a "
                           "lower bound", NoDeathsWarning)
-            rows[b] = SurvivalRow(tau_days=total_days, deaths=0, censored=censored,
-                                  no_deaths=True)
+            rows[label] = SurvivalRow(tau_days=total_days, deaths=0,
+                                      censored=n_censored[b], no_deaths=True)
         else:
-            tau = total_days / deaths
-            rows[b] = SurvivalRow(tau_days=tau, deaths=deaths, censored=censored,
-                                  degenerate=(tau == 0.0))
+            tau = total_days / deaths[b]
+            rows[label] = SurvivalRow(tau_days=tau, deaths=deaths[b],
+                                      censored=n_censored[b], degenerate=(tau == 0.0))
     return SurvivalTable(rows=rows)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadSpec
-from .ingest import (CookieEvent, FactorDictionary, RequestBatch, Schema,
+from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
                      SECONDS_PER_HOUR)
 
 HOURS_PER_DAY = 24.0
@@ -266,7 +266,7 @@ def gen_gamma_poisson(spec: PopulationSpec, seed: int) -> PopulationSample:
 
 
 def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int,
-                start_epoch: int = 0) -> list[CookieEvent]:
+                start_epoch: int = 0) -> EventBatch:
     """Split each user's event stream into cookie identities at exponential
     death times.
 
@@ -301,10 +301,14 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int,
         np.maximum.accumulate(starts, out=starts)
         seg = seg - starts
 
+    # a user's segment is a run of consecutive events: cookie u{u}s{s}
+    new_cookie = np.ones(len(seg), dtype=bool)
+    new_cookie[1:] = (ev_user[1:] != ev_user[:-1]) | (seg[1:] != seg[:-1])
+    labels = list(map("u{}s{}".format, ev_user[new_cookie].tolist(),
+                      seg[new_cookie].tolist()))
     ts = start_epoch + (ev_time * SECONDS_PER_HOUR).astype(np.int64)
-    return [CookieEvent(cookie_id=f"u{u}s{s}", browser=browsers[browser_idx[u]],
-                        timestamp=int(t))
-            for u, s, t in zip(ev_user, seg, ts)]
+    return EventBatch(np.cumsum(new_cookie) - 1, labels, browser_idx[ev_user],
+                      browsers, ts)
 
 
 def gen_inhomogeneous_poisson(spec: IntensitySpec, seed: int) -> np.ndarray:
@@ -330,8 +334,10 @@ def gen_inhomogeneous_poisson(spec: IntensitySpec, seed: int) -> np.ndarray:
 
 
 def events_from_times(times_hours: Sequence[float], browser: str = "chrome",
-                      start_epoch: int = 0, prefix: str = "c") -> list[CookieEvent]:
-    """Wrap raw event times as single-visit CookieEvents (test plumbing)."""
-    return [CookieEvent(cookie_id=f"{prefix}{i}", browser=browser,
-                        timestamp=start_epoch + int(t * SECONDS_PER_HOUR))
-            for i, t in enumerate(times_hours)]
+                      start_epoch: int = 0, prefix: str = "c") -> EventBatch:
+    """Wrap raw event times as single-visit events, one cookie each (test plumbing)."""
+    n = len(times_hours)
+    ts = start_epoch + (np.asarray(times_hours, dtype=np.float64)
+                        * SECONDS_PER_HOUR).astype(np.int64)
+    return EventBatch(np.arange(n), [f"{prefix}{i}" for i in range(n)],
+                      np.zeros(n, dtype=np.int32), [browser], ts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adlift.ingest import FactorDictionary, FactorTable
+from adlift.ingest import EventBatch, FactorDictionary, FactorTable
 
 acceptance_lines: list[str] = []
 
@@ -14,6 +14,18 @@ def make_table(*factor_counts) -> FactorTable:
         [f"f{i}" for i in range(len(counts))],
         [[f"v{k}" for k in range(c.shape[0])] for c in counts])
     return FactorTable(counts, total, dictionary)
+
+
+def make_events(rows) -> EventBatch:
+    """Build an EventBatch from (cookie_id, browser, timestamp) triples, with
+    labels numbered in first-seen order as parse_cookie_events numbers them."""
+    rows = list(rows)
+    columns = []
+    for j in (0, 1):
+        index = {}
+        codes = [index.setdefault(row[j], len(index)) for row in rows]
+        columns += [codes, list(index)]
+    return EventBatch(*columns, [row[2] for row in rows])
 
 
 @pytest.fixture

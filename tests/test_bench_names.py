@@ -1,0 +1,49 @@
+"""The traced benchmark (``bench/layers.py``) wraps adlift functions by name
+and reads their results; every wrapped name must still resolve, and every
+hook must still understand what its function returns."""
+
+import importlib
+import json
+from pathlib import Path
+
+import adlift
+from adlift.cli import dispatch
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+SPEC = {
+    "population": {"k": 0.8, "m": 2.5, "users": 500, "window_hours": 720},
+    "churn": {"tau_days": {"chrome": 6.0}, "mix": {"chrome": 1.0}},
+    "intensity": {"n_hours": 720, "base": 5.0},
+}
+
+
+def test_layers_install_run_and_restore(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    parse = adlift.ingest.parse_cookie_events
+    d = tmp_path
+    (d / "spec.json").write_text(json.dumps(SPEC))
+    layers.install(tracer, adlift)
+    try:
+        assert adlift.ingest.parse_cookie_events is not parse
+        for argv in (["synth", "--spec", d / "spec.json", "--out-events", d / "events.csv",
+                      "--out-freq", d / "freq.csv", "--out-series", d / "hourly.csv"],
+                     ["survival", "--events", d / "events.csv", "--window", "0:2592000",
+                      "--out", d / "survival.csv"],
+                     ["virtualize", "--series", d / "hourly.csv",
+                      "--events", d / "events.csv", "--out", d / "virtual.csv"]):
+            assert dispatch([str(a) for a in argv]) == 0
+        assert len(adlift.synth.events_from_times([0.5, 1.5])) == 2
+    finally:
+        tracer.restore()
+    assert adlift.ingest.parse_cookie_events is parse
+    metrics = {name: value for name, (value, _) in
+               layers.per_layer_metrics(tracer, {}).items()}
+    n_events = sum(1 for _ in open(d / "events.csv")) - 1
+    assert metrics["ingest.parse_cookie_events.rows"] == 2 * n_events
+    assert metrics["ingest.aggregate_hourly.dropped"] == 0
+    assert metrics["repeatbuy.estimate_survival.cookies"] > 0
+    assert metrics["cli.emit_report.rows"] > n_events
+    assert tracer.calls["synth.events_from_times"] == 1

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlift.cli import dispatch, emit_report
+from adlift.cli import _fmt, _load_series, dispatch, emit_report
 
 SYNTH_SPEC = {
     "seed": 42,
@@ -164,6 +166,15 @@ class TestPipeline:
         assert len(rows) == len(kept) + 1
 
 
+_TEXT = st.text(st.sampled_from(["a", "é", ",", '"', "\r", "\n", " "]), max_size=4)
+REPORT_CELLS = {
+    "int": st.integers(-10**20, 10**20),
+    "float": st.floats(),
+    "str": _TEXT,
+    "mixed": st.one_of(st.integers(), st.floats(), _TEXT),
+}
+
+
 class TestEmitReport:
     @given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.floats()), max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -172,6 +183,20 @@ class TestEmitReport:
         emit_report(["i", "x"], rows, path)
         expected = "".join(f"{i},{format(x, '.12g')}\n" for i, x in rows)
         assert path.read_text() == "i,x\n" + expected
+
+    @given(st.lists(st.sampled_from(["int", "float", "str", "mixed"]), min_size=1,
+                    max_size=3).flatmap(lambda kinds: st.lists(
+                        st.tuples(*(REPORT_CELLS[kind] for kind in kinds)), max_size=20)))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_csv_writer(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("report") / "r.csv"
+        header = [f"c{j}" for j in range(len(rows[0]) if rows else 1)]
+        emit_report(header, rows, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_mixed_cells_keep_their_formatting(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -254,6 +279,50 @@ class TestExitCodes:
             assert capsys.readouterr().err.count("line 3") == 2
 
 
+class TestLoaderErrors:
+    @pytest.mark.parametrize("text, line", [
+        ("n,count\n1,100\n2\n", 3),          # short row
+        ("n,count\nx,100\n", 2),              # non-numeric cell
+        ("n,count\n1,100\n\n2,40,7\n", 4),    # long row after a blank line
+        ("n,count\n1,100\n2,40\n1,5\n", 4),   # repeated n
+    ])
+    def test_bad_freq_row_is_data_error(self, workdir, capsys, text, line):
+        (workdir / "freq.csv").write_text(text)
+        assert run("fit-nbd", "--freq", workdir / "freq.csv",
+                   "--out", workdir / "nbd.json") == 2
+        assert f"freq.csv: line {line}:" in capsys.readouterr().err
+
+    def test_bad_survival_row_is_data_error(self, workdir, capsys):
+        (workdir / "freq.csv").write_text("n,count\n1,100\n2,40\n")
+        for bad_row, message in (("safari,x,50,5", "tau_days must be float"),
+                                 ("chrome,7.0,50,5", "browser 'chrome' repeats line 2")):
+            (workdir / "survival.csv").write_text(
+                f"browser,tau_days,deaths,censored\nchrome,6.0,100,10\n{bad_row}\n")
+            assert run("adjust-churn", "--freq", workdir / "freq.csv",
+                       "--survival", workdir / "survival.csv", "--window-hours", "720",
+                       "--out", workdir / "adjusted.json") == 2
+            assert f"survival.csv: line 3: {message}" in capsys.readouterr().err
+
+    def test_series_loaders(self, workdir, capsys):
+        d = workdir
+        (d / "hourly.csv").write_text("hour,count\n0,1\n\n2,5\n")
+        start, values = _load_series(d / "hourly.csv")
+        assert (start, values.tolist()) == (0, [1.0, 0.0, 5.0])
+        for text, line in (("hour,count\n0,1\n0,5\n", 3),   # repeated hour
+                           ("hour,count\n0,1\n1\n", 3)):
+            (d / "hourly.csv").write_text(text)
+            capsys.readouterr()
+            assert run("forecast", "--series", d / "hourly.csv",
+                       "--out", d / "forecast.csv") == 2
+            assert f"hourly.csv: line {line}:" in capsys.readouterr().err
+        (d / "hourly.csv").write_text(
+            "hour,count\n" + "".join(f"{h},{10 + h % 3}\n" for h in range(20)))
+        (d / "forecast.csv").write_text("hour,actual,forecast\n0,1,1.0\n1,,nan?\n")
+        assert run("alarm", "--series", d / "hourly.csv",
+                   "--forecast", d / "forecast.csv", "--out", d / "alarm.json") == 2
+        assert "forecast.csv: line 3: forecast must be float" in capsys.readouterr().err
+
+
 def _train_small_model(d):
     run("synth", "--spec", d / "spec.json", "--out-requests", d / "requests.csv")
     run("build-tables", "--schema", d / "schema.json",
@@ -322,3 +391,40 @@ def golden_request_reports(d):
 class TestGoldenDigests:
     def test_request_reports_match_recorded_digests(self, tmp_path):
         assert golden_request_reports(tmp_path) == GOLDEN_DIGESTS
+
+
+GOLDEN_VISITS_SPEC = {
+    "population": {"k": 0.8, "m": 2.5, "users": 4000, "window_hours": 720},
+    "churn": {"tau_days": {"chrome": 6.0, "safari": 10.0},
+              "mix": {"chrome": 0.7, "safari": 0.3}},
+    "intensity": {"n_hours": 720, "base": 40.0,
+                  "harmonics": [{"period_hours": 24, "amplitude": 20.0}]},
+}
+
+# sha256 of the visit inputs and reports, recorded before the columnar event path
+GOLDEN_VISITS_DIGESTS = {
+    "events.csv": "fcd6c6274c106e4d4a625d70a9120c4fc9ac251970f8d92bc3e51f64ead05cad",
+    "freq.csv": "a8c25b4add33145df43e402a4a06d0d818113a084a36231eaaefb79cd4a29c55",
+    "hourly.csv": "66f7e2b93391a71214a96cf27ac8fc91bbcf8912ad2f4b98c3a45694e5e7d5b7",
+    "survival.csv": "df141463f9d2770a61726ac6042ac45bea46e9513b349cdeec9a0bacfaae4f8d",
+    "virtual.csv": "0be2f8d141801b5a037bb0f6bd12fe83663ef790540cab6b1dcee4f2e5e29d1a",
+}
+
+
+class TestGoldenVisitDigests:
+    def test_visit_reports_match_recorded_digests(self, tmp_path):
+        d = tmp_path
+        (d / "visits_spec.json").write_text(json.dumps(GOLDEN_VISITS_SPEC))
+        stages = [
+            ("synth", "--spec", d / "visits_spec.json", "--seed", 11,
+             "--out-events", d / "events.csv", "--out-freq", d / "freq.csv",
+             "--out-series", d / "hourly.csv"),
+            ("survival", "--events", d / "events.csv", "--window", "0:2592000",
+             "--guard-days", "3", "--out", d / "survival.csv"),
+            ("virtualize", "--series", d / "hourly.csv", "--events", d / "events.csv",
+             "--out", d / "virtual.csv"),
+        ]
+        for argv in stages:
+            assert run(*argv) == 0, argv[0]
+        assert {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+                for name in GOLDEN_VISITS_DIGESTS} == GOLDEN_VISITS_DIGESTS

@@ -1,12 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
 from adlift.errors import (BadLabel, MissingColumn, RaggedRow, UnalignedWindow)
-from adlift.ingest import (CookieEvent, FactorDictionary, MISSING_LEVEL,
+from adlift.ingest import (FactorDictionary, MISSING_LEVEL,
                            RequestBatch, RequestRecord, Schema,
                            aggregate_hourly, build_factor_table,
                            parse_cookie_events, parse_requests, read_columns,
-                           write_requests_csv)
+                           write_events_csv, write_requests_csv)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
 SCHEMA1 = Schema(factor_columns=("browser",), label_column="label")
@@ -120,6 +122,23 @@ class TestParseRequests:
             back = [dic2.label_of(i, k) for k in batch2.factors[:, i]]
             assert back == orig
 
+    def test_writer_matches_row_by_row_csv(self, tmp_path):
+        # labels that need quoting, written by column and by the per-row loop
+        schema = Schema(("browser", "os"), "label")
+        dictionary = FactorDictionary(["browser", "os"],
+                                      [["a,b", 'q"x', ""], ["line\nbreak", "mac"]])
+        batch = RequestBatch(np.array([[0, 1], [1, 0], [2, 1], [0, 0]]),
+                             np.array([1, 0, 0, 1]))
+        path = tmp_path / "r.csv"
+        write_requests_csv(path, schema, dictionary, batch)
+        with open(tmp_path / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["browser", "os", "label"])
+            for row, label in zip(batch.factors, batch.labels):
+                writer.writerow([dictionary.label_of(i, int(k)) for i, k in enumerate(row)]
+                                + [int(label)])
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_parse_serialize_parse_identity(self, tmp_path):
         spec = RequestSpec(n=500, base_rate=0.2, factors=(
             FactorSpec("browser", ("chrome", "safari", "ff"), (0.5, 0.3, 0.2),
@@ -197,10 +216,7 @@ class TestFactorTable:
 
 class TestAggregateHourly:
     def test_three_events_one_hour(self):
-        events = [CookieEvent("a", "chrome", 10),
-                  CookieEvent("b", "chrome", 3599),
-                  CookieEvent("c", "chrome", 1800)]
-        series, dropped = aggregate_hourly(events, (0, 7200))
+        series, dropped = aggregate_hourly([10, 3599, 1800], (0, 7200))
         assert series.counts.tolist() == [3, 0]
         assert dropped == 0
 
@@ -210,9 +226,7 @@ class TestAggregateHourly:
         assert dropped == 0
 
     def test_event_conservation_with_drops(self):
-        events = [CookieEvent("a", "c", -5), CookieEvent("b", "c", 100),
-                  CookieEvent("c", "c", 3600 * 3)]
-        series, dropped = aggregate_hourly(events, (0, 3600 * 2))
+        series, dropped = aggregate_hourly([-5, 100, 3600 * 3], (0, 3600 * 2))
         assert int(series.counts.sum()) + dropped == 3
         assert dropped == 2
 
@@ -228,8 +242,7 @@ class TestAggregateHourly:
         for h in range(hours):
             n = rng.poisson(lam)
             ts.extend(h * 3600 + rng.integers(0, 3600, n))
-        events = [CookieEvent(str(i), "c", int(t)) for i, t in enumerate(ts)]
-        series, _ = aggregate_hourly(events, (0, hours * 3600))
+        series, _ = aggregate_hourly(ts, (0, hours * 3600))
         assert abs(series.counts.mean() - lam) < 3 * np.sqrt(lam / hours)
 
 
@@ -237,8 +250,8 @@ class TestCookieEvents:
     def test_parse(self):
         text = "cookie_id,browser,timestamp\nc1,chrome,1000\nc2,safari,2000\n"
         events = parse_cookie_events(text)
-        assert events == [CookieEvent("c1", "chrome", 1000),
-                          CookieEvent("c2", "safari", 2000)]
+        assert len(events) == 2
+        assert events.columns() == (["c1", "c2"], ["chrome", "safari"], [1000, 2000])
 
     def test_bad_timestamp(self):
         with pytest.raises(BadLabel, match="line 2"):
@@ -247,6 +260,53 @@ class TestCookieEvents:
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             parse_cookie_events("cookie,browser,timestamp\n")
+
+    def test_codes_in_first_seen_order(self):
+        events = parse_cookie_events("cookie_id,browser,timestamp\n"
+                                     "b,safari,3\na,chrome,1\nb,chrome,2\n")
+        assert events.cookie_labels == ["b", "a"]
+        assert events.cookies.tolist() == [0, 1, 0]
+        assert events.browser_labels == ["safari", "chrome"]
+        assert events.browsers.tolist() == [0, 1, 1]
+        assert events.timestamps.dtype == np.int64
+
+    def test_timestamps_read_as_python_ints(self):
+        events = parse_cookie_events("cookie_id,browser,timestamp\n"
+                                     "a,c, 12 \na,c,+5\na,c,1_000\na,c,-7\n")
+        assert events.timestamps.tolist() == [12, 5, 1000, -7]
+        for bad in ("1.5", "", str(2 ** 63)):
+            with pytest.raises(BadLabel, match="line 3: timestamp must be integer"):
+                parse_cookie_events(f"cookie_id,browser,timestamp\na,c,1\na,c,{bad}\n")
+
+    @pytest.mark.parametrize("n_rows", [10, 70_000])
+    def test_earliest_bad_line_wins(self, n_rows):
+        # rows 2.. are good; with n_rows = 70,000 the errors sit on either
+        # side of the 65,536-row mark
+        rows = ["c,chrome,5"] * n_rows
+        bad_ts, ragged = n_rows - 8, n_rows - 2
+        rows[bad_ts] = "c,chrome,x"
+        rows[ragged] = "c,chrome"
+        text = "cookie_id,browser,timestamp\n" + "\n".join(rows) + "\n"
+        with pytest.raises(BadLabel, match=f"line {bad_ts + 2}:"):
+            parse_cookie_events(text)
+        rows[bad_ts], rows[ragged] = rows[ragged], rows[bad_ts]
+        text = "cookie_id,browser,timestamp\n" + "\n".join(rows) + "\n"
+        with pytest.raises(RaggedRow, match=f"line {bad_ts + 2}:"):
+            parse_cookie_events(text)
+        if n_rows > 1 << 16:
+            rows[bad_ts] = "c,chrome,5"
+            rows[65_000] = "c,chrome,x"
+            text = "cookie_id,browser,timestamp\n" + "\n".join(rows) + "\n"
+            with pytest.raises(BadLabel, match="line 65002:"):
+                parse_cookie_events(text)
+
+    def test_write_parse_roundtrip_with_quoting(self, tmp_path):
+        text = ('cookie_id,browser,timestamp\n"a,1",chrome,10\n"q""x",safari,20\n'
+                '"a,1",chrome,30\n,chrome,40\n')
+        events = parse_cookie_events(text)
+        path = tmp_path / "events.csv"
+        write_events_csv(path, events)
+        assert path.read_text() == text
 
 
 class TestRequestBatch:

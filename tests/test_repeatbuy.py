@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from adlift.errors import (DegenerateData, DomainError, InconsistentInputs,
                            NoDeathsWarning)
-from adlift.ingest import CookieEvent
+from adlift.ingest import EventBatch
 from adlift.repeatbuy import (FrequencyTable, SurvivalRow, SurvivalTable,
                               adjust_for_churn, build_frequency_table,
                               compare_frequencies, estimate_survival,
@@ -12,6 +16,7 @@ from adlift.repeatbuy import (FrequencyTable, SurvivalRow, SurvivalTable,
                               nbd_zero_truncated_pmf)
 from adlift.synth import (ChurnSpec, PopulationSpec, apply_churn,
                           gen_gamma_poisson)
+from conftest import make_events
 
 DAY = 86400
 
@@ -176,8 +181,7 @@ class TestEstimateSurvival:
     def test_one_cookie_one_day(self):
         t0 = 0
         t1 = 100 * DAY
-        events = [CookieEvent("c", "chrome", 10 * DAY),
-                  CookieEvent("c", "chrome", 11 * DAY)]
+        events = make_events([("c", "chrome", 10 * DAY), ("c", "chrome", 11 * DAY)])
         table = estimate_survival(events, (t0, t1), guard_days=7.0)
         row = table.rows["chrome"]
         assert row.tau_days == pytest.approx(1.0)
@@ -185,7 +189,7 @@ class TestEstimateSurvival:
         assert row.censored == 0
 
     def test_all_single_visits_degenerate(self):
-        events = [CookieEvent(f"c{i}", "chrome", i * DAY) for i in range(10)]
+        events = make_events((f"c{i}", "chrome", i * DAY) for i in range(10))
         table = estimate_survival(events, (0, 100 * DAY), guard_days=7.0)
         row = table.rows["chrome"]
         assert row.tau_days == 0.0
@@ -193,8 +197,7 @@ class TestEstimateSurvival:
 
     def test_all_censored_flagged_lower_bound(self):
         t1 = 50 * DAY
-        events = [CookieEvent("c", "chrome", 10 * DAY),
-                  CookieEvent("c", "chrome", t1 - DAY)]
+        events = make_events([("c", "chrome", 10 * DAY), ("c", "chrome", t1 - DAY)])
         with pytest.warns(NoDeathsWarning):
             table = estimate_survival(events, (0, t1), guard_days=7.0)
         row = table.rows["chrome"]
@@ -203,15 +206,15 @@ class TestEstimateSurvival:
 
     def test_event_outside_window_rejected(self):
         with pytest.raises(DomainError):
-            estimate_survival([CookieEvent("c", "chrome", -1)], (0, DAY))
+            estimate_survival(make_events([("c", "chrome", -1)]), (0, DAY))
 
     def test_zero_censoring_equals_plain_mean(self):
         events = []
         lifetimes = [1.0, 3.0, 5.0]
         for i, life in enumerate(lifetimes):
-            events.append(CookieEvent(f"c{i}", "chrome", i * 10 * DAY))
-            events.append(CookieEvent(f"c{i}", "chrome", int((i * 10 + life) * DAY)))
-        table = estimate_survival(events, (0, 1000 * DAY), guard_days=7.0)
+            events.append((f"c{i}", "chrome", i * 10 * DAY))
+            events.append((f"c{i}", "chrome", int((i * 10 + life) * DAY)))
+        table = estimate_survival(make_events(events), (0, 1000 * DAY), guard_days=7.0)
         assert table.rows["chrome"].tau_days == pytest.approx(np.mean(lifetimes))
 
     def test_censored_simulation_recovers_mean(self, rng):
@@ -227,9 +230,9 @@ class TestEstimateSurvival:
             birth = rng.uniform(20, 40) * DAY
             life = rng.exponential(tau_true) * DAY
             last = min(birth + life, t1 - 1.0)
-            events.append(CookieEvent(f"c{i}", "chrome", int(birth)))
-            events.append(CookieEvent(f"c{i}", "chrome", int(last)))
-        table = estimate_survival(events, (0, t1), guard_days=guard)
+            events.append((f"c{i}", "chrome", int(birth)))
+            events.append((f"c{i}", "chrome", int(last)))
+        table = estimate_survival(make_events(events), (0, t1), guard_days=guard)
         row = table.rows["chrome"]
         assert row.censored > 0.1 * 10_000
         assert abs(row.tau_days - tau_true) / tau_true < 0.05
@@ -299,9 +302,101 @@ class TestFrequencyTable:
             FrequencyTable({0: 10, 1: 5})
 
     def test_build_from_events(self):
-        events = [CookieEvent("a", "c", 0), CookieEvent("a", "c", 10),
-                  CookieEvent("b", "c", 5)]
+        events = make_events([("a", "c", 0), ("a", "c", 10), ("b", "c", 5)])
         freq = build_frequency_table(events, window_hours=1.0)
         assert freq.counts == {1: 1, 2: 1}
         assert freq.total_cookies == 2
         assert freq.total_events == 3
+
+
+# --- columnar estimators against the per-event dict loops they replaced ----
+
+
+def survival_oracle(events, window, guard_days):
+    """The per-event dict loop over (cookie_id, browser, timestamp) triples."""
+    t0, t1 = window
+    guard_s = guard_days * 86400.0
+    first, last, browser_of = {}, {}, {}
+    for cid, browser, ts in events:
+        if not (t0 <= ts < t1):
+            raise DomainError(f"event at {ts} outside window {window}")
+        if cid not in first:
+            first[cid] = last[cid] = ts
+            browser_of[cid] = browser
+        else:
+            first[cid] = min(first[cid], ts)
+            last[cid] = max(last[cid], ts)
+    acc = {}
+    for cid in first:
+        censored = last[cid] >= t1 - guard_s
+        total = acc.setdefault(browser_of[cid], [0.0, 0, 0])
+        total[0] += last[cid] - first[cid]
+        total[1] += 0 if censored else 1
+        total[2] += 1 if censored else 0
+    rows = {}
+    for b, (total_s, deaths, censored) in sorted(acc.items()):
+        total_days = total_s / 86400.0
+        if deaths == 0:
+            warnings.warn(f"browser {b!r}: all cookies censored; lifetime is a "
+                          "lower bound", NoDeathsWarning)
+            rows[b] = SurvivalRow(tau_days=total_days, deaths=0, censored=censored,
+                                  no_deaths=True)
+        else:
+            tau = total_days / deaths
+            rows[b] = SurvivalRow(tau_days=tau, deaths=deaths, censored=censored,
+                                  degenerate=(tau == 0.0))
+    return SurvivalTable(rows=rows)
+
+
+def frequency_oracle(events):
+    per_cookie = {}
+    for cid, _, _ in events:
+        per_cookie[cid] = per_cookie.get(cid, 0) + 1
+    hist = {}
+    for n in per_cookie.values():
+        hist[n] = hist.get(n, 0) + 1
+    return hist
+
+
+def outcome(fn, *args):
+    """(result or error message, warnings) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except DomainError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+WINDOW = (0, 30 * DAY)
+EVENTS = st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+                            st.sampled_from(["chrome", "safari", "ff"]),
+                            st.integers(-DAY, 31 * DAY)), max_size=30)
+
+
+class TestColumnarEstimatorsMatchDictLoops:
+    # cookie "a" starts on safari, then visits from chrome: it counts as safari
+    @example([("a", "safari", DAY), ("a", "chrome", 2 * DAY), ("b", "chrome", 0),
+              ("b", "chrome", 3 * DAY)], 1.0)
+    # every chrome cookie is censored: NoDeathsWarning, lower-bound row
+    @example([("a", "chrome", 20 * DAY), ("a", "chrome", 29 * DAY),
+              ("b", "safari", DAY), ("b", "safari", 2 * DAY)], 7.0)
+    # the first out-of-window event in input order is the one named
+    @example([("a", "chrome", DAY), ("b", "chrome", 31 * DAY), ("c", "ff", -5)], 7.0)
+    # the window is [t0, t1)
+    @example([("a", "chrome", 0), ("a", "chrome", 30 * DAY)], 7.0)
+    @example([], 7.0)
+    @given(EVENTS, st.floats(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_survival_and_frequency(self, events, guard_days):
+        batch = make_events(events)
+        assert outcome(estimate_survival, batch, WINDOW, guard_days) \
+            == outcome(survival_oracle, events, WINDOW, guard_days)
+        assert build_frequency_table(batch).counts == frequency_oracle(events)
+
+    def test_unused_labels_count_nowhere(self):
+        batch = EventBatch([1, 1], ["never", "c"], [1, 1], ["opera", "chrome"],
+                           [0, DAY])
+        assert build_frequency_table(batch).counts == {2: 1}
+        assert list(estimate_survival(batch, WINDOW).rows) == ["chrome"]
