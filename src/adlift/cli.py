@@ -117,25 +117,47 @@ def _save_tables(table: ingest.FactorTable, path) -> None:
     _write_json(doc, path)
 
 
-def _load_tables(path) -> ingest.FactorTable:
+def _read_json(path, build):
+    """``build`` applied to the JSON object in ``path``.
+
+    Raises DataError naming ``path`` for a file that is not a JSON object,
+    and for a document that lacks a key ``build`` reads or holds a value of
+    the wrong type or shape for it.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise AdliftError(f"{path}: unsupported tables version {doc.get('version')!r}")
-    factors = doc["factors"]
-    dictionary = ingest.FactorDictionary([f["name"] for f in factors],
-                                         [f["levels"] for f in factors])
-    counts = [np.asarray(f["counts"], dtype=np.int64) for f in factors]
-    return ingest.FactorTable(counts, doc["total"], dictionary)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _load_tables(path) -> ingest.FactorTable:
+    def build(doc):
+        if doc.get("version") != 1:
+            raise AdliftError(f"{path}: unsupported tables version {doc.get('version')!r}")
+        factors = doc["factors"]
+        dictionary = ingest.FactorDictionary([f["name"] for f in factors],
+                                             [f["levels"] for f in factors])
+        counts = [np.asarray(f["counts"], dtype=np.int64) for f in factors]
+        return ingest.FactorTable(counts, doc["total"], dictionary)
+    return _read_json(path, build)
 
 
 def _load_importance(path) -> ImportanceVector:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    entries = sorted(doc["entries"], key=lambda e: e["index"])
-    return ImportanceVector(method=doc["method"],
-                            values=[e["value"] for e in entries],
-                            alpha=doc.get("alpha"))
+    def build(doc):
+        entries = sorted(doc["entries"], key=lambda e: e["index"])
+        return ImportanceVector(method=doc["method"],
+                                values=[e["value"] for e in entries],
+                                alpha=doc.get("alpha"))
+    return _read_json(path, build)
 
 
 def _read_report(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:

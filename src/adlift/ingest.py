@@ -28,6 +28,13 @@ MISSING_LEVEL = "__missing__"
 
 SECONDS_PER_HOUR = 3600
 
+# Rows per block where a batch turns rows into Python objects: fewer than
+# the cyclic collector's first-generation threshold (gc.get_threshold()[0],
+# 700 by default), so that a block's row lists are freed before a
+# collection scans them. 64k-row blocks cost about as much in collections
+# as the work itself.
+ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -150,12 +157,13 @@ class RequestBatch(Sequence[RequestRecord]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return RequestBatch(self.factors[i], self.labels[i])
-        return RequestRecord(tuple(int(v) for v in self.factors[i]),
-                             int(self.labels[i]))
+        return RequestRecord(tuple(self.factors[i].tolist()), int(self.labels[i]))
 
     def __iter__(self) -> Iterator[RequestRecord]:
-        for row, label in zip(self.factors, self.labels):
-            yield RequestRecord(tuple(int(v) for v in row), int(label))
+        for start in range(0, len(self), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            yield from map(RequestRecord, map(tuple, self.factors[rows].tolist()),
+                           self.labels[rows].tolist())
 
     @classmethod
     def from_records(cls, records: Iterable[RequestRecord]) -> "RequestBatch":
@@ -267,14 +275,11 @@ def read_columns(stream: Iterable[str] | str, names: Sequence[str],
     columns: list[list[str]] = [[] for _ in names]
     interned = None
     lineno = 2
-    # Read in chunks smaller than the cyclic collector's first-generation
-    # threshold (gc.get_threshold()[0], 700 by default), so that each chunk's
-    # row lists are freed before a collection scans them; 64k-row chunks
-    # cost about as much in collections as the reading itself. Intern the
-    # cells of a column whose first chunk repeats its labels, so that it
-    # holds one string per distinct label rather than one per row; interning
-    # nearly distinct cells (cookie ids, timestamps) would only cost time.
-    while rows := list(islice(reader, 256)):
+    # Read in chunks of ROW_BLOCK rows. Intern the cells of a column whose
+    # first chunk repeats its labels, so that it holds one string per
+    # distinct label rather than one per row; interning nearly distinct
+    # cells (cookie ids, timestamps) would only cost time.
+    while rows := list(islice(reader, ROW_BLOCK)):
         good = rows
         if set(map(len, rows)) - {width}:
             good = rows[:next(i for i, row in enumerate(rows) if len(row) != width)]

@@ -64,11 +64,23 @@ class SparseRateModel:
         for r in self.rates:
             if len(r) and not ((r > 0.0) & (r < 1.0)).all():
                 raise ValueError("smoothed rates must lie strictly inside (0, 1)")
-        # hot-path caches: python floats/tuples beat numpy scalars per call
+        # One lookup table per active factor, built once. Entry k holds the
+        # weighted rate rates[i][k] * imp as its real part and the weight imp
+        # as its imaginary part; entry n_levels is the 0 sentinel that unseen
+        # ids map to. Complex addition adds the two parts separately, so one
+        # lookup and one add accumulate both sums of the score. ``score``
+        # reads a python-float copy of the same products (python floats beat
+        # numpy scalars per call), so batch and scalar scores agree bit for bit.
+        self._tables = []
+        for i, r in enumerate(self.rates):
+            if self.importance[i] > 0.0:
+                table = np.zeros(len(r) + 1, dtype=np.complex128)
+                table.real[:-1] = r * self.importance[i]
+                table.imag[:-1] = self.importance[i]
+                self._tables.append((i, len(r), table))
         self._active = tuple(
-            (i, float(self.importance[i]), tuple(float(q) for q in self.rates[i]),
-             len(self.rates[i]))
-            for i in range(self.m) if self.importance[i] > 0.0)
+            (i, float(self.importance[i]), tuple(table.real[:n_levels].tolist()), n_levels)
+            for i, n_levels, table in self._tables)
         self._level_maps = [{label: k for k, label in enumerate(ls)}
                             for ls in self.level_labels]
 
@@ -152,10 +164,10 @@ def score(model: SparseRateModel, x: RequestRecord,
     num = 0.0
     den = 0.0
     used = 0
-    for i, imp, rates, n_levels in model._active:
+    for i, imp, weighted, n_levels in model._active:
         k = factors[i]
         if 0 <= k < n_levels:
-            num += imp * rates[k]
+            num += weighted[k]
             den += imp
             used += 1
     if used == 0:
@@ -185,23 +197,39 @@ class BatchScores:
             yield ScoredRequest(rec, float(sc), int(uf))
 
 
-def _score_matrix(model: SparseRateModel, factors: np.ndarray):
+SCORE_BLOCK = 8192
+"""Rows per block of ``_score_matrix``: a block's ids and its few scratch
+vectors stay in cache while every factor passes over them."""
+
+
+def _score_matrix(model: SparseRateModel, factors: np.ndarray,
+                  scores: np.ndarray, used: np.ndarray) -> None:
+    """Score the (n, m) int32 id matrix into ``scores`` and ``used`` (n,).
+
+    Walks the rows in blocks of SCORE_BLOCK. Read as uint32, every id
+    outside [0, n_levels), -1 included, clips to the table's 0 sentinel.
+    Factors accumulate in index order, as in ``score``, so the results are
+    bit-identical to the scalar path.
+    """
     n = len(factors)
-    num = np.zeros(n)
-    den = np.zeros(n)
-    used = np.zeros(n, dtype=np.int64)
-    # accumulate factor by factor in index order so the result is
-    # bit-identical to the scalar path
-    for i, imp, _, n_levels in model._active:
-        ids = factors[:, i]
-        known = (ids >= 0) & (ids < n_levels)
-        q = model.rates[i][np.where(known, ids, 0)]
-        num += np.where(known, imp * q, 0.0)
-        den += np.where(known, imp, 0.0)
-        used += known
-    any_used = used > 0
-    scores = np.where(any_used, num / np.where(any_used, den, 1.0), model.global_rate)
-    return scores, used
+    ids = factors.view(np.uint32)
+    size = min(n, SCORE_BLOCK)
+    scratch = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128),
+               np.empty(size, dtype=np.intp), np.empty(size, dtype=bool))
+    for start in range(0, n, SCORE_BLOCK):
+        rows = slice(start, min(n, start + SCORE_BLOCK))
+        sums, term, slot, known = (a[:rows.stop - start] for a in scratch)
+        count = used[rows]
+        sums.fill(0.0)
+        count.fill(0)
+        block = ids[rows]
+        for i, n_levels, table in model._tables:
+            np.minimum(block[:, i], n_levels, out=slot)
+            sums += np.take(table, slot, out=term)
+            count += np.less(slot, n_levels, out=known)
+        out = scores[rows]
+        out.fill(model.global_rate)
+        np.divide(sums.real, sums.imag, out=out, where=np.greater(count, 0, out=known))
 
 
 def worker_count() -> int:
@@ -246,23 +274,20 @@ def score_batch(model: SparseRateModel,
                 matrix[j, :] = rec.factors
 
     n = len(matrix)
-    if n == 0:
-        return BatchScores(seq, np.empty(0), np.empty(0, dtype=np.int64), errors,
-                           time.perf_counter() - t_start)
-
+    scores = np.empty(n)
+    used = np.empty(n, dtype=np.int64)
     n_threads = min(threads if threads is not None else worker_count(),
                     max(1, n // 65536))
     if n_threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         bounds = np.linspace(0, n, n_threads + 1, dtype=np.int64)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        chunks = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        # each thread writes its own row range of the shared outputs
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(lambda ab: _score_matrix(model, matrix[ab[0]:ab[1]]),
-                                  chunks))
-        scores = np.concatenate([p[0] for p in parts])
-        used = np.concatenate([p[1] for p in parts])
+            list(pool.map(lambda rows: _score_matrix(model, matrix[rows], scores[rows],
+                                                     used[rows]), chunks))
     else:
-        scores, used = _score_matrix(model, matrix)
+        _score_matrix(model, matrix, scores, used)
 
     for j, _ in errors:
         scores[j] = np.nan

@@ -303,6 +303,42 @@ class TestLoaderErrors:
                        "--out", workdir / "adjusted.json") == 2
             assert f"survival.csv: line 3: {message}" in capsys.readouterr().err
 
+    TABLES = {"version": 1, "total": 4,
+              "factors": [{"name": "browser", "levels": ["chrome", "safari"],
+                           "counts": [[1, 2], [1, 0]]}]}
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "not a JSON document"),
+        ('{"version": 1, "total": 0}', "missing key 'factors'"),
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('{"version": 1, "factors": []}', "missing key 'total'"),
+        ('{"version": 1, "total": 4, "factors": [{"levels": [], "counts": []}]}',
+         "missing key 'name'"),
+        ('{"version": 1, "total": 4, "factors": [{"name": "b", "counts": []}]}',
+         "missing key 'levels'"),
+        ('{"version": 1, "total": 4, "factors": [{"name": "b", "levels": []}]}',
+         "missing key 'counts'"),
+        ('{"version": 1, "total": 4, "factors": [7]}', "'int' object is not subscriptable"),
+    ])
+    def test_bad_tables_file_is_data_error(self, workdir, capsys, text, message):
+        (workdir / "tables.json").write_text(text)
+        assert run("rank", "--tables", workdir / "tables.json",
+                   "--out", workdir / "importance.json") == 2
+        assert f"tables.json: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "not a JSON document"),
+        ('{"method": "shannon"}', "missing key 'entries'"),
+        ('{"method": "shannon", "entries": [{"value": 0.1}]}', "missing key 'index'"),
+    ])
+    def test_bad_importance_file_is_data_error(self, workdir, capsys, text, message):
+        (workdir / "tables.json").write_text(json.dumps(self.TABLES))
+        (workdir / "importance.json").write_text(text)
+        assert run("train", "--tables", workdir / "tables.json",
+                   "--importance", workdir / "importance.json",
+                   "--out", workdir / "model.json") == 2
+        assert f"importance.json: {message}" in capsys.readouterr().err
+
     def test_series_loaders(self, workdir, capsys):
         d = workdir
         (d / "hourly.csv").write_text("hour,count\n0,1\n\n2,5\n")

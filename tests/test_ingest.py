@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adlift.errors import (BadLabel, MissingColumn, RaggedRow, UnalignedWindow)
-from adlift.ingest import (FactorDictionary, MISSING_LEVEL,
+from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            RequestBatch, RequestRecord, Schema,
                            aggregate_hourly, build_factor_table,
                            parse_cookie_events, parse_requests, read_columns,
@@ -317,6 +317,21 @@ class TestRequestBatch:
         assert batch[1] == RequestRecord((1, 0), 0)
         assert list(batch)[0] == RequestRecord((0, 1), 1)
         assert len(batch[:1]) == 1
+
+    def test_records_match_per_cell_construction(self, rng):
+        # three row blocks, the last one short, and the int32 extremes
+        n, m = 2 * ROW_BLOCK + 3, 5
+        factors = rng.integers(-2**31, 2**31, (n, m), dtype=np.int64).astype(np.int32)
+        factors[0] = [-2**31, 2**31 - 1, -1, 0, 7]
+        factors[-1] = [2**31 - 1, -2**31, 0, -1, 2**31 - 1]
+        labels = rng.integers(0, 2, n).astype(np.int8)
+        batch = RequestBatch(factors, labels)
+        expected = [RequestRecord(tuple(int(v) for v in row), int(label))
+                    for row, label in zip(factors, labels)]
+        records = list(batch) + [batch[i] for i in range(-n, n)]
+        assert records == expected * 3
+        assert all(type(v) is int for rec in records for v in rec.factors)
+        assert all(type(rec.label) is int for rec in records)
 
     def test_from_records_roundtrip(self):
         records = [RequestRecord((2, 0), 1), RequestRecord((0, 1), 0)]

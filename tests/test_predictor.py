@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                            FingerprintMismatch, VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
-from adlift.ingest import FactorDictionary, RequestRecord, build_factor_table
-from adlift.predictor import (PacingState, ScoredRequest, load_model, pace,
-                              pace_batch, save_model, score, score_batch, train)
+from adlift.ingest import (FactorDictionary, RequestBatch, RequestRecord,
+                           build_factor_table)
+from adlift.predictor import (SCORE_BLOCK, PacingState, ScoredRequest, SparseRateModel,
+                              load_model, pace, pace_batch, save_model, score,
+                              score_batch, train)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
 from conftest import make_table
@@ -208,6 +212,67 @@ class TestScoreBatch:
         result = score_batch(model, records)
         expected = [model.rates[0][k] for k in (0, 1, 0, 1)]
         assert result.scores.tolist() == expected
+
+    # sizes around the kernel's row blocks; the second example is past
+    # 3 * 65536 rows, where score_batch first splits the rows over three
+    # threads
+    B = SCORE_BLOCK
+
+    @given(n=st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 17]),
+           seed=st.integers(0, 2**32 - 1),
+           pruned=st.lists(st.booleans(), min_size=1, max_size=6))
+    @example(n=B + 1, seed=0, pruned=[True, True, True])
+    @example(n=3 * 65536 + 17, seed=1, pruned=[False, True, False])
+    @settings(max_examples=20, deadline=None)
+    def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(1, 6, len(pruned))
+        model = SparseRateModel(
+            [f"f{i}" for i in range(len(pruned))],
+            [[f"v{k}" for k in range(n_levels)] for n_levels in levels],
+            np.where(pruned, 0.0, rng.exponential(1.0, len(pruned))),
+            [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels],
+            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        factors = np.column_stack([rng.integers(0, n_levels, n) for n_levels in levels])
+        # a quarter of the cells unseen: -1, n_levels or an int32 extreme
+        for i, n_levels in enumerate(levels):
+            unseen = rng.random(n) < 0.25
+            factors[unseen, i] = rng.choice([-1, n_levels, 2**31 - 1, -2**31],
+                                            unseen.sum())
+        batch = RequestBatch(factors, np.zeros(n, dtype=np.int8))
+        expected = [score(model, rec) for rec in batch]
+        scores = np.array([s.score for s in expected], dtype=np.float64)
+        used = np.array([s.used_factors for s in expected], dtype=np.int64)
+        # every 7th record of the list input has one factor too many
+        records = [RequestRecord(rec.factors + (0,), 0) if j % 7 == 3 else rec
+                   for j, rec in enumerate(batch)]
+        bad = np.arange(n) % 7 == 3
+        for threads in (1, 2, 3):
+            result = score_batch(model, batch, threads=threads)
+            assert result.scores.tobytes() == scores.tobytes()
+            assert result.used_factors.tobytes() == used.tobytes()
+            result = score_batch(model, records, threads=threads)
+            assert [j for j, _ in result.errors] == np.flatnonzero(bad).tolist()
+            assert np.isnan(result.scores[bad]).all()
+            assert not result.used_factors[bad].any()
+            assert result.scores[~bad].tobytes() == scores[~bad].tobytes()
+            assert result.used_factors[~bad].tobytes() == used[~bad].tobytes()
+
+    def test_blocked_kernel_allocates_only_its_outputs(self, rng):
+        n, m = 200_000, 20
+        model = SparseRateModel(
+            [f"f{i}" for i in range(m)], [[f"v{k}" for k in range(8)]] * m,
+            rng.exponential(1.0, m), [rng.uniform(0.01, 0.99, 8) for _ in range(m)],
+            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        batch = RequestBatch(rng.integers(-1, 9, (n, m)), np.zeros(n, dtype=np.int8))
+        tracemalloc.start()
+        try:
+            result = score_batch(model, batch, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = result.scores.nbytes + result.used_factors.nbytes
+        assert peak <= outputs + 4 * 2**20
 
 
 class TestPace:
