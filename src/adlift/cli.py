@@ -13,73 +13,30 @@ import argparse
 import csv
 import difflib
 import json
+import math
 import sys
-from operator import itemgetter
 
 import numpy as np
 
 from . import ingest, predictor, repeatbuy, synth, timeseries
-from .errors import AdliftError, DataError, MissingColumn
+from .errors import AdliftError, BadSpec, DataError, MissingColumn
 from .features import ImportanceVector, rank_factors
 
 PROG = "adlift"
+
+# the longest hourly series a file may span, gaps included (114 years): a
+# series is filled to one float per hour
+MAX_SERIES_HOURS = 1_000_000
 
 COMMANDS = ("synth", "build-tables", "rank", "train", "score", "pace",
             "fit-nbd", "survival", "adjust-churn", "forecast", "virtualize",
             "alarm")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
-_TEMPLATE_CELLS = {int: "%d", float: "%.12g", str: "%s"}
-
-# a cell holding one of these needs CSV quoting (csv.writer quotes "\r" on
-# some Python versions only)
-_QUOTED_CHARS = ',"\r\n'
-
-
-def _row_template(rows) -> str | None:
-    """A ``%`` template for tuple rows that hold one int, float or str type
-    per column and no cell csv.writer would quote; None for any other rows."""
-    first = rows[0] if rows else None
-    if type(first) is not tuple:
-        return None
-    cells = [_TEMPLATE_CELLS.get(type(v)) for v in first]
-    if None in cells or set(map(type, rows)) != {tuple} \
-            or set(map(len, rows)) != {len(first)}:
-        return None
-    for j, v in enumerate(first):
-        column = list(map(itemgetter(j), rows))
-        if set(map(type, column)) != {type(v)}:
-            return None
-        if type(v) is str:
-            text = "".join(column)
-            # csv.writer writes a lone empty cell as ""
-            if any(c in text for c in _QUOTED_CHARS) or (len(first) == 1
-                                                         and "" in column):
-                return None
-    return ",".join(cells) + "\n"
-
-
-def emit_report(columns, rows, path) -> None:
-    """Write a CSV report with a deterministic column order and float format.
-
-    Rows with one int, float or str type per column and nothing to quote go
-    out through one row template; other rows are written cell by cell, with
-    CSV quoting for strings.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        template = _row_template(rows)
-        if template is not None:
-            fh.writelines(map(template.__mod__, rows))
-        else:
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+def emit_report(header, table: ingest.Columns, path) -> None:
+    """Write a report: one column per header name, numbers at 12 significant
+    digits, CSV quoting for strings (see ``ingest.write_columns``)."""
+    ingest.write_columns(path, header, table)
 
 
 def _write_json(doc, path) -> None:
@@ -87,7 +44,7 @@ def _write_json(doc, path) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with ingest.atomic_write(path) as fh:
             fh.write(text)
 
 
@@ -99,8 +56,7 @@ def _info(msg: str) -> None:
 
 
 def _load_schema(path) -> ingest.Schema:
-    with open(path, encoding="utf-8") as fh:
-        return ingest.Schema.from_json(fh.read())
+    return _read_json(path, ingest.Schema.from_doc)
 
 
 def _save_tables(table: ingest.FactorTable, path) -> None:
@@ -118,25 +74,10 @@ def _save_tables(table: ingest.FactorTable, path) -> None:
 
 
 def _read_json(path, build):
-    """``build`` applied to the JSON object in ``path``.
-
-    Raises DataError naming ``path`` for a file that is not a JSON object,
-    and for a document that lacks a key ``build`` reads or holds a value of
-    the wrong type or shape for it.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise DataError(f"{path}: not a JSON document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    try:
-        return build(doc)
-    except KeyError as exc:
-        raise DataError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    """``build`` applied to the JSON object in ``path`` (see ``ingest.load_json``)."""
+    with ingest.open_text(path) as fh:
+        text = fh.read()
+    return ingest.load_json(path, text, build)
 
 
 def _load_tables(path) -> ingest.FactorTable:
@@ -167,7 +108,7 @@ def _read_report(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
     Raises DataError naming ``path: line N`` for a row whose width differs
     from the header's.
     """
-    with open(path, encoding="utf-8") as fh:
+    with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [(line, cells) for line, cells in enumerate(reader, start=2) if cells]
@@ -188,6 +129,14 @@ def _report_column(path, positions, rows, name, convert) -> list:
         except ValueError:
             raise DataError(f"{path}: line {line}: {name} must be "
                             f"{convert.__name__}, got {cells[j]!r}") from None
+    return values
+
+
+def _finite(path, rows, values, name) -> list[float]:
+    """``values``; DataError naming the first row whose value is NaN or infinite."""
+    for (line, _), value in zip(rows, values):
+        if not math.isfinite(value):
+            raise DataError(f"{path}: line {line}: {name} must be finite, got {value!r}")
     return values
 
 
@@ -212,11 +161,15 @@ def _load_series(path) -> tuple[int, np.ndarray]:
     if value_col not in positions:
         raise MissingColumn(f"{path}: expected a count or forecast column")
     hours = _report_column(path, positions, rows, "hour", int)
-    values = _report_column(path, positions, rows, value_col, float)
+    values = _finite(path, rows, _report_column(path, positions, rows, value_col, float),
+                     value_col)
     if not hours:
         raise AdliftError(f"{path}: empty series")
     _reject_repeats(path, rows, hours, "hour")
     start = min(hours)
+    if max(hours) - start >= MAX_SERIES_HOURS:
+        raise DataError(f"{path}: hours {start} to {max(hours)} span more than "
+                        f"{MAX_SERIES_HOURS} hours")
     series = np.zeros(max(hours) - start + 1)
     for hour, value in zip(hours, values):
         series[hour - start] = value
@@ -227,12 +180,13 @@ def _load_forecast_csv(path) -> tuple[int, np.ndarray]:
     positions, rows = _read_report(path)
     if "hour" not in positions or "forecast" not in positions:
         raise MissingColumn(f"{path}: expected columns hour,forecast")
-    pairs = sorted(zip(_report_column(path, positions, rows, "hour", int),
-                       _report_column(path, positions, rows, "forecast", float)))
+    hours = _report_column(path, positions, rows, "hour", int)
+    forecast = _report_column(path, positions, rows, "forecast", float)
+    pairs = sorted(zip(hours, _finite(path, rows, forecast, "forecast")))
     if not pairs:
         raise AdliftError(f"{path}: empty forecast")
     hours = [h for h, _ in pairs]
-    if hours != list(range(hours[0], hours[-1] + 1)):
+    if hours != list(range(hours[0], hours[0] + len(hours))):
         raise AdliftError(f"{path}: forecast hours must be contiguous")
     return hours[0], np.array([v for _, v in pairs])
 
@@ -265,7 +219,7 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
 
 def _read_request_rows(path, factor_names) -> list[list[str]]:
     """Read the raw level labels of the given factors, one column per factor."""
-    with open(path, encoding="utf-8") as fh:
+    with ingest.open_text(path) as fh:
         return ingest.read_columns(fh, factor_names)
 
 
@@ -278,9 +232,10 @@ def _encoded_batch(model: predictor.SparseRateModel, path) -> ingest.RequestBatc
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = synth.SynthSpec.from_json(fh.read())
+    spec = _read_json(args.spec, synth.SynthSpec.from_doc)
     seed = args.seed if args.seed is not None else spec.seed
+    if seed < 0:
+        raise BadSpec(f"seed must be non-negative, got {seed}")
     if args.out_requests:
         if spec.requests is None:
             raise AdliftError("spec has no 'requests' section")
@@ -300,8 +255,9 @@ def _cmd_synth(args) -> int:
         if args.out_freq:
             freq = repeatbuy.build_frequency_table(events,
                                                    spec.population.window_hours)
-            emit_report(["n", "count"],
-                        sorted(freq.counts.items()), args.out_freq)
+            ns = sorted(freq.counts)
+            emit_report(["n", "count"], ingest.Columns(ns, [freq.counts[n] for n in ns]),
+                        args.out_freq)
             _info(f"wrote frequency table to {args.out_freq}")
     if args.out_series:
         if spec.intensity is None:
@@ -311,15 +267,15 @@ def _cmd_synth(args) -> int:
             (times * ingest.SECONDS_PER_HOUR).astype(np.int64),
             (0, spec.intensity.n_hours * ingest.SECONDS_PER_HOUR))
         emit_report(["hour", "count"],
-                    [(series.start_hour + i, int(c))
-                     for i, c in enumerate(series.counts)], args.out_series)
+                    ingest.Columns(series.start_hour + np.arange(len(series)),
+                                   series.counts), args.out_series)
         _info(f"wrote {len(series)} hourly counts to {args.out_series}")
     return 0
 
 
 def _cmd_build_tables(args) -> int:
     schema = _load_schema(args.schema)
-    with open(args.input, encoding="utf-8") as fh:
+    with ingest.open_text(args.input) as fh:
         dictionary, batch = ingest.parse_requests(
             fh, schema, delimiter="\t" if args.tab else ",")
     table = ingest.build_factor_table(batch, dictionary)
@@ -361,8 +317,8 @@ def _cmd_score(args) -> int:
     model = predictor.load_model(args.model)
     result = predictor.score_batch(model, _encoded_batch(model, args.input))
     emit_report(["index", "score", "used_factors"],
-                list(zip(range(len(result)), result.scores.tolist(),
-                         result.used_factors.tolist())), args.out)
+                ingest.Columns(np.arange(len(result)), result.scores,
+                               result.used_factors), args.out)
     _info(f"scored {len(result)} requests at "
           f"{result.throughput_rps:,.0f} req/s -> {args.out}")
     return 0
@@ -379,9 +335,8 @@ def _cmd_pace(args) -> int:
                                   block_size=args.block, gamma=args.gamma)
     show, threshold = predictor.pace_batch(state, result.scores)
     emit_report(["index", "score", "show", "threshold"],
-                list(zip(range(n), result.scores.tolist(),
-                         show.astype(np.int64).tolist(), threshold.tolist())),
-                args.out)
+                ingest.Columns(np.arange(n), result.scores, show.astype(np.int64),
+                               threshold), args.out)
     _info(f"showed {state.shown_so_far}/{args.target} over {n} requests "
           f"-> {args.out}")
     return 0
@@ -402,12 +357,15 @@ def _cmd_fit_nbd(args) -> int:
 
 def _cmd_survival(args) -> int:
     t0, t1 = args.window
-    with open(args.events, encoding="utf-8") as fh:
+    with ingest.open_text(args.events) as fh:
         events = ingest.parse_cookie_events(fh)
     table = repeatbuy.estimate_survival(events, (t0, t1), guard_days=args.guard_days)
+    browsers = sorted(table.rows)
+    rows = [table.rows[b] for b in browsers]
     emit_report(["browser", "tau_days", "deaths", "censored"],
-                [(b, row.tau_days, row.deaths, row.censored)
-                 for b, row in sorted(table.rows.items())], args.out)
+                ingest.Columns(browsers, [row.tau_days for row in rows],
+                               [row.deaths for row in rows],
+                               [row.censored for row in rows]), args.out)
     _info(f"estimated survival for {len(table.rows)} browsers -> {args.out}")
     return 0
 
@@ -443,13 +401,11 @@ def _cmd_forecast(args) -> int:
     r = None if args.r == "auto" else int(args.r)
     model = timeseries.ssa_fit(values, L=args.L, r=r)
     future = timeseries.ssa_forecast(model, args.horizon)
-    rows = []
-    for i in range(model.n):
-        rows.append((start + i, _fmt(float(values[i])),
-                     float(model.reconstructed[i])))
-    for t in range(args.horizon):
-        rows.append((start + model.n + t, "", float(future[t])))
-    emit_report(["hour", "actual", "forecast"], rows, args.out)
+    emit_report(["hour", "actual", "forecast"],
+                ingest.Columns(start + np.arange(model.n + args.horizon),
+                               values.tolist() + [""] * args.horizon,
+                               np.concatenate([model.reconstructed, future])),
+                args.out)
     _info(f"SSA L={model.window} r={model.rank}; forecast {args.horizon}h "
           f"-> {args.out}")
     return 0
@@ -458,11 +414,11 @@ def _cmd_forecast(args) -> int:
 def _cmd_virtualize(args) -> int:
     start, values = _load_series(args.series)
     clock = timeseries.build_virtual_clock(values, start_hour=start)
-    with open(args.events, encoding="utf-8") as fh:
+    with ingest.open_text(args.events) as fh:
         events = ingest.parse_cookie_events(fh)
     virtual = timeseries.virtualize(clock, events.timestamps)
     emit_report(["cookie_id", "browser", "timestamp", "virtual"],
-                list(zip(*events.columns(), virtual.tolist())), args.out)
+                ingest.Columns(*events.columns(), virtual), args.out)
     _info(f"virtualized {len(events)} events -> {args.out}")
     return 0
 

@@ -14,15 +14,18 @@ import csv
 import hashlib
 import io
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count, islice, repeat
 from operator import itemgetter
 from sys import intern
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadLabel, MissingColumn, RaggedRow, UnalignedWindow
+from .errors import BadLabel, DataError, MissingColumn, RaggedRow, UnalignedWindow
 
 MISSING_LEVEL = "__missing__"
 
@@ -34,6 +37,12 @@ SECONDS_PER_HOUR = 3600
 # collection scans them. 64k-row blocks cost about as much in collections
 # as the work itself.
 ROW_BLOCK = 256
+
+
+def _repeats(values: Sequence, per: int) -> bool:
+    """Whether ``values`` hold at most one distinct value per ``per`` entries:
+    the rule for keeping a column as one entry per distinct value."""
+    return len(set(values)) * per <= len(values)
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,10 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
-        doc = json.loads(text)
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "Schema":
         version = doc.get("version")
         if version != 1:
             raise ValueError(f"unsupported schema version: {version!r}")
@@ -187,6 +199,9 @@ class FactorTable:
         self.counts = [np.asarray(c, dtype=np.int64) for c in counts]
         self.total = int(total)
         self.dictionary = dictionary
+        if len(self.counts) != dictionary.m:
+            raise ValueError(f"{len(self.counts)} count tables for "
+                             f"{dictionary.m} factors")
         for i, c in enumerate(self.counts):
             if c.ndim != 2 or c.shape[1] != 2:
                 raise ValueError(f"counts[{i}] must have shape (L_i, 2)")
@@ -195,6 +210,10 @@ class FactorTable:
             if int(c.sum()) != self.total:
                 raise ValueError(
                     f"counts for factor {i} sum to {int(c.sum())}, expected N={self.total}")
+            if c.shape[0] != dictionary.level_count(i):
+                raise ValueError(f"factor {dictionary.factor_names[i]!r} has "
+                                 f"{dictionary.level_count(i)} levels but "
+                                 f"{c.shape[0]} rows of counts")
 
     @property
     def m(self) -> int:
@@ -226,11 +245,10 @@ class EventBatch:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def columns(self) -> tuple[list[str], list[str], list[int]]:
-        """Each event's cookie id, browser and timestamp, as three lists."""
-        return (np.array(self.cookie_labels, dtype=object)[self.cookies].tolist(),
-                np.array(self.browser_labels, dtype=object)[self.browsers].tolist(),
-                self.timestamps.tolist())
+    def columns(self) -> tuple["Coded", "Coded", np.ndarray]:
+        """The cookie id, browser and timestamp columns, as report columns."""
+        return (Coded(self.cookie_labels, self.cookies),
+                Coded(self.browser_labels, self.browsers), self.timestamps)
 
 
 @dataclass
@@ -284,7 +302,7 @@ def read_columns(stream: Iterable[str] | str, names: Sequence[str],
         if set(map(len, rows)) - {width}:
             good = rows[:next(i for i, row in enumerate(rows) if len(row) != width)]
         if interned is None:
-            interned = [len(set(map(get, good))) * 8 <= len(good) for get in getters]
+            interned = [_repeats(list(map(get, good)), 8) for get in getters]
         for column, get, repeats in zip(columns, getters, interned):
             column += map(intern, map(get, good)) if repeats else map(get, good)
         lineno += len(good)
@@ -294,6 +312,168 @@ def read_columns(stream: Iterable[str] | str, names: Sequence[str],
             raise RaggedRow(f"line {lineno}: expected {width} fields, "
                             f"got {len(rows[len(good)])}")
     return columns
+
+
+# --- files ----------------------------------------------------------------
+
+
+@contextmanager
+def open_text(path):
+    """``path`` opened as UTF-8 text. Raises DataError naming ``path`` for
+    bytes that are not UTF-8, wherever the reading stops on them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_json(path, text: str, build):
+    """``build`` applied to the JSON object ``text`` read from ``path``.
+
+    Raises DataError naming ``path`` for text that is not a JSON object, and
+    for a document that lacks a key ``build`` reads or holds a value of the
+    wrong type or shape for it.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # AttributeError: a dict method called on a value of another type;
+        # OverflowError: a number too large for an int64 or an int
+        raise DataError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def atomic_write(path):
+    """A UTF-8 text file that replaces ``path`` once the block completes.
+
+    It is written under a temporary name in ``path``'s directory and moved
+    over ``path`` with ``os.replace``, so a failure part-way leaves ``path``
+    as it was and no temporary file behind. A target that exists but is not
+    a regular file (a pipe, /dev/stdout) is written in place.
+    """
+    path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+# --- the report writer -----------------------------------------------------
+
+
+# a cell holding one of these needs CSV quoting (csv.writer quotes "\r" on
+# some Python versions only)
+_QUOTED_CHARS = ',"\r\n'
+
+
+def _fmt(value) -> str:
+    """A report cell: floats at 12 significant digits, anything else by str."""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+class Coded(NamedTuple):
+    """A report column whose row i is ``str(labels[codes[i]])``."""
+
+    labels: Sequence
+    codes: np.ndarray
+
+
+class Columns:
+    """A report's columns, one per header name: numpy int or float arrays,
+    ``Coded`` columns or other sequences. ``len()`` is the number of rows."""
+
+    def __init__(self, *columns):
+        lengths = {len(c.codes) if isinstance(c, Coded) else len(c) for c in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"report columns differ in length: {sorted(lengths)}")
+        self.columns = columns
+        self.rows = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _csv_cell(cell: str) -> str:
+    """``cell`` as csv.writer writes it alone on a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([cell])
+    return buffer.getvalue()[:-1]
+
+
+def _csv_cells(cells: list[str], lone: bool) -> list[str]:
+    """``cells`` as csv.writer writes them: a cell with a quoted character, or
+    an empty one when ``lone`` (alone on its row), goes through csv.writer."""
+    text = "".join(cells)
+    if not any(c in text for c in _QUOTED_CHARS) and not (lone and "" in cells):
+        return cells
+    return [_csv_cell(cell) if (lone and not cell)
+            or any(c in cell for c in _QUOTED_CHARS) else cell for cell in cells]
+
+
+_WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
+
+
+def _column_text(column, lone: bool):
+    """A function from a row range of ``column`` to its cells as CSV text.
+
+    Coded columns format each label once, and so do numeric columns whose
+    first block repeats their bit patterns (-0.0 and 0.0 stay apart): coding
+    costs about as much as formatting half the values, hence 1 distinct
+    value per 2 rows, not read_columns' 8 (a score column with 73 distinct
+    values in its first 256 rows, 96 in 250k, formats 4x faster coded).
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in _WIDE:
+        column = column.astype(_WIDE[column.dtype.kind], copy=False)
+        bits = column.view(np.uint64)
+        text = "%.12g".__mod__ if column.dtype.kind == "f" else str
+        if not _repeats(bits[:ROW_BLOCK].tolist(), 2):
+            return lambda start, stop: list(map(text, column[start:stop].tolist()))
+        distinct, codes = np.unique(bits, return_inverse=True)
+        column = Coded(list(map(text, distinct.view(column.dtype).tolist())), codes)
+    if isinstance(column, Coded):
+        labels = np.array(_csv_cells(list(map(str, column.labels)), lone), dtype=object)
+        codes = column.codes
+        return lambda start, stop: labels[codes[start:stop]].tolist()
+    return lambda start, stop: _csv_cells(list(map(_fmt, column[start:stop])), lone)
+
+
+def write_columns(path, header: Sequence[str], table: Columns) -> None:
+    """Write ``table`` under ``header`` as a CSV file, atomically.
+
+    Each cell is what csv.writer writes for ``_fmt(value)`` (for ``str(label)``
+    in a coded column), with "\\n" line ends. Rows go out ``ROW_BLOCK`` at a
+    time, so that neither the report's text nor its rows are ever held whole.
+    """
+    if len(header) != len(table.columns):
+        raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
+    lone = len(header) == 1
+    texts = [_column_text(column, lone) for column in table.columns]
+    with atomic_write(path) as fh:
+        fh.write(",".join(_csv_cells(list(header), lone)) + "\n")
+        for start in range(0, len(table), ROW_BLOCK):
+            rows = zip(*(text(start, start + ROW_BLOCK) for text in texts))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 _LABEL_IDS = {"0": 0, "1": 1}
@@ -338,12 +518,9 @@ def parse_requests(stream: Iterable[str] | str, schema: Schema,
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
                        batch: RequestBatch) -> None:
     """Serialize records back to the delimited form parse_requests accepts."""
-    columns = [np.array(dictionary.levels(i), dtype=object)[batch.factors[:, i]].tolist()
-               for i in range(batch.m)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*schema.factor_columns, schema.label_column])
-        writer.writerows(zip(*columns, batch.labels.tolist()))
+    write_columns(path, [*schema.factor_columns, schema.label_column],
+                  Columns(*(Coded(dictionary.levels(i), batch.factors[:, i])
+                            for i in range(batch.m)), batch.labels))
 
 
 def build_factor_table(records: RequestBatch | Sequence[RequestRecord],
@@ -405,10 +582,8 @@ def parse_cookie_events(stream: Iterable[str] | str,
 
 
 def write_events_csv(path, events: EventBatch) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cookie_id", "browser", "timestamp"])
-        writer.writerows(zip(*events.columns()))
+    write_columns(path, ["cookie_id", "browser", "timestamp"],
+                  Columns(*events.columns()))
 
 
 def aggregate_hourly(timestamps, window: tuple[int, int]) -> tuple[HourlySeries, int]:

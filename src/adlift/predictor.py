@@ -26,7 +26,7 @@ from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (MISSING_LEVEL, FactorDictionary, FactorTable, RequestBatch,
-                     RequestRecord)
+                     RequestRecord, atomic_write, load_json, open_text)
 
 MODEL_VERSION = 1
 
@@ -403,13 +403,13 @@ def save_model(model: SparseRateModel, path) -> None:
     }
     body = json.dumps(doc, ensure_ascii=False)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(body + "\n" + "sha256:" + digest + "\n")
 
 
 def load_model(path) -> SparseRateModel:
     """Read a model file back, verifying version and checksum."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     lines = text.splitlines()
     if len(lines) < 2 or not lines[-1].startswith("sha256:"):
@@ -419,20 +419,19 @@ def load_model(path) -> SparseRateModel:
     actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
     if actual != expected:
         raise CorruptFile(f"{path}: checksum mismatch")
-    try:
-        doc = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"{path}: invalid JSON body: {exc}") from exc
-    version = doc.get("version")
-    if version != MODEL_VERSION:
-        raise VersionMismatch(f"{path}: model version {version!r}, "
-                              f"expected {MODEL_VERSION}")
-    factors = doc["factors"]
-    return SparseRateModel(
-        factor_names=[f["name"] for f in factors],
-        level_labels=[list(f["levels"].keys()) for f in factors],
-        importance=[f["importance"] for f in factors],
-        rates=[list(f["levels"].values()) for f in factors],
-        epsilon=doc["epsilon"], beta=doc["beta"], global_rate=doc["global_rate"],
-        fingerprint=doc["fingerprint"], method=doc.get("method", "shannon"),
-        alpha=doc.get("alpha"))
+
+    def build(doc):
+        version = doc.get("version")
+        if version != MODEL_VERSION:
+            raise VersionMismatch(f"{path}: model version {version!r}, "
+                                  f"expected {MODEL_VERSION}")
+        factors = doc["factors"]
+        return SparseRateModel(
+            factor_names=[f["name"] for f in factors],
+            level_labels=[list(f["levels"].keys()) for f in factors],
+            importance=[f["importance"] for f in factors],
+            rates=[list(f["levels"].values()) for f in factors],
+            epsilon=doc["epsilon"], beta=doc["beta"], global_rate=doc["global_rate"],
+            fingerprint=doc["fingerprint"], method=doc.get("method", "shannon"),
+            alpha=doc.get("alpha"))
+    return load_json(path, body, build)

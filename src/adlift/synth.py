@@ -23,6 +23,11 @@ from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
 HOURS_PER_DAY = 24.0
 
 
+def _positive(value: float) -> bool:
+    """Whether ``value`` is a positive finite number (NaN is not)."""
+    return 0.0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class FactorSpec:
     """One categorical factor: level probabilities and per-level log-odds effects."""
@@ -35,10 +40,14 @@ class FactorSpec:
     def __post_init__(self):
         if not self.levels:
             raise BadSpec(f"factor {self.name!r}: needs at least one level")
+        if len(set(self.levels)) != len(self.levels):
+            raise BadSpec(f"factor {self.name!r}: duplicate levels")
         if len(self.probs) != len(self.levels) or len(self.effects) != len(self.levels):
             raise BadSpec(f"factor {self.name!r}: probs/effects length mismatch")
-        if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-9:
+        if not (all(p >= 0 for p in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-9):
             raise BadSpec(f"factor {self.name!r}: probs must be non-negative and sum to 1")
+        if not all(map(math.isfinite, self.effects)):
+            raise BadSpec(f"factor {self.name!r}: effects must be finite")
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,9 @@ class RequestSpec:
             raise BadSpec("base_rate must lie strictly inside (0, 1)")
         if not self.factors:
             raise BadSpec("at least one factor is required")
+        names = [f.name for f in self.factors]
+        if len(set(names)) != len(names) or "label" in names:
+            raise BadSpec("factor names must be distinct and not 'label'")
 
     def schema(self) -> Schema:
         return Schema(factor_columns=tuple(f.name for f in self.factors),
@@ -72,9 +84,9 @@ class PopulationSpec:
     window_hours: float
 
     def __post_init__(self):
-        if self.k <= 0 or self.m <= 0:
+        if not (_positive(self.k) and _positive(self.m)):
             raise BadSpec("k and m must be positive")
-        if self.users <= 0 or self.window_hours <= 0:
+        if not (self.users > 0 and _positive(self.window_hours)):
             raise BadSpec("users and window_hours must be positive")
 
 
@@ -90,9 +102,10 @@ class ChurnSpec:
             raise BadSpec("browser mix must be non-empty")
         if set(self.mix) - set(self.tau_days):
             raise BadSpec("every browser in the mix needs a tau_days entry")
-        if any(t <= 0 for t in self.tau_days.values()):
+        if not all(map(_positive, self.tau_days.values())):
             raise BadSpec("cookie lifetimes must be positive")
-        if any(p < 0 for p in self.mix.values()) or abs(sum(self.mix.values()) - 1.0) > 1e-9:
+        if not (all(p >= 0 for p in self.mix.values())
+                and abs(sum(self.mix.values()) - 1.0) <= 1e-9):
             raise BadSpec("mix must be non-negative and sum to 1")
 
     @property
@@ -110,8 +123,10 @@ class Harmonic:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.period_hours <= 0:
+        if not _positive(self.period_hours):
             raise BadSpec("harmonic period must be positive")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.phase)):
+            raise BadSpec("harmonic amplitude and phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,8 @@ class IntensitySpec:
     def __post_init__(self):
         if self.n_hours <= 0:
             raise BadSpec("n_hours must be positive")
+        if not (math.isfinite(self.base) and math.isfinite(self.trend)):
+            raise BadSpec("intensity base and trend must be finite")
 
     def value(self, t: np.ndarray | float) -> np.ndarray | float:
         """Intensity (events/hour) at time t hours."""
@@ -164,7 +181,10 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        doc = json.loads(text)
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "SynthSpec":
         requests = population = churn = intensity = None
         if "requests" in doc:
             r = doc["requests"]

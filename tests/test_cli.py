@@ -1,14 +1,19 @@
+import ast
 import csv
 import hashlib
 import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adlift.cli import _fmt, _load_series, dispatch, emit_report
+from adlift import ingest
+from adlift.cli import _load_series, dispatch, emit_report
+from adlift.ingest import _fmt
 
 SYNTH_SPEC = {
     "seed": 42,
@@ -173,6 +178,47 @@ REPORT_CELLS = {
     "str": _TEXT,
     "mixed": st.one_of(st.integers(), st.floats(), _TEXT),
 }
+# -0.0, NaNs with three bit patterns, both infinities and subnormals
+SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), -float("nan"),
+                  np.uint64(0x7FF8000000000001).view(np.float64).item(),
+                  float("inf"), -float("inf"), 5e-324, -2.5e-320, 1e-310]
+
+
+@st.composite
+def repeated_column(draw, values):
+    """A column of up to 700 rows drawn from a pool of 1 to 300 values, so
+    that its first block holds from 1 to 256 distinct ones."""
+    pool = draw(st.lists(values, min_size=1, max_size=300))
+    n = draw(st.integers(0, 700))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), n)
+    return [pool[k] for k in rows]
+
+
+@st.composite
+def report_column(draw):
+    """(column, its cells as Python values) for one kind of writer column."""
+    kind = draw(st.sampled_from(["float", "int64", "int8", "coded", "other"]))
+    if kind == "float":
+        cells = draw(repeated_column(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))))
+        return np.array(cells, dtype=np.float64), cells
+    if kind in ("int64", "int8"):
+        info = np.iinfo(kind)
+        cells = draw(repeated_column(st.integers(int(info.min), int(info.max))))
+        return np.array(cells, dtype=kind), cells
+    if kind == "coded":
+        labels = draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))
+        codes = np.array(draw(repeated_column(st.integers(0, len(labels) - 1))))
+        return ingest.Coded(labels, codes), [labels[k] for k in codes]
+    cells = draw(st.lists(REPORT_CELLS["mixed"], max_size=30))
+    return cells, cells
+
+
+def csv_writer_oracle(header, rows) -> bytes:
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return expected.getvalue().encode("utf-8")
 
 
 class TestEmitReport:
@@ -180,7 +226,8 @@ class TestEmitReport:
     @settings(max_examples=100, deadline=None)
     def test_numeric_rows_match_cell_formatting(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("report") / "r.csv"
-        emit_report(["i", "x"], rows, path)
+        emit_report(["i", "x"], ingest.Columns([i for i, _ in rows],
+                                               np.array([x for _, x in rows])), path)
         expected = "".join(f"{i},{format(x, '.12g')}\n" for i, x in rows)
         assert path.read_text() == "i,x\n" + expected
 
@@ -190,22 +237,121 @@ class TestEmitReport:
     @settings(max_examples=300, deadline=None)
     def test_rows_match_csv_writer(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("report") / "r.csv"
-        header = [f"c{j}" for j in range(len(rows[0]) if rows else 1)]
-        emit_report(header, rows, path)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        width = len(rows[0]) if rows else 1
+        header = [f"c{j}" for j in range(width)]
+        columns = [[row[j] for row in rows] for j in range(width)]
+        emit_report(header, ingest.Columns(*columns), path)
+        assert path.read_bytes() == csv_writer_oracle(header, rows)
+
+    @given(st.lists(report_column(), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_csv_writer(self, tmp_path_factory, columns):
+        # every column kind, float specials, both sides of the repeat rule and
+        # coded labels that need quoting, against csv.writer over _fmt cells
+        n = min(len(cells) for _, cells in columns)
+        columns = [(column[:n] if not isinstance(column, ingest.Coded)
+                    else ingest.Coded(column.labels, column.codes[:n]), cells[:n])
+                   for column, cells in columns]
+        path = tmp_path_factory.mktemp("report") / "r.csv"
+        header = [f"c{j}" for j in range(len(columns))]
+        emit_report(header, ingest.Columns(*(column for column, _ in columns)), path)
+        rows = list(zip(*(cells for _, cells in columns)))
+        assert path.read_bytes() == csv_writer_oracle(header, rows)
 
     def test_mixed_cells_keep_their_formatting(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report(["a", "b", "c"], [(1, 0.5, True), (2, 1.5, False)], path)
+        emit_report(["a", "b", "c"], ingest.Columns([1, 2], [0.5, 1.5], [True, False]),
+                    path)
         assert path.read_text() == "a,b,c\n1,0.5,True\n2,1.5,False\n"
-        emit_report(["a", "b"], [(1, 2), (2, 2.5), (3, 10**13)], path)
+        emit_report(["a", "b"], ingest.Columns([1, 2, 3], [2, 2.5, 10**13]), path)
         assert path.read_text() == "a,b\n1,2\n2,2.5\n3,10000000000000\n"
-        emit_report(["a", "b"], [("x,y", 1.0 / 3.0), ("", float("nan"))], path)
+        emit_report(["a", "b"], ingest.Columns(["x,y", ""], [1.0 / 3.0, float("nan")]),
+                    path)
         assert path.read_text() == 'a,b\n"x,y",0.333333333333\n,nan\n'
+
+    def test_len_is_the_row_count(self):
+        assert len(ingest.Columns(np.arange(5), ingest.Coded(["a"], np.zeros(5, int)))) == 5
+        with pytest.raises(ValueError, match="differ in length"):
+            ingest.Columns([1, 2], [1])
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        class Failing(list):
+            def __getitem__(self, index):
+                if index.start >= ingest.ROW_BLOCK:
+                    raise RuntimeError("disk full")
+                return super().__getitem__(index)
+
+        path = tmp_path / "r.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="disk full"):
+            emit_report(["x"], ingest.Columns(Failing(range(3 * ingest.ROW_BLOCK))), path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        emit_report(["x"], ingest.Columns(np.arange(3)), path)
+        assert path.read_text() == "x\n0\n1\n2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("writer", ["report", "requests", "events", "json", "model"])
+    def test_every_writer_replaces_its_target_whole(self, tmp_path, monkeypatch, writer):
+        # a failure at the final rename leaves the old file and no temporary one
+        from adlift import predictor
+        from adlift.cli import _write_json
+
+        write = {
+            "report": lambda p: emit_report(["x"], ingest.Columns(np.arange(3)), p),
+            "requests": lambda p: ingest.write_requests_csv(
+                p, ingest.Schema(("f",), "label"), ingest.FactorDictionary(["f"], [["a"]]),
+                ingest.RequestBatch(np.zeros((2, 1)), np.zeros(2))),
+            "events": lambda p: ingest.write_events_csv(
+                p, ingest.EventBatch([0], ["c"], [0], ["chrome"], [5])),
+            "json": lambda p: _write_json({"a": 1}, p),
+            "model": lambda p: predictor.save_model(predictor.SparseRateModel(
+                ["f"], [["a"]], [0.5], [[0.2]], 0.01, 0.5, 0.2, "x"), p),
+        }[writer]
+        path = tmp_path / "out"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ingest.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        monkeypatch.undo()
+        write(path)
+        assert path.read_text() != "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_writes_into_a_pipe_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            emit_report(["x"], ingest.Columns([1, 2]), pipe)
+            assert os.read(reader, 100) == b"x\n1\n2\n"
+        finally:
+            os.close(reader)
+        assert pipe.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_csv_writer_only_in_the_report_writer(self):
+        # every CSV adlift writes goes through ingest.write_columns
+        def writers(node):
+            return sum(isinstance(n, ast.Attribute) and n.attr in ("writer", "DictWriter")
+                       and isinstance(n.value, ast.Name) and n.value.id == "csv"
+                       for n in ast.walk(node))
+
+        found = {}
+        for path in sorted(Path(ingest.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not any(isinstance(n, ast.ImportFrom) and n.module == "csv"
+                           for n in ast.walk(tree)), path.name
+            if writers(tree):
+                found[path.name] = (writers(tree), {
+                    f.name: writers(f) for f in ast.walk(tree)
+                    if isinstance(f, ast.FunctionDef) and writers(f)})
+        assert found == {"ingest.py": (1, {"_csv_cell": 1})}
 
 
 class TestDeterminism:
@@ -338,6 +484,115 @@ class TestLoaderErrors:
                    "--importance", workdir / "importance.json",
                    "--out", workdir / "model.json") == 2
         assert f"importance.json: {message}" in capsys.readouterr().err
+
+    # one argv per loader; {bad} is the file under test, the rest are valid
+    NON_UTF8 = {
+        "freq": ("fit-nbd", "--freq", "{bad}", "--out", "{d}/nbd.json"),
+        "model": ("score", "--model", "{bad}", "--input", "{d}/requests.csv",
+                  "--out", "{d}/s.csv"),
+        "input": ("score", "--model", "{d}/model.json", "--input", "{bad}",
+                  "--out", "{d}/s.csv"),
+        "schema": ("build-tables", "--schema", "{bad}", "--input", "{d}/requests.csv",
+                   "--out", "{d}/t.json"),
+        "events": ("survival", "--events", "{bad}", "--window", "0:3600",
+                   "--out", "{d}/s.csv"),
+    }
+
+    @pytest.mark.parametrize("loader", sorted(NON_UTF8))
+    def test_non_utf8_file_is_data_error(self, workdir, capsys, loader):
+        d = workdir
+        _train_small_model(d)
+        valid = {"freq": "n,count\n1,100\n", "model": (d / "model.json").read_text(),
+                 "input": "browser,os,label\nchrome,win,1\n",
+                 "schema": json.dumps(SCHEMA),
+                 "events": "cookie_id,browser,timestamp\nc,chrome,5\n"}[loader]
+        # a Latin-1 byte deep in the file, after the first read buffer
+        bad = d / "bad.txt"
+        bad.write_bytes(valid.encode() + b" " * 70_000 + "caf\xe9\n".encode("latin-1"))
+        argv = [a.format(bad=bad, d=d) for a in self.NON_UTF8[loader]]
+        capsys.readouterr()
+        assert dispatch(argv) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    MODEL_BODY = {"version": 1, "epsilon": 0.01, "beta": 0.5, "global_rate": 0.1,
+                  "fingerprint": "x", "method": "shannon", "alpha": None,
+                  "factors": [{"name": "browser", "importance": 0.5,
+                               "levels": {"chrome": 0.2}}]}
+
+    @pytest.mark.parametrize("flag, doc, message", [
+        ("schema", "{", "schema.json: not a JSON document"),
+        ("schema", '{"version": 1, "label": "label"}', "schema.json: missing key 'factors'"),
+        ("model", {k: v for k, v in MODEL_BODY.items() if k != "factors"},
+         "model.json: missing key 'factors'"),
+        ("model", {**MODEL_BODY, "factors": [{"name": "browser", "importance": 0.5,
+                                              "levels": {"chrome": 2.0}}]},
+         "model.json: smoothed rates must lie strictly inside (0, 1)"),
+        ("model", {**MODEL_BODY, "factors": [{"name": "browser", "importance": 0.5,
+                                              "levels": ["chrome"]}]},
+         "model.json: 'list' object has no attribute 'keys'"),
+        ("spec", "[1]", "spec.json: expected a JSON object, got list"),
+        ("spec", '{"churn": {"tau_days": [1], "mix": {}}}',
+         "spec.json: 'list' object has no attribute 'items'"),
+    ])
+    def test_malformed_json_is_data_error(self, workdir, capsys, flag, doc, message):
+        d = workdir
+        (d / "requests.csv").write_text("browser,os,label\nchrome,win,1\n")
+        if isinstance(doc, dict):
+            body = json.dumps(doc)
+            doc = f"{body}\nsha256:{hashlib.sha256(body.encode()).hexdigest()}\n"
+        (d / f"{flag}.json").write_text(doc)
+        argv = {"schema": ("build-tables", "--schema", d / "schema.json",
+                           "--input", d / "requests.csv", "--out", d / "t.json"),
+                "model": ("score", "--model", d / "model.json",
+                          "--input", d / "requests.csv", "--out", d / "s.csv"),
+                "spec": ("synth", "--spec", d / "spec.json", "--out-freq", d / "f.csv")}
+        assert run(*argv[flag]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"seed": -1, "intensity": {"n_hours": 3, "base": 1.0}},
+         "seed must be non-negative, got -1"),
+        ({"seed": float("inf")}, "spec.json: cannot convert float infinity to integer"),
+        ({"intensity": {"n_hours": 3, "base": float("nan")}},
+         "intensity base and trend must be finite"),
+        ({"population": {"k": float("nan"), "m": 1, "users": 3, "window_hours": 5}},
+         "k and m must be positive"),
+        ({"requests": {"n": 3, "base_rate": 0.1, "factors": [
+            {"name": "a", "levels": ["x", "y"], "probs": [float("nan"), 0.5],
+             "effects": [0, 0]}]}},
+         "probs must be non-negative and sum to 1"),
+        ({"requests": {"n": 3, "base_rate": 0.1, "factors": [
+            {"name": "a", "levels": ["x", "x"], "probs": [0.5, 0.5],
+             "effects": [0, 0]}]}}, "duplicate levels"),
+        ({"requests": {"n": 3, "base_rate": 0.1, "factors": [
+            {"name": "label", "levels": ["x"], "probs": [1.0], "effects": [0]}]}},
+         "factor names must be distinct"),
+    ])
+    def test_bad_synth_spec_is_data_error(self, workdir, capsys, spec, message):
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run("synth", "--spec", workdir / "spec.json", "--out-series",
+                   workdir / "h.csv", "--out-requests", workdir / "r.csv") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("hour,count\n0,1\n1,nan\n", "line 3: count must be finite, got nan"),
+        ("hour,count\n0,1\n1,-inf\n", "line 3: count must be finite, got -inf"),
+        ("hour,count\n5,1\n1000005,2\n", "hours 5 to 1000005 span more than 1000000"),
+    ])
+    def test_bad_series_values_are_data_errors(self, workdir, capsys, text, message):
+        (workdir / "hourly.csv").write_text(text)
+        assert run("forecast", "--series", workdir / "hourly.csv",
+                   "--out", workdir / "forecast.csv") == 2
+        assert f"hourly.csv: {message}" in capsys.readouterr().err
+
+    def test_levels_and_counts_of_different_length(self, workdir, capsys):
+        (workdir / "tables.json").write_text(json.dumps(
+            {"version": 1, "total": 4,
+             "factors": [{"name": "b", "levels": ["x"], "counts": [[1, 2], [1, 0]]}]}))
+        assert run("rank", "--tables", workdir / "tables.json",
+                   "--out", workdir / "importance.json") == 2
+        assert ("tables.json: factor 'b' has 1 levels but 2 rows of counts"
+                in capsys.readouterr().err)
 
     def test_series_loaders(self, workdir, capsys):
         d = workdir

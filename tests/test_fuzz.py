@@ -1,0 +1,133 @@
+"""Every loader, fed mutated valid files and random bytes through ``dispatch``,
+exits 0, 2 or 3: no input escapes as a traceback or as the usage code 1."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adlift import cli
+from adlift.errors import AdliftError
+
+SCHEMA = {"version": 1, "factors": ["browser", "os"], "label": "label"}
+REQUESTS = ("browser,os,label\nchrome,win,1\nsafari,mac,0\nff,win,0\n"
+            "chrome,mac,0\nsafari,win,1\n")
+SPEC = {"seed": 3,
+        "requests": {"n": 20, "base_rate": 0.2, "factors": [
+            {"name": "browser", "levels": ["a", "b"], "probs": [0.5, 0.5],
+             "effects": [0.1, -0.1]}]},
+        "population": {"k": 0.8, "m": 2.5, "users": 30, "window_hours": 48},
+        "churn": {"tau_days": {"chrome": 1.0}, "mix": {"chrome": 1.0}},
+        "intensity": {"n_hours": 48, "base": 4.0,
+                      "harmonics": [{"period_hours": 24, "amplitude": 2.0}]}}
+SERIES = "hour,count\n" + "".join(f"{h},{5 + (h * 7) % 4}\n" for h in range(40))
+VALID_TEXT = {
+    "schema": json.dumps(SCHEMA),
+    "requests": REQUESTS,
+    "freq": "n,count\n1,60\n2,25\n3,12\n4,6\n5,3\n7,1\n",
+    "survival": "browser,tau_days,deaths,censored\nchrome,6.0,10,2\nsafari,9.5,4,1\n",
+    "events": "cookie_id,browser,timestamp\nc1,chrome,10\nc2,safari,3700\n"
+              "c1,chrome,7300\n",
+    "series": SERIES,
+    "forecast": "hour,actual,forecast\n" + "".join(
+        f"{h},{5 + h % 4},{5.5 + h % 3}\n" for h in range(40)),
+    "spec": json.dumps(SPEC),
+}
+
+# one argv per (loader, subcommand); X is the fuzzed file, other {names} the
+# valid files, OUT the output
+ARGV = [
+    ("schema", "build-tables --schema X --input {requests} --out OUT"),
+    ("requests", "build-tables --schema {schema} --input X --out OUT"),
+    ("requests", "score --model {model} --input X --out OUT"),
+    ("requests", "pace --model {model} --input X --target 2 --block 2 --out OUT"),
+    ("tables", "rank --tables X --out OUT"),
+    ("tables", "train --tables X --importance {importance} --out OUT"),
+    ("importance", "train --tables {tables} --importance X --out OUT"),
+    ("model", "score --model X --input {requests} --out OUT"),
+    ("freq", "fit-nbd --freq X --out OUT"),
+    ("events", "survival --events X --window 0:86400 --out OUT"),
+    ("events", "virtualize --series {series} --events X --out OUT"),
+    ("series", "forecast --series X --L 12 --horizon 6 --out OUT"),
+    ("series", "alarm --series X --forecast {forecast} --R 12 --out OUT"),
+    ("series", "virtualize --series X --events {events} --out OUT"),
+    ("forecast", "alarm --series {series} --forecast X --R 12 --out OUT"),
+    ("spec", "synth --spec X"),
+    ("survival", None),  # cli._load_survival: adjust-churn runs a Monte-Carlo
+]
+
+# bytes a mutation inserts: no digits, so that no number grows past the
+# small values of the valid files; letters that spell nan and inf
+NOISE = b'\x00\x80\xe9\xff \t\r\n,";:{}[]-+.eEnaifNI'
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    files = {}
+    for name, text in VALID_TEXT.items():
+        files[name] = d / f"{name}.txt"
+        files[name].write_text(text)
+    for name in ("tables", "importance", "model"):
+        files[name] = d / f"{name}.json"
+    for argv in (f"build-tables --schema {files['schema']} --input {files['requests']} "
+                 f"--out {files['tables']}",
+                 f"rank --tables {files['tables']} --out {files['importance']}",
+                 f"train --tables {files['tables']} --importance {files['importance']} "
+                 f"--out {files['model']}"):
+        assert cli.dispatch(argv.split()) == 0
+    return files
+
+
+@st.composite
+def mutated(draw, valid: bytes):
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "truncate", "line"]))
+        if op == "delete":
+            del data[i:draw(st.integers(i, i + 8))]
+        elif op == "insert":
+            data[i:i] = bytes(draw(st.lists(st.sampled_from(NOISE), min_size=1,
+                                            max_size=4)))
+        elif op == "replace" and i < len(data):
+            data[i] = draw(st.sampled_from(NOISE))
+        elif op == "truncate":
+            del data[i:]
+        elif op == "line":  # repeat the line holding byte i
+            start = data.rfind(b"\n", 0, i) + 1
+            end = data.find(b"\n", i)
+            if end >= 0:
+                data[start:start] = data[start:end + 1]
+    return bytes(data)
+
+
+def _run(loader, argv, valid_files, path, out):
+    if argv is None:
+        try:
+            cli._load_survival(path)
+        except (AdliftError, OSError):  # what dispatch maps to exit 2 or 3
+            pass
+        return 0
+    names = {name: str(p) for name, p in valid_files.items()}
+    return cli.dispatch([a.format(**names) if "{" in a else
+                         {"X": str(path), "OUT": str(out)}.get(a, a)
+                         for a in argv.split()])
+
+
+def fuzzed(valid: bytes):
+    """Random bytes, the valid header line and random bytes, or a mutation."""
+    header = valid.split(b"\n", 1)[0] + b"\n"
+    return st.one_of(st.binary(max_size=200),
+                     st.binary(max_size=200).map(header.__add__), mutated(valid))
+
+
+@given(data=st.data(), target=st.sampled_from(ARGV))
+@settings(max_examples=500, deadline=None)
+def test_every_loader_exits_0_2_or_3(valid_files, tmp_path_factory, data, target):
+    loader, argv = target
+    blob = data.draw(fuzzed(valid_files[loader].read_bytes()))
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "x").write_bytes(blob)
+    assert _run(loader, argv, valid_files, d / "x", d / "out") in (0, 2, 3)

@@ -251,7 +251,10 @@ class TestCookieEvents:
         text = "cookie_id,browser,timestamp\nc1,chrome,1000\nc2,safari,2000\n"
         events = parse_cookie_events(text)
         assert len(events) == 2
-        assert events.columns() == (["c1", "c2"], ["chrome", "safari"], [1000, 2000])
+        cookies, browsers, timestamps = events.columns()
+        assert [cookies.labels[k] for k in cookies.codes] == ["c1", "c2"]
+        assert [browsers.labels[k] for k in browsers.codes] == ["chrome", "safari"]
+        assert timestamps.tolist() == [1000, 2000]
 
     def test_bad_timestamp(self):
         with pytest.raises(BadLabel, match="line 2"):

@@ -104,7 +104,7 @@ class TestApplyChurn:
         sample = self._sample()
         churn = ChurnSpec(tau_days={"chrome": 1e9}, mix={"chrome": 1.0})
         events = apply_churn(sample, churn, seed=7)
-        assert len(set(events.columns()[0])) == int((sample.counts > 0).sum())
+        assert len(np.unique(events.cookies)) == int((sample.counts > 0).sum())
 
     def test_rapid_churn_nearly_all_singletons(self):
         sample = self._sample(users=5_000)
@@ -135,7 +135,8 @@ class TestApplyChurn:
                           mix={"chrome": 0.7, "safari": 0.3})
         events = apply_churn(sample, churn, seed=10)
         by_user = {}
-        for cookie_id, browser, _ in zip(*events.columns()):
+        for cookie_id, browser in zip(np.array(events.cookie_labels)[events.cookies],
+                                      np.array(events.browser_labels)[events.browsers]):
             user = cookie_id.split("s")[0]
             by_user.setdefault(user, set()).add(browser)
         assert all(len(browsers) == 1 for browsers in by_user.values())
