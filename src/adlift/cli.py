@@ -87,6 +87,11 @@ def _load_tables(path) -> ingest.FactorTable:
         factors = doc["factors"]
         dictionary = ingest.FactorDictionary([f["name"] for f in factors],
                                              [f["levels"] for f in factors])
+        for value in [doc["total"], *(x for f in factors for row in f["counts"]
+                                      for x in row)]:
+            if type(value) is not int:
+                raise DataError(f"{path}: total and counts must be integers, "
+                                f"got {value!r}")
         counts = [np.asarray(f["counts"], dtype=np.int64) for f in factors]
         return ingest.FactorTable(counts, doc["total"], dictionary)
     return _read_json(path, build)
@@ -217,14 +222,16 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
         for b, t, d, c in zip(browsers, taus, deaths, censored)})
 
 
-def _read_request_rows(path, factor_names) -> list[list[str]]:
-    """Read the raw level labels of the given factors, one column per factor."""
+def _read_request_rows(path, factor_names) -> ingest.Rows:
+    """Read the raw level labels of the given factors: one column per factor
+    over the distinct rows, and each row's code (see ``ingest.read_columns``)."""
     with ingest.open_text(path) as fh:
         return ingest.read_columns(fh, factor_names)
 
 
 def _encoded_batch(model: predictor.SparseRateModel, path) -> ingest.RequestBatch:
-    matrix = model.encode_columns(_read_request_rows(path, model.factor_names))
+    rows = _read_request_rows(path, model.factor_names)
+    matrix = rows.gather(model.encode_columns(rows.columns))
     return ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
 
 

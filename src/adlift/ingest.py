@@ -18,10 +18,10 @@ import os
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from sys import intern
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -267,23 +267,132 @@ class HourlySeries:
         return len(self.counts)
 
 
-def read_columns(stream: Iterable[str] | str, names: Sequence[str],
-                 delimiter: str = ",", check=None) -> list[list[str]]:
+class Rows(NamedTuple):
+    """Columns of a delimited file, one entry per distinct row.
+
+    ``columns`` hold one list of raw cells per name, for the distinct rows
+    in first-seen order; ``codes`` (int32, one per row of the file) give each
+    row's index among them, so row r of column c is ``columns[c][codes[r]]``.
+    """
+
+    columns: list[list[str]]
+    codes: np.ndarray
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` from per-distinct-row ``values``. With as many
+        distinct rows as rows, the codes are 0, 1, ... and nothing moves."""
+        return values if len(values) == len(self.codes) else values[self.codes]
+
+    def line(self, j: int) -> int:
+        """The line of distinct row ``j``'s first occurrence, counting rows
+        from the header's line 1 (a quoted cell's newlines start no line)."""
+        return int(np.argmax(self.codes == j)) + 2
+
+
+# Characters read_columns reads at a time. Each chunk is cut at its last
+# "\n", so memory holds one chunk's lines plus the start of the next line.
+# Chunks of 256 Ki or 1 Mi characters read a request log no faster, and
+# their lines (about 4 MB per 1 Mi characters) raise the peak RSS of a
+# stage by 2 to 5 MB.
+CHUNK_CHARS = 1 << 16
+
+
+def _pieces(stream: TextIO) -> Iterator[str]:
+    """The text of ``stream`` in pieces of about CHUNK_CHARS characters, each
+    ending at a "\\n" but the last."""
+    rest = ""
+    while chunk := stream.read(CHUNK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
+    """The rows of ``stream`` in blocks of keys, one key per row.
+
+    A key is the row's line without its "\\n" up to the first piece that
+    holds '"' or "\\r" or a line longer than csv's field limit; from that
+    piece on it is the tuple of cells csv.reader reads, ROW_BLOCK rows at a
+    time. csv.reader reads a line without those as the cells between its
+    delimiters, so both kinds of key give the same cells (see ``_cells``).
+    """
+    pieces = _pieces(stream)
+    for piece in pieces:
+        lines = piece.split("\n")
+        if piece.endswith("\n"):
+            del lines[-1]
+        if '"' in piece or "\r" in piece or (
+                len(piece) > csv.field_size_limit()
+                and max(map(len, lines)) > csv.field_size_limit()):
+            text = chain.from_iterable(map(io.StringIO, chain([piece], pieces)))
+            rows = csv.reader(text, delimiter=delimiter)
+            while block := list(map(tuple, islice(rows, ROW_BLOCK))):
+                yield block
+            return
+        yield lines
+
+
+def _cells(block: list, delimiter: str) -> list[Sequence[str]]:
+    """The cells of each key of one block of ``_key_blocks``; a blank line
+    has none, as csv.reader reads it."""
+    if not block or isinstance(block[0], tuple):
+        return block
+    if "" in block:
+        return [line.split(delimiter) if line else [] for line in block]
+    return list(map(str.split, block, repeat(delimiter)))
+
+
+class _Index(dict):
+    """Each key's index in first-seen order, given on its first lookup;
+    ``order`` lists the keys in that order."""
+
+    def __init__(self):
+        super().__init__()
+        self.order: list = []
+
+    def __missing__(self, key) -> int:
+        index = self[key] = len(self.order)
+        self.order.append(key)
+        return index
+
+
+def read_columns(stream: TextIO | str, names: Sequence[str],
+                 delimiter: str = ",", check=None) -> Rows:
     """Read the named columns of a delimited file with a header row.
 
-    Returns one list of raw cells per name, in input order; extra columns are
-    ignored. Raises MissingColumn for an empty input or a name missing from
-    the header, and RaggedRow for a row (a blank line included) whose width
-    differs from the header's. Before raising RaggedRow, ``check`` is called
-    with the columns of the rows above the ragged one, so that an error it
-    raises on an earlier line wins.
+    Returns the named cells of the file's distinct rows and each row's code
+    (see ``Rows``); extra columns are ignored. Lines end at "\\n" (open_text
+    reads every line end as one). Raises MissingColumn for an empty input or
+    a name missing from the header, and RaggedRow for a row (a blank line
+    included) whose width differs from the header's. Before raising
+    RaggedRow, ``check`` is called with the Rows above the ragged one, so
+    that an error it raises on an earlier line wins.
+
+    A file whose first ROW_BLOCK rows hold at most one distinct row per 2 is
+    keyed by row: each distinct row is split into cells once. A request log
+    repeats a few hundred rows (87 distinct in its first 256 at the bench
+    seed); keying a file of distinct rows costs twice as much as splitting
+    it. Other files (cookie events) are split row by row, ROW_BLOCK rows at
+    a time, and a column whose first block repeats its cells is interned, so
+    that it holds one string per distinct cell rather than one per row.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.reader(stream, delimiter=delimiter)
-    header = next(reader, None)
-    if header is None:
+    blocks = _key_blocks(stream, delimiter)
+    head: list[list] = []
+    for block in blocks:
+        head.append(block)
+        if sum(map(len, head)) > ROW_BLOCK:
+            break
+    if not head:
         raise MissingColumn("input is empty: no header row")
+    header = _cells(head[0][:1], delimiter)[0]
+    head[0] = head[0][1:]
     positions = {name: j for j, name in enumerate(header)}
     for name in names:
         if name not in positions:
@@ -291,27 +400,44 @@ def read_columns(stream: Iterable[str] | str, names: Sequence[str],
     width = len(header)
     getters = [itemgetter(positions[name]) for name in names]
     columns: list[list[str]] = [[] for _ in names]
-    interned = None
-    lineno = 2
-    # Read in chunks of ROW_BLOCK rows. Intern the cells of a column whose
-    # first chunk repeats its labels, so that it holds one string per
-    # distinct label rather than one per row; interning nearly distinct
-    # cells (cookie ids, timestamps) would only cost time.
-    while rows := list(islice(reader, ROW_BLOCK)):
+    keyed = _repeats(list(islice(chain.from_iterable(head), ROW_BLOCK)), 2)
+    sample = [row for block in head for row in _cells(block[:ROW_BLOCK], delimiter)
+              if len(row) == width][:ROW_BLOCK]
+    interned = [not keyed and _repeats(list(map(get, sample)), 8) for get in getters]
+
+    def add(rows: list, above) -> None:
+        """Append the cells of ``rows``; at a ragged row i, call ``check``
+        with ``above(i)``, the Rows above it, and raise RaggedRow."""
         good = rows
         if set(map(len, rows)) - {width}:
             good = rows[:next(i for i, row in enumerate(rows) if len(row) != width)]
-        if interned is None:
-            interned = [_repeats(list(map(get, good)), 8) for get in getters]
         for column, get, repeats in zip(columns, getters, interned):
             column += map(intern, map(get, good)) if repeats else map(get, good)
-        lineno += len(good)
         if len(good) < len(rows):
+            rows_above = above(len(good))
             if check is not None:
-                check(columns)
-            raise RaggedRow(f"line {lineno}: expected {width} fields, "
-                            f"got {len(rows[len(good)])}")
-    return columns
+                check(rows_above)
+            raise RaggedRow(f"line {len(rows_above.codes) + 2}: expected {width} "
+                            f"fields, got {len(rows[len(good)])}")
+
+    if not keyed:
+        n = 0
+        for block in chain(head, blocks):
+            for start in range(0, len(block), ROW_BLOCK):
+                rows = _cells(block[start:start + ROW_BLOCK], delimiter)
+                add(rows, lambda i: Rows(columns, np.arange(n + i, dtype=np.int32)))
+                n += len(rows)
+        return Rows(columns, np.arange(n, dtype=np.int32))
+    index = _Index()
+    codes = [np.empty(0, dtype=np.int32)]
+    for block in chain(head, blocks):
+        seen = len(index.order)
+        block_codes = np.fromiter(map(index.__getitem__, block), np.int32, len(block))
+        add(_cells(index.order[seen:], delimiter),
+            lambda i: Rows(columns, np.concatenate(
+                [*codes, block_codes[:np.argmax(block_codes == seen + i)]])))
+        codes.append(block_codes)
+    return Rows(columns, np.concatenate(codes))
 
 
 # --- files ----------------------------------------------------------------
@@ -479,12 +605,14 @@ def write_columns(path, header: Sequence[str], table: Columns) -> None:
 _LABEL_IDS = {"0": 0, "1": 1}
 
 
-def _label_ids(column: Sequence[str]) -> np.ndarray:
+def _label_ids(column: Sequence[str], line) -> np.ndarray:
+    """Each cell read as a 0/1 label; BadLabel names ``line(j)`` for the
+    first bad cell j."""
     labels = np.fromiter(map(_LABEL_IDS.get, column, repeat(-1)), np.int8, len(column))
     bad = np.flatnonzero(labels < 0)
     if len(bad):
         j = int(bad[0])
-        raise BadLabel(f"line {j + 2}: label must be 0 or 1, got {column[j]!r}")
+        raise BadLabel(f"line {line(j)}: label must be 0 or 1, got {column[j]!r}")
     return labels
 
 
@@ -498,7 +626,7 @@ def _level_ids(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return levels, np.fromiter(map(index.__getitem__, column), np.int32, len(column))
 
 
-def parse_requests(stream: Iterable[str] | str, schema: Schema,
+def parse_requests(stream: TextIO | str, schema: Schema,
                    delimiter: str = ",") -> tuple[FactorDictionary, RequestBatch]:
     """Parse delimited request-log lines into level ids against a fresh dictionary.
 
@@ -506,13 +634,16 @@ def parse_requests(stream: Iterable[str] | str, schema: Schema,
     Raises MissingColumn, BadLabel or RaggedRow; the two row errors name the
     earliest offending line. Input order is preserved.
     """
-    *factor_columns, label_column = read_columns(
-        stream, [*schema.factor_columns, schema.label_column], delimiter,
-        check=lambda columns: _label_ids(columns[-1]))
-    labels = _label_ids(label_column)
+    rows = read_columns(stream, [*schema.factor_columns, schema.label_column],
+                        delimiter,
+                        check=lambda rows: _label_ids(rows.columns[-1], rows.line))
+    *factor_columns, label_column = rows.columns
+    labels = _label_ids(label_column, rows.line)
+    # a level first occurs where its row first occurs, so levels keep the
+    # first-seen order of the file
     levels, ids = zip(*map(_level_ids, factor_columns))
     return (FactorDictionary(list(schema.factor_columns), levels),
-            RequestBatch(np.stack(ids, axis=1), labels))
+            RequestBatch(rows.gather(np.stack(ids, axis=1)), rows.gather(labels)))
 
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
@@ -554,31 +685,35 @@ def _codes(column: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     return rank[first], list(first_row)
 
 
-def _timestamps(column: Sequence[str]) -> np.ndarray:
-    """Cells read with Python ``int`` as int64; BadLabel names the first bad one."""
+def _timestamps(column: Sequence[str], line) -> np.ndarray:
+    """Cells read with Python ``int`` as int64; BadLabel names ``line(j)``
+    for the first bad cell j."""
     try:
         return np.fromiter(map(int, column), np.int64, len(column))
     except (ValueError, OverflowError):
-        for lineno, cell in enumerate(column, start=2):
+        for j, cell in enumerate(column):
             try:
                 np.int64(int(cell))
             except (ValueError, OverflowError):
-                raise BadLabel(f"line {lineno}: timestamp must be integer epoch "
+                raise BadLabel(f"line {line(j)}: timestamp must be integer epoch "
                                f"seconds, got {cell!r}") from None
         raise
 
 
-def parse_cookie_events(stream: Iterable[str] | str,
+def parse_cookie_events(stream: TextIO | str,
                         delimiter: str = ",") -> EventBatch:
     """Parse a ``cookie_id,browser,timestamp`` file into an EventBatch.
 
     Raises MissingColumn, RaggedRow, or BadLabel for a timestamp that is not
     an int64 integer; the two row errors name the earliest offending line.
     """
-    cookie_ids, browsers, stamps = read_columns(
-        stream, ("cookie_id", "browser", "timestamp"), delimiter,
-        check=lambda columns: _timestamps(columns[2]))
-    return EventBatch(*_codes(cookie_ids), *_codes(browsers), _timestamps(stamps))
+    rows = read_columns(stream, ("cookie_id", "browser", "timestamp"), delimiter,
+                        check=lambda rows: _timestamps(rows.columns[2], rows.line))
+    cookie_ids, browsers, stamps = rows.columns
+    cookies, cookie_labels = _codes(cookie_ids)
+    browser_codes, browser_labels = _codes(browsers)
+    return EventBatch(rows.gather(cookies), cookie_labels, rows.gather(browser_codes),
+                      browser_labels, rows.gather(_timestamps(stamps, rows.line)))
 
 
 def write_events_csv(path, events: EventBatch) -> None:

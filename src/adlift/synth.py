@@ -22,10 +22,22 @@ from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
 
 HOURS_PER_DAY = 24.0
 
+# the most requests, users or hours a spec may ask for: each costs memory
+MAX_COUNT = 10**9
+
 
 def _positive(value: float) -> bool:
     """Whether ``value`` is a positive finite number (NaN is not)."""
     return 0.0 < value < math.inf
+
+
+def _count(section: dict, key: str) -> int:
+    """``section[key]``; BadSpec unless it is an integer up to MAX_COUNT."""
+    value = section[key]
+    if type(value) is not int or value > MAX_COUNT:
+        raise BadSpec(f"{key} must be an integer no larger than {MAX_COUNT}, "
+                      f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -189,7 +201,7 @@ class SynthSpec:
         if "requests" in doc:
             r = doc["requests"]
             requests = RequestSpec(
-                n=int(r["n"]), base_rate=float(r["base_rate"]),
+                n=_count(r, "n"), base_rate=float(r["base_rate"]),
                 factors=tuple(FactorSpec(name=f["name"], levels=tuple(f["levels"]),
                                          probs=tuple(float(p) for p in f["probs"]),
                                          effects=tuple(float(e) for e in f["effects"]))
@@ -197,7 +209,7 @@ class SynthSpec:
         if "population" in doc:
             p = doc["population"]
             population = PopulationSpec(k=float(p["k"]), m=float(p["m"]),
-                                        users=int(p["users"]),
+                                        users=_count(p, "users"),
                                         window_hours=float(p["window_hours"]))
         if "churn" in doc:
             c = doc["churn"]
@@ -206,7 +218,7 @@ class SynthSpec:
         if "intensity" in doc:
             i = doc["intensity"]
             intensity = IntensitySpec(
-                n_hours=int(i["n_hours"]), base=float(i["base"]),
+                n_hours=_count(i, "n_hours"), base=float(i["base"]),
                 trend=float(i.get("trend", 0.0)),
                 harmonics=tuple(Harmonic(period_hours=float(h["period_hours"]),
                                          amplitude=float(h["amplitude"]),

@@ -354,6 +354,83 @@ class TestEmitReport:
         assert found == {"ingest.py": (1, {"_csv_cell": 1})}
 
 
+class TestRepeatedRequestLines:
+    """build-tables, score and pace on request files that repeat their lines,
+    against reports built row by row from csv.reader."""
+
+    @staticmethod
+    def write_requests(path, rng, browsers, delimiter):
+        rate = {"chrome": 0.6, "safari": 0.1, "": 0.3}
+        rows = []
+        for _ in range(600):
+            browser, os_name = rng.choice(browsers), rng.choice(["win", "mac"])
+            shown = rng.random() < rate.get(browser, 0.2) + 0.2 * (os_name == "mac")
+            rows.append([browser, os_name, str(int(shown))])
+        lines = [delimiter.join(row) for row in rows]
+        # one quoted line, read as the same cells, in a later read chunk
+        lines[400] = delimiter.join(f'"{cell}"' for cell in rows[400])
+        path.write_text(delimiter.join(["browser", "os", "label"]) + "\n"
+                        + "\n".join(lines) + "\n")
+        return rows
+
+    @pytest.mark.parametrize("tab", [False, True])
+    def test_reports_match_per_row_oracle(self, workdir, monkeypatch, tab):
+        from adlift import predictor
+        from adlift.cli import _save_tables
+
+        d, rng = workdir, np.random.default_rng(5)
+        monkeypatch.setattr(ingest, "CHUNK_CHARS", 256)
+        rows = self.write_requests(d / "requests.csv", rng, ["chrome", "safari", "", "ff"],
+                                   "\t" if tab else ",")
+        held = self.write_requests(d / "heldout.csv", rng,
+                                   ["chrome", "safari", "", "opera"], ",")
+        assert run("build-tables", "--schema", d / "schema.json", "--input",
+                   d / "requests.csv", *(["--tab"] if tab else []),
+                   "--out", d / "tables.json") == 0
+        assert run("rank", "--tables", d / "tables.json", "--out", d / "importance.json") == 0
+        assert run("train", "--tables", d / "tables.json", "--importance",
+                   d / "importance.json", "--out", d / "model.json") == 0
+        assert run("score", "--model", d / "model.json", "--input", d / "heldout.csv",
+                   "--out", d / "scores.csv") == 0
+        assert run("pace", "--model", d / "model.json", "--input", d / "heldout.csv",
+                   "--target", 60, "--block", 50, "--out", d / "decisions.csv") == 0
+
+        labels = np.array([int(row[2]) for row in rows], dtype=np.int64)
+        levels, counts = [], []
+        for i in (0, 1):
+            cells = [row[i] or ingest.MISSING_LEVEL for row in rows]
+            levels.append(list(dict.fromkeys(cells)))
+            ids = np.array([levels[i].index(cell) for cell in cells])
+            counts.append(np.bincount(ids * 2 + labels, minlength=2 * len(levels[i]))
+                          .reshape(-1, 2))
+        _save_tables(ingest.FactorTable(counts, len(rows), ingest.FactorDictionary(
+            ["browser", "os"], levels)), d / "oracle_tables.json")
+        assert (d / "tables.json").read_bytes() == (d / "oracle_tables.json").read_bytes()
+
+        model = predictor.load_model(d / "model.json")
+        assert (model.importance > 0).all()
+        with open(d / "heldout.csv", newline="") as fh:
+            cells = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in cells] == [row[:2] for row in held]
+        matrix = model.encode_columns([[row[i] for row in cells] for i in (0, 1)])
+        result = predictor.score_batch(model, ingest.RequestBatch(
+            matrix, np.zeros(len(matrix), dtype=np.int8)))
+        assert (result.used_factors < model.m).any()
+        n = len(result)
+        emit_report(["index", "score", "used_factors"],
+                    ingest.Columns(np.arange(n), result.scores, result.used_factors),
+                    d / "oracle_scores.csv")
+        assert (d / "scores.csv").read_bytes() == (d / "oracle_scores.csv").read_bytes()
+        state = predictor.PacingState(target_total=60, horizon_requests=n,
+                                      block_size=50)
+        show, threshold = predictor.pace_batch(state, result.scores)
+        emit_report(["index", "score", "show", "threshold"],
+                    ingest.Columns(np.arange(n), result.scores, show.astype(np.int64),
+                                   threshold), d / "oracle_decisions.csv")
+        assert (d / "decisions.csv").read_bytes() == \
+            (d / "oracle_decisions.csv").read_bytes()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, workdir):
         d = workdir
@@ -465,6 +542,12 @@ class TestLoaderErrors:
         ('{"version": 1, "total": 4, "factors": [{"name": "b", "levels": []}]}',
          "missing key 'counts'"),
         ('{"version": 1, "total": 4, "factors": [7]}', "'int' object is not subscriptable"),
+        ('{"version": 1, "total": 1.5, "factors": [{"name": "b", "levels": ["x"], '
+         '"counts": [[0.5, 1]]}]}', "total and counts must be integers, got 1.5"),
+        ('{"version": 1, "total": 1, "factors": [{"name": "b", "levels": ["x"], '
+         '"counts": [[0.5, 1]]}]}', "total and counts must be integers, got 0.5"),
+        ('{"version": 1, "total": 2, "factors": [{"name": "b", "levels": ["x"], '
+         '"counts": [[true, 1]]}]}', "total and counts must be integers, got True"),
     ])
     def test_bad_tables_file_is_data_error(self, workdir, capsys, text, message):
         (workdir / "tables.json").write_text(text)
@@ -573,6 +656,22 @@ class TestLoaderErrors:
         assert run("synth", "--spec", workdir / "spec.json", "--out-series",
                    workdir / "h.csv", "--out-requests", workdir / "r.csv") == 2
         assert message in capsys.readouterr().err
+
+    # an integer past the bound is in tests/test_synth.py: through dispatch it
+    # would generate that many rows if the bound were missing
+    @pytest.mark.parametrize("value", [1e300, 2.5, 1e10, True, "5"])
+    @pytest.mark.parametrize("section, key, flag", [("requests", "n", "--out-requests"),
+                                                    ("population", "users", "--out-freq"),
+                                                    ("intensity", "n_hours", "--out-series")])
+    def test_synth_sizes_are_bounded_integers(self, workdir, capsys, value, section, key,
+                                              flag):
+        spec = json.loads(json.dumps(SYNTH_SPEC))
+        spec[section][key] = value
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run("synth", "--spec", workdir / "spec.json", flag, workdir / "out.csv") == 2
+        assert (f"{key} must be an integer no larger than 1000000000, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (workdir / "out.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("hour,count\n0,1\n1,nan\n", "line 3: count must be finite, got nan"),

@@ -1,8 +1,13 @@
 import csv
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adlift import ingest
 from adlift.errors import (BadLabel, MissingColumn, RaggedRow, UnalignedWindow)
 from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            RequestBatch, RequestRecord, Schema,
@@ -10,6 +15,8 @@ from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            parse_cookie_events, parse_requests, read_columns,
                            write_events_csv, write_requests_csv)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
+
+from conftest import make_events
 
 SCHEMA1 = Schema(factor_columns=("browser",), label_column="label")
 
@@ -158,14 +165,25 @@ class TestParseRequests:
         assert np.array_equal(b2.labels, b1.labels)
 
 
+def expand(rows):
+    """The per-row columns of read_columns' Rows."""
+    return [[column[code] for code in rows.codes.tolist()] for column in rows.columns]
+
+
 class TestReadColumns:
     def test_columns_in_requested_order(self):
         text = "a,b,c\n1,2,3\n4,5,6\n"
-        assert read_columns(text, ["c", "a"]) == [["3", "6"], ["1", "4"]]
+        assert expand(read_columns(text, ["c", "a"])) == [["3", "6"], ["1", "4"]]
 
     def test_quoted_cells_and_tabs(self):
-        assert read_columns('a,b\n"x,y",2\n', ["a"]) == [["x,y"]]
-        assert read_columns("a\tb\nx\t2\n", ["b"], delimiter="\t") == [["2"]]
+        assert expand(read_columns('a,b\n"x,y",2\n', ["a"])) == [["x,y"]]
+        assert expand(read_columns("a\tb\nx\t2\n", ["b"], delimiter="\t")) == [["2"]]
+
+    def test_distinct_rows_once(self):
+        rows = read_columns("a,b\n" + "x,1\ny,2\n" * 20 + "z,1\n", ["b", "a"])
+        assert rows.columns == [["1", "2", "1"], ["x", "y", "z"]]
+        assert rows.codes.tolist() == [0, 1] * 20 + [2]
+        assert rows.line(2) == 42
 
     def test_blank_line_is_ragged(self):
         with pytest.raises(RaggedRow, match="line 3: expected 2 fields, got 0"):
@@ -176,6 +194,135 @@ class TestReadColumns:
             read_columns("", ["a"])
         with pytest.raises(MissingColumn, match="'b'"):
             read_columns("a\n1\n", ["a", "b"])
+
+
+def oracle_columns(stream, names, delimiter, label=None):
+    """read_columns' cells row by row from csv.reader: the per-row columns,
+    or the error of the earliest bad row; with ``label`` set, that column
+    must hold 0 or 1, as parse_requests requires."""
+    reader = csv.reader(stream, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise MissingColumn("input is empty: no header row")
+    positions = {name: j for j, name in enumerate(header)}
+    for name in names:
+        if name not in positions:
+            raise MissingColumn(f"column {name!r} not found in header")
+    columns = [[] for _ in names]
+    for line, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise RaggedRow(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        if label is not None and row[positions[label]] not in ("0", "1"):
+            raise BadLabel(f"line {line}: label must be 0 or 1, "
+                           f"got {row[positions[label]]!r}")
+        for column, name in zip(columns, names):
+            column.append(row[positions[name]])
+    return columns
+
+
+def outcome(read):
+    """``read()``'s value, or the type and message of what it raised."""
+    try:
+        return "ok", read()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+PLAIN_CELLS = ["a", "b", "", "c d", "é", "__missing__", "0"]
+# cells that need quoting (a "\r" alone ends a line for csv.reader, so it
+# appears only quoted or before "\n")
+QUOTED_CELLS = ["x,y", 'q"q', "m\nn", "r\rs", "t\tu", '"']
+
+
+@st.composite
+def delimited_files(draw):
+    """(text, delimiter, names): a header of 1 to 3 columns (label first)
+    over rows drawn from a small pool or fresh, with ragged rows, blank
+    lines, bad labels, quoted cells, "\r\n" line ends and a final newline
+    or none."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    header = ["label", "f", "g"][:draw(st.integers(1, 3))]
+    cells = PLAIN_CELLS + (QUOTED_CELLS if draw(st.booleans()) else [])
+
+    def render(row):
+        return delimiter.join(
+            '"' + cell.replace('"', '""') + '"'
+            if any(c in cell for c in (delimiter, '"', "\n", "\r")) else cell
+            for cell in row)
+
+    @st.composite
+    def rows(draw):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            return ""
+        if kind == 1:
+            return render(draw(st.lists(st.sampled_from(cells), max_size=4)))
+        label = draw(st.sampled_from(["2", "", "x"])) if kind == 2 else \
+            draw(st.sampled_from(["0", "1"]))
+        return render([label] + [draw(st.sampled_from(cells)) for _ in header[1:]])
+
+    if draw(st.booleans()):
+        pool = draw(st.lists(rows(), min_size=1, max_size=4))
+        lines = draw(st.lists(st.sampled_from(pool), max_size=40))
+    else:
+        lines = draw(st.lists(rows(), max_size=40))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    text = "".join(map(str.__add__, [render(header)] + lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return text, delimiter, header
+
+
+class TestReaderOracle:
+    """read_columns and parse_requests against csv.reader row by row, with
+    read chunks of a few characters and row blocks of a few rows."""
+
+    @given(case=delimited_files(), chunk=st.integers(1, 48), block=st.integers(1, 6),
+           newline=st.sampled_from(["\n", None]))
+    @example(case=("label,f\n" + "1,a\n0,b\n" * 5 + '"1",a\n' + "0,b\n" * 4, ",",
+                   ["label", "f"]), chunk=9, block=4, newline="\n")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_csv_reader(self, case, chunk, block, newline):
+        # newline None reads "\r\n" and "\r" as "\n", as open_text does
+        text, delimiter, names = case
+        expected = outcome(lambda: oracle_columns(io.StringIO(text, newline=newline),
+                                                  names, delimiter))
+        with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, ROW_BLOCK=block):
+            got = outcome(lambda: expand(read_columns(
+                io.StringIO(text, newline=newline), names, delimiter)))
+            assert got == expected
+            if len(names) == 1:
+                return
+            schema = Schema(tuple(names[1:]), "label")
+            got = outcome(lambda: parse_requests(io.StringIO(text, newline=newline),
+                                                 schema, delimiter))
+        expected = outcome(lambda: oracle_columns(io.StringIO(text, newline=newline),
+                                                  names, delimiter, label="label"))
+        if expected[0] != "ok":
+            assert got == expected
+            return
+        assert got[0] == "ok"
+        dictionary, batch = got[1]
+        labels, *factors = expected[1]
+        assert batch.labels.tolist() == list(map(int, labels))
+        for i, column in enumerate(factors):
+            levels = list(dict.fromkeys(cell or MISSING_LEVEL for cell in column))
+            assert dictionary.levels(i) == levels
+            assert batch.factors[:, i].tolist() == [
+                levels.index(cell or MISSING_LEVEL) for cell in column]
+
+    @pytest.mark.parametrize("chunk", [5, 6, 7, 8, 1 << 20])
+    @pytest.mark.parametrize("bad, ragged", [(21, 23), (23, 21), (2, 30), (30, 2)])
+    def test_earliest_bad_line_wins_across_chunks(self, monkeypatch, chunk, bad, ragged):
+        # rows of 4 characters: the chunk sizes put the bad rows at every
+        # offset from a chunk boundary
+        rows = ["x,1", "y,0"] * 20
+        rows[bad], rows[ragged] = "x,2", "x"
+        monkeypatch.setattr(ingest, "CHUNK_CHARS", chunk)
+        error, line = (BadLabel, bad + 2) if bad < ragged else (RaggedRow, ragged + 2)
+        with pytest.raises(error, match=f"line {line}:"):
+            parse_requests("browser,label\n" + "\n".join(rows) + "\n", SCHEMA1)
 
 
 class TestFactorTable:
@@ -272,6 +419,20 @@ class TestCookieEvents:
         assert events.browser_labels == ["safari", "chrome"]
         assert events.browsers.tolist() == [0, 1, 1]
         assert events.timestamps.dtype == np.int64
+
+    def test_repeated_rows_match_distinct_parse(self):
+        # a file of repeated rows is keyed by line; a bad timestamp on a
+        # repeated row is named at its first occurrence
+        rows = [("b", "safari", 3), ("a", "chrome", 1)] * 20 + [("c", "chrome", 2)]
+        text = "cookie_id,browser,timestamp\n" + "".join(
+            f"{c},{b},{t}\n" for c, b, t in rows)
+        events, expected = parse_cookie_events(text), make_events(rows)
+        for name in ("cookies", "browsers", "timestamps"):
+            assert getattr(events, name).tolist() == getattr(expected, name).tolist()
+        assert events.cookie_labels == expected.cookie_labels
+        assert events.browser_labels == expected.browser_labels
+        with pytest.raises(BadLabel, match="line 42: timestamp must be integer"):
+            parse_cookie_events(text.replace("c,chrome,2", "c,chrome,x"))
 
     def test_timestamps_read_as_python_ints(self):
         events = parse_cookie_events("cookie_id,browser,timestamp\n"

@@ -220,11 +220,13 @@ class TestScoreBatch:
 
     @given(n=st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 17]),
            seed=st.integers(0, 2**32 - 1),
-           pruned=st.lists(st.booleans(), min_size=1, max_size=6))
-    @example(n=B + 1, seed=0, pruned=[True, True, True])
-    @example(n=3 * 65536 + 17, seed=1, pruned=[False, True, False])
+           pruned=st.lists(st.booleans(), min_size=1, max_size=6),
+           distinct=st.sampled_from([None, 1, 7]))
+    @example(n=B + 1, seed=0, pruned=[True, True, True], distinct=None)
+    @example(n=3 * 65536 + 17, seed=1, pruned=[False, True, False], distinct=None)
+    @example(n=3 * 65536 + 17, seed=2, pruned=[False, False], distinct=7)
     @settings(max_examples=20, deadline=None)
-    def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned):
+    def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned, distinct):
         rng = np.random.default_rng(seed)
         levels = rng.integers(1, 6, len(pruned))
         model = SparseRateModel(
@@ -239,6 +241,9 @@ class TestScoreBatch:
             unseen = rng.random(n) < 0.25
             factors[unseen, i] = rng.choice([-1, n_levels, 2**31 - 1, -2**31],
                                             unseen.sum())
+        if distinct is not None and n:
+            # rows repeated from a few distinct ones, as a request log's are
+            factors = factors[rng.integers(0, min(distinct, n), n)]
         batch = RequestBatch(factors, np.zeros(n, dtype=np.int8))
         expected = [score(model, rec) for rec in batch]
         scores = np.array([s.score for s in expected], dtype=np.float64)

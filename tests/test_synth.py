@@ -6,10 +6,10 @@ from adlift.errors import BadSpec
 from adlift.features import rank_factors
 from adlift.ingest import build_factor_table
 from adlift.repeatbuy import build_frequency_table, nbd_pmf
-from adlift.synth import (ChurnSpec, FactorSpec, Harmonic, IntensitySpec,
-                          PopulationSpec, RequestSpec, SynthSpec, apply_churn,
-                          gen_gamma_poisson, gen_inhomogeneous_poisson,
-                          gen_requests)
+from adlift.synth import (MAX_COUNT, ChurnSpec, FactorSpec, Harmonic,
+                          IntensitySpec, PopulationSpec, RequestSpec, SynthSpec,
+                          apply_churn, gen_gamma_poisson,
+                          gen_inhomogeneous_poisson, gen_requests)
 
 
 class TestGenRequests:
@@ -201,3 +201,16 @@ class TestSynthSpecJson:
         # generators run off the parsed spec
         _, batch = gen_requests(spec.requests, spec.seed)
         assert len(batch) == 100
+
+    @pytest.mark.parametrize("section, key", [("requests", "n"), ("population", "users"),
+                                              ("intensity", "n_hours")])
+    def test_sizes_past_the_bound_are_rejected(self, section, key):
+        doc = {"requests": {"n": 1, "base_rate": 0.1, "factors": [
+                   {"name": "b", "levels": ["x"], "probs": [1.0], "effects": [0.0]}]},
+               "population": {"k": 0.8, "m": 2.5, "users": 1, "window_hours": 720},
+               "intensity": {"n_hours": 1, "base": 10.0}}
+        doc[section][key] = MAX_COUNT
+        assert SynthSpec.from_doc(doc) is not None
+        doc[section][key] = MAX_COUNT + 1
+        with pytest.raises(BadSpec, match=f"{key} must be an integer no larger than"):
+            SynthSpec.from_doc(doc)
