@@ -111,12 +111,15 @@ def _read_report(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
     rows as (line, cells).
 
     Raises DataError naming ``path: line N`` for a row whose width differs
-    from the header's.
+    from the header's or that csv.reader cannot read.
     """
     with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [(line, cells) for line, cells in enumerate(reader, start=2) if cells]
+        try:
+            header = next(reader, [])
+            rows = [(line, cells) for line, cells in enumerate(reader, start=2) if cells]
+        except csv.Error as exc:
+            raise csv.Error(f"line {reader.line_num}: {exc}") from None
     for line, cells in rows:
         if len(cells) != len(header):
             raise DataError(f"{path}: line {line}: expected {len(header)} fields, "
@@ -217,6 +220,13 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
                               for name, convert in (("tau_days", float),
                                                     ("deaths", int),
                                                     ("censored", int)))
+    for (line, _), t, d, c in zip(rows, _finite(path, rows, taus, "tau_days"),
+                                  deaths, censored):
+        if not t > 0:
+            raise DataError(f"{path}: line {line}: tau_days must be positive, got {t!r}")
+        if d < 0 or c < 0:
+            raise DataError(f"{path}: line {line}: deaths and censored must be "
+                            f"non-negative, got {d} and {c}")
     return repeatbuy.SurvivalTable(rows={
         b: repeatbuy.SurvivalRow(tau_days=t, deaths=d, censored=c)
         for b, t, d, c in zip(browsers, taus, deaths, censored)})
@@ -380,23 +390,21 @@ def _cmd_survival(args) -> int:
 def _cmd_adjust_churn(args) -> int:
     freq = _load_freq(args.freq, args.window_hours)
     survival = _load_survival(args.survival)
-    if args.mix:
-        mix = {}
-        for part in args.mix.split(","):
-            browser, _, weight = part.partition(":")
-            mix[browser.strip()] = float(weight)
-    else:
+    mix = args.mix
+    if mix is None:
         sizes = {b: row.deaths + row.censored for b, row in survival.rows.items()}
         total = sum(sizes.values())
+        if not total:
+            raise DataError(f"{args.survival}: no cookies (deaths + censored) to "
+                            "weigh the browsers by; pass --mix")
         mix = {b: size / total for b, size in sizes.items()}
     adj = repeatbuy.adjust_for_churn(freq, survival, mix,
-                                     loyalty_threshold=args.threshold,
-                                     seed=args.seed, mc_users=args.mc_users)
+                                     loyalty_threshold=args.threshold)
     doc = {"k": adj.k, "m": adj.m, "true_users": adj.true_users,
            "missing_loyal": adj.missing_loyal,
            "identities_per_user": adj.identities_per_user,
            "objective": adj.objective, "n_evals": adj.n_evals,
-           "loyalty_threshold": args.threshold, "seed": args.seed}
+           "loyalty_threshold": args.threshold}
     _write_json(doc, args.out)
     _info(f"adjusted k={adj.k:.4g} m={adj.m:.4g}, "
           f"missing loyal ~ {adj.missing_loyal:.0f} -> {args.out}")
@@ -472,6 +480,18 @@ def _window_arg(text: str) -> tuple[int, int]:
             f"window must look like t0:t1 in epoch seconds, got {text!r}") from None
 
 
+def _mix_arg(text: str) -> dict[str, float]:
+    mix = {}
+    try:
+        for part in text.split(","):
+            browser, weight = part.split(":")
+            mix[browser.strip()] = float(weight)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"mix must look like chrome:0.6,safari:0.4, got {text!r}") from None
+    return mix
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -544,11 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-hours", type=float, required=True)
     p.add_argument("--threshold", type=int, default=10,
                    help="loyalty threshold n0")
-    p.add_argument("--mix", default=None,
+    p.add_argument("--mix", type=_mix_arg, default=None,
                    help="browser mix like chrome:0.6,safari:0.4 "
                         "(default: proportional to survival cookie counts)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mc-users", type=int, default=100_000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_adjust_churn)
 

@@ -320,8 +320,10 @@ def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
     piece on it is the tuple of cells csv.reader reads, ROW_BLOCK rows at a
     time. csv.reader reads a line without those as the cells between its
     delimiters, so both kinds of key give the same cells (see ``_cells``).
+    A csv.Error of the reader is raised again naming its line.
     """
     pieces = _pieces(stream)
+    lines_above = 0
     for piece in pieces:
         lines = piece.split("\n")
         if piece.endswith("\n"):
@@ -331,9 +333,13 @@ def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
                 and max(map(len, lines)) > csv.field_size_limit()):
             text = chain.from_iterable(map(io.StringIO, chain([piece], pieces)))
             rows = csv.reader(text, delimiter=delimiter)
-            while block := list(map(tuple, islice(rows, ROW_BLOCK))):
-                yield block
+            try:
+                while block := list(map(tuple, islice(rows, ROW_BLOCK))):
+                    yield block
+            except csv.Error as exc:
+                raise csv.Error(f"line {lines_above + rows.line_num}: {exc}") from None
             return
+        lines_above += len(lines)
         yield lines
 
 
@@ -369,9 +375,11 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
     (see ``Rows``); extra columns are ignored. Lines end at "\\n" (open_text
     reads every line end as one). Raises MissingColumn for an empty input or
     a name missing from the header, and RaggedRow for a row (a blank line
-    included) whose width differs from the header's. Before raising
-    RaggedRow, ``check`` is called with the Rows above the ragged one, so
-    that an error it raises on an earlier line wins.
+    included) whose width differs from the header's, and csv.Error naming
+    the line of a row csv.reader cannot read, such as one with a cell longer
+    than csv.field_size_limit(). Before raising RaggedRow, ``check`` is
+    called with the Rows above the ragged one, so that an error it raises on
+    an earlier line wins.
 
     A file whose first ROW_BLOCK rows hold at most one distinct row per 2 is
     keyed by row: each distinct row is split into cells once. A request log
@@ -446,12 +454,15 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
 @contextmanager
 def open_text(path):
     """``path`` opened as UTF-8 text. Raises DataError naming ``path`` for
-    bytes that are not UTF-8, wherever the reading stops on them."""
+    bytes that are not UTF-8, wherever the reading stops on them, and for a
+    csv.Error of a reader of the text."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def load_json(path, text: str, build):

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .errors import (DegenerateData, DomainError, InconsistentInputs,
-                     NoConvergence, NoDeathsWarning)
+                     NoConvergence, NoDeathsWarning, NumericalError)
 from .ingest import EventBatch
 
 HOURS_PER_DAY = 24.0
@@ -239,6 +239,19 @@ def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
     attached) when no overdispersion is identifiable, NoConvergence on
     optimizer failure.
     """
+    model = _truncated_mle(freq, min_count)
+    pmf_low = np.asarray(nbd_pmf(model.k, model.m, np.arange(0, min_count)))
+    norm = 1.0 - float(pmf_low.sum())
+    probs = np.asarray(nbd_pmf(model.k, model.m,
+                               np.arange(min_count, freq.max_n + 1))) / norm
+    shifted = {n - min_count + 1: c for n, c in freq.counts.items() if n >= min_count}
+    gof = _pooled_chi_square(shifted, probs, sum(shifted.values()), n_params=2)
+    return replace(model, gof=gof)
+
+
+def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
+    """``fit_nbd_truncated`` without its goodness of fit, whose pmf runs
+    over every n up to ``freq.max_n``."""
     if min_count < 1:
         raise DomainError("min_count must be at least 1")
     counts = {n: c for n, c in freq.counts.items() if n >= min_count}
@@ -296,13 +309,7 @@ def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
             f"fitted shape k={k_hat:.3g} is in the Poisson regime; NBD not "
             "identifiable", poisson_mean=_zt_poisson_mle(mean_all))
 
-    pmf_low = np.asarray(nbd_pmf(k_hat, m_hat, np.arange(0, min_count)))
-    norm = 1.0 - float(pmf_low.sum())
-    probs = np.asarray(nbd_pmf(k_hat, m_hat,
-                               np.arange(min_count, freq.max_n + 1))) / norm
-    shifted = {n - min_count + 1: c for n, c in counts.items()}
-    gof = _pooled_chi_square(shifted, probs, total, n_params=2)
-    return NbdModel(k=k_hat, m=m_hat, fit_method="truncated_mle", gof=gof,
+    return NbdModel(k=k_hat, m=m_hat, fit_method="truncated_mle",
                     loglik=-res.fun * total)
 
 
@@ -356,15 +363,8 @@ class SurvivalTable:
 
     rows: dict[str, SurvivalRow]
 
-    def tau_days(self, browser: str) -> float:
-        return self.rows[browser].tau_days
-
     def mean_tau_days(self, mix: Mapping[str, float]) -> float:
         return sum(p * self.rows[b].tau_days for b, p in mix.items())
-
-    @property
-    def browsers(self) -> list[str]:
-        return sorted(self.rows)
 
 
 def estimate_survival(events: EventBatch, window: tuple[int, int],
@@ -431,100 +431,87 @@ class ChurnAdjustment:
     identities_per_user: float
 
 
-class _ChurnSimulator:
-    """Seeded Monte-Carlo over user intensities and cookie death segments.
+# Gauss-Legendre nodes per browser for the segment-length integral, and the
+# segment length, in mean lifetimes, where it is cut: longer segments are a
+# fraction e^-40 of all
+SEGMENT_NODES = 64
+MAX_LIFETIMES = 40.0
 
-    Death segmentation and the per-user gamma quantile draws are fixed once
-    per instance; within a segment the event count is Poisson, so its pmf is
-    accumulated analytically. The resulting objective is a deterministic,
-    smooth function of (k, m).
+
+def _segment_quadrature(lifetime: float) -> tuple[np.ndarray, np.ndarray]:
+    """Segment lengths f (fractions of the window) and weights (expected
+    segments per user) that integrate over one user's cookie segments when a
+    cookie lives an exponential time of mean ``lifetime`` windows.
+
+    With t = ``lifetime``, completed segments have density
+    (1/t)e^(-f/t)(1 + (1-f)/t) on (0, 1), the window-censored last segments
+    (1/t)e^(-f/t), and the first cookie outlives the window with probability
+    e^(-1/t), an atom at f = 1. The nodes run over v = f/t, where the density
+    is e^(-v)(2 + 1/t - v), up to min(1/t, MAX_LIFETIMES). The weights sum to
+    1 + 1/t, the expected segments per user.
     """
+    v, w = np.polynomial.legendre.leggauss(SEGMENT_NODES)
+    half = min(1.0 / lifetime, MAX_LIFETIMES) / 2.0
+    v = half * (v + 1.0)
+    w = half * w * np.exp(-v) * (2.0 + 1.0 / lifetime - v)
+    return np.append(lifetime * v, 1.0), np.append(w, math.exp(-1.0 / lifetime))
 
-    N_MU_BINS = 2000
 
-    def __init__(self, window_hours: float, tau_hours: np.ndarray,
-                 mix_probs: np.ndarray, users: int, seed: int):
-        rng = np.random.default_rng(seed)
-        browser_idx = rng.choice(len(mix_probs), size=users, p=mix_probs)
-        tau_user = tau_hours[browser_idx]
-        seg_user: list[np.ndarray] = []
-        seg_dt: list[np.ndarray] = []
-        alive = np.arange(users)
-        t_cur = np.zeros(users)
-        while alive.size:
-            gaps = rng.exponential(tau_user[alive])
-            end = t_cur[alive] + gaps
-            died = end < window_hours
-            seg_user.append(alive)
-            seg_dt.append(np.where(died, gaps, window_hours - t_cur[alive]))
-            t_cur[alive] = end
-            alive = alive[died]
-        self.seg_user = np.concatenate(seg_user)
-        self.seg_dt = np.concatenate(seg_dt)
-        self.quantiles = rng.random(users)
-        self.users = users
-        self.window_hours = window_hours
-
-    def segment_means(self, k: float, m: float) -> np.ndarray:
-        lam_window = stats.gamma.ppf(self.quantiles, a=k) * (m / k)
-        return lam_window[self.seg_user] * (self.seg_dt / self.window_hours)
-
-    def distribution(self, k: float, m: float, n_cap: int):
-        """Return (probs over n=1..n_cap, tail mass, visible identities per user).
-
-        Probabilities are per observed identity (zero-truncated).
-        """
-        mu = self.segment_means(k, m)
-        mu = np.clip(mu, 1.0e-12, 1.0e12)
-        lo = float(mu.min())
-        hi = max(float(mu.max()) * (1.0 + 1.0e-9), lo * (1.0 + 1.0e-6))
-        edges = np.geomspace(lo, hi, self.N_MU_BINS + 1)
-        counts, _ = np.histogram(mu, bins=edges)
-        sums, _ = np.histogram(mu, bins=edges, weights=mu)
-        keep = counts > 0
-        w = counts[keep].astype(np.float64)
-        mu_b = sums[keep] / w
-
-        p = w * np.exp(-mu_b)                     # weighted P(N_seg = 0)
-        visible = float((w - p).sum())            # segments with >= 1 event
-        if visible < 1.0e-9 * len(mu):
-            # essentially no observable identities at these parameters
-            return np.zeros(n_cap), 1.0, 1.0e-12
-        probs = np.empty(n_cap)
-        remaining = visible
-        for n in range(1, n_cap + 1):
-            p = p * (mu_b / n)
-            total_n = float(p.sum())
-            probs[n - 1] = total_n / visible
-            remaining -= total_n
-        tail = max(remaining / visible, 0.0)
-        return probs, tail, visible / self.users
+def _identities_above(k: float, m: float, lengths: np.ndarray, segments: np.ndarray,
+                      ns: np.ndarray) -> np.ndarray:
+    """Expected identities per user with more than n events, for each n in
+    ``ns``: the ``segments``-weighted sum over segment ``lengths`` f of
+    P(N > n) = I_q(n + 1, k) for N ~ NBD(k, m f), q = m f / (k + m f)."""
+    mu = m * lengths
+    return segments @ betainc(ns + 1.0, k, (mu / (k + mu))[:, None])
 
 
 def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
-                     browser_mix: Mapping[str, float], loyalty_threshold: int,
-                     seed: int = 42, mc_users: int = 100_000) -> ChurnAdjustment:
+                     browser_mix: Mapping[str, float],
+                     loyalty_threshold: int) -> ChurnAdjustment:
     """Recover de-churned NBD parameters and count missing loyal users.
 
-    Searches (k, m) so that the churn model's frequency distribution --
+    Searches (k, m) so that the churn model's expected frequency table --
     cookies die at per-browser exponential times, each segment becoming a
     separate identity -- best matches the observed table in chi-square
-    distance. The true-user count U is observed cookies divided by the
-    model's visible identities per user; missing loyal users are the
+    distance. A segment covering a fraction f of the window has an
+    NBD(k, m f) count, so the expected identities above each pooled bin are
+    a quadrature of NBD survival functions over the segment lengths of
+    every browser (see ``_segment_quadrature``): exact up to the quadrature,
+    with no simulation. The true-user count U is observed cookies divided
+    by the model's visible identities per user; missing loyal users are the
     positive part of U * P_NBD(n) - observed(n) summed over n >= threshold.
+    Raises DomainError for a window or lifetime that is not finite and
+    positive or a mix that is not a distribution over the survival
+    table's browsers, and NumericalError for a non-finite result.
     """
     if loyalty_threshold < 2:
         raise DomainError("loyalty_threshold must be at least 2")
-    if freq.window_hours is None:
+    window_h = freq.window_hours
+    if window_h is None:
         raise InconsistentInputs("frequency table has no window length")
-    if abs(sum(browser_mix.values()) - 1.0) > 1e-9 or \
-            any(p < 0 for p in browser_mix.values()):
-        raise DomainError("browser mix must be non-negative and sum to 1")
-    for b in browser_mix:
+    if not (math.isfinite(window_h) and window_h > 0):
+        raise DomainError(f"window must be finite and positive, got {window_h} hours")
+    if not freq.counts:
+        raise DegenerateData("frequency table is empty")
+    weights = list(browser_mix.values())
+    # NaN fails p >= 0, and an infinite weight the sum
+    if not all(p >= 0 for p in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        raise DomainError("browser mix must be finite, non-negative and sum to 1")
+    lengths, segments = [], []
+    for b in sorted(browser_mix):
         if b not in survival.rows:
             raise DomainError(f"browser {b!r} in mix but not in survival table")
+        tau_h = survival.rows[b].tau_days * HOURS_PER_DAY
+        if not (0 < tau_h < math.inf and window_h / tau_h < math.inf):
+            raise DomainError(f"browser {b!r}: lifetime of {survival.rows[b].tau_days} "
+                              f"days is not finite and positive, or too short for a "
+                              f"{window_h}h window")
+        f, w = _segment_quadrature(tau_h / window_h)
+        lengths.append(f)
+        segments.append(browser_mix[b] * w)
+    lengths, segments = np.concatenate(lengths), np.concatenate(segments)
 
-    window_h = freq.window_hours
     tau_mean_h = survival.mean_tau_days(browser_mix) * HOURS_PER_DAY
     deaths_per_user = window_h / tau_mean_h
     # below one mean lifetime the correction is unreliable -- unless churn
@@ -535,64 +522,48 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
             f"window of {window_h:.0f}h is shorter than the mean cookie "
             f"lifetime {tau_mean_h:.0f}h; churn is unidentifiable, adjustment skipped")
 
-    browsers = sorted(browser_mix)
-    sim = _ChurnSimulator(
-        window_hours=window_h,
-        tau_hours=np.array([survival.rows[b].tau_days * HOURS_PER_DAY
-                            for b in browsers]),
-        mix_probs=np.array([browser_mix[b] for b in browsers]),
-        users=mc_users, seed=seed)
-
     total = freq.total_cookies
     n_cap = freq.max_n
 
-    # fixed pooling (observed >= 5, ascending n) keeps the objective smooth
+    # fixed pooling (observed >= 5, ascending n) keeps the objective smooth;
+    # the open tail beyond n_cap is observed empty
     pool_edges: list[int] = []
+    obs_bins: list[int] = []
     acc = 0
-    for n in range(1, n_cap + 1):
-        acc += freq.observed(n)
+    for n, c in freq.counts.items():
+        acc += c
         if acc >= 5:
             pool_edges.append(n)
+            obs_bins.append(acc)
             acc = 0
     if not pool_edges or pool_edges[-1] != n_cap:
         pool_edges.append(n_cap)
-    obs_bins = []
-    lo = 1
-    for hi in pool_edges:
-        obs_bins.append(sum(freq.observed(n) for n in range(lo, hi + 1)))
-        lo = hi + 1
-    obs_bins.append(0)  # open tail beyond n_cap
-    obs_arr = np.array(obs_bins, dtype=np.float64)
+        obs_bins.append(acc)
+    obs_arr = np.array(obs_bins + [0], dtype=np.float64)
+    edges = np.array([0, *pool_edges], dtype=np.float64)
 
     eval_count = 0
 
     def objective(x: np.ndarray) -> float:
         nonlocal eval_count
         eval_count += 1
-        k = math.exp(x[0])
-        m = math.exp(x[1])
-        probs, tail, _ = sim.distribution(k, m, n_cap)
-        exp_bins = []
-        lo = 1
-        for hi in pool_edges:
-            exp_bins.append(probs[lo - 1:hi].sum() * total)
-            lo = hi + 1
-        exp_bins.append(tail * total)
-        exp_arr = np.maximum(np.array(exp_bins), 1.0e-9)
+        s = _identities_above(*np.exp(x), lengths, segments, edges)
+        exp_arr = np.maximum(np.append(s[:-1] - s[1:], s[-1]) * (total / s[0]),
+                             1.0e-9)
         return float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
 
     # the chi-square surface has a shallow spurious basin at the k -> 0
     # boundary (zero-truncation degeneracy), so pick the starting basin by
     # coarse grid search before the local simplex search
     mean_per_cookie = freq.total_events / total
-    m_anchor = mean_per_cookie * (1.0 + window_h / tau_mean_h)
+    m_anchor = mean_per_cookie * (1.0 + deaths_per_user)
     candidates = [(k0, m_anchor * f)
                   for k0 in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4)
                   for f in (0.125, 0.25, 0.5, 1.0, 2.0)]
     try:
-        naive = fit_nbd_truncated(freq)
+        naive = _truncated_mle(freq, 1)
         candidates.append((min(max(naive.k, 0.05), 100.0),
-                           naive.m * (1.0 + window_h / tau_mean_h)))
+                           naive.m * (1.0 + deaths_per_user)))
     except DegenerateData:
         pass
     best = min(candidates,
@@ -605,23 +576,21 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
                                      "initial_simplex": simplex})
     if not res.success:
         raise NoConvergence(f"churn adjustment search did not converge: {res.message}")
-    k_hat = float(math.exp(res.x[0]))
-    m_hat = float(math.exp(res.x[1]))
+    k_hat, m_hat = map(float, np.exp(res.x))
+    identities_per_user = float(_identities_above(k_hat, m_hat, lengths, segments,
+                                                  edges[:1])[0])
+    true_users = total / identities_per_user if identities_per_user > 0 else math.inf
+    if not all(map(math.isfinite, (k_hat, m_hat, true_users, res.fun))):
+        raise NumericalError(f"churn adjustment is not finite: k={k_hat}, m={m_hat}, "
+                             f"true users {true_users}, objective {res.fun}")
 
-    _, _, identities_per_user = sim.distribution(k_hat, m_hat, n_cap)
-    true_users = total / identities_per_user
-
-    tail_start = max(n_cap + 1, loyalty_threshold)
-    pmf_hi = np.asarray(nbd_pmf(k_hat, m_hat, np.arange(0, tail_start)))
-    missing = 0.0
-    for n in range(loyalty_threshold, n_cap + 1):
-        missing += max(true_users * float(pmf_hi[n]) - freq.observed(n), 0.0)
-    # everything at or beyond tail_start is unobserved, so the positive part
-    # is the full model mass there
-    tail_mass = max(1.0 - float(pmf_hi.sum()), 0.0)
-    missing += true_users * tail_mass
-
+    # sum_{n >= threshold} max(U P(n) - observed(n), 0): the whole model mass
+    # U P(N >= threshold) less min(U P(n), observed(n)) at each observed n
+    loyal = np.array([(n, c) for n, c in freq.counts.items() if n >= loyalty_threshold],
+                     dtype=np.float64).reshape(-1, 2)
+    model = true_users * nbd_pmf(k_hat, m_hat, loyal[:, 0])
+    missing = (true_users * float(betainc(loyalty_threshold, k_hat, m_hat / (k_hat + m_hat)))
+               - float(np.minimum(model, loyal[:, 1]).sum()))
     return ChurnAdjustment(k=k_hat, m=m_hat, true_users=true_users,
                            missing_loyal=missing, objective=float(res.fun),
-                           n_evals=eval_count,
-                           identities_per_user=identities_per_user)
+                           n_evals=eval_count, identities_per_user=identities_per_user)

@@ -154,8 +154,7 @@ def test_06_churn_effect_and_correction():
     survival = SurvivalTable(rows={
         b: SurvivalRow(tau_days=tau, deaths=1000, censored=100)
         for b, tau in churn.tau_days.items()})
-    adj = adjust_for_churn(freq, survival, churn.mix, loyalty_threshold=n0,
-                           seed=42)
+    adj = adjust_for_churn(freq, survival, churn.mix, loyalty_threshold=n0)
 
     # Fig. 3 signature: observed identity frequencies vs the de-churned NBD
     comp = compare_frequencies(freq, NbdModel(k=adj.k, m=adj.m,

@@ -146,7 +146,7 @@ class TestPipeline:
             "browser,tau_days,deaths,censored\nchrome,6.0,100,10\nsafari,10.0,50,5\n")
         assert run("adjust-churn", "--freq", d / "freq.csv",
                    "--survival", d / "survival.csv", "--window-hours", "720",
-                   "--threshold", "10", "--seed", "42", "--mc-users", "20000",
+                   "--threshold", "10",
                    "--mix", "chrome:0.7,safari:0.3",
                    "--out", d / "adjusted.json") == 0
         adjusted = json.loads((d / "adjusted.json").read_text())
@@ -518,13 +518,60 @@ class TestLoaderErrors:
     def test_bad_survival_row_is_data_error(self, workdir, capsys):
         (workdir / "freq.csv").write_text("n,count\n1,100\n2,40\n")
         for bad_row, message in (("safari,x,50,5", "tau_days must be float"),
-                                 ("chrome,7.0,50,5", "browser 'chrome' repeats line 2")):
+                                 ("chrome,7.0,50,5", "browser 'chrome' repeats line 2"),
+                                 ("safari,0,50,5", "tau_days must be positive"),
+                                 ("safari,-5,50,5", "tau_days must be positive"),
+                                 ("safari,nan,50,5", "tau_days must be finite"),
+                                 ("safari,9.5,-1,5", "deaths and censored must be "
+                                                     "non-negative")):
             (workdir / "survival.csv").write_text(
                 f"browser,tau_days,deaths,censored\nchrome,6.0,100,10\n{bad_row}\n")
             assert run("adjust-churn", "--freq", workdir / "freq.csv",
                        "--survival", workdir / "survival.csv", "--window-hours", "720",
                        "--out", workdir / "adjusted.json") == 2
             assert f"survival.csv: line 3: {message}" in capsys.readouterr().err
+
+    CHURN_FREQ = "n,count\n1,60\n2,25\n3,12\n4,6\n5,3\n7,1\n"
+
+    @pytest.mark.parametrize("survival, flags, code, message", [
+        ("chrome,6,0,0\nsafari,9,0,0", [], 2, "no cookies (deaths + censored)"),
+        ("chrome,6,10,2", ["--window-hours=-5"], 2, "window must be finite and positive"),
+        ("chrome,6,10,2", ["--window-hours=inf"], 2, "window must be finite and positive"),
+        ("chrome,6,10,2", ["--mix", "chrome:nan"], 2, "browser mix must be finite"),
+        ("chrome,6,10,2", ["--mix", "chrome:abc"], 1, "usage:"),
+        ("chrome,6,10,2", ["--mix", "chrome"], 1, "usage:"),
+        ("chrome,1e-300,10,2", [], None, ""),
+    ])
+    def test_churn_inputs_keep_the_exit_codes(self, workdir, capsys, survival, flags,
+                                              code, message):
+        (workdir / "freq.csv").write_text(self.CHURN_FREQ)
+        (workdir / "survival.csv").write_text(
+            f"browser,tau_days,deaths,censored\n{survival}\n")
+        exit_code = run("adjust-churn", "--freq", workdir / "freq.csv",
+                        "--survival", workdir / "survival.csv", "--window-hours=720",
+                        *flags, "--out", workdir / "adjusted.json")
+        assert exit_code == code if code is not None else exit_code in (0, 3)
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if exit_code == 0:
+            doc = (workdir / "adjusted.json").read_text()
+            assert "NaN" not in doc and "Infinity" not in doc
+
+    @pytest.mark.parametrize("name, argv", [
+        ("requests.csv", ("build-tables", "--schema", "{d}/schema.json",
+                          "--input", "{bad}", "--out", "{d}/t.json")),
+        ("survival.csv", ("adjust-churn", "--freq", "{d}/freq.csv", "--survival", "{bad}",
+                          "--window-hours", "720", "--out", "{d}/a.json")),
+    ])
+    def test_cell_over_the_csv_field_limit_is_data_error(self, workdir, capsys, name,
+                                                         argv):
+        header = {"requests.csv": "browser,os,label\nchrome,win,1\n",
+                  "survival.csv": "browser,tau_days,deaths,censored\nchrome,6,10,2\n"}
+        bad = workdir / name
+        bad.write_text(header[name] + "x" * 200_000 + ",win,0\n")
+        (workdir / "freq.csv").write_text(self.CHURN_FREQ)
+        assert dispatch([a.format(bad=bad, d=workdir) for a in argv]) == 2
+        assert f"{bad}: line 3: field larger than field limit" in capsys.readouterr().err
 
     TABLES = {"version": 1, "total": 4,
               "factors": [{"name": "browser", "levels": ["chrome", "safari"],

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlift import cli
-from adlift.errors import AdliftError
 
 SCHEMA = {"version": 1, "factors": ["browser", "os"], "label": "label"}
 REQUESTS = ("browser,os,label\nchrome,win,1\nsafari,mac,0\nff,win,0\n"
@@ -54,7 +53,8 @@ ARGV = [
     ("series", "virtualize --series X --events {events} --out OUT"),
     ("forecast", "alarm --series {series} --forecast X --R 12 --out OUT"),
     ("spec", "synth --spec X"),
-    ("survival", None),  # cli._load_survival: adjust-churn runs a Monte-Carlo
+    ("survival", "adjust-churn --freq {freq} --survival X --window-hours 720 --out OUT"),
+    ("freq", "adjust-churn --freq X --survival {survival} --window-hours 720 --out OUT"),
 ]
 
 # bytes a mutation inserts: no digits, so that no number grows past the
@@ -103,13 +103,7 @@ def mutated(draw, valid: bytes):
     return bytes(data)
 
 
-def _run(loader, argv, valid_files, path, out):
-    if argv is None:
-        try:
-            cli._load_survival(path)
-        except (AdliftError, OSError):  # what dispatch maps to exit 2 or 3
-            pass
-        return 0
+def _run(argv, valid_files, path, out):
     names = {name: str(p) for name, p in valid_files.items()}
     return cli.dispatch([a.format(**names) if "{" in a else
                          {"X": str(path), "OUT": str(out)}.get(a, a)
@@ -130,4 +124,4 @@ def test_every_loader_exits_0_2_or_3(valid_files, tmp_path_factory, data, target
     blob = data.draw(fuzzed(valid_files[loader].read_bytes()))
     d = tmp_path_factory.mktemp("fuzz")
     (d / "x").write_bytes(blob)
-    assert _run(loader, argv, valid_files, d / "x", d / "out") in (0, 2, 3)
+    assert _run(argv, valid_files, d / "x", d / "out") in (0, 2, 3)

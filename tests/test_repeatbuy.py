@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from adlift.errors import (DegenerateData, DomainError, InconsistentInputs,
                            NoDeathsWarning)
 from adlift.ingest import EventBatch
 from adlift.repeatbuy import (FrequencyTable, SurvivalRow, SurvivalTable,
+                              _identities_above, _segment_quadrature,
                               adjust_for_churn, build_frequency_table,
                               compare_frequencies, estimate_survival,
                               fit_nbd_truncated, nbd_pmf,
@@ -238,7 +240,60 @@ class TestEstimateSurvival:
         assert abs(row.tau_days - tau_true) / tau_true < 0.05
 
 
+@pytest.fixture(scope="module")
+def churned_freq():
+    pop = PopulationSpec(k=0.8, m=2.5, users=20_000, window_hours=720.0)
+    churn = ChurnSpec(tau_days={"chrome": 6.0}, mix={"chrome": 1.0})
+    events = apply_churn(gen_gamma_poisson(pop, seed=41), churn, seed=42)
+    return build_frequency_table(events, window_hours=720.0)
+
+
+class TestExpectedChurnTable:
+    @pytest.mark.parametrize("lifetime", np.logspace(-4, 4, 17))
+    def test_weights_sum_to_expected_segments(self, lifetime):
+        _, weights = _segment_quadrature(lifetime)
+        assert weights.sum() == pytest.approx(1.0 + 1.0 / lifetime, rel=1e-8)
+
+    def test_matches_simulated_churn(self):
+        # oracle: the generator's users and cookie deaths at the true parameters
+        k, m, users, window_h = 0.8, 2.5, 100_000, 720.0
+        churn = ChurnSpec(tau_days={"chrome": 6.0, "safari": 10.0},
+                          mix={"chrome": 0.6, "safari": 0.4})
+        sample = gen_gamma_poisson(PopulationSpec(k=k, m=m, users=users,
+                                                  window_hours=window_h), seed=31)
+        freq = build_frequency_table(apply_churn(sample, churn, seed=32), window_h)
+        ns = np.arange(13.0)
+        above = sum(p * _identities_above(k, m, *_segment_quadrature(
+                        churn.tau_days[b] * 24.0 / window_h), ns)
+                    for b, p in churn.mix.items())
+        expected = users * (above[:-1] - above[1:])
+        observed = np.array([freq.observed(n) for n in range(1, 13)])
+        assert np.abs((observed - expected) / np.sqrt(expected)).max() < 4.0
+        assert freq.total_cookies / users == pytest.approx(above[0], rel=0.01)
+
+
 class TestAdjustForChurn:
+    def test_deterministic(self, churned_freq):
+        surv = SurvivalTable(rows={"chrome": SurvivalRow(6.0, 1, 0)})
+        first, second = (adjust_for_churn(churned_freq, surv, {"chrome": 1.0},
+                                          loyalty_threshold=10) for _ in range(2))
+        assert first == second
+
+    def test_missing_loyal_is_the_positive_part_of_the_model_excess(self, churned_freq):
+        surv = SurvivalTable(rows={"chrome": SurvivalRow(6.0, 1, 0)})
+        adj = adjust_for_churn(churned_freq, surv, {"chrome": 1.0}, loyalty_threshold=2)
+        n = np.arange(2, 10_000)
+        excess = (adj.true_users * nbd_pmf(adj.k, adj.m, n)
+                  - [churned_freq.observed(int(i)) for i in n])
+        assert adj.missing_loyal == pytest.approx(np.maximum(excess, 0.0).sum(), rel=1e-9)
+
+    def test_cost_does_not_grow_with_the_largest_count(self, churned_freq):
+        freq = FrequencyTable({**churned_freq.counts, 1_000_000: 1}, window_hours=720.0)
+        surv = SurvivalTable(rows={"chrome": SurvivalRow(6.0, 1, 0)})
+        start = time.perf_counter()
+        adjust_for_churn(freq, surv, {"chrome": 1.0}, loyalty_threshold=10)
+        assert time.perf_counter() - start < 2.0
+
     def test_no_churn_limit_matches_naive_fit(self):
         pop = PopulationSpec(k=0.8, m=2.5, users=60_000, window_hours=720.0)
         churn = ChurnSpec(tau_days={"chrome": 1.0e7}, mix={"chrome": 1.0})
@@ -247,8 +302,7 @@ class TestAdjustForChurn:
         freq = build_frequency_table(events, window_hours=720.0)
         naive = fit_nbd_truncated(freq)
         surv = SurvivalTable(rows={"chrome": SurvivalRow(1.0e7, 1, 0)})
-        adj = adjust_for_churn(freq, surv, {"chrome": 1.0}, loyalty_threshold=10,
-                               seed=42, mc_users=50_000)
+        adj = adjust_for_churn(freq, surv, {"chrome": 1.0}, loyalty_threshold=10)
         assert adj.k == pytest.approx(naive.k, rel=0.05)
         assert adj.m == pytest.approx(naive.m, rel=0.05)
         assert adj.missing_loyal < 0.01 * freq.total_cookies
@@ -276,6 +330,16 @@ class TestAdjustForChurn:
         surv = SurvivalTable(rows={"chrome": SurvivalRow(7.0, 10, 2)})
         with pytest.raises(DomainError):
             adjust_for_churn(freq, surv, {"opera": 1.0}, loyalty_threshold=5)
+
+    @pytest.mark.parametrize("window_h, tau_days, share", [
+        (-5.0, 7.0, 1.0), (0.0, 7.0, 1.0), (np.inf, 7.0, 1.0), (np.nan, 7.0, 1.0),
+        (720.0, 0.0, 1.0), (720.0, -5.0, 1.0), (720.0, np.inf, 1.0), (720.0, np.nan, 1.0),
+        (720.0, 1e-310, 1.0), (720.0, 7.0, np.nan)])
+    def test_non_finite_or_non_positive_inputs(self, window_h, tau_days, share):
+        freq = FrequencyTable({1: 500, 2: 300, 3: 150}, window_hours=window_h)
+        surv = SurvivalTable(rows={"chrome": SurvivalRow(tau_days, 10, 2)})
+        with pytest.raises(DomainError):
+            adjust_for_churn(freq, surv, {"chrome": share}, loyalty_threshold=5)
 
 
 class TestChurnMonotonicity:
