@@ -232,15 +232,16 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
         for b, t, d, c in zip(browsers, taus, deaths, censored)})
 
 
-def _read_request_rows(path, factor_names) -> ingest.Rows:
+def _read_request_rows(path, factor_names, delimiter: str) -> ingest.Rows:
     """Read the raw level labels of the given factors: one column per factor
     over the distinct rows, and each row's code (see ``ingest.read_columns``)."""
     with ingest.open_text(path) as fh:
-        return ingest.read_columns(fh, factor_names)
+        return ingest.read_columns(fh, factor_names, delimiter)
 
 
-def _encoded_batch(model: predictor.SparseRateModel, path) -> ingest.RequestBatch:
-    rows = _read_request_rows(path, model.factor_names)
+def _encoded_batch(model: predictor.SparseRateModel, path,
+                   delimiter: str) -> ingest.RequestBatch:
+    rows = _read_request_rows(path, model.factor_names, delimiter)
     matrix = rows.gather(model.encode_columns(rows.columns))
     return ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
 
@@ -293,8 +294,7 @@ def _cmd_synth(args) -> int:
 def _cmd_build_tables(args) -> int:
     schema = _load_schema(args.schema)
     with ingest.open_text(args.input) as fh:
-        dictionary, batch = ingest.parse_requests(
-            fh, schema, delimiter="\t" if args.tab else ",")
+        dictionary, batch = ingest.parse_requests(fh, schema, args.delimiter)
     table = ingest.build_factor_table(batch, dictionary)
     _save_tables(table, args.out)
     _info(f"{table.total} records, {table.m} factors -> {args.out}")
@@ -332,7 +332,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     model = predictor.load_model(args.model)
-    result = predictor.score_batch(model, _encoded_batch(model, args.input))
+    result = predictor.score_batch(
+        model, _encoded_batch(model, args.input, args.delimiter))
     emit_report(["index", "score", "used_factors"],
                 ingest.Columns(np.arange(len(result)), result.scores,
                                result.used_factors), args.out)
@@ -343,7 +344,8 @@ def _cmd_score(args) -> int:
 
 def _cmd_pace(args) -> int:
     model = predictor.load_model(args.model)
-    result = predictor.score_batch(model, _encoded_batch(model, args.input))
+    result = predictor.score_batch(
+        model, _encoded_batch(model, args.input, args.delimiter))
     n = len(result)
     horizon = args.horizon if args.horizon is not None else n
     state = predictor.PacingState(target_total=args.target,
@@ -508,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-tables", help="parse requests into contingency tables")
     p.add_argument("--schema", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--tab", action="store_true", help="tab-delimited input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_tables)
 
@@ -596,6 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_alarm)
 
+    for name in ("build-tables", "score", "pace"):
+        sub.choices[name].add_argument(
+            "--tab", dest="delimiter", action="store_const", const="\t", default=",",
+            help="tab-delimited request log")
     return parser
 
 

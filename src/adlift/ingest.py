@@ -711,14 +711,153 @@ def _timestamps(column: Sequence[str], line) -> np.ndarray:
         raise
 
 
+EVENT_COLUMNS = ("cookie_id", "browser", "timestamp")
+
+# A timestamp of at most this many digits fits an int64 (10^18 - 1 < 2^63)
+MAX_STAMP_DIGITS = 18
+
+# The key arrays of the column-wise event parse hold each key column's
+# widest cell once per row; beyond this many times the bytes read, a few
+# long cells would make them far larger than the text, and the file is
+# read row by row instead
+MAX_KEY_BLOWUP = 4
+
+
+class _Replay(NamedTuple):
+    """A text stream whose reads return the rest of a ``_pieces`` iterator,
+    one piece per read, so that ``_pieces`` over it yields the same pieces."""
+
+    pieces: Iterator[str]
+
+    def read(self, size: int) -> str:
+        return next(self.pieces, "")
+
+
+def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The (n, w) uint8 matrix of the cells of ``buf`` at ``starts`` with
+    ``lengths``: w is the longest length, and each row is zero past its cell."""
+    w = max(int(lengths.max()), 1)
+    padded = np.concatenate([buf, np.zeros(w, np.uint8)])
+    cells = np.lib.stride_tricks.sliding_window_view(padded, w)[starts]
+    cells *= np.arange(w) < lengths[:, None]
+    return cells
+
+
+def _coded(chunks: list[np.ndarray]) -> tuple[np.ndarray, list[str]]:
+    """``_codes`` of the ``S`` keys of ``chunks``: each key's index among the
+    distinct keys, and those decoded in first-seen order."""
+    keys = np.concatenate(chunks) if chunks else np.empty(0, "S1")
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    # the distinct keys as lines of one text, decoded at once: no cell holds
+    # "\n" or a NUL, so dropping the zero padding leaves each cell whole
+    lines = np.pad(keys[first[order]].view(np.uint8).reshape(-1, keys.itemsize),
+                   ((0, 0), (0, 1)), constant_values=10)
+    text = lines[lines != 0].tobytes().decode("utf-8", "surrogatepass")
+    return rank[inverse], text.split("\n")[:-1]
+
+
+def _plain_events(pieces: Iterator[str], read: list[str],
+                  delimiter: str) -> EventBatch | None:
+    """The EventBatch of a plain event file, read column-wise from the UTF-8
+    bytes of ``pieces`` with no Python object per row, or None where this
+    cannot be done exactly as ``read_columns`` with ``_codes`` and
+    ``_timestamps`` would do it; ``read`` gets every piece taken.
+
+    A plain file has a one-byte delimiter and no '"', "\\r" or NUL (a NUL
+    would be lost from an ``S`` key) anywhere, its header included; every
+    line has the header's width (so no line is blank) and is no longer than
+    csv.field_size_limit() (so no cell is); every timestamp is 1 to
+    MAX_STAMP_DIGITS ASCII digits (Python ``int`` also reads "+5", " 5",
+    "5_0", "-5" and other digits, and longer ones may overflow); and the
+    key arrays stay within MAX_KEY_BLOWUP times the bytes read. The header
+    is read as ``read_columns`` reads it: a repeated name means its last
+    column. Each piece's named cells become ``S`` key arrays and int64
+    timestamps; the keys are coded once all are read.
+    """
+    sep = delimiter.encode("utf-8", "surrogatepass")
+    if len(sep) != 1:
+        return None
+    limit = csv.field_size_limit()
+    keys: tuple[list, list] = ([], [])
+    stamps: list[np.ndarray] = []
+    positions = None
+    rows = body_bytes = widest = 0
+    for piece in pieces:
+        read.append(piece)
+        if positions is None:
+            header, _, piece = piece.partition("\n")
+            names = header.split(delimiter)
+            if any(c in header for c in '"\r\0') or len(header) > limit:
+                return None
+            positions = {name: j for j, name in enumerate(names)}
+            if not set(EVENT_COLUMNS) <= positions.keys():
+                return None
+            width = len(names)
+            if not piece:
+                continue
+        data = (piece if piece.endswith("\n") else piece + "\n").encode(
+            "utf-8", "surrogatepass")
+        if b'"' in data or b"\r" in data or b"\0" in data:
+            return None
+        buf = np.frombuffer(data, np.uint8)
+        # the line ends and delimiters in order: width per line, the last a "\n"
+        seps = np.flatnonzero((buf == 10) | (buf == sep[0]))
+        n = data.count(b"\n")
+        if len(seps) != n * width or (buf[seps[width - 1::width]] != 10).any():
+            return None
+        seps = seps.reshape(n, width)
+        line_starts = np.concatenate([[0], seps[:-1, -1] + 1])
+        spans = []
+        for j in (positions[name] for name in EVENT_COLUMNS):
+            starts = seps[:, j - 1] + 1 if j else line_starts
+            spans.append((starts, seps[:, j] - starts))
+        stamp_lengths = spans[2][1]
+        rows, body_bytes = rows + n, body_bytes + len(data)
+        widest = max(widest, spans[0][1].max(), spans[1][1].max())
+        if ((seps[:, -1] - line_starts).max() > limit
+                or widest * rows > MAX_KEY_BLOWUP * body_bytes
+                or stamp_lengths.min() < 1 or stamp_lengths.max() > MAX_STAMP_DIGITS):
+            return None
+        *key_cells, stamp_cells = (_cell_bytes(buf, *span) for span in spans)
+        digits = stamp_cells - np.uint8(48)
+        if np.count_nonzero(digits <= 9) != stamp_lengths.sum():
+            return None
+        for chunks, cells in zip(keys, key_cells):
+            chunks.append(cells.view(f"S{cells.shape[1]}").ravel())
+        # each stamp read as if padded with zeros to the widest, then divided
+        # by the padding's place value (at most 18 digits: no overflow)
+        digits *= stamp_cells != 0
+        w = digits.shape[1]
+        value = (digits.astype(np.int64) @ 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+                 // 10 ** (w - stamp_lengths))
+        stamps.append(value)
+    if positions is None:
+        return None
+    (cookies, cookie_labels), (browsers, browser_labels) = map(_coded, keys)
+    return EventBatch(cookies, cookie_labels, browsers, browser_labels,
+                      np.concatenate(stamps) if stamps else np.empty(0, np.int64))
+
+
 def parse_cookie_events(stream: TextIO | str,
                         delimiter: str = ",") -> EventBatch:
     """Parse a ``cookie_id,browser,timestamp`` file into an EventBatch.
 
+    A plain file is read column-wise (``_plain_events``); any other goes
+    whole to ``read_columns``, which decides its result and its errors. The
+    pieces of text read are kept until then, so that nothing is read twice.
     Raises MissingColumn, RaggedRow, or BadLabel for a timestamp that is not
     an int64 integer; the two row errors name the earliest offending line.
     """
-    rows = read_columns(stream, ("cookie_id", "browser", "timestamp"), delimiter,
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    pieces, read = _pieces(stream), []
+    events = _plain_events(pieces, read, delimiter)
+    if events is not None:
+        return events
+    rows = read_columns(_Replay(chain(read, pieces)), EVENT_COLUMNS, delimiter,
                         check=lambda rows: _timestamps(rows.columns[2], rows.line))
     cookie_ids, browsers, stamps = rows.columns
     cookies, cookie_labels = _codes(cookie_ids)

@@ -236,12 +236,19 @@ def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
     fit on the bulk and is the reference for singleton-inflation
     diagnostics (the churn signature would otherwise drag the fit itself).
     Raises DegenerateData (with a zero-truncated Poisson fallback mean
-    attached) when no overdispersion is identifiable, NoConvergence on
-    optimizer failure.
+    attached) when no overdispersion is identifiable, and DegenerateData
+    when the fit is so far into the log-series boundary that
+    P(N >= min_count) rounds to 0; NoConvergence on optimizer failure.
     """
     model = _truncated_mle(freq, min_count)
     pmf_low = np.asarray(nbd_pmf(model.k, model.m, np.arange(0, min_count)))
     norm = 1.0 - float(pmf_low.sum())
+    if not norm > 0:
+        # far into the log-series boundary (k -> 0, m -> 0) P(N < min_count)
+        # rounds to 1, and the truncated pmf of the fit is 0/0
+        raise DegenerateData(f"fitted shape k={model.k:.3g} is at the log-series "
+                             f"boundary: P(N >= {min_count}) rounds to 0; NBD not "
+                             "identifiable")
     probs = np.asarray(nbd_pmf(model.k, model.m,
                                np.arange(min_count, freq.max_n + 1))) / norm
     shifted = {n - min_count + 1: c for n, c in freq.counts.items() if n >= min_count}
@@ -483,7 +490,8 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     positive part of U * P_NBD(n) - observed(n) summed over n >= threshold.
     Raises DomainError for a window or lifetime that is not finite and
     positive or a mix that is not a distribution over the survival
-    table's browsers, and NumericalError for a non-finite result.
+    table's browsers, DegenerateData for a de-churned k above K_DEGENERATE
+    (the Poisson regime), and NumericalError for a non-finite result.
     """
     if loyalty_threshold < 2:
         raise DomainError("loyalty_threshold must be at least 2")
@@ -577,6 +585,10 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     if not res.success:
         raise NoConvergence(f"churn adjustment search did not converge: {res.message}")
     k_hat, m_hat = map(float, np.exp(res.x))
+    if k_hat > K_DEGENERATE:
+        raise DegenerateData(
+            f"de-churned shape k={k_hat:.3g} is in the Poisson regime; NBD not "
+            "identifiable", poisson_mean=_zt_poisson_mle(freq.total_events / total))
     identities_per_user = float(_identities_above(k_hat, m_hat, lengths, segments,
                                                   edges[:1])[0])
     true_users = total / identities_per_user if identities_per_user > 0 else math.inf

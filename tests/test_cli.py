@@ -430,6 +430,32 @@ class TestRepeatedRequestLines:
         assert (d / "decisions.csv").read_bytes() == \
             (d / "oracle_decisions.csv").read_bytes()
 
+    def test_tab_log_scores_as_its_csv_twin(self, workdir, capsys):
+        d, reports = workdir, {}
+        for delimiter, flags in ((",", []), ("\t", ["--tab"])):
+            rng = np.random.default_rng(7)
+            self.write_requests(d / "requests.csv", rng, ["chrome", "safari", ""],
+                                delimiter)
+            self.write_requests(d / "heldout.csv", rng, ["chrome", "opera", ""], delimiter)
+            assert run("build-tables", "--schema", d / "schema.json", "--input",
+                       d / "requests.csv", *flags, "--out", d / "tables.json") == 0
+            assert run("rank", "--tables", d / "tables.json",
+                       "--out", d / "importance.json") == 0
+            assert run("train", "--tables", d / "tables.json", "--importance",
+                       d / "importance.json", "--out", d / "model.json") == 0
+            assert run("score", "--model", d / "model.json", "--input", d / "heldout.csv",
+                       *flags, "--out", d / "scores.csv") == 0
+            assert run("pace", "--model", d / "model.json", "--input", d / "heldout.csv",
+                       *flags, "--target", 60, "--block", 50,
+                       "--out", d / "decisions.csv") == 0
+            reports[delimiter] = [(d / name).read_bytes() for name in
+                                  ("tables.json", "scores.csv", "decisions.csv")]
+        assert reports[","] == reports["\t"]
+        # without --tab the header of the TSV log is one column
+        assert run("score", "--model", d / "model.json", "--input", d / "heldout.csv",
+                   "--out", d / "scores.csv") == 2
+        assert "column 'browser' not found" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, workdir):
@@ -541,6 +567,7 @@ class TestLoaderErrors:
         ("chrome,6,10,2", ["--mix", "chrome:abc"], 1, "usage:"),
         ("chrome,6,10,2", ["--mix", "chrome"], 1, "usage:"),
         ("chrome,1e-300,10,2", [], None, ""),
+        ("chrome,6,10,2", [], 3, "is in the Poisson regime"),
     ])
     def test_churn_inputs_keep_the_exit_codes(self, workdir, capsys, survival, flags,
                                               code, message):
@@ -557,16 +584,32 @@ class TestLoaderErrors:
             doc = (workdir / "adjusted.json").read_text()
             assert "NaN" not in doc and "Infinity" not in doc
 
+    def test_fit_at_the_log_series_boundary_is_degenerate(self, workdir, capsys):
+        # a churned 20k-user table plus one outlying count drags the fit to
+        # k = 3e-18, where 1 - P(0) rounds to 0 and the goodness of fit is NaN
+        counts = {1: 18094, 2: 5916, 3: 2380, 4: 1072, 5: 577, 6: 297, 7: 157, 8: 117,
+                  9: 57, 10: 40, 11: 22, 12: 13, 13: 12, 14: 4, 16: 1, 17: 3, 19: 1,
+                  20: 3, 21: 2, 22: 1, 1_000_000: 1}
+        (workdir / "freq.csv").write_text(
+            "n,count\n" + "".join(f"{n},{c}\n" for n, c in counts.items()))
+        assert run("fit-nbd", "--freq", workdir / "freq.csv",
+                   "--out", workdir / "nbd.json") == 3
+        assert "at the log-series boundary" in capsys.readouterr().err
+        assert not (workdir / "nbd.json").exists()
+
     @pytest.mark.parametrize("name, argv", [
         ("requests.csv", ("build-tables", "--schema", "{d}/schema.json",
                           "--input", "{bad}", "--out", "{d}/t.json")),
         ("survival.csv", ("adjust-churn", "--freq", "{d}/freq.csv", "--survival", "{bad}",
                           "--window-hours", "720", "--out", "{d}/a.json")),
+        ("events.csv", ("survival", "--events", "{bad}", "--window", "0:3600",
+                        "--out", "{d}/s.csv")),
     ])
     def test_cell_over_the_csv_field_limit_is_data_error(self, workdir, capsys, name,
                                                          argv):
         header = {"requests.csv": "browser,os,label\nchrome,win,1\n",
-                  "survival.csv": "browser,tau_days,deaths,censored\nchrome,6,10,2\n"}
+                  "survival.csv": "browser,tau_days,deaths,censored\nchrome,6,10,2\n",
+                  "events.csv": "cookie_id,browser,timestamp\nc,win,1\n"}
         bad = workdir / name
         bad.write_text(header[name] + "x" * 200_000 + ",win,0\n")
         (workdir / "freq.csv").write_text(self.CHURN_FREQ)

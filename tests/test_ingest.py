@@ -14,7 +14,8 @@ from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            aggregate_hourly, build_factor_table,
                            parse_cookie_events, parse_requests, read_columns,
                            write_events_csv, write_requests_csv)
-from adlift.synth import FactorSpec, RequestSpec, gen_requests
+from adlift.synth import (ChurnSpec, FactorSpec, PopulationSpec, RequestSpec,
+                          apply_churn, gen_gamma_poisson, gen_requests)
 
 from conftest import make_events
 
@@ -196,10 +197,12 @@ class TestReadColumns:
             read_columns("a\n1\n", ["a", "b"])
 
 
-def oracle_columns(stream, names, delimiter, label=None):
+def oracle_columns(stream, names, delimiter, label=None, timestamp=None):
     """read_columns' cells row by row from csv.reader: the per-row columns,
     or the error of the earliest bad row; with ``label`` set, that column
-    must hold 0 or 1, as parse_requests requires."""
+    must hold 0 or 1, as parse_requests requires, and with ``timestamp`` set,
+    that column must hold int64 integers read by Python ``int``, as
+    parse_cookie_events requires."""
     reader = csv.reader(stream, delimiter=delimiter)
     header = next(reader, None)
     if header is None:
@@ -215,6 +218,15 @@ def oracle_columns(stream, names, delimiter, label=None):
         if label is not None and row[positions[label]] not in ("0", "1"):
             raise BadLabel(f"line {line}: label must be 0 or 1, "
                            f"got {row[positions[label]]!r}")
+        if timestamp is not None:
+            cell = row[positions[timestamp]]
+            try:
+                in_range = -2 ** 63 <= int(cell) < 2 ** 63
+            except ValueError:
+                in_range = False
+            if not in_range:
+                raise BadLabel(f"line {line}: timestamp must be integer epoch "
+                               f"seconds, got {cell!r}")
         for column, name in zip(columns, names):
             column.append(row[positions[name]])
     return columns
@@ -323,6 +335,133 @@ class TestReaderOracle:
         error, line = (BadLabel, bad + 2) if bad < ragged else (RaggedRow, ragged + 2)
         with pytest.raises(error, match=f"line {line}:"):
             parse_requests("browser,label\n" + "\n".join(rows) + "\n", SCHEMA1)
+
+
+EVENT_COLUMNS = ("cookie_id", "browser", "timestamp")
+# cells of a plain event file: a lone surrogate and a two-byte character
+# among them, and timestamps of 1 to 18 digits
+PLAIN_KEYS = ["a", "b", "", "c d", "é", "x\ud800", "u1s2"]
+PLAIN_STAMPS = ["0", "7", "1414231", "00012", "9" * 18]
+# what sends a file to read_columns: cells to quote, NULs (an S key drops a
+# trailing one), timestamps that Python int reads (or rejects) but plain
+# digits do not hold, and the shapes of a file's lines
+TRIGGER_CELLS = {"quote": ["x,y", 'q"q', '"'], "nul": ["nl\0", "\0", "n\0l"],
+                 "stamp": ["+5", "5_0", "-5", " 5", "٣", "1" * 19, str(2 ** 63),
+                           "", "x"]}
+TRIGGERS = (*TRIGGER_CELLS, "blank", "ragged", "crlf", "quoted header", "missing name")
+
+
+def event_lists(events):
+    """An EventBatch's codes, labels and timestamps as plain lists."""
+    return (events.cookies.tolist(), events.cookie_labels, events.browsers.tolist(),
+            events.browser_labels, events.timestamps.tolist())
+
+
+def oracle_events(stream, delimiter):
+    """parse_cookie_events from csv.reader and Python int, row by row."""
+    cookies, browsers, stamps = oracle_columns(stream, EVENT_COLUMNS, delimiter,
+                                               timestamp="timestamp")
+    return event_lists(make_events(zip(cookies, browsers, map(int, stamps))))
+
+
+@st.composite
+def event_files(draw):
+    """(text, delimiter, plain): an event file whose header holds the three
+    names in any order, with extra and repeated names; a plain one has
+    plain cells and "\n" line ends only, any other one or two of TRIGGERS.
+    Either may lack its final newline."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    triggers = draw(st.sets(st.sampled_from(TRIGGERS), max_size=2))
+    extras = draw(st.lists(st.sampled_from(["x", "browser", "timestamp"]), max_size=2))
+    header = draw(st.permutations([*EVENT_COLUMNS, *extras]))
+    if "missing name" in triggers:
+        header.remove(draw(st.sampled_from(EVENT_COLUMNS)))
+
+    def render(row):
+        return delimiter.join(
+            '"' + cell.replace('"', '""') + '"'
+            if any(c in cell for c in (delimiter, '"', "\n", "\r")) else cell
+            for cell in row)
+
+    def cell(name):
+        kinds = ["stamp"] if name == "timestamp" else ["quote", "nul"]
+        kinds = [kind for kind in kinds if kind in triggers]
+        if kinds and draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(TRIGGER_CELLS[draw(st.sampled_from(kinds))]))
+        return draw(st.sampled_from(PLAIN_STAMPS if name == "timestamp" else PLAIN_KEYS))
+
+    def line():
+        kind = draw(st.integers(0, 7))
+        if kind == 0 and "blank" in triggers:
+            return ""
+        if kind == 1 and "ragged" in triggers:
+            return render(draw(st.lists(st.sampled_from(PLAIN_KEYS), max_size=6)))
+        return render([cell(name) for name in header])
+
+    lines = [line() for _ in range(draw(st.integers(0, 30)))]
+    if lines and draw(st.booleans()):
+        lines = [draw(st.sampled_from(lines)) for _ in lines]
+    head = render(header)
+    if "quoted header" in triggers:
+        head = delimiter.join(f'"{name}"' for name in header)
+    ends = ["\n", "\r\n"] if "crlf" in triggers else ["\n"]
+    text = "".join(row + draw(st.sampled_from(ends)) for row in [head, *lines])
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, delimiter, not triggers
+
+
+class TestEventParseOracle:
+    """parse_cookie_events against csv.reader and Python int row by row,
+    with read chunks of a few characters: a plain file is read column-wise,
+    any other by read_columns, and both give the oracle's codes, labels and
+    timestamps, or its exception."""
+
+    @given(case=event_files(), chunk=st.integers(1, 48), block=st.integers(1, 6),
+           newline=st.sampled_from(["\n", None]))
+    @example(case=("cookie_id,browser,timestamp\nn\0,b,1\nn,b,2\n", ",", False),
+             chunk=48, block=4, newline="\n")
+    @example(case=('"x,y",cookie_id,browser,timestamp\na,b,c,d,1\n', ",", False),
+             chunk=48, block=4, newline="\n")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_csv_reader_and_int(self, case, chunk, block, newline):
+        # newline None reads "\r\n" as "\n", as open_text does
+        text, delimiter, plain = case
+        expected = outcome(lambda: oracle_events(io.StringIO(text, newline=newline),
+                                                 delimiter))
+        with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, ROW_BLOCK=block), \
+                mock.patch.object(ingest, "read_columns",
+                                  wraps=ingest.read_columns) as general:
+            got = outcome(lambda: event_lists(parse_cookie_events(
+                io.StringIO(text, newline=newline), delimiter)))
+        assert got == expected
+        if plain:
+            general.assert_not_called()
+
+    def test_synth_events_are_read_column_wise(self, tmp_path):
+        # a generated file spans several read chunks; reading it through
+        # read_columns would be a silent fallback and a slow parse
+        sample = gen_gamma_poisson(PopulationSpec(k=0.8, m=2.5, users=3000,
+                                                  window_hours=720.0), seed=5)
+        events = apply_churn(sample, ChurnSpec(tau_days={"chrome": 6.0, "safari": 10.0},
+                                               mix={"chrome": 0.7, "safari": 0.3}), seed=6)
+        path = tmp_path / "events.csv"
+        write_events_csv(path, events)
+        assert path.stat().st_size > 2 * ingest.CHUNK_CHARS
+        with mock.patch.object(ingest, "read_columns", side_effect=AssertionError), \
+                ingest.open_text(path) as fh:
+            parsed = parse_cookie_events(fh)
+        assert event_lists(parsed) == event_lists(events)
+
+    def test_long_key_cells_are_read_row_by_row(self):
+        # one long cookie among short ones would make every row of the key
+        # array as wide as it: the file goes to read_columns
+        text = "cookie_id,browser,timestamp\n" + "x" * 1000 + ",b,1\n" + "c,b,2\n" * 300
+        with mock.patch.object(ingest, "read_columns",
+                               wraps=ingest.read_columns) as general:
+            events = parse_cookie_events(text)
+        general.assert_called_once()
+        assert event_lists(events) == oracle_events(io.StringIO(text), ",")
 
 
 class TestFactorTable:
