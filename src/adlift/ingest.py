@@ -521,6 +521,16 @@ def atomic_write(path):
 # some Python versions only)
 _QUOTED_CHARS = ',"\r\n'
 
+# Rows the report writer renders and writes at a time, as one uint8 matrix.
+# Blocks of 8 Ki rows keep the visits benchmark's peak RSS within 0.2 MB of
+# the 256-row text writer's; 32 Ki rows added 0.4 MB and were no faster.
+WRITE_BLOCK = 1 << 13
+
+# Bytes of a block's matrix beyond which it is written in fewer rows: the
+# matrix holds each column's widest cell on every row, so a few long cells
+# (a label of 100 KB) would make it far larger than the text
+MAX_BLOCK_BYTES = 1 << 20
+
 
 def _fmt(value) -> str:
     """A report cell: floats at 12 significant digits, anything else by str."""
@@ -568,49 +578,248 @@ def _csv_cells(cells: list[str], lone: bool) -> list[str]:
             or any(c in cell for c in _QUOTED_CHARS) else cell for cell in cells]
 
 
+class _Matrix(NamedTuple):
+    """Cells of a block of rows as a (rows, width) uint8 matrix, one cell per
+    row, and the mask of the bytes that are the cell's; the others are
+    padding, dropped when the block is written."""
+
+    cells: np.ndarray
+    keep: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.cells.shape[1]
+
+    def rows(self, start: int, stop: int) -> "_Matrix":
+        return _Matrix(self.cells[start:stop], self.keep[start:stop])
+
+    def take(self, index: np.ndarray) -> "_Matrix":
+        return _Matrix(self.cells.take(index, axis=0), self.keep.take(index, axis=0))
+
+
+class _Ragged(NamedTuple):
+    """Cells as the byte ranges ``starts``/``lengths`` of ``data``, the UTF-8
+    bytes of one text; ``rows`` renders a range of them as a ``_Matrix``."""
+
+    data: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return int(self.lengths.max())
+
+    def rows(self, start: int, stop: int) -> _Matrix:
+        lengths = self.lengths[start:stop]
+        cells = _cell_bytes(self.data, self.starts[start:stop], lengths)
+        return _Matrix(cells, np.arange(cells.shape[1]) < lengths[:, None])
+
+    def take(self, index: np.ndarray) -> "_Ragged":
+        return _Ragged(self.data, self.starts[index], self.lengths[index])
+
+
+def _ragged(cells: list[str]) -> _Ragged:
+    """``cells`` as byte ranges of their joined text. The text is encoded as
+    strict UTF-8, as a text file encodes it, so a lone surrogate raises
+    UnicodeEncodeError; lengths count bytes, so a NUL or a non-ASCII
+    character stays whole."""
+    data = "".join(cells).encode("utf-8")
+    lengths = np.fromiter(map(len, cells), np.int64, len(cells))
+    if len(data) != lengths.sum():
+        lengths = np.fromiter((len(cell.encode("utf-8")) for cell in cells),
+                              np.int64, len(cells))
+    return _Ragged(np.frombuffer(data, np.uint8), np.cumsum(lengths) - lengths, lengths)
+
+
+def _formatted(values: np.ndarray) -> list[str]:
+    """``values`` formatted one at a time by ``_fmt``: the writer's per-value
+    path, for the numbers its digit arithmetic leaves out."""
+    return list(map(_fmt, values.tolist()))
+
+
+def _patched(block: _Matrix, slow: np.ndarray, values: np.ndarray) -> _Matrix:
+    """``block`` with each row where ``slow`` holds replaced by ``_formatted``
+    of its value."""
+    rows = np.flatnonzero(slow)
+    if not len(rows):
+        return block
+    patch = _ragged(_formatted(values[rows])).rows(0, len(rows))
+    if patch.width > block.width:
+        block = _Matrix(*(np.pad(a, ((0, 0), (0, patch.width - block.width)))
+                          for a in block))
+    block.cells[rows, :patch.width] = patch.cells
+    block.keep[rows] = False
+    block.keep[rows, :patch.width] = patch.keep
+    return block
+
+
+_POWERS = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Fill the rows of ``out``, one per digit, with the ASCII digits of
+    non-negative int64 ``values``, right-aligned and padded with "0"."""
+    for row in out[::-1]:
+        quotient = values // 10
+        row[:] = values - quotient * 10
+        values = quotient
+    out += np.uint8(ord("0"))
+
+
+def _signed(negative: np.ndarray, magnitude: np.ndarray,
+            tail: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The cells and mask of a block built a byte per row (each row one byte
+    of every cell): a "-", kept where ``negative``, the digits of int64
+    ``magnitude`` without leading zeros, and ``tail`` rows left to fill."""
+    width = len(str(int(magnitude.max())))
+    cells = np.empty((1 + width + tail, len(magnitude)), np.uint8)
+    keep = np.empty(cells.shape, bool)
+    cells[0], keep[0] = ord("-"), negative
+    _digits(magnitude, cells[1:1 + width])
+    keep[1:1 + width] = magnitude >= _POWERS[width - 1::-1, None]
+    keep[width] = True
+    return cells, keep
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int_cells(values: np.ndarray) -> _Matrix:
+    """int64 or uint64 ``values`` as ``str`` writes them, by digit arithmetic;
+    int64's minimum and uint64 values above int64's range go per value."""
+    slow = values > _INT64.max if values.dtype.kind == "u" else values == _INT64.min
+    signed = np.where(slow, 0, values).astype(np.int64)
+    cells, keep = _signed(signed < 0, np.abs(signed))
+    return _patched(_Matrix(cells.T, keep.T), slow, values)
+
+
+def _float_cells(x: np.ndarray) -> _Matrix:
+    """float64 ``x`` as ``"%.12g"`` writes them, by digit arithmetic where
+    the result is certain to be exact.
+
+    Where e = floor(log10 |x|) lies in [-4, 11], "%.12g" writes fixed
+    notation. y = |x| * 10^(11 - e) is then rounded once (the power of ten is
+    exact), to within 2^-14 of the exact product, so its nearest integer q
+    holds the 12 significant digits of x when y is more than 1e-3 from a tie
+    and q has 12 digits. q is split at the point into a whole part and a
+    fraction, whose trailing zeros (and the point, if nothing follows it)
+    are dropped. Every other value (0, -0.0, NaN, infinities, subnormals,
+    near-ties, exponent notation) goes per value.
+    """
+    magnitude = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(magnitude))
+        fast = (e >= -4) & (e <= 11)
+        places = np.where(fast, 11 - e, 0).astype(np.int64)
+        y = magnitude * _POWERS[places].astype(np.float64)
+        q = np.rint(y)
+        fast &= (np.abs(y - q) < 0.5 - 1e-3) & (q >= 1e11) & (q < 1e12)
+    places[~fast] = 0
+    whole, fraction = np.divmod(np.where(fast, q, 0).astype(np.int64),
+                                _POWERS[np.minimum(places, 12)])
+    width = int(places.max())
+    cells, keep = _signed(fast & (x < 0), whole, tail=1 + width)
+    point = len(cells) - width - 1
+    cells[point], keep[point] = ord("."), fraction != 0
+    _digits(fraction * _POWERS[width - places], cells[point + 1:])
+    significant = np.zeros(len(x), bool)
+    for row in range(len(cells) - 1, point, -1):
+        significant |= cells[row] != ord("0")
+        keep[row] = significant
+    return _patched(_Matrix(cells.T, keep.T), ~fast, x)
+
+
 _WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
-def _column_text(column, lone: bool):
-    """A function from a row range of ``column`` to its cells as CSV text.
+def _coded_numbers(column: np.ndarray) -> Coded:
+    """A numeric column as a coded one, with one label per distinct value.
 
-    Coded columns format each label once, and so do numeric columns whose
-    first block repeats their bit patterns (-0.0 and 0.0 stay apart): coding
-    costs about as much as formatting half the values, hence 1 distinct
-    value per 2 rows, not read_columns' 8 (a score column with 73 distinct
-    values in its first 256 rows, 96 in 250k, formats 4x faster coded).
+    An int column whose values span fewer values than it has rows is coded
+    by offset from its minimum, in O(n); any other by bit pattern, so that
+    -0.0 and 0.0 (and NaNs with other payloads) stay apart.
+    """
+    if column.dtype.kind != "f":
+        low = int(column.min())
+        if int(column.max()) - low < len(column):
+            offset = (column - column.dtype.type(low)).astype(np.intp)
+            present = np.bincount(offset) > 0
+            labels = [str(low + k) for k in np.flatnonzero(present).tolist()]
+            return Coded(labels, (np.cumsum(present) - 1)[offset])
+    distinct, codes = np.unique(column.view(np.uint64), return_inverse=True)
+    text = "%.12g".__mod__ if column.dtype.kind == "f" else str
+    return Coded(list(map(text, distinct.view(column.dtype).tolist())), codes)
+
+
+def _label_table(labels: list[str], codes: np.ndarray) -> _Matrix | _Ragged:
+    """The bytes of ``labels``, as a matrix to gather rows from where its
+    padding stays small (see MAX_KEY_BLOWUP and MAX_BLOCK_BYTES); a label
+    that is not UTF-8 text raises only if a code shows it."""
+    try:
+        table = _ragged(labels)
+    except UnicodeEncodeError:
+        shown = np.zeros(len(labels), bool)
+        shown[codes] = True
+        table = _ragged([label if seen else "" for label, seen in zip(labels, shown)])
+    if not labels or (table.width * len(labels) > MAX_KEY_BLOWUP * len(table.data)
+                      or table.width * WRITE_BLOCK > MAX_BLOCK_BYTES):
+        return table
+    return table.rows(0, len(labels))
+
+
+def _column_cells(column, lone: bool):
+    """A function from a row range of ``column`` to its cells as CSV bytes (a
+    ``_Matrix``, or a ``_Ragged`` to be rendered a few rows at a time).
+
+    Coded columns encode each label once and gather its bytes by code, and
+    so do numeric columns whose first block repeats their bit patterns: coding
+    costs about as much as formatting half the values, hence 1 distinct value
+    per 2 rows, not read_columns' 8. Other numeric columns are written by
+    digit arithmetic (``_int_cells``, ``_float_cells``), and other sequences
+    by ``_fmt`` per cell.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in _WIDE:
         column = column.astype(_WIDE[column.dtype.kind], copy=False)
-        bits = column.view(np.uint64)
-        text = "%.12g".__mod__ if column.dtype.kind == "f" else str
-        if not _repeats(bits[:ROW_BLOCK].tolist(), 2):
-            return lambda start, stop: list(map(text, column[start:stop].tolist()))
-        distinct, codes = np.unique(bits, return_inverse=True)
-        column = Coded(list(map(text, distinct.view(column.dtype).tolist())), codes)
+        if not (len(column) and _repeats(column.view(np.uint64)[:ROW_BLOCK].tolist(), 2)):
+            cells = _float_cells if column.dtype.kind == "f" else _int_cells
+            return lambda start, stop: cells(column[start:stop])
+        column = _coded_numbers(column)
     if isinstance(column, Coded):
-        labels = np.array(_csv_cells(list(map(str, column.labels)), lone), dtype=object)
         codes = column.codes
-        return lambda start, stop: labels[codes[start:stop]].tolist()
-    return lambda start, stop: _csv_cells(list(map(_fmt, column[start:stop])), lone)
+        table = _label_table(_csv_cells(list(map(str, column.labels)), lone), codes)
+        return lambda start, stop: table.take(codes[start:stop])
+    return lambda start, stop: _ragged(_csv_cells(list(map(_fmt, column[start:stop])), lone))
 
 
 def write_columns(path, header: Sequence[str], table: Columns) -> None:
     """Write ``table`` under ``header`` as a CSV file, atomically.
 
     Each cell is what csv.writer writes for ``_fmt(value)`` (for ``str(label)``
-    in a coded column), with "\\n" line ends. Rows go out ``ROW_BLOCK`` at a
-    time, so that neither the report's text nor its rows are ever held whole.
+    in a coded column), with "\\n" line ends. Rows go out ``WRITE_BLOCK`` at a
+    time (fewer where cells are wide, see MAX_BLOCK_BYTES), each block as one
+    uint8 matrix of the columns' fixed-width cells and a "," or "\\n" after
+    each, less the bytes that its mask drops; neither the report's text nor
+    its rows are ever held whole.
     """
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
     lone = len(header) == 1
-    texts = [_column_text(column, lone) for column in table.columns]
+    columns = [_column_cells(column, lone) for column in table.columns]
     with atomic_write(path) as fh:
-        fh.write(",".join(_csv_cells(list(header), lone)) + "\n")
-        for start in range(0, len(table), ROW_BLOCK):
-            rows = zip(*(text(start, start + ROW_BLOCK) for text in texts))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        out = fh.buffer
+        out.write((",".join(_csv_cells(list(header), lone)) + "\n").encode("utf-8"))
+        for start in range(0, len(table), WRITE_BLOCK):
+            blocks = [cells(start, start + WRITE_BLOCK) for cells in columns]
+            rows = min(WRITE_BLOCK, len(table) - start)
+            step = max(1, MAX_BLOCK_BYTES // sum(block.width + 1 for block in blocks))
+            for first in range(0, rows, step):
+                parts = [block.rows(first, first + step) for block in blocks]
+                n = len(parts[0].cells)
+                comma, kept = np.full((n, 1), ord(","), np.uint8), np.ones((n, 1), bool)
+                cells = np.concatenate([a for p in parts for a in (p.cells, comma)], axis=1)
+                keep = np.concatenate([a for p in parts for a in (p.keep, kept)], axis=1)
+                cells[:, -1] = ord("\n")
+                out.write(cells[keep])
 
 
 _LABEL_IDS = {"0": 0, "1": 1}
@@ -719,7 +928,8 @@ MAX_STAMP_DIGITS = 18
 # The key arrays of the column-wise event parse hold each key column's
 # widest cell once per row; beyond this many times the bytes read, a few
 # long cells would make them far larger than the text, and the file is
-# read row by row instead
+# read row by row instead. The report writer's label tables keep to the
+# same bound against the bytes of their labels.
 MAX_KEY_BLOWUP = 4
 
 

@@ -132,21 +132,34 @@ def _pooled_chi_square(observed: Mapping[int, int], expected_probs: np.ndarray,
     """Pearson chi-square with ascending-n pooling to expected >= 5.
 
     ``expected_probs[i]`` is the model probability of n = i + 1; leftover
-    mass beyond the last index goes to the final bin.
+    mass beyond the last index goes to the final bin. Bins are closed in
+    Python only while the expected mass from n on can still close one; the
+    rest is added into the last bin by cumulative sums, which add in the
+    order of the loop and so give the same bits.
     """
     n_max = len(expected_probs)
     exp_counts = expected_probs * total
     tail = max(total - float(exp_counts.sum()), 0.0)
-    obs_counts = np.array([observed.get(n, 0) for n in range(1, n_max + 1)], dtype=float)
+    obs_counts = np.zeros(n_max)
+    ns = [n for n in observed if 1 <= n <= n_max]
+    obs_counts[np.array(ns, dtype=np.int64) - 1] = [observed[n] for n in ns]
+    # expected mass from each n on; the margin covers its rounding and that
+    # of the loop's sums (about 1e-10 relative for 10^6 terms), and a NaN
+    # scans on, as the loop would
+    rest = np.cumsum(exp_counts[::-1])[::-1] * (1.0 + 1e-6)
 
     bins: list[tuple[float, float]] = []
     acc_o = acc_e = 0.0
-    for o, e in zip(obs_counts, exp_counts):
-        acc_o += o
-        acc_e += e
+    n = 0
+    while n < n_max and not acc_e + rest[n] < 5.0:
+        acc_o += obs_counts[n]
+        acc_e += exp_counts[n]
+        n += 1
         if acc_e >= 5.0:
             bins.append((acc_o, acc_e))
             acc_o = acc_e = 0.0
+    acc_o = np.cumsum(np.r_[acc_o, obs_counts[n:]])[-1]
+    acc_e = np.cumsum(np.r_[acc_e, exp_counts[n:]])[-1]
     # leftover accumulation and the infinite tail fold into the last bin
     if bins:
         last_o, last_e = bins[-1]

@@ -3,8 +3,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,19 +198,53 @@ def repeated_column(draw, values):
     return [pool[k] for k in rows]
 
 
+def _either_sign(values):
+    """``values`` with a drawn sign."""
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+def _ulps(values):
+    """``values`` and the floats one ulp on each side of them."""
+    return st.tuples(values, st.sampled_from([-1, 0, 1])).map(
+        lambda v: math.nextafter(v[0], math.copysign(math.inf, v[1])) if v[1] else v[0])
+
+
+# 13 significant digits ending in 5 (exact binary ties of "%.12g": a 12-digit
+# integer plus 1/2, 11 digits plus 1/4 or 3/4, 10 digits plus an odd 1/8),
+# the floats nearest (q + 1/2) * 10^k for a 12-digit q, and the places where
+# "%.12g" switches between fixed and exponent notation
+TIE_FLOATS = _either_sign(_ulps(st.one_of(
+    st.builds(lambda n, f: n + f, st.integers(10**11, 10**12 - 1), st.just(0.5)),
+    st.builds(lambda n, f: n + f, st.integers(10**10, 10**11 - 1),
+              st.sampled_from([0.25, 0.75])),
+    st.builds(lambda n, f: n + f, st.integers(10**9, 10**10 - 1),
+              st.sampled_from([0.125, 0.375, 0.625, 0.875])),
+    st.builds(lambda q, k: float(Fraction(2 * q + 1, 2) * Fraction(10) ** k),
+              st.integers(10**11, 10**12 - 1), st.integers(-20, 3)),
+    st.sampled_from([1e-5, 1e-4, 1e11, 1e12, 9.999999999995e-5, 99999999999.99995,
+                     999999999999.5]))))
+INT_EDGES = [0, -1, int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)]
+# labels with NUL, a two-byte character and both quote characters
+_LABEL = st.text(st.sampled_from(["a", "\0", "é", ",", '"', "'", "\r", "\n", " "]),
+                 max_size=4)
+
+
 @st.composite
 def report_column(draw):
     """(column, its cells as Python values) for one kind of writer column."""
-    kind = draw(st.sampled_from(["float", "int64", "int8", "coded", "other"]))
+    kind = draw(st.sampled_from(["float", "int64", "int8", "uint64", "coded", "other"]))
     if kind == "float":
-        cells = draw(repeated_column(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))))
+        cells = draw(repeated_column(st.one_of(
+            st.floats(), st.sampled_from(SPECIAL_FLOATS), TIE_FLOATS)))
         return np.array(cells, dtype=np.float64), cells
-    if kind in ("int64", "int8"):
+    if kind in ("int64", "int8", "uint64"):
         info = np.iinfo(kind)
-        cells = draw(repeated_column(st.integers(int(info.min), int(info.max))))
+        edges = [v for v in [*INT_EDGES, int(info.max)] if info.min <= v <= info.max]
+        cells = draw(repeated_column(st.one_of(st.integers(int(info.min), int(info.max)),
+                                               st.sampled_from(edges))))
         return np.array(cells, dtype=kind), cells
     if kind == "coded":
-        labels = draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))
+        labels = draw(st.lists(_LABEL, min_size=1, max_size=8, unique=True))
         codes = np.array(draw(repeated_column(st.integers(0, len(labels) - 1))))
         return ingest.Coded(labels, codes), [labels[k] for k in codes]
     cells = draw(st.lists(REPORT_CELLS["mixed"], max_size=30))
@@ -243,18 +281,22 @@ class TestEmitReport:
         emit_report(header, ingest.Columns(*columns), path)
         assert path.read_bytes() == csv_writer_oracle(header, rows)
 
-    @given(st.lists(report_column(), min_size=1, max_size=3))
-    @settings(max_examples=200, deadline=None)
-    def test_columns_match_csv_writer(self, tmp_path_factory, columns):
-        # every column kind, float specials, both sides of the repeat rule and
-        # coded labels that need quoting, against csv.writer over _fmt cells
+    @given(st.lists(report_column(), min_size=1, max_size=3),
+           st.integers(1, 7), st.sampled_from([1, 40, ingest.MAX_BLOCK_BYTES]))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_csv_writer(self, tmp_path_factory, columns, block, max_bytes):
+        # every column kind, float specials, ties and notation switch points,
+        # int extremes, both sides of the repeat rule and coded labels that
+        # need quoting, against csv.writer over _fmt cells; in blocks of 1 to
+        # 7 rows, and with blocks cut to 1 row or a few by their width
         n = min(len(cells) for _, cells in columns)
         columns = [(column[:n] if not isinstance(column, ingest.Coded)
                     else ingest.Coded(column.labels, column.codes[:n]), cells[:n])
                    for column, cells in columns]
         path = tmp_path_factory.mktemp("report") / "r.csv"
         header = [f"c{j}" for j in range(len(columns))]
-        emit_report(header, ingest.Columns(*(column for column, _ in columns)), path)
+        with mock.patch.multiple(ingest, WRITE_BLOCK=block, MAX_BLOCK_BYTES=max_bytes):
+            emit_report(header, ingest.Columns(*(column for column, _ in columns)), path)
         rows = list(zip(*(cells for _, cells in columns)))
         assert path.read_bytes() == csv_writer_oracle(header, rows)
 
@@ -277,19 +319,79 @@ class TestEmitReport:
     def test_failed_write_leaves_old_file(self, tmp_path):
         class Failing(list):
             def __getitem__(self, index):
-                if index.start >= ingest.ROW_BLOCK:
+                if index.start >= ingest.WRITE_BLOCK:
                     raise RuntimeError("disk full")
                 return super().__getitem__(index)
 
         path = tmp_path / "r.csv"
         path.write_text("old\n")
         with pytest.raises(RuntimeError, match="disk full"):
-            emit_report(["x"], ingest.Columns(Failing(range(3 * ingest.ROW_BLOCK))), path)
+            emit_report(["x"], ingest.Columns(Failing(range(3 * ingest.WRITE_BLOCK))), path)
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         emit_report(["x"], ingest.Columns(np.arange(3)), path)
         assert path.read_text() == "x\n0\n1\n2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_bench_shaped_report_formats_few_values_one_at_a_time(self, tmp_path,
+                                                                  monkeypatch):
+        # an index, a repeated score, a 0/1 int and a coded label never reach
+        # the per-value path; distinct floats like virtual times rarely do
+        rng = np.random.default_rng(7)
+        n = 3 * ingest.WRITE_BLOCK
+        scores = rng.random(96)[rng.integers(0, 96, n)]
+        browsers = ingest.Coded(["chrome", "safari", "firefox"], rng.integers(0, 3, n))
+        times = rng.uniform(0.0, 2000 * 3600.0, n)
+        columns = [np.arange(n), scores, rng.integers(0, 2, n), browsers]
+        formatted = []
+
+        def per_value(values):
+            formatted.extend(values.tolist())
+            return list(map(_fmt, values.tolist()))
+
+        monkeypatch.setattr(ingest, "_formatted", per_value)
+        path = tmp_path / "r.csv"
+        emit_report(["index", "score", "show", "browser"], ingest.Columns(*columns), path)
+        assert formatted == []
+        emit_report(["index", "score", "show", "browser", "virtual"],
+                    ingest.Columns(*columns, times), path)
+        assert 0 < len(formatted) < 0.01 * n and set(formatted) <= set(times.tolist())
+        rows = zip(range(n), scores.tolist(), columns[2].tolist(),
+                   (browsers.labels[k] for k in browsers.codes), times.tolist())
+        assert path.read_bytes() == csv_writer_oracle(
+            ["index", "score", "show", "browser", "virtual"], rows)
+
+    @pytest.mark.parametrize("column", [
+        ingest.Coded(["a", "b\ud800"], np.array([0, 1, 0])), ["a", "b\ud800", "c"]])
+    def test_lone_surrogate_fails_the_write(self, tmp_path, column):
+        path = tmp_path / "r.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            emit_report(["x"], ingest.Columns(column), path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        # a label that no row shows is not written
+        emit_report(["x"], ingest.Columns(ingest.Coded(["a", "\ud800"], np.zeros(2, int))),
+                    path)
+        assert path.read_text() == "x\na\na\n"
+
+    def test_wide_label_keeps_blocks_small(self, tmp_path):
+        # one 20,000-byte label among short ones: a block padded to its width
+        # on every row would take 8 Ki x 20,000 bytes
+        wide = "w" * 20_000
+        codes = np.arange(2 * ingest.WRITE_BLOCK) % 5000
+        column = ingest.Coded([wide, *map(str, range(1, 5000))], codes)
+        path = tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            emit_report(["x", "i"], ingest.Columns(column, np.arange(len(codes))), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ingest.MAX_BLOCK_BYTES
+        labels = column.labels
+        assert path.read_bytes() == csv_writer_oracle(
+            ["x", "i"], [(labels[k], i) for i, k in enumerate(codes.tolist())])
 
     @pytest.mark.parametrize("writer", ["report", "requests", "events", "json", "model"])
     def test_every_writer_replaces_its_target_whole(self, tmp_path, monkeypatch, writer):

@@ -10,8 +10,9 @@ from scipy import stats
 from adlift.errors import (DegenerateData, DomainError, InconsistentInputs,
                            NoDeathsWarning)
 from adlift.ingest import EventBatch
-from adlift.repeatbuy import (FrequencyTable, SurvivalRow, SurvivalTable,
-                              _identities_above, _segment_quadrature,
+from adlift.repeatbuy import (FrequencyTable, GofReport, SurvivalRow, SurvivalTable,
+                              _identities_above, _pooled_chi_square,
+                              _segment_quadrature,
                               adjust_for_churn, build_frequency_table,
                               compare_frequencies, estimate_survival,
                               fit_nbd_truncated, nbd_pmf,
@@ -127,6 +128,59 @@ class TestFitNbdTruncated:
             if model.gof.pvalue > 0.01:
                 passes += 1
         assert passes >= 95
+
+
+def pooled_chi_square_loop(observed, expected_probs, total, n_params) -> GofReport:
+    """The pooled chi-square as one Python loop over every n: the oracle."""
+    n_max = len(expected_probs)
+    exp_counts = expected_probs * total
+    tail = max(total - float(exp_counts.sum()), 0.0)
+    obs_counts = np.array([observed.get(n, 0) for n in range(1, n_max + 1)], dtype=float)
+    bins = []
+    acc_o = acc_e = 0.0
+    for o, e in zip(obs_counts, exp_counts):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            bins.append((acc_o, acc_e))
+            acc_o = acc_e = 0.0
+    if bins:
+        last_o, last_e = bins[-1]
+        bins[-1] = (last_o + acc_o, last_e + acc_e + tail)
+    else:
+        bins = [(acc_o, acc_e + tail)]
+    stat = float(sum((o - e) ** 2 / e for o, e in bins if e > 0))
+    dof = len(bins) - 1 - n_params
+    pvalue = float(stats.chi2.sf(stat, dof)) if dof >= 1 else float("nan")
+    return GofReport(statistic=stat, dof=dof, pvalue=pvalue, n_bins=len(bins))
+
+
+class TestPooledChiSquare:
+    @given(st.integers(1, 3000), st.floats(1e-3, 50.0), st.floats(1e-3, 20.0),
+           st.integers(0, 10**6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_loop(self, n_max, k, m, total, seed, sparse):
+        # NBD-shaped and noisy expected tables with long, thin tails, and
+        # observed counts that are dense, or sparse with keys beyond n_max
+        rng = np.random.default_rng(seed)
+        probs = np.asarray(nbd_pmf(k, m, np.arange(1, n_max + 1)))
+        probs = probs * rng.uniform(0.5, 1.5, n_max) / max(probs.sum(), 1e-300)
+        if sparse:
+            ns = rng.integers(-2, 2 * n_max, rng.integers(0, 50))
+        else:
+            ns = np.arange(1, n_max + 1)
+        observed = {int(n): int(c) for n, c in zip(ns, rng.integers(0, 1000, len(ns)))}
+        new = _pooled_chi_square(observed, probs, total, 2)
+        assert repr(new) == repr(pooled_chi_square_loop(observed, probs, total, 2))
+
+    @pytest.mark.parametrize("nan_at", [None, 30])
+    def test_sparse_million_tail_matches_the_loop(self, nan_at):
+        probs = np.asarray(nbd_pmf(0.02, 0.05, np.arange(1, 10**6 + 1)))
+        if nan_at is not None:
+            probs[nan_at] = np.nan
+        observed = {1: 9000, 2: 800, 3: 90, 7: 4, 10**6: 1}
+        new = _pooled_chi_square(observed, probs, 9895, 2)
+        assert repr(new) == repr(pooled_chi_square_loop(observed, probs, 9895, 2))
 
 
 class TestCompareFrequencies:
