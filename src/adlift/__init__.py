@@ -6,9 +6,7 @@ behaviour with Gamma-Poisson (NBD) machinery including cookie-churn
 correction, virtual-time detrending, SSA forecasting and change alarms.
 """
 
-from .features import (ImportanceVector, SimilarityWeights, rank_factors,
-                       renyi_mi, shannon_mi, weighted_hamming,
-                       weights_from_importance)
+from .features import ImportanceVector, rank_factors, renyi_mi, shannon_mi
 from .ingest import (EventBatch, FactorDictionary, FactorTable, HourlySeries,
                      RequestBatch, RequestRecord, Schema, aggregate_hourly,
                      build_factor_table, parse_cookie_events, parse_requests)

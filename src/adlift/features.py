@@ -1,5 +1,4 @@
-"""Per-factor relative influence via mutual information, and weighted
-Hamming similarity between requests.
+"""Per-factor relative influence via mutual information.
 
 Both MI statistics are computed on raw empirical frequencies (count ratios),
 in bits. The order-alpha variant is normalized so that it converges to the
@@ -14,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadAlpha, DimensionMismatch, EmptyTable,
-                     ZeroCellAtSmallAlpha)
-from .ingest import FactorTable, RequestRecord
+from .errors import BadAlpha, EmptyTable, ZeroCellAtSmallAlpha
+from .ingest import FactorTable
 
 LN2 = math.log(2.0)
 
@@ -39,21 +37,6 @@ class ImportanceVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         order = np.lexsort((np.arange(len(self.values)), -self.values))
         self.ranking = order.astype(np.int64)
-
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SimilarityWeights:
-    """Positive per-factor weights for the Hamming distance."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(w <= 0 for w in self.values):
-            raise ValueError("all weights must be positive")
 
     @property
     def m(self) -> int:
@@ -139,22 +122,3 @@ def rank_factors(table: FactorTable, method: str = "shannon",
             name = table.dictionary.factor_names[i]
             raise type(exc)(f"factor {name!r} (index {i}): {exc}") from exc
     return ImportanceVector(method=method, values=values, alpha=alpha_out)
-
-
-def weighted_hamming(x: RequestRecord, y: RequestRecord,
-                     w: SimilarityWeights) -> float:
-    """Sum of weights over coordinates where the two requests differ."""
-    if len(x.factors) != len(y.factors) or len(x.factors) != w.m:
-        raise DimensionMismatch(
-            f"records of length {len(x.factors)} and {len(y.factors)} "
-            f"with {w.m} weights")
-    return float(sum(wj for xj, yj, wj in zip(x.factors, y.factors, w.values)
-                     if xj != yj))
-
-
-def weights_from_importance(imp: ImportanceVector,
-                            floor: float = 0.01) -> SimilarityWeights:
-    """Turn importances into positive similarity weights, flooring at ``floor``."""
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    return SimilarityWeights(tuple(max(float(v), floor) for v in imp.values))

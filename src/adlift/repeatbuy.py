@@ -8,6 +8,9 @@ only identities with at least one observed event enter the likelihood.
 Cookie deletion splits one user into several observed identities, inflating
 low-frequency counts; ``adjust_for_churn`` inverts that distortion under a
 per-browser exponential lifetime model.
+
+scipy is imported inside the functions that call it, so that importing
+``adlift`` costs no scipy import for the commands that use none.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import betainc, gammaln
 
 from .errors import (DegenerateData, DomainError, InconsistentInputs,
                      NoConvergence, NoDeathsWarning, NumericalError)
@@ -108,6 +109,8 @@ def nbd_pmf(k: float, m: float, n) -> float | np.ndarray:
 
     P(n) = Gamma(k+n)/(Gamma(k) n!) * (k/(k+m))^k * (m/(k+m))^n.
     """
+    from scipy.special import gammaln
+
     if not (k > 0 and m > 0) or not (math.isfinite(k) and math.isfinite(m)):
         raise DomainError(f"k and m must be finite positive, got k={k}, m={m}")
     n_arr = np.asarray(n)
@@ -137,6 +140,8 @@ def _pooled_chi_square(observed: Mapping[int, int], expected_probs: np.ndarray,
     rest is added into the last bin by cumulative sums, which add in the
     order of the loop and so give the same bits.
     """
+    from scipy.special import chdtrc
+
     n_max = len(expected_probs)
     exp_counts = expected_probs * total
     tail = max(total - float(exp_counts.sum()), 0.0)
@@ -169,7 +174,7 @@ def _pooled_chi_square(observed: Mapping[int, int], expected_probs: np.ndarray,
 
     stat = float(sum((o - e) ** 2 / e for o, e in bins if e > 0))
     dof = len(bins) - 1 - n_params
-    pvalue = float(stats.chi2.sf(stat, dof)) if dof >= 1 else float("nan")
+    pvalue = float(chdtrc(dof, stat)) if dof >= 1 else float("nan")
     return GofReport(statistic=stat, dof=dof, pvalue=pvalue, n_bins=len(bins))
 
 
@@ -272,6 +277,9 @@ def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
 def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
     """``fit_nbd_truncated`` without its goodness of fit, whose pmf runs
     over every n up to ``freq.max_n``."""
+    from scipy import optimize
+    from scipy.special import gammaln
+
     if min_count < 1:
         raise DomainError("min_count must be at least 1")
     counts = {n: c for n, c in freq.counts.items() if n >= min_count}
@@ -482,6 +490,8 @@ def _identities_above(k: float, m: float, lengths: np.ndarray, segments: np.ndar
     """Expected identities per user with more than n events, for each n in
     ``ns``: the ``segments``-weighted sum over segment ``lengths`` f of
     P(N > n) = I_q(n + 1, k) for N ~ NBD(k, m f), q = m f / (k + m f)."""
+    from scipy.special import betainc
+
     mu = m * lengths
     return segments @ betainc(ns + 1.0, k, (mu / (k + mu))[:, None])
 
@@ -506,6 +516,9 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     table's browsers, DegenerateData for a de-churned k above K_DEGENERATE
     (the Poisson regime), and NumericalError for a non-finite result.
     """
+    from scipy import optimize
+    from scipy.special import betainc
+
     if loyalty_threshold < 2:
         raise DomainError("loyalty_threshold must be at least 2")
     window_h = freq.window_hours

@@ -2,15 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from adlift.errors import (BadAlpha, DimensionMismatch, EmptyTable,
-                           ZeroCellAtSmallAlpha)
-from adlift.features import (ImportanceVector, SimilarityWeights, rank_factors,
-                             renyi_mi, shannon_mi, weighted_hamming,
-                             weights_from_importance)
-from adlift.ingest import RequestRecord, build_factor_table
+from adlift.errors import BadAlpha, EmptyTable, ZeroCellAtSmallAlpha
+from adlift.features import ImportanceVector, rank_factors, renyi_mi, shannon_mi
+from adlift.ingest import build_factor_table
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
 from conftest import make_table
@@ -153,72 +148,6 @@ class TestRankFactors:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             rank_factors(make_table([[1, 1]]), method="gbm")
-
-
-class TestWeightedHamming:
-    def test_identity(self):
-        x = RequestRecord((0, 1, 2), 0)
-        w = SimilarityWeights((1.0, 2.0, 3.0))
-        assert weighted_hamming(x, x, w) == 0.0
-
-    def test_all_differ_unit_weights(self):
-        x = RequestRecord((0, 0, 0), 0)
-        y = RequestRecord((1, 1, 1), 0)
-        w = SimilarityWeights((1.0, 1.0, 1.0))
-        assert weighted_hamming(x, y, w) == 3.0
-
-    def test_partial_difference(self):
-        x = RequestRecord((0, 1, 2), 0)   # (A, B, C)
-        y = RequestRecord((0, 3, 4), 0)   # (A, D, E)
-        w = SimilarityWeights((5.0, 2.0, 3.0))
-        assert weighted_hamming(x, y, w) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            weighted_hamming(RequestRecord((0,), 0), RequestRecord((0, 1), 0),
-                             SimilarityWeights((1.0,)))
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=6),
-           st.lists(st.integers(0, 3), min_size=1, max_size=6),
-           st.lists(st.integers(0, 3), min_size=1, max_size=6),
-           st.lists(st.floats(0.01, 10.0), min_size=6, max_size=6))
-    @settings(max_examples=60, deadline=None)
-    def test_metric_properties(self, xs, ys, zs, ws):
-        m = min(len(xs), len(ys), len(zs))
-        x = RequestRecord(tuple(xs[:m]), 0)
-        y = RequestRecord(tuple(ys[:m]), 0)
-        z = RequestRecord(tuple(zs[:m]), 0)
-        w = SimilarityWeights(tuple(ws[:m]))
-        dxy = weighted_hamming(x, y, w)
-        assert dxy >= 0.0
-        assert dxy == weighted_hamming(y, x, w)
-        assert dxy <= weighted_hamming(x, z, w) + weighted_hamming(z, y, w) + 1e-12
-
-
-class TestWeightsFromImportance:
-    def test_floor_applies(self):
-        imp = ImportanceVector(method="shannon", values=[0.5, 0.0])
-        w = weights_from_importance(imp, floor=0.01)
-        assert w.values == (0.5, 0.01)
-
-    def test_equal_importances_equal_weights(self):
-        imp = ImportanceVector(method="shannon", values=[0.2, 0.2, 0.2])
-        w = weights_from_importance(imp)
-        assert len(set(w.values)) == 1
-
-    def test_planted_factor_has_largest_weight(self):
-        spec = RequestSpec(n=20_000, base_rate=0.1, factors=(
-            FactorSpec("noise", ("a", "b"), (0.5, 0.5), (0.0, 0.0)),
-            FactorSpec("driver", ("lo", "hi"), (0.5, 0.5), (-0.8, 0.8))))
-        dictionary, batch = gen_requests(spec, seed=17)
-        table = build_factor_table(batch, dictionary)
-        w = weights_from_importance(rank_factors(table))
-        assert w.values[1] > w.values[0]
-
-    def test_positive_floor_required(self):
-        imp = ImportanceVector(method="shannon", values=[0.1])
-        with pytest.raises(ValueError):
-            weights_from_importance(imp, floor=0.0)
 
 
 class TestImportanceVector:

@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import chdtrc
 
 from adlift.errors import (DegenerateData, DomainError, InconsistentInputs,
                            NoDeathsWarning)
@@ -181,6 +183,16 @@ class TestPooledChiSquare:
         observed = {1: 9000, 2: 800, 3: 90, 7: 4, 10**6: 1}
         new = _pooled_chi_square(observed, probs, 9895, 2)
         assert repr(new) == repr(pooled_chi_square_loop(observed, probs, 9895, 2))
+
+    @given(st.integers(1, 10**4), st.one_of(
+        st.sampled_from([0.0, 1e300, math.inf, math.nan]),
+        st.floats(0.0, 2.2250738585072014e-308),
+        st.floats(0.0, 1e5), st.floats(0.0, 1e300)))
+    @example(1, 5e-324)
+    @settings(max_examples=500, deadline=None)
+    def test_pvalue_is_chi2_sf(self, dof, stat):
+        # the p-value's chdtrc is what stats.chi2.sf computes, bit for bit
+        assert repr(float(chdtrc(dof, stat))) == repr(float(stats.chi2.sf(stat, dof)))
 
 
 class TestCompareFrequencies:
