@@ -876,18 +876,29 @@ def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
 
 def build_factor_table(records: RequestBatch | Sequence[RequestRecord],
                        dictionary: FactorDictionary) -> FactorTable:
-    """Aggregate records into per-factor (level x label) contingency counts."""
+    """Aggregate records into per-factor (level x label) contingency counts.
+
+    ValueError for a label other than 0 or 1, or for a level id outside
+    [0, L) of its factor.
+    """
     if not isinstance(records, RequestBatch):
         records = RequestBatch.from_records(records)
     n = len(records)
+    if n and records.labels.view(np.uint8).max() > 1:
+        raise ValueError("record labels must be 0 or 1")
+    flat = np.empty(n, dtype=np.int64)
     counts = []
-    for i in range(dictionary.m):
+    for i, name in enumerate(dictionary.factor_names):
         levels = dictionary.level_count(i)
         if n:
-            flat = records.factors[:, i].astype(np.int64) * 2 + records.labels
+            # read as unsigned, a negative id is 2^31 or more, so one
+            # maximum finds an id past either end
+            np.multiply(records.factors[:, i].view(np.uint32), 2, out=flat,
+                        dtype=np.int64)
+            if flat.max() >= 2 * levels:
+                raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
+            flat += records.labels
             c = np.bincount(flat, minlength=levels * 2).reshape(-1, 2)
-            if c.shape[0] > levels:
-                raise ValueError(f"record level id out of range for factor {i}")
         else:
             c = np.zeros((levels, 2), dtype=np.int64)
         counts.append(c)

@@ -229,29 +229,72 @@ class SynthSpec:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, computed as 1/(1+e^-x) for x >= 0 and as
+    e^x/(1+e^x) below, so that no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+# a level-draw table has at most 2^MAX_CELL_BITS cells (see _draw_levels)
+MAX_CELL_BITS = 16
+
+
+def _draw_levels(rng: np.random.Generator, probs: Sequence[float], edges: np.ndarray,
+                 u: np.ndarray, cells: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with level ids drawn with ``probs``, consuming one
+    ``rng.random(len(out))``; ``u`` and ``cells`` are scratch buffers as long,
+    and ``edges`` are the k/size, k = 0..size, of a power-of-two size.
+
+    A draw u takes level ``count(cdf <= u)``, the level that
+    ``rng.choice(len(probs), p=probs)`` returns for the same stream. The
+    draws are sorted into ``size`` equal cells of [0, 1) (the guide
+    table of Chen & Asau's indexed search): ``lo`` holds each cell's level
+    at its left edge, which is every draw's level in a cell that holds no
+    cdf value, so only the draws in the other cells need a binary search.
+    """
+    cdf = np.array(probs).cumsum()
+    cdf /= cdf[-1]
+    size = len(edges) - 1
+    lo = cdf.searchsorted(edges[:-1], side="right").astype(out.dtype)
+    rng.random(out=u)
+    # u * 2^k is exact, so its integer part is the draw's cell
+    np.multiply(u, size, out=cells, casting="unsafe")
+    lo.take(cells, out=out)
+    mixed = cdf.searchsorted(edges[1:], side="left") > lo
+    if np.count_nonzero(mixed):
+        rows = mixed.take(cells).nonzero()[0]
+        out[rows] = cdf.searchsorted(u[rows], side="right")
 
 
 def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, RequestBatch]:
     """Draw labeled requests: independent factor levels, logistic label link.
 
-    The label is Bernoulli with log-odds logit(base_rate) plus the planted
-    per-level effects of the drawn levels.
+    Each factor's levels are inverse-CDF draws from one ``rng.random(n)``,
+    identical to ``rng.choice(levels, size=n, p=probs)``, and the label is
+    Bernoulli with log-odds logit(base_rate) plus the planted per-level
+    effects of the drawn levels, so a spec and seed give the same requests
+    as they always have.
     """
     rng = np.random.default_rng(seed)
     n, m = spec.n, len(spec.factors)
-    factors = np.empty((n, m), dtype=np.int32)
+    widest = max(len(f.levels) for f in spec.factors)
+    # a table of about sqrt(n * L) cells costs about as much to build as
+    # the searches it saves
+    size = 1 << min(MAX_CELL_BITS, (n * widest).bit_length() // 2)
+    edges = np.arange(size + 1) / size
+    # each factor's ids are staged as a row of the narrowest unsigned type
+    staged = np.empty((m, n), dtype=np.min_scalar_type(widest - 1))
+    u = np.empty(n)
+    cells = np.empty(n, dtype=np.intp)
     logits = np.full(n, math.log(spec.base_rate / (1.0 - spec.base_rate)))
-    for i, f in enumerate(spec.factors):
-        ids = rng.choice(len(f.levels), size=n, p=np.asarray(f.probs))
-        factors[:, i] = ids
+    for f, ids in zip(spec.factors, staged):
+        _draw_levels(rng, f.probs, edges, u, cells, ids)
         logits += np.asarray(f.effects)[ids]
+    del u, cells
     labels = (rng.random(n) < _sigmoid(logits)).astype(np.int8)
+    # numpy casts and transposes in buffered blocks: no second int32 matrix
+    factors = np.empty((n, m), dtype=np.int32)
+    factors[...] = staged.T
     dictionary = FactorDictionary([f.name for f in spec.factors],
                                   [list(f.levels) for f in spec.factors])
     return dictionary, RequestBatch(factors, labels)

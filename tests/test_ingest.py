@@ -479,6 +479,20 @@ class TestFactorTable:
         assert table.total == 0
         assert table.counts[0].tolist() == [[0, 0]]
 
+    @pytest.mark.parametrize("labels", [[2, 0, -1], [0, -1, 1], [0, 1, 127]])
+    def test_label_outside_0_1_rejected(self, labels):
+        dictionary = FactorDictionary(["f"], [["A", "B"]])
+        batch = RequestBatch(np.array([[0], [0], [1]]), np.array(labels))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            build_factor_table(batch, dictionary)
+
+    @pytest.mark.parametrize("bad", [-1, -2**31, 2, 2**31 - 1])
+    def test_level_id_outside_range_names_factor(self, bad):
+        dictionary = FactorDictionary(["f", "g"], [["A", "B"], ["C", "D"]])
+        batch = RequestBatch(np.array([[0, 1], [1, bad], [1, 0]]), np.array([1, 0, 0]))
+        with pytest.raises(ValueError, match=r"factor 'g': level id outside \[0, 2\)"):
+            build_factor_table(batch, dictionary)
+
     def test_row_sums_equal_total(self):
         spec = RequestSpec(n=5000, base_rate=0.1, factors=(
             FactorSpec("a", ("x", "y", "z"), (0.2, 0.3, 0.5), (0.0,) * 3),

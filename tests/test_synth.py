@@ -1,7 +1,17 @@
+import hashlib
+import json
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from adlift import synth
+from adlift.cli import dispatch
 from adlift.errors import BadSpec
 from adlift.features import rank_factors
 from adlift.ingest import build_factor_table
@@ -10,6 +20,8 @@ from adlift.synth import (MAX_COUNT, ChurnSpec, FactorSpec, Harmonic,
                           IntensitySpec, PopulationSpec, RequestSpec, SynthSpec,
                           apply_churn, gen_gamma_poisson,
                           gen_inhomogeneous_poisson, gen_requests)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 class TestGenRequests:
@@ -48,6 +60,131 @@ class TestGenRequests:
         with pytest.raises(BadSpec):
             RequestSpec(n=10, base_rate=0.0, factors=(
                 FactorSpec("f", ("a",), (1.0,), (0.0,)),))
+
+
+def oracle_sigmoid(x):
+    """The logistic function by masks: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def oracle_requests(spec, seed):
+    """(factors, labels) drawn with ``rng.choice`` one factor column at a time."""
+    rng = np.random.default_rng(seed)
+    n, m = spec.n, len(spec.factors)
+    factors = np.empty((n, m), dtype=np.int32)
+    logits = np.full(n, math.log(spec.base_rate / (1.0 - spec.base_rate)))
+    for i, f in enumerate(spec.factors):
+        ids = rng.choice(len(f.levels), size=n, p=np.asarray(f.probs))
+        factors[:, i] = ids
+        logits += np.asarray(f.effects)[ids]
+    labels = (rng.random(n) < oracle_sigmoid(logits)).astype(np.int8)
+    return factors, labels
+
+
+@st.composite
+def factor_specs(draw, name):
+    """A factor of 1-5,000 levels: uniform, random, skewed or with a run of
+    tiny probabilities, and zero-probability levels first, last or in the middle."""
+    n_levels = draw(st.integers(1, 5000) | st.sampled_from([1, 2, 3, 8]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "random", "skewed", "tiny"]))
+    if shape == "uniform":
+        p = np.ones(n_levels)
+    elif shape == "skewed":
+        p = g.random(n_levels) ** draw(st.integers(4, 40))
+    else:
+        p = g.random(n_levels)
+    if shape == "tiny":
+        start = g.integers(n_levels)
+        p[start:start + g.integers(1, n_levels + 1)] = 1e-12
+    if n_levels > 1:
+        if draw(st.booleans()):
+            p[0] = 0.0
+        if draw(st.booleans()):
+            p[-1] = 0.0
+        if draw(st.booleans()):
+            p[g.random(n_levels) < draw(st.sampled_from([0.01, 0.3, 0.9]))] = 0.0
+    if not p.sum():
+        p[g.integers(n_levels)] = 1.0
+    p /= p.sum()
+    return FactorSpec(name, tuple(map(str, range(n_levels))), tuple(p.tolist()),
+                      tuple(g.normal(0.0, 1.0, n_levels).tolist()))
+
+
+class TestGenRequestsOracle:
+    """``gen_requests`` draws exactly what ``rng.choice`` drew, bit for bit."""
+
+    @given(factors=st.integers(1, 3).flatmap(
+               lambda m: st.tuples(*(factor_specs(f"f{i}") for i in range(m)))),
+           # 3 factors x 3000 rows exceed numpy's 8192-element cast buffer,
+           # so the transpose into the factor matrix takes several blocks
+           n=st.sampled_from([0, 1, 3000]) | st.integers(2, 40),
+           base_rate=st.sampled_from([0.001, 0.1, 0.5, 0.97]),
+           seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rng_choice(self, factors, n, base_rate, seed):
+        spec = RequestSpec(n=n, base_rate=base_rate, factors=factors)
+        _, batch = gen_requests(spec, seed)
+        factors, labels = oracle_requests(spec, seed)
+        assert batch.factors.dtype == np.int32 and batch.labels.dtype == np.int8
+        assert batch.factors.flags.c_contiguous
+        assert np.array_equal(batch.factors, factors)
+        assert np.array_equal(batch.labels, labels)
+
+    def test_sigmoid_bits(self):
+        x = np.concatenate([[0.0, -0.0, 745.2, -745.2, 800.0, -800.0, np.inf, -np.inf],
+                            np.random.default_rng(5).normal(0.0, 8.0, 10_000)])
+        assert np.array_equal(synth._sigmoid(x).view(np.uint64),
+                              oracle_sigmoid(x).view(np.uint64))
+
+    def test_factor_matrix_is_the_only_full_size_copy(self):
+        # the level ids are staged one byte per draw, so the set-up holds
+        # the int32 factor matrix once, plus a quarter of it
+        levels = tuple(f"v{j}" for j in range(8))
+        spec = RequestSpec(n=50_000, base_rate=0.1, factors=tuple(
+            FactorSpec(f"f{i}", levels, (0.3,) + (0.1,) * 7, (0.1,) * 8)
+            for i in range(20)))
+        tracemalloc.start()
+        try:
+            _, batch = gen_requests(spec, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * batch.factors.nbytes
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_bench_request_inputs_are_reproduced(tmp_path):
+    """The seed-42 request files of the benchmark hash to the recorded digests."""
+    spec = json.loads((BENCH / "spec.json").read_text())
+    recorded = json.loads((BENCH / "digests.json").read_text())["requests"]
+    seed, r = spec["bench_seed"], spec["requests"]
+    # the train and held-out specs, built as bench/workloads.py builds them
+    train = {"n": r["n"], "base_rate": r["base_rate"], "factors": r["factors"]}
+    extra = r["heldout_extra_level"]
+    heldout = []
+    for f in r["factors"]:
+        f = dict(f)
+        if f["name"] == extra["factor"]:
+            keep = 1.0 - extra["share"]
+            f["levels"] = [*f["levels"], extra["label"]]
+            f["probs"] = [p * keep for p in f["probs"]] + [extra["share"]]
+            f["effects"] = [*f["effects"], 0.0]
+        heldout.append(f)
+    for doc, seed, out in ((train, seed, "requests.csv"),
+                           ({**train, "factors": heldout}, seed + 1, "heldout.csv")):
+        (tmp_path / "spec.json").write_text(json.dumps({"requests": doc}))
+        assert dispatch(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", str(seed),
+                         "--out-requests", str(tmp_path / out)]) == 0
+        assert sha256(tmp_path / out) == recorded[out], out
 
 
 class TestGenGammaPoisson:
