@@ -415,8 +415,7 @@ def _cmd_adjust_churn(args) -> int:
 
 def _cmd_forecast(args) -> int:
     start, values = _load_series(args.series)
-    r = None if args.r == "auto" else int(args.r)
-    model = timeseries.ssa_fit(values, L=args.L, r=r)
+    model = timeseries.ssa_fit(values, L=args.L, r=args.r)
     future = timeseries.ssa_forecast(model, args.horizon)
     emit_report(["hour", "actual", "forecast"],
                 ingest.Columns(start + np.arange(model.n + args.horizon),
@@ -480,6 +479,16 @@ def _window_arg(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"window must look like t0:t1 in epoch seconds, got {text!r}") from None
+
+
+def _rank_arg(text: str) -> int | None:
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"rank must be 'auto' or an integer, got {text!r}") from None
 
 
 def _mix_arg(text: str) -> dict[str, float]:
@@ -574,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="SSA fit and forecast of an hourly series")
     p.add_argument("--series", required=True)
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--r", default="auto")
+    p.add_argument("--r", type=_rank_arg, default="auto")
     p.add_argument("--horizon", type=int, default=168)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_forecast)

@@ -79,8 +79,8 @@ def renyi_mi(table: FactorTable, factor: int, alpha: float = DEFAULT_ALPHA) -> f
     an empty joint cell with positive marginals has no agreed convention and
     raises ZeroCellAtSmallAlpha.
     """
-    if alpha <= 0.0:
-        raise BadAlpha(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise BadAlpha(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1.0:
         return shannon_mi(table, factor)
     p, p_level, p_label = _joint_and_marginals(table, factor)

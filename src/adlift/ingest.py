@@ -52,16 +52,13 @@ class Schema:
     factor_columns: tuple[str, ...]
     label_column: str
     timestamp_column: str | None = None
-    user_column: str | None = None
-    browser_column: str | None = None
 
     def __post_init__(self):
         if not self.factor_columns:
             raise ValueError("factor_columns must be non-empty")
         if len(set(self.factor_columns)) != len(self.factor_columns):
             raise ValueError("factor_columns contains duplicates")
-        reserved = {self.label_column, self.timestamp_column, self.user_column,
-                    self.browser_column}
+        reserved = {self.label_column, self.timestamp_column}
         overlap = set(self.factor_columns) & reserved
         if overlap:
             raise ValueError(f"factor columns overlap non-factor columns: {sorted(overlap)}")
@@ -83,18 +80,13 @@ class Schema:
             factor_columns=tuple(doc["factors"]),
             label_column=doc["label"],
             timestamp_column=doc.get("timestamp"),
-            user_column=doc.get("user"),
-            browser_column=doc.get("browser"),
         )
 
     def to_json(self) -> str:
         doc: dict = {"version": 1, "factors": list(self.factor_columns),
                      "label": self.label_column}
-        for key, value in (("timestamp", self.timestamp_column),
-                           ("user", self.user_column),
-                           ("browser", self.browser_column)):
-            if value is not None:
-                doc[key] = value
+        if self.timestamp_column is not None:
+            doc["timestamp"] = self.timestamp_column
         return json.dumps(doc)
 
 
@@ -385,9 +377,11 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
     keyed by row: each distinct row is split into cells once. A request log
     repeats a few hundred rows (87 distinct in its first 256 at the bench
     seed); keying a file of distinct rows costs twice as much as splitting
-    it. Other files (cookie events) are split row by row, ROW_BLOCK rows at
-    a time, and a column whose first block repeats its cells is interned, so
-    that it holds one string per distinct cell rather than one per row.
+    it. Other files are split row by row, ROW_BLOCK rows at a time: request
+    logs of mostly distinct rows, and the event files that ``_plain_events``
+    declines. There a column whose first block repeats its cells is
+    interned, so that it holds one string per distinct cell rather than one
+    per row.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)

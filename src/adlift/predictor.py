@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
+from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainError,
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (MISSING_LEVEL, FactorDictionary, FactorTable, RequestBatch,
@@ -124,10 +124,10 @@ def train(table: FactorTable, importance: ImportanceVector,
     if importance.m != table.m:
         raise DimensionMismatch(
             f"importance has {importance.m} entries for {table.m} factors")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not epsilon >= 0:
+        raise DomainError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     kept = np.where(importance.values > epsilon, importance.values, 0.0)
     rates = []
     for counts in table.counts:
@@ -233,14 +233,8 @@ def _score_matrix(model: SparseRateModel, factors: np.ndarray,
 
 
 def worker_count() -> int:
-    """Worker-thread cap: ADLIFT_THREADS, defaulting to available parallelism."""
-    raw = os.environ.get("ADLIFT_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """The threads batch scoring uses: one, the calling thread."""
+    return 1
 
 
 def score_batch(model: SparseRateModel,
@@ -250,8 +244,8 @@ def score_batch(model: SparseRateModel,
     """Score a stream element-wise, preserving order and measuring throughput.
 
     Per-record failures (wrong arity) are collected in ``errors`` with NaN
-    scores rather than aborting the batch. Results do not depend on the
-    thread count.
+    scores rather than aborting the batch. Scoring runs on the calling
+    thread; ``threads`` is accepted and ignored.
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
@@ -276,19 +270,7 @@ def score_batch(model: SparseRateModel,
     n = len(matrix)
     scores = np.empty(n)
     used = np.empty(n, dtype=np.int64)
-    n_threads = min(threads if threads is not None else worker_count(),
-                    max(1, n // 65536))
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, n, n_threads + 1, dtype=np.int64)
-        chunks = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        # each thread writes its own row range of the shared outputs
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(lambda rows: _score_matrix(model, matrix[rows], scores[rows],
-                                                     used[rows]), chunks))
-    else:
-        _score_matrix(model, matrix, scores, used)
-
+    _score_matrix(model, matrix, scores, used)
     for j, _ in errors:
         scores[j] = np.nan
         used[j] = 0

@@ -232,7 +232,7 @@ class AlarmConfig:
     residual_window: int = 168
 
     def __post_init__(self):
-        if self.sigma_multiplier <= 0:
+        if not self.sigma_multiplier > 0:
             raise DomainError("sigma_multiplier must be positive")
         if self.consecutive_hours < 1:
             raise DomainError("consecutive_hours must be at least 1")

@@ -6,6 +6,8 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 import adlift
 from adlift.cli import dispatch
 
@@ -47,3 +49,24 @@ def test_layers_install_run_and_restore(monkeypatch, tmp_path):
     assert metrics["repeatbuy.estimate_survival.cookies"] > 0
     assert metrics["cli.emit_report.rows"] > n_events
     assert tracer.calls["synth.events_from_times"] == 1
+
+
+def test_bench_calls_outside_the_tracer(monkeypatch):
+    """``bench/run.py`` records ``worker_count()`` in its environment, and the
+    bidder workload scores one batch at threads 1 and 2 and requires equal
+    results; neither call goes through ``layers.install``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    env = importlib.import_module("run").environment(adlift)
+    assert env["worker_count"] == adlift.predictor.worker_count()
+    rng = np.random.default_rng(5)
+    model = adlift.predictor.SparseRateModel(
+        ["f", "g"], [["a", "b", "c"], ["x", "y"]], [0.7, 0.2],
+        [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5, global_rate=0.3,
+        fingerprint="")
+    batch = adlift.ingest.RequestBatch(rng.integers(-1, 4, (1000, 2)),
+                                       np.zeros(1000, dtype=np.int8))
+    one = adlift.predictor.score_batch(model, batch, threads=1)
+    two = adlift.predictor.score_batch(model, batch, threads=2)
+    assert not one.errors and not two.errors
+    assert one.scores.tobytes() == two.scores.tobytes()
+    assert one.used_factors.tobytes() == two.used_factors.tobytes()

@@ -629,6 +629,40 @@ class TestExitCodes:
                        "--target", "1", "--out", d / "p.csv") == 2
             assert capsys.readouterr().err.count("line 3") == 2
 
+    @pytest.mark.parametrize("argv, code, message", [
+        *[(["train", "--beta", beta], 2, "beta must be positive and finite")
+          for beta in ("nan", "inf", "0", "-1")],
+        *[(["train", "--epsilon", eps], 2, "epsilon must be non-negative")
+          for eps in ("-1", "nan")],
+        *[(["rank", "--method", "renyi", "--alpha", alpha], 2,
+           "alpha must be positive and finite") for alpha in ("nan", "inf")],
+        (["alarm", "--c", "nan"], 2, "sigma_multiplier must be positive"),
+        (["forecast", "--r", "x"], 1, "rank must be 'auto' or an integer"),
+    ])
+    def test_bad_numeric_flag_keeps_the_exit_code(self, workdir, capsys, argv, code,
+                                                  message):
+        d = workdir
+        (d / "requests.csv").write_text(
+            "browser,os,label\n" + "chrome,win,1\nsafari,mac,0\nff,win,0\n" * 20)
+        run("build-tables", "--schema", d / "schema.json",
+            "--input", d / "requests.csv", "--out", d / "tables.json")
+        run("rank", "--tables", d / "tables.json", "--out", d / "importance.json")
+        (d / "hourly.csv").write_text(
+            "hour,count\n" + "".join(f"{h},{10 + h % 3}\n" for h in range(48)))
+        (d / "forecast.csv").write_text(
+            "hour,actual,forecast\n" + "".join(f"{h},,11.0\n" for h in range(48)))
+        inputs = {"train": ["--tables", d / "tables.json",
+                            "--importance", d / "importance.json"],
+                  "rank": ["--tables", d / "tables.json"],
+                  "alarm": ["--series", d / "hourly.csv", "--forecast", d / "forecast.csv"],
+                  "forecast": ["--series", d / "hourly.csv"]}
+        capsys.readouterr()
+        command, *flags = argv
+        assert run(command, *inputs[command], *flags, "--out", d / "out") == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (d / "out").exists()
+
 
 class TestLoaderErrors:
     @pytest.mark.parametrize("text, line", [

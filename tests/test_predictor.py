@@ -182,20 +182,9 @@ class TestScoreBatch:
         dictionary, batch = gen_requests(spec, seed=23)
         table = build_factor_table(batch, dictionary)
         model = train(table, rank_factors(table), epsilon=0.0)
-        result = score_batch(model, batch, threads=1)
+        result = score_batch(model, batch)
         single = np.array([score(model, batch[i]).score for i in range(len(batch))])
         assert np.array_equal(result.scores, single)
-
-    def test_thread_count_invariance(self, rng):
-        spec = RequestSpec(n=200_000, base_rate=0.1, factors=(
-            FactorSpec("f", ("a", "b"), (0.5, 0.5), (0.3, -0.3)),
-            FactorSpec("g", ("x", "y"), (0.6, 0.4), (0.0, 0.0))))
-        dictionary, batch = gen_requests(spec, seed=2)
-        table = build_factor_table(batch, dictionary)
-        model = train(table, rank_factors(table), epsilon=0.0)
-        r1 = score_batch(model, batch, threads=1)
-        r3 = score_batch(model, batch, threads=3)
-        assert np.array_equal(r1.scores, r3.scores)
 
     def test_per_record_errors_collected(self):
         model = _model_from_counts([[1, 3]])
@@ -213,9 +202,7 @@ class TestScoreBatch:
         expected = [model.rates[0][k] for k in (0, 1, 0, 1)]
         assert result.scores.tolist() == expected
 
-    # sizes around the kernel's row blocks; the second example is past
-    # 3 * 65536 rows, where score_batch first splits the rows over three
-    # threads
+    # sizes around the kernel's row blocks
     B = SCORE_BLOCK
 
     @given(n=st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 17]),
@@ -223,8 +210,6 @@ class TestScoreBatch:
            pruned=st.lists(st.booleans(), min_size=1, max_size=6),
            distinct=st.sampled_from([None, 1, 7]))
     @example(n=B + 1, seed=0, pruned=[True, True, True], distinct=None)
-    @example(n=3 * 65536 + 17, seed=1, pruned=[False, True, False], distinct=None)
-    @example(n=3 * 65536 + 17, seed=2, pruned=[False, False], distinct=7)
     @settings(max_examples=20, deadline=None)
     def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned, distinct):
         rng = np.random.default_rng(seed)
@@ -252,16 +237,15 @@ class TestScoreBatch:
         records = [RequestRecord(rec.factors + (0,), 0) if j % 7 == 3 else rec
                    for j, rec in enumerate(batch)]
         bad = np.arange(n) % 7 == 3
-        for threads in (1, 2, 3):
-            result = score_batch(model, batch, threads=threads)
-            assert result.scores.tobytes() == scores.tobytes()
-            assert result.used_factors.tobytes() == used.tobytes()
-            result = score_batch(model, records, threads=threads)
-            assert [j for j, _ in result.errors] == np.flatnonzero(bad).tolist()
-            assert np.isnan(result.scores[bad]).all()
-            assert not result.used_factors[bad].any()
-            assert result.scores[~bad].tobytes() == scores[~bad].tobytes()
-            assert result.used_factors[~bad].tobytes() == used[~bad].tobytes()
+        result = score_batch(model, batch)
+        assert result.scores.tobytes() == scores.tobytes()
+        assert result.used_factors.tobytes() == used.tobytes()
+        result = score_batch(model, records)
+        assert [j for j, _ in result.errors] == np.flatnonzero(bad).tolist()
+        assert np.isnan(result.scores[bad]).all()
+        assert not result.used_factors[bad].any()
+        assert result.scores[~bad].tobytes() == scores[~bad].tobytes()
+        assert result.used_factors[~bad].tobytes() == used[~bad].tobytes()
 
     def test_blocked_kernel_allocates_only_its_outputs(self, rng):
         n, m = 200_000, 20
@@ -272,7 +256,7 @@ class TestScoreBatch:
         batch = RequestBatch(rng.integers(-1, 9, (n, m)), np.zeros(n, dtype=np.int8))
         tracemalloc.start()
         try:
-            result = score_batch(model, batch, threads=1)
+            result = score_batch(model, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
