@@ -15,7 +15,7 @@ from .predictor import (BatchScores, PacingState, ScoredRequest,
                         save_model, score, score_batch, train)
 from .repeatbuy import (ChurnAdjustment, FrequencyTable, NbdModel,
                         SurvivalTable, adjust_for_churn, build_frequency_table,
-                        compare_frequencies, estimate_survival, fit_nbd_moments,
+                        compare_frequencies, estimate_survival,
                         fit_nbd_truncated, nbd_pmf, nbd_zero_truncated_pmf)
 from .timeseries import (AlarmConfig, AlarmReport, SsaModel, VirtualClock,
                          build_virtual_clock, check_alarm, ssa_fit,

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from sys import intern
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import BadLabel, DataError, MissingColumn, RaggedRow, UnalignedWindow
+from .errors import (BadLabel, DataError, DimensionMismatch, MissingColumn, RaggedRow,
+                     UnalignedWindow)
 
 MISSING_LEVEL = "__missing__"
 
@@ -168,14 +169,6 @@ class RequestBatch(Sequence[RequestRecord]):
             rows = slice(start, start + ROW_BLOCK)
             yield from map(RequestRecord, map(tuple, self.factors[rows].tolist()),
                            self.labels[rows].tolist())
-
-    @classmethod
-    def from_records(cls, records: Iterable[RequestRecord]) -> "RequestBatch":
-        records = list(records)
-        if not records:
-            return cls(np.empty((0, 0), dtype=np.int32), np.empty(0, dtype=np.int8))
-        return cls(np.array([r.factors for r in records], dtype=np.int32),
-                   np.array([r.label for r in records], dtype=np.int8))
 
 
 class FactorTable:
@@ -868,17 +861,19 @@ def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
                             for i in range(batch.m)), batch.labels))
 
 
-def build_factor_table(records: RequestBatch | Sequence[RequestRecord],
+def build_factor_table(batch: RequestBatch,
                        dictionary: FactorDictionary) -> FactorTable:
-    """Aggregate records into per-factor (level x label) contingency counts.
+    """Aggregate a batch into per-factor (level x label) contingency counts.
 
+    DimensionMismatch unless the batch has the dictionary's factor count;
     ValueError for a label other than 0 or 1, or for a level id outside
     [0, L) of its factor.
     """
-    if not isinstance(records, RequestBatch):
-        records = RequestBatch.from_records(records)
-    n = len(records)
-    if n and records.labels.view(np.uint8).max() > 1:
+    if batch.m != dictionary.m:
+        raise DimensionMismatch(
+            f"batch has {batch.m} factors, dictionary has {dictionary.m}")
+    n = len(batch)
+    if n and batch.labels.view(np.uint8).max() > 1:
         raise ValueError("record labels must be 0 or 1")
     flat = np.empty(n, dtype=np.int64)
     counts = []
@@ -887,11 +882,11 @@ def build_factor_table(records: RequestBatch | Sequence[RequestRecord],
         if n:
             # read as unsigned, a negative id is 2^31 or more, so one
             # maximum finds an id past either end
-            np.multiply(records.factors[:, i].view(np.uint32), 2, out=flat,
+            np.multiply(batch.factors[:, i].view(np.uint32), 2, out=flat,
                         dtype=np.int64)
             if flat.max() >= 2 * levels:
                 raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
-            flat += records.labels
+            flat += batch.labels
             c = np.bincount(flat, minlength=levels * 2).reshape(-1, 2)
         else:
             c = np.zeros((levels, 2), dtype=np.int64)

@@ -18,7 +18,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,9 @@ DEFAULT_BETA = 0.5
 
 @dataclass(slots=True)
 class ScoredRequest:
-    record: RequestRecord
+    """A request's score and the number of factors that made it; 0 factors
+    means the score is the model's global rate."""
+
     score: float
     used_factors: int
 
@@ -171,15 +173,19 @@ def score(model: SparseRateModel, x: RequestRecord,
             den += imp
             used += 1
     if used == 0:
-        return ScoredRequest(x, model.global_rate, 0)
-    return ScoredRequest(x, num / den, used)
+        return ScoredRequest(model.global_rate, 0)
+    return ScoredRequest(num / den, used)
 
 
 @dataclass
 class BatchScores:
-    """Element-wise scores for a batch, with measured throughput."""
+    """Element-wise scores for a batch, with measured throughput.
 
-    records: Sequence[RequestRecord]
+    Row i of ``scores`` and ``used_factors`` belongs to row i of the batch;
+    iterating yields one ``ScoredRequest`` per row, for ``pace``. ``errors``
+    is always empty: a batch is checked whole before it is scored.
+    """
+
     scores: np.ndarray = field(repr=False)
     used_factors: np.ndarray = field(repr=False)
     errors: list[tuple[int, Exception]] = field(default_factory=list, repr=False)
@@ -193,8 +199,7 @@ class BatchScores:
         return len(self.scores)
 
     def __iter__(self):
-        for rec, sc, uf in zip(self.records, self.scores, self.used_factors):
-            yield ScoredRequest(rec, float(sc), int(uf))
+        return map(ScoredRequest, self.scores.tolist(), self.used_factors.tolist())
 
 
 SCORE_BLOCK = 8192
@@ -237,44 +242,24 @@ def worker_count() -> int:
     return 1
 
 
-def score_batch(model: SparseRateModel,
-                records: RequestBatch | Iterable[RequestRecord],
+def score_batch(model: SparseRateModel, batch: RequestBatch,
                 dictionary: FactorDictionary | None = None,
                 threads: int | None = None) -> BatchScores:
-    """Score a stream element-wise, preserving order and measuring throughput.
+    """Score every row of ``batch``, preserving order and measuring throughput.
 
-    Per-record failures (wrong arity) are collected in ``errors`` with NaN
-    scores rather than aborting the batch. Scoring runs on the calling
-    thread; ``threads`` is accepted and ignored.
+    DimensionMismatch unless the batch has the model's factor count.
+    Scoring runs on the calling thread; ``threads`` is accepted and ignored.
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
+    if batch.m != model.m:
+        raise DimensionMismatch(f"batch has {batch.m} factors, model has {model.m}")
     t_start = time.perf_counter()
-    errors: list[tuple[int, Exception]] = []
-    if isinstance(records, RequestBatch):
-        if len(records) and records.m != model.m:
-            raise DimensionMismatch(f"batch has {records.m} factors, model has {model.m}")
-        matrix = records.factors
-        seq: Sequence[RequestRecord] = records
-    else:
-        seq = list(records)
-        matrix = np.zeros((len(seq), model.m), dtype=np.int32)
-        for j, rec in enumerate(seq):
-            if len(rec.factors) != model.m:
-                errors.append((j, DimensionMismatch(
-                    f"record {j} has {len(rec.factors)} factors, model has {model.m}")))
-                matrix[j, :] = -1
-            else:
-                matrix[j, :] = rec.factors
-
-    n = len(matrix)
+    n = len(batch)
     scores = np.empty(n)
     used = np.empty(n, dtype=np.int64)
-    _score_matrix(model, matrix, scores, used)
-    for j, _ in errors:
-        scores[j] = np.nan
-        used[j] = 0
-    return BatchScores(seq, scores, used, errors, time.perf_counter() - t_start)
+    _score_matrix(model, batch.factors, scores, used)
+    return BatchScores(scores, used, elapsed_s=time.perf_counter() - t_start)
 
 
 @dataclass
@@ -282,7 +267,9 @@ class PacingState:
     """Feedback controller spending ``target_total`` impressions over a stream.
 
     Mutated in place by ``pace`` and ``pace_batch``; confine one state to one
-    decision thread.
+    decision thread. DomainError unless 0 <= threshold <= 1, gamma is
+    non-negative and finite, and target and horizon are non-negative; a
+    block size below 1 closes a block after every request.
     """
 
     target_total: int
@@ -294,6 +281,17 @@ class PacingState:
     gamma: float = 0.5
     block_seen: int = 0
     block_shown: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.threshold <= 1:
+            raise DomainError(f"threshold must lie in [0, 1], got {self.threshold}")
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError(f"gamma must be non-negative and finite, got {self.gamma}")
+        if self.target_total < 0:
+            raise DomainError(f"target_total must be non-negative, got {self.target_total}")
+        if self.horizon_requests < 0:
+            raise DomainError(
+                f"horizon_requests must be non-negative, got {self.horizon_requests}")
 
 
 def pace(state: PacingState, scored: ScoredRequest) -> bool:

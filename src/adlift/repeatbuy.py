@@ -215,35 +215,6 @@ def _detruncated_moments(freq: FrequencyTable) -> tuple[float, float] | None:
     return k, m
 
 
-def fit_nbd_moments(freq: FrequencyTable) -> NbdModel:
-    """De-truncated method-of-moments NBD fit.
-
-    Matches the mean and variance implied by the zero-truncated sample.
-    Less efficient than the likelihood fit but insensitive to the inflated
-    singleton bin, which makes it the reference for churn-effect
-    comparisons: on churned data the likelihood fit chases the singleton
-    excess it is supposed to expose (down to the k -> 0 log-series
-    boundary), while the moments fit keeps tracking the bulk shape.
-    """
-    if len(freq.counts) < 3 or freq.total_cookies < 100:
-        raise DegenerateData(
-            f"need >= 3 distinct counts and >= 100 cookies, got "
-            f"{len(freq.counts)} distinct / {freq.total_cookies} cookies",
-            poisson_mean=_zt_poisson_mle(freq.total_events / max(freq.total_cookies, 1))
-            if freq.total_cookies else None)
-    init = _detruncated_moments(freq)
-    if init is None:
-        raise DegenerateData(
-            "variance does not exceed mean after de-truncation; NBD not "
-            "identifiable, use the Poisson fallback",
-            poisson_mean=_zt_poisson_mle(freq.total_events / freq.total_cookies))
-    k, m = init
-    p0 = float(nbd_pmf(k, m, 0))
-    probs = np.asarray(nbd_pmf(k, m, np.arange(1, freq.max_n + 1))) / (1.0 - p0)
-    gof = _pooled_chi_square(freq.counts, probs, freq.total_cookies, n_params=2)
-    return NbdModel(k=float(k), m=float(m), fit_method="moments", gof=gof)
-
-
 def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
     """Maximum-likelihood truncated NBD fit.
 

@@ -51,6 +51,47 @@ def test_layers_install_run_and_restore(monkeypatch, tmp_path):
     assert tracer.calls["synth.events_from_times"] == 1
 
 
+def test_layers_install_score_and_pace(monkeypatch, tmp_path):
+    """The predictor hooks of the traced bench: ``score_batch``'s counters and
+    the wrapped ``BatchScores.__iter__``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    score_batch = adlift.predictor.score_batch  # unwrapped: not counted as rows
+    d = tmp_path
+    (d / "schema.json").write_text(adlift.Schema(("browser", "os"), "label").to_json())
+    rows = ["chrome,win,1", "safari,mac,0", "ff,win,0", "chrome,,0", "opera,mac,1"] * 40
+    (d / "requests.csv").write_text("browser,os,label\n" + "\n".join(rows) + "\n")
+    layers.install(tracer, adlift)
+    try:
+        for argv in (["build-tables", "--schema", d / "schema.json",
+                      "--input", d / "requests.csv", "--out", d / "tables.json"],
+                     ["rank", "--tables", d / "tables.json", "--out", d / "importance.json"],
+                     ["train", "--tables", d / "tables.json",
+                      "--importance", d / "importance.json", "--out", d / "model.json"],
+                     ["score", "--model", d / "model.json", "--input", d / "requests.csv",
+                      "--out", d / "scores.csv"],
+                     ["pace", "--model", d / "model.json", "--input", d / "requests.csv",
+                      "--target", "50", "--out", d / "decisions.csv"]):
+            assert dispatch([str(a) for a in argv]) == 0
+        model = adlift.predictor.load_model(d / "model.json")
+        batch = adlift.ingest.RequestBatch(
+            np.random.default_rng(3).integers(-1, 5, (300, 2)), np.zeros(300, dtype=np.int8))
+        result = score_batch(model, batch)
+        scored = list(result)
+    finally:
+        tracer.restore()
+    metrics = {name: value for name, (value, _) in
+               layers.per_layer_metrics(tracer, {}).items()}
+    assert metrics["predictor.score_batch.rows"] == 2 * len(rows)
+    assert metrics["predictor.score_batch.errors"] == 0
+    assert all(type(s) is adlift.ScoredRequest for s in scored)
+    assert [s.score for s in scored] == result.scores.tolist()
+    assert [s.used_factors for s in scored] == result.used_factors.tolist()
+    # every row stepped through the wrapper (the exhausting step counts too)
+    assert tracer.calls["predictor.batch_iter"] >= len(batch)
+
+
 def test_bench_calls_outside_the_tracer(monkeypatch):
     """``bench/run.py`` records ``worker_count()`` in its environment, and the
     bidder workload scores one batch at threads 1 and 2 and requires equal

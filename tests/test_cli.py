@@ -638,6 +638,12 @@ class TestExitCodes:
            "alpha must be positive and finite") for alpha in ("nan", "inf")],
         (["alarm", "--c", "nan"], 2, "sigma_multiplier must be positive"),
         (["forecast", "--r", "x"], 1, "rank must be 'auto' or an integer"),
+        *[(["pace", "--threshold", t], 2, "threshold must lie in [0, 1]")
+          for t in ("nan", "2", "-0.5")],
+        (["pace", "--target", "-1"], 2, "target_total must be non-negative"),
+        (["pace", "--horizon", "-5"], 2, "horizon_requests must be non-negative"),
+        *[(["pace", "--gamma", g], 2, "gamma must be non-negative and finite")
+          for g in ("nan", "-1", "inf")],
     ])
     def test_bad_numeric_flag_keeps_the_exit_code(self, workdir, capsys, argv, code,
                                                   message):
@@ -647,6 +653,8 @@ class TestExitCodes:
         run("build-tables", "--schema", d / "schema.json",
             "--input", d / "requests.csv", "--out", d / "tables.json")
         run("rank", "--tables", d / "tables.json", "--out", d / "importance.json")
+        run("train", "--tables", d / "tables.json", "--importance", d / "importance.json",
+            "--out", d / "model.json")
         (d / "hourly.csv").write_text(
             "hour,count\n" + "".join(f"{h},{10 + h % 3}\n" for h in range(48)))
         (d / "forecast.csv").write_text(
@@ -655,13 +663,26 @@ class TestExitCodes:
                             "--importance", d / "importance.json"],
                   "rank": ["--tables", d / "tables.json"],
                   "alarm": ["--series", d / "hourly.csv", "--forecast", d / "forecast.csv"],
-                  "forecast": ["--series", d / "hourly.csv"]}
+                  "forecast": ["--series", d / "hourly.csv"],
+                  "pace": ["--model", d / "model.json", "--input", d / "requests.csv",
+                           "--target", "10"]}
         capsys.readouterr()
         command, *flags = argv
         assert run(command, *inputs[command], *flags, "--out", d / "out") == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (d / "out").exists()
+
+    def test_pace_block_below_one_closes_every_block(self, workdir):
+        d = workdir
+        model = _train_small_model(d)
+        reports = []
+        for block in ("1", "0", "-3"):
+            assert run("pace", "--model", model, "--input", d / "requests.csv",
+                       "--target", "5", "--threshold", "0.5", "--block", block,
+                       "--out", d / "decisions.csv") == 0
+            reports.append((d / "decisions.csv").read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 class TestLoaderErrors:

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adlift import ingest
-from adlift.errors import (BadLabel, MissingColumn, RaggedRow, UnalignedWindow)
+from adlift.errors import (BadLabel, DimensionMismatch, MissingColumn, RaggedRow,
+                           UnalignedWindow)
 from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            RequestBatch, RequestRecord, Schema,
                            aggregate_hourly, build_factor_table,
@@ -467,17 +468,25 @@ class TestEventParseOracle:
 class TestFactorTable:
     def test_hand_count(self):
         dictionary = FactorDictionary(["f"], [["A", "B"]])
-        records = [RequestRecord((0,), 1), RequestRecord((0,), 0),
-                   RequestRecord((1,), 0), RequestRecord((1,), 0)]
-        table = build_factor_table(records, dictionary)
+        batch = RequestBatch(np.array([[0], [0], [1], [1]]), np.array([1, 0, 0, 0]))
+        table = build_factor_table(batch, dictionary)
         assert table.total == 4
         assert table.counts[0].tolist() == [[1, 1], [2, 0]]
 
     def test_empty_records(self):
         dictionary = FactorDictionary(["f"], [["A"]])
-        table = build_factor_table([], dictionary)
+        batch = RequestBatch(np.empty((0, 1)), np.empty(0))
+        table = build_factor_table(batch, dictionary)
         assert table.total == 0
         assert table.counts[0].tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_factor_count_must_match_dictionary(self, columns):
+        dictionary = FactorDictionary(["f", "g"], [["A", "B"], ["C", "D"]])
+        batch = RequestBatch(np.zeros((4, columns)), np.zeros(4))
+        with pytest.raises(DimensionMismatch,
+                           match=f"batch has {columns} factors, dictionary has 2"):
+            build_factor_table(batch, dictionary)
 
     @pytest.mark.parametrize("labels", [[2, 0, -1], [0, -1, 1], [0, 1, 127]])
     def test_label_outside_0_1_rejected(self, labels):
@@ -649,8 +658,3 @@ class TestRequestBatch:
         assert records == expected * 3
         assert all(type(v) is int for rec in records for v in rec.factors)
         assert all(type(rec.label) is int for rec in records)
-
-    def test_from_records_roundtrip(self):
-        records = [RequestRecord((2, 0), 1), RequestRecord((0, 1), 0)]
-        batch = RequestBatch.from_records(records)
-        assert list(batch) == records

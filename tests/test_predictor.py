@@ -164,14 +164,15 @@ class TestScore:
 class TestScoreBatch:
     def test_empty_stream(self):
         model = _model_from_counts([[1, 3]])
-        result = score_batch(model, [])
+        batch = RequestBatch(np.empty((0, 1)), np.empty(0, dtype=np.int8))
+        result = score_batch(model, batch)
         assert len(result) == 0
         assert list(result) == []
 
     def test_identical_records_identical_scores(self):
         model = _model_from_counts([[1, 3], [4, 0]])
-        records = [RequestRecord((1,), 0)] * 50
-        result = score_batch(model, records)
+        batch = RequestBatch(np.ones((50, 1)), np.zeros(50, dtype=np.int8))
+        result = score_batch(model, batch)
         assert len(set(result.scores.tolist())) == 1
 
     def test_matches_elementwise_score_bitwise(self, rng):
@@ -186,19 +187,10 @@ class TestScoreBatch:
         single = np.array([score(model, batch[i]).score for i in range(len(batch))])
         assert np.array_equal(result.scores, single)
 
-    def test_per_record_errors_collected(self):
-        model = _model_from_counts([[1, 3]])
-        records = [RequestRecord((0,), 0), RequestRecord((0, 1), 0)]
-        result = score_batch(model, records)
-        assert len(result.errors) == 1
-        assert result.errors[0][0] == 1
-        assert np.isnan(result.scores[1])
-        assert result.scores[0] == model.rates[0][0]
-
     def test_order_preserved(self):
         model = _model_from_counts([[1, 3], [4, 0]])
-        records = [RequestRecord((k,), 0) for k in (0, 1, 0, 1)]
-        result = score_batch(model, records)
+        batch = RequestBatch([[0], [1], [0], [1]], np.zeros(4, dtype=np.int8))
+        result = score_batch(model, batch)
         expected = [model.rates[0][k] for k in (0, 1, 0, 1)]
         assert result.scores.tolist() == expected
 
@@ -233,19 +225,9 @@ class TestScoreBatch:
         expected = [score(model, rec) for rec in batch]
         scores = np.array([s.score for s in expected], dtype=np.float64)
         used = np.array([s.used_factors for s in expected], dtype=np.int64)
-        # every 7th record of the list input has one factor too many
-        records = [RequestRecord(rec.factors + (0,), 0) if j % 7 == 3 else rec
-                   for j, rec in enumerate(batch)]
-        bad = np.arange(n) % 7 == 3
         result = score_batch(model, batch)
         assert result.scores.tobytes() == scores.tobytes()
         assert result.used_factors.tobytes() == used.tobytes()
-        result = score_batch(model, records)
-        assert [j for j, _ in result.errors] == np.flatnonzero(bad).tolist()
-        assert np.isnan(result.scores[bad]).all()
-        assert not result.used_factors[bad].any()
-        assert result.scores[~bad].tobytes() == scores[~bad].tobytes()
-        assert result.used_factors[~bad].tobytes() == used[~bad].tobytes()
 
     def test_blocked_kernel_allocates_only_its_outputs(self, rng):
         n, m = 200_000, 20
@@ -267,20 +249,20 @@ class TestScoreBatch:
 class TestPace:
     def test_zero_threshold_shows_until_target(self):
         state = PacingState(target_total=5, horizon_requests=100)
-        decisions = [pace(state, ScoredRequest(None, 0.5, 1)) for _ in range(10)]
+        decisions = [pace(state, ScoredRequest(0.5, 1)) for _ in range(10)]
         assert decisions == [True] * 5 + [False] * 5
         assert state.shown_so_far == 5
 
     def test_zero_target_never_shows(self):
         state = PacingState(target_total=0, horizon_requests=100)
-        assert not any(pace(state, ScoredRequest(None, 0.99, 1)) for _ in range(50))
+        assert not any(pace(state, ScoredRequest(0.99, 1)) for _ in range(50))
 
     def test_controller_hits_target_within_ten_percent(self, rng):
         n, target = 100_000, 10_000
         state = PacingState(target_total=target, horizon_requests=n)
         scores = rng.random(n)
         for s in scores:
-            pace(state, ScoredRequest(None, float(s), 1))
+            pace(state, ScoredRequest(float(s), 1))
         assert abs(state.shown_so_far - target) <= 0.1 * target
 
     def test_controller_recovers_from_high_threshold(self, rng):
@@ -288,14 +270,14 @@ class TestPace:
         state = PacingState(target_total=target, horizon_requests=n, threshold=0.9)
         scores = rng.random(n) * 0.5  # all below the initial threshold
         for s in scores:
-            pace(state, ScoredRequest(None, float(s), 1))
+            pace(state, ScoredRequest(float(s), 1))
         assert abs(state.shown_so_far - target) <= 0.1 * target
 
     def test_threshold_rises_when_overshowing(self):
         state = PacingState(target_total=10_000, horizon_requests=100_000,
                             threshold=0.2, block_size=100)
         for _ in range(100):
-            pace(state, ScoredRequest(None, 0.9, 1))
+            pace(state, ScoredRequest(0.9, 1))
         # block shown rate 1.0 vs target rate ~0.1: threshold must increase
         assert state.threshold > 0.2
 
@@ -321,7 +303,7 @@ class TestPace:
         scalar = fresh()
         decisions, trace = [], []
         for s in scores.tolist():
-            decisions.append(pace(scalar, ScoredRequest(None, s, 1)))
+            decisions.append(pace(scalar, ScoredRequest(s, 1)))
             trace.append(scalar.threshold)
         batch = fresh()
         show, thresholds = pace_batch(batch, scores)
@@ -335,7 +317,7 @@ class TestPace:
         scores = rng.random(2500)
         scalar = PacingState(target_total=300, horizon_requests=2500, threshold=0.3,
                              block_size=100)
-        expected = [pace(scalar, ScoredRequest(None, s, 1)) for s in scores.tolist()]
+        expected = [pace(scalar, ScoredRequest(s, 1)) for s in scores.tolist()]
         batch = PacingState(target_total=300, horizon_requests=2500, threshold=0.3,
                             block_size=100)
         parts = [pace_batch(batch, scores[a:b])[0]

@@ -106,14 +106,6 @@ class TestFitNbdTruncated:
         assert m7.k == pytest.approx(m1.k, rel=1e-6)
         assert m7.m == pytest.approx(m1.m, rel=1e-6)
 
-    def test_moments_fit_recovers_parameters(self, rng):
-        from adlift.repeatbuy import fit_nbd_moments
-        observed = sample_zero_truncated_nbd(0.8, 2.5, 150_000, rng)
-        model = fit_nbd_moments(freq_from_counts(observed))
-        assert model.fit_method == "moments"
-        assert abs(model.k - 0.8) / 0.8 < 0.15
-        assert abs(model.m - 2.5) / 2.5 < 0.15
-
     def test_bulk_anchored_fit_on_clean_data(self, rng):
         observed = sample_zero_truncated_nbd(0.8, 2.5, 150_000, rng)
         model = fit_nbd_truncated(freq_from_counts(observed), min_count=2)
