@@ -137,16 +137,33 @@ class RequestRecord:
     label: int
 
 
+def _exactly(values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype``; ValueError unless every value is a
+    number that the cast keeps as it is."""
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return values
+    if values.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):
+            cast = values.astype(dtype)
+        if np.array_equal(cast, values):
+            return cast
+    raise ValueError(f"{values.dtype} values that {np.dtype(dtype)} cannot hold")
+
+
 class RequestBatch(Sequence[RequestRecord]):
     """Array-backed sequence of RequestRecords.
 
-    ``factors`` is an (n, m) int32 matrix of level ids, ``labels`` an (n,)
-    int8 vector. Behaves as a read-only list of RequestRecord.
+    ``factors`` is an (n, m) int32 matrix of level ids stored column-major,
+    so each factor's ids are one contiguous column; ``labels`` an (n,) int8
+    vector. Behaves as a read-only list of RequestRecord. ValueError for
+    ids or labels that the int32 or int8 cast would change (2**32, 0.7,
+    NaN); column-major int32 factors are kept without a copy.
     """
 
     def __init__(self, factors: np.ndarray, labels: np.ndarray):
-        factors = np.ascontiguousarray(factors, dtype=np.int32)
-        labels = np.asarray(labels, dtype=np.int8)
+        factors = np.asfortranarray(_exactly(factors, np.int32))
+        labels = _exactly(labels, np.int8)
         if factors.ndim != 2 or labels.ndim != 1 or len(factors) != len(labels):
             raise ValueError("factors must be (n, m) and labels (n,)")
         self.factors = factors
@@ -264,9 +281,13 @@ class Rows(NamedTuple):
     codes: np.ndarray
 
     def gather(self, values: np.ndarray) -> np.ndarray:
-        """Per-row ``values`` from per-distinct-row ``values``. With as many
-        distinct rows as rows, the codes are 0, 1, ... and nothing moves."""
-        return values if len(values) == len(self.codes) else values[self.codes]
+        """Per-row ``values`` from per-distinct-row ``values`` (along the first
+        axis); a matrix is gathered one column at a time and comes back
+        column-major. With as many distinct rows as rows, the codes are 0,
+        1, ... and nothing moves."""
+        if len(values) == len(self.codes):
+            return values
+        return values.T[..., self.codes].T
 
     def line(self, j: int) -> int:
         """The line of distinct row ``j``'s first occurrence, counting rows
@@ -850,7 +871,7 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     # first-seen order of the file
     levels, ids = zip(*map(_level_ids, factor_columns))
     return (FactorDictionary(list(schema.factor_columns), levels),
-            RequestBatch(rows.gather(np.stack(ids, axis=1)), rows.gather(labels)))
+            RequestBatch(rows.gather(np.stack(ids).T), rows.gather(labels)))
 
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
@@ -879,18 +900,14 @@ def build_factor_table(batch: RequestBatch,
     counts = []
     for i, name in enumerate(dictionary.factor_names):
         levels = dictionary.level_count(i)
-        if n:
-            # read as unsigned, a negative id is 2^31 or more, so one
-            # maximum finds an id past either end
-            np.multiply(batch.factors[:, i].view(np.uint32), 2, out=flat,
-                        dtype=np.int64)
-            if flat.max() >= 2 * levels:
-                raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
-            flat += batch.labels
-            c = np.bincount(flat, minlength=levels * 2).reshape(-1, 2)
-        else:
-            c = np.zeros((levels, 2), dtype=np.int64)
-        counts.append(c)
+        ids = batch.factors[:, i]
+        # read as unsigned, a negative id is 2^31 or more, so one
+        # maximum finds an id past either end
+        if n and ids.view(np.uint32).max() >= levels:
+            raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
+        np.multiply(ids, 2, out=flat)
+        flat += batch.labels
+        counts.append(np.bincount(flat, minlength=levels * 2).reshape(-1, 2))
     return FactorTable(counts, n, dictionary)
 
 

@@ -101,14 +101,15 @@ class SparseRateModel:
         return tuple(lm.get(lab, -1) for lm, lab in zip(self._level_maps, labels))
 
     def encode_columns(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
-        """Map one label column per factor to an (n, m) int32 id matrix.
+        """Map one label column per factor to an (n, m) int32 id matrix,
+        column-major as ``RequestBatch`` stores it.
 
         Unseen labels become -1; an empty label is the ``__missing__`` level.
         """
         if len(columns) != self.m:
             raise DimensionMismatch(f"expected {self.m} columns, got {len(columns)}")
         n = len(columns[0]) if columns else 0
-        matrix = np.empty((n, self.m), dtype=np.int32)
+        matrix = np.empty((n, self.m), dtype=np.int32, order="F")
         for i, (level_map, column) in enumerate(zip(self._level_maps, columns)):
             lookup = {**level_map, "": level_map.get(MISSING_LEVEL, -1)}
             matrix[:, i] = np.fromiter(map(lookup.get, column, repeat(-1)), np.int32, n)
@@ -211,7 +212,8 @@ def _score_matrix(model: SparseRateModel, factors: np.ndarray,
                   scores: np.ndarray, used: np.ndarray) -> None:
     """Score the (n, m) int32 id matrix into ``scores`` and ``used`` (n,).
 
-    Walks the rows in blocks of SCORE_BLOCK. Read as uint32, every id
+    Walks the rows in blocks of SCORE_BLOCK; in a column-major matrix each
+    factor's ids of a block are one contiguous run. Read as uint32, every id
     outside [0, n_levels), -1 included, clips to the table's 0 sentinel.
     Factors accumulate in index order, as in ``score``, so the results are
     bit-identical to the scalar path.

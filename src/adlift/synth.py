@@ -273,7 +273,8 @@ def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, Reques
     identical to ``rng.choice(levels, size=n, p=probs)``, and the label is
     Bernoulli with log-odds logit(base_rate) plus the planted per-level
     effects of the drawn levels, so a spec and seed give the same requests
-    as they always have.
+    as they always have. Each factor's ids are drawn straight into its
+    contiguous column of the batch's column-major int32 matrix.
     """
     rng = np.random.default_rng(seed)
     n, m = spec.n, len(spec.factors)
@@ -282,19 +283,15 @@ def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, Reques
     # the searches it saves
     size = 1 << min(MAX_CELL_BITS, (n * widest).bit_length() // 2)
     edges = np.arange(size + 1) / size
-    # each factor's ids are staged as a row of the narrowest unsigned type
-    staged = np.empty((m, n), dtype=np.min_scalar_type(widest - 1))
+    factors = np.empty((n, m), dtype=np.int32, order="F")
     u = np.empty(n)
     cells = np.empty(n, dtype=np.intp)
     logits = np.full(n, math.log(spec.base_rate / (1.0 - spec.base_rate)))
-    for f, ids in zip(spec.factors, staged):
+    for f, ids in zip(spec.factors, factors.T):
         _draw_levels(rng, f.probs, edges, u, cells, ids)
         logits += np.asarray(f.effects)[ids]
     del u, cells
     labels = (rng.random(n) < _sigmoid(logits)).astype(np.int8)
-    # numpy casts and transposes in buffered blocks: no second int32 matrix
-    factors = np.empty((n, m), dtype=np.int32)
-    factors[...] = staged.T
     dictionary = FactorDictionary([f.name for f in spec.factors],
                                   [list(f.levels) for f in spec.factors])
     return dictionary, RequestBatch(factors, labels)

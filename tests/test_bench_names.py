@@ -111,3 +111,19 @@ def test_bench_calls_outside_the_tracer(monkeypatch):
     assert not one.errors and not two.errors
     assert one.scores.tobytes() == two.scores.tobytes()
     assert one.used_factors.tobytes() == two.used_factors.tobytes()
+
+
+def test_bidder_workload_passes_its_checks(monkeypatch):
+    """A tiny ``bidder`` set-up and pass, as ``bench/run.py`` drives them: the
+    pass checks that scalar and batch scores agree bit for bit, that threads
+    1 and 2 agree, and that pacing meets its target."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    spec = json.loads((BENCH / "spec.json").read_text())
+    ops = workloads.Ops()
+    bidder = workloads.Bidder(spec, spec["bench_seed"], 0.005, None, ops, {})
+    bidder.setup()
+    bidder.run_pass()
+    assert bidder.batch.factors.flags.f_contiguous
+    assert ops.attempted == bidder.decisions + 3
+    assert ops.failed == 0, ops.failures

@@ -532,6 +532,24 @@ class TestRepeatedRequestLines:
         assert (d / "decisions.csv").read_bytes() == \
             (d / "oracle_decisions.csv").read_bytes()
 
+    @pytest.mark.parametrize("browsers", [["chrome", "safari", "", "opera"], None])
+    def test_encoded_batch_is_column_major(self, tmp_path, browsers):
+        # None: every line distinct, so no row is gathered
+        from adlift import predictor
+        from adlift.cli import _encoded_batch
+
+        rng = np.random.default_rng(9)
+        path = tmp_path / "heldout.csv"
+        rows = self.write_requests(path, rng, browsers or [str(j) for j in range(600)], ",")
+        model = predictor.SparseRateModel(
+            ["browser", "os"], [["chrome", "safari", ingest.MISSING_LEVEL], ["win", "mac"]],
+            [0.7, 0.2], [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5,
+            global_rate=0.3, fingerprint="")
+        batch = _encoded_batch(model, path, ",")
+        assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
+        assert np.array_equal(batch.factors, model.encode_columns(
+            [[row[i] for row in rows] for i in (0, 1)]))
+
     def test_tab_log_scores_as_its_csv_twin(self, workdir, capsys):
         d, reports = workdir, {}
         for delimiter, flags in ((",", []), ("\t", ["--tab"])):

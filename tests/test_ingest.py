@@ -109,6 +109,16 @@ class TestParseRequests:
         with pytest.raises(RaggedRow, match="line 70001:"):
             parse_requests("browser,label\n" + "\n".join(rows) + "\n", SCHEMA1)
 
+    @pytest.mark.parametrize("repeats", [1, 50])
+    def test_factors_column_major(self, repeats):
+        # 50 repeats of 3 lines are read as 3 distinct rows and gathered
+        schema = Schema(("browser", "os"), "label")
+        lines = ["chrome,win,1", "safari,,0", "ff,mac,0"] * repeats
+        _, batch = parse_requests("browser,os,label\n" + "\n".join(lines) + "\n", schema)
+        assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
+        assert batch.factors.tolist() == [[0, 0], [1, 1], [2, 2]] * repeats
+        assert batch.labels.tolist() == [1, 0, 0] * repeats
+
     def test_extra_columns_ignored(self):
         text = "junk,browser,label\nx,chrome,1\n"
         _, records = parse_requests(text, SCHEMA1)
@@ -658,3 +668,40 @@ class TestRequestBatch:
         assert records == expected * 3
         assert all(type(v) is int for rec in records for v in rec.factors)
         assert all(type(rec.label) is int for rec in records)
+
+    def test_factors_stored_column_major(self):
+        ids = np.arange(12).reshape(4, 3)
+        labels = np.zeros(4, dtype=np.int8)
+        for given_ids in (ids, ids.astype(np.int32)):
+            batch = RequestBatch(given_ids, labels)
+            assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
+            assert batch.factors.tolist() == ids.tolist()
+            assert batch.factors.tobytes() == ids.astype(np.int32).tobytes()
+            assert batch[1] == RequestRecord((3, 4, 5), 0)
+        column_major = np.asfortranarray(ids, dtype=np.int32)
+        batch = RequestBatch(column_major, labels)
+        assert np.shares_memory(batch.factors, column_major)
+        assert batch.labels is labels
+
+    @pytest.mark.parametrize("factors, labels", [
+        ([[2**32], [1]], [256, 257]),
+        ([[2**32], [1]], [0, 1]),
+        ([[-2**31 - 1], [1]], [0, 1]),
+        ([[0], [1]], [256, 1]),
+        ([[0], [1]], [-129, 1]),
+        ([[0.7], [1.0]], [0, 1]),
+        ([[np.nan], [1.0]], [0, 1]),
+        ([[2.0**31], [1.0]], [0, 1]),
+        ([[0], [1]], [0.5, 1.0]),
+        ([["0"], ["1"]], [0, 1]),
+    ])
+    def test_cast_that_changes_a_value_rejected(self, factors, labels):
+        with pytest.raises(ValueError, match="cannot hold"):
+            RequestBatch(np.array(factors), np.array(labels))
+
+    def test_cast_that_keeps_every_value_accepted(self):
+        batch = RequestBatch(np.array([[2**31 - 1], [-2**31], [3]]),
+                             np.array([1.0, 0.0, True]))
+        assert batch.factors.dtype == np.int32 and batch.labels.dtype == np.int8
+        assert batch.factors[:, 0].tolist() == [2**31 - 1, -2**31, 3]
+        assert batch.labels.tolist() == [1, 0, 1]

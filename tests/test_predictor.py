@@ -229,6 +229,35 @@ class TestScoreBatch:
         assert result.scores.tobytes() == scores.tobytes()
         assert result.used_factors.tobytes() == used.tobytes()
 
+    @given(n=st.sampled_from([0, 1, 7, B + 1]), seed=st.integers(0, 2**32 - 1),
+           m=st.integers(1, 4), unseen_share=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=30, deadline=None)
+    def test_c_and_f_order_inputs_give_identical_bits(self, n, seed, m, unseen_share):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(1, 6, m)
+        names = [f"f{i}" for i in range(m)]
+        labels = [[f"v{k}" for k in range(n_levels)] for n_levels in levels]
+        model = SparseRateModel(names, labels, rng.exponential(1.0, m),
+                                [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        dictionary = FactorDictionary(names, labels)
+        ids = np.column_stack([rng.integers(0, n_levels, n) for n_levels in levels])
+        for i, n_levels in enumerate(levels):
+            unseen = rng.random(n) < unseen_share
+            ids[unseen, i] = rng.choice([-1, n_levels, 2**31 - 1, -2**31], unseen.sum())
+        shown = rng.integers(0, 2, n).astype(np.int8)
+        outcomes = []
+        for factors in (np.ascontiguousarray(ids, dtype=np.int32),
+                        np.asfortranarray(ids, dtype=np.int32)):
+            batch = RequestBatch(factors, shown)
+            try:
+                table = [c.tobytes() for c in build_factor_table(batch, dictionary).counts]
+            except ValueError as exc:
+                table = str(exc)
+            result = score_batch(model, batch)
+            outcomes.append((table, result.scores.tobytes(), result.used_factors.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
     def test_blocked_kernel_allocates_only_its_outputs(self, rng):
         n, m = 200_000, 20
         model = SparseRateModel(

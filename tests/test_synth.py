@@ -121,8 +121,6 @@ class TestGenRequestsOracle:
 
     @given(factors=st.integers(1, 3).flatmap(
                lambda m: st.tuples(*(factor_specs(f"f{i}") for i in range(m)))),
-           # 3 factors x 3000 rows exceed numpy's 8192-element cast buffer,
-           # so the transpose into the factor matrix takes several blocks
            n=st.sampled_from([0, 1, 3000]) | st.integers(2, 40),
            base_rate=st.sampled_from([0.001, 0.1, 0.5, 0.97]),
            seed=st.integers(0, 2**63 - 1))
@@ -132,7 +130,7 @@ class TestGenRequestsOracle:
         _, batch = gen_requests(spec, seed)
         factors, labels = oracle_requests(spec, seed)
         assert batch.factors.dtype == np.int32 and batch.labels.dtype == np.int8
-        assert batch.factors.flags.c_contiguous
+        assert batch.factors.flags.f_contiguous
         assert np.array_equal(batch.factors, factors)
         assert np.array_equal(batch.labels, labels)
 
@@ -143,8 +141,8 @@ class TestGenRequestsOracle:
                               oracle_sigmoid(x).view(np.uint64))
 
     def test_factor_matrix_is_the_only_full_size_copy(self):
-        # the level ids are staged one byte per draw, so the set-up holds
-        # the int32 factor matrix once, plus a quarter of it
+        # the level ids are drawn straight into the int32 factor matrix,
+        # so the set-up holds it once, plus a few float vectors of n
         levels = tuple(f"v{j}" for j in range(8))
         spec = RequestSpec(n=50_000, base_rate=0.1, factors=tuple(
             FactorSpec(f"f{i}", levels, (0.3,) + (0.1,) * 7, (0.1,) * 8)
