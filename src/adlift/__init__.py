@@ -8,8 +8,8 @@ correction, virtual-time detrending, SSA forecasting and change alarms.
 
 from .features import ImportanceVector, rank_factors, renyi_mi, shannon_mi
 from .ingest import (EventBatch, FactorDictionary, FactorTable, HourlySeries,
-                     RequestBatch, RequestRecord, Schema, aggregate_hourly,
-                     build_factor_table, parse_cookie_events, parse_requests)
+                     RequestBatch, Schema, aggregate_hourly, build_factor_table,
+                     parse_cookie_events, parse_requests)
 from .predictor import (BatchScores, PacingState, ScoredRequest,
                         SparseRateModel, load_model, pace, pace_batch,
                         save_model, score, score_batch, train)

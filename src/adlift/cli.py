@@ -92,7 +92,9 @@ def _load_tables(path) -> ingest.FactorTable:
             if type(value) is not int:
                 raise DataError(f"{path}: total and counts must be integers, "
                                 f"got {value!r}")
-        counts = [np.asarray(f["counts"], dtype=np.int64) for f in factors]
+        # a factor with no levels is written as "counts": [], a (0, 2) table
+        counts = [np.asarray(f["counts"] if f["counts"] != [] else np.empty((0, 2)),
+                             dtype=np.int64) for f in factors]
         return ingest.FactorTable(counts, doc["total"], dictionary)
     return _read_json(path, build)
 

@@ -1,4 +1,4 @@
-"""Parsing of request/event logs into typed records, contingency tables and
+"""Parsing of request/event logs into column batches, contingency tables and
 hourly series.
 
 Input format is UTF-8 delimited text (comma by default) with a mandatory
@@ -129,14 +129,6 @@ class FactorDictionary:
                 and self._levels == other._levels)
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """One bid request: per-factor level ids plus a binary outcome."""
-
-    factors: tuple[int, ...]
-    label: int
-
-
 def _exactly(values, dtype) -> np.ndarray:
     """``values`` as an array of ``dtype``; ValueError unless every value is a
     number that the cast keeps as it is."""
@@ -151,12 +143,13 @@ def _exactly(values, dtype) -> np.ndarray:
     raise ValueError(f"{values.dtype} values that {np.dtype(dtype)} cannot hold")
 
 
-class RequestBatch(Sequence[RequestRecord]):
-    """Array-backed sequence of RequestRecords.
+class RequestBatch:
+    """Bid requests as arrays: per-factor level ids plus a binary outcome.
 
     ``factors`` is an (n, m) int32 matrix of level ids stored column-major,
     so each factor's ids are one contiguous column; ``labels`` an (n,) int8
-    vector. Behaves as a read-only list of RequestRecord. ValueError for
+    vector. Row i, as ``batch[i]`` or from iteration, is its tuple of factor
+    ids as Python ints; labels are read from ``labels``. ValueError for
     ids or labels that the int32 or int8 cast would change (2**32, 0.7,
     NaN); column-major int32 factors are kept without a copy.
     """
@@ -176,16 +169,12 @@ class RequestBatch(Sequence[RequestRecord]):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return RequestBatch(self.factors[i], self.labels[i])
-        return RequestRecord(tuple(self.factors[i].tolist()), int(self.labels[i]))
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        return tuple(self.factors[i].tolist())
 
-    def __iter__(self) -> Iterator[RequestRecord]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         for start in range(0, len(self), ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            yield from map(RequestRecord, map(tuple, self.factors[rows].tolist()),
-                           self.labels[rows].tolist())
+            yield from map(tuple, self.factors[start:start + ROW_BLOCK].tolist())
 
 
 class FactorTable:

@@ -26,7 +26,7 @@ from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainErr
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (MISSING_LEVEL, FactorDictionary, FactorTable, RequestBatch,
-                     RequestRecord, atomic_write, load_json, open_text)
+                     atomic_write, load_json, open_text)
 
 MODEL_VERSION = 1
 
@@ -150,9 +150,10 @@ def train(table: FactorTable, importance: ImportanceVector,
     return model
 
 
-def score(model: SparseRateModel, x: RequestRecord,
+def score(model: SparseRateModel, factors: Sequence[int],
           dictionary: FactorDictionary | None = None) -> ScoredRequest:
-    """Score one request: importance-weighted mean of its level rates.
+    """Score one request, given as its per-factor level ids (``batch[i]``):
+    the importance-weighted mean of its level rates.
 
     Factors with unseen levels (id outside the training range) are excluded
     and the weights renormalize; if nothing contributes the score falls back
@@ -161,7 +162,6 @@ def score(model: SparseRateModel, x: RequestRecord,
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
-    factors = x.factors
     if len(factors) != model.m:
         raise DimensionMismatch(f"record has {len(factors)} factors, model has {model.m}")
     num = 0.0

@@ -62,10 +62,6 @@ class FrequencyTable:
     def observed(self, n: int) -> int:
         return self.counts.get(n, 0)
 
-    def scaled(self, factor: int) -> "FrequencyTable":
-        return FrequencyTable({n: c * factor for n, c in self.counts.items()},
-                              self.window_hours)
-
 
 def build_frequency_table(events: EventBatch,
                           window_hours: float | None = None) -> FrequencyTable:
@@ -375,9 +371,11 @@ def estimate_survival(events: EventBatch, window: tuple[int, int],
     within ``guard_days`` of the window end are right-censored. The
     exponential MLE is total observed lifetime (censored included) divided
     by the number of deaths; with zero deaths the total itself is reported
-    as a lower bound and flagged. DomainError names the first event outside
-    the window.
+    as a lower bound and flagged. DomainError for a ``guard_days`` that is
+    not >= 0, NaN included, and naming the first event outside the window.
     """
+    if not guard_days >= 0:
+        raise DomainError(f"guard_days must be non-negative, got {guard_days}")
     t0, t1 = window
     guard_s = guard_days * SECONDS_PER_DAY
     ts = events.timestamps

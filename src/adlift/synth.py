@@ -124,9 +124,6 @@ class ChurnSpec:
     def browsers(self) -> list[str]:
         return sorted(self.mix)
 
-    def mean_tau_days(self) -> float:
-        return sum(self.mix[b] * self.tau_days[b] for b in self.mix)
-
 
 @dataclass(frozen=True)
 class Harmonic:
@@ -312,9 +309,6 @@ class PopulationSample:
     @property
     def users(self) -> int:
         return len(self.counts)
-
-    def user_times(self, u: int) -> np.ndarray:
-        return self.times[self.offsets[u]:self.offsets[u + 1]]
 
 
 def gen_gamma_poisson(spec: PopulationSpec, seed: int) -> PopulationSample:

@@ -50,7 +50,6 @@ class SsaModel:
     reconstructed: np.ndarray = field(repr=False)
     start_hour: int = 0
     rank_reduced: bool = False
-    verticality: float = 0.0
     _max_root_modulus: float | None = field(default=None, repr=False)
 
     @property
@@ -142,7 +141,7 @@ def ssa_fit(series, L: int | None = None, r: int | None = None) -> SsaModel:
     reconstructed = _diagonal_average(low_rank)
     return SsaModel(window=L, rank=r, singular_values=s, recurrence=recurrence,
                     reconstructed=reconstructed, start_hour=start_hour,
-                    rank_reduced=rank_reduced, verticality=nu2)
+                    rank_reduced=rank_reduced)
 
 
 def ssa_forecast(model: SsaModel, horizon: int) -> np.ndarray:

@@ -74,6 +74,19 @@ class TestDispatch:
                    "--input", workdir / "nope.csv", "--out", workdir / "t.json")
         assert code == 2
 
+    def test_empty_tables_round_trip_to_rank(self, workdir, capsys):
+        d = workdir
+        (d / "requests.csv").write_text("browser,os,label\n")
+        assert run("build-tables", "--schema", d / "schema.json",
+                   "--input", d / "requests.csv", "--out", d / "tables.json") == 0
+        factors = json.loads((d / "tables.json").read_text())["factors"]
+        assert [(f["levels"], f["counts"]) for f in factors] == [([], [])] * 2
+        capsys.readouterr()
+        assert run("rank", "--tables", d / "tables.json",
+                   "--out", d / "importance.json") == 2
+        assert "factor table holds no records" in capsys.readouterr().err
+        assert not (d / "importance.json").exists()
+
 
 class TestPipeline:
     def test_end_to_end(self, workdir, capsys):
@@ -662,6 +675,8 @@ class TestExitCodes:
         (["pace", "--horizon", "-5"], 2, "horizon_requests must be non-negative"),
         *[(["pace", "--gamma", g], 2, "gamma must be non-negative and finite")
           for g in ("nan", "-1", "inf")],
+        *[(["survival", f"--guard-days={g}"], 2, "guard_days must be non-negative")
+          for g in ("nan", "-1", "-inf")],
     ])
     def test_bad_numeric_flag_keeps_the_exit_code(self, workdir, capsys, argv, code,
                                                   message):
@@ -677,13 +692,15 @@ class TestExitCodes:
             "hour,count\n" + "".join(f"{h},{10 + h % 3}\n" for h in range(48)))
         (d / "forecast.csv").write_text(
             "hour,actual,forecast\n" + "".join(f"{h},,11.0\n" for h in range(48)))
+        (d / "events.csv").write_text("cookie_id,browser,timestamp\nc,chrome,50\n")
         inputs = {"train": ["--tables", d / "tables.json",
                             "--importance", d / "importance.json"],
                   "rank": ["--tables", d / "tables.json"],
                   "alarm": ["--series", d / "hourly.csv", "--forecast", d / "forecast.csv"],
                   "forecast": ["--series", d / "hourly.csv"],
                   "pace": ["--model", d / "model.json", "--input", d / "requests.csv",
-                           "--target", "10"]}
+                           "--target", "10"],
+                  "survival": ["--events", d / "events.csv", "--window", "0:100"]}
         capsys.readouterr()
         command, *flags = argv
         assert run(command, *inputs[command], *flags, "--out", d / "out") == code

@@ -11,7 +11,7 @@ from adlift import ingest
 from adlift.errors import (BadLabel, DimensionMismatch, MissingColumn, RaggedRow,
                            UnalignedWindow)
 from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
-                           RequestBatch, RequestRecord, Schema,
+                           RequestBatch, Schema,
                            aggregate_hourly, build_factor_table,
                            parse_cookie_events, parse_requests, read_columns,
                            write_events_csv, write_requests_csv)
@@ -49,8 +49,8 @@ class TestParseRequests:
         assert dictionary.level_count(0) == 2
         assert dictionary.levels(0) == ["chrome", "safari"]
         assert len(records) == 2
-        assert records[0] == RequestRecord((0,), 1)
-        assert records[1] == RequestRecord((1,), 0)
+        assert (records[0], records[1]) == ((0,), (1,))
+        assert records.labels.tolist() == [1, 0]
 
     def test_header_only(self):
         dictionary, records = parse_requests("browser,label\n", SCHEMA1)
@@ -77,7 +77,7 @@ class TestParseRequests:
     def test_empty_value_becomes_missing_level(self):
         dictionary, records = parse_requests("browser,label\n,1\n", SCHEMA1)
         assert dictionary.levels(0) == [MISSING_LEVEL]
-        assert records[0].factors == (0,)
+        assert records[0] == (0,)
 
     def test_empty_and_literal_missing_share_one_level(self):
         text = "browser,label\nz,0\n__missing__,1\n,0\na,1\n,1\n"
@@ -650,9 +650,9 @@ class TestRequestBatch:
         batch = RequestBatch(np.array([[0, 1], [1, 0]], dtype=np.int32),
                              np.array([1, 0], dtype=np.int8))
         assert len(batch) == 2
-        assert batch[1] == RequestRecord((1, 0), 0)
-        assert list(batch)[0] == RequestRecord((0, 1), 1)
-        assert len(batch[:1]) == 1
+        assert batch[1] == (1, 0)
+        assert list(batch) == [(0, 1), (1, 0)]
+        assert batch.labels.tolist() == [1, 0]
 
     def test_records_match_per_cell_construction(self, rng):
         # three row blocks, the last one short, and the int32 extremes
@@ -662,12 +662,11 @@ class TestRequestBatch:
         factors[-1] = [2**31 - 1, -2**31, 0, -1, 2**31 - 1]
         labels = rng.integers(0, 2, n).astype(np.int8)
         batch = RequestBatch(factors, labels)
-        expected = [RequestRecord(tuple(int(v) for v in row), int(label))
-                    for row, label in zip(factors, labels)]
-        records = list(batch) + [batch[i] for i in range(-n, n)]
-        assert records == expected * 3
-        assert all(type(v) is int for rec in records for v in rec.factors)
-        assert all(type(rec.label) is int for rec in records)
+        expected = [tuple(int(v) for v in row) for row in factors]
+        rows = list(batch) + [batch[i] for i in range(-n, n)]
+        assert rows == expected * 3
+        assert all(type(v) is int for row in rows for v in row)
+        assert batch.labels.tolist() == labels.tolist()
 
     def test_factors_stored_column_major(self):
         ids = np.arange(12).reshape(4, 3)
@@ -677,7 +676,7 @@ class TestRequestBatch:
             assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
             assert batch.factors.tolist() == ids.tolist()
             assert batch.factors.tobytes() == ids.astype(np.int32).tobytes()
-            assert batch[1] == RequestRecord((3, 4, 5), 0)
+            assert batch[1] == (3, 4, 5)
         column_major = np.asfortranarray(ids, dtype=np.int32)
         batch = RequestBatch(column_major, labels)
         assert np.shares_memory(batch.factors, column_major)

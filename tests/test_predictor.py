@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                            FingerprintMismatch, VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
-from adlift.ingest import (FactorDictionary, RequestBatch, RequestRecord,
-                           build_factor_table)
+from adlift.ingest import FactorDictionary, RequestBatch, build_factor_table
 from adlift.predictor import (SCORE_BLOCK, PacingState, ScoredRequest, SparseRateModel,
                               load_model, pace, pace_batch, save_model, score,
                               score_batch, train)
@@ -39,7 +38,7 @@ class TestTrain:
             model = _model_from_counts([[30, 10], [20, 40]],
                                        importance=[0.001], epsilon=0.5)
         assert model.all_pruned
-        x = RequestRecord((0,), 0)
+        x = (0,)
         assert score(model, x).score == model.global_rate
         assert score(model, x).used_factors == 0
 
@@ -80,15 +79,15 @@ class TestTrain:
 class TestScore:
     def test_single_factor_returns_rate(self):
         model = _model_from_counts([[1, 3], [4, 0]])
-        assert score(model, RequestRecord((0,), 0)).score == model.rates[0][0]
-        assert score(model, RequestRecord((1,), 0)).score == model.rates[0][1]
+        assert score(model, (0,)).score == model.rates[0][0]
+        assert score(model, (1,)).score == model.rates[0][1]
 
     def test_equal_importance_is_arithmetic_mean(self):
         # with beta=1 these counts give smoothed rates of exactly 0.2 and 0.6
         model = _model_from_counts([[7, 1]], [[3, 5]], beta=1.0)
         assert model.rates[0][0] == 0.2
         assert model.rates[1][0] == 0.6
-        got = score(model, RequestRecord((0, 0), 0))
+        got = score(model, (0, 0))
         assert got.score == pytest.approx(0.4)
         assert got.used_factors == 2
 
@@ -96,13 +95,13 @@ class TestScore:
         model = _model_from_counts([[1, 3], [4, 0]], [[4, 4]],
                                    importance=[1.0, 3.0])
         # factor 0 unseen (id 7): only factor 1 contributes
-        got = score(model, RequestRecord((7, 0), 0))
+        got = score(model, (7, 0))
         assert got.score == model.rates[1][0]
         assert got.used_factors == 1
 
     def test_all_unseen_falls_back_to_global(self):
         model = _model_from_counts([[1, 3]], [[2, 2]])
-        got = score(model, RequestRecord((9, -1), 0))
+        got = score(model, (9, -1))
         assert got.score == model.global_rate
         assert got.used_factors == 0
 
@@ -110,9 +109,9 @@ class TestScore:
         model = _model_from_counts([[10, 30], [40, 5]], [[25, 25], [18, 17]],
                                    importance=[0.7, 0.2])
         for _ in range(200):
-            rec = RequestRecord((int(rng.integers(0, 2)), int(rng.integers(0, 2))), 0)
+            rec = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             got = score(model, rec)
-            usable = [model.rates[i][rec.factors[i]] for i in range(2)]
+            usable = [model.rates[i][rec[i]] for i in range(2)]
             assert min(usable) - 1e-15 <= got.score <= max(usable) + 1e-15
 
     def test_importance_scaling_invariance(self):
@@ -120,7 +119,7 @@ class TestScore:
         base = train(table, ImportanceVector(method="shannon", values=[0.3, 0.1]))
         scaled = train(table, ImportanceVector(method="shannon", values=[3.0, 1.0]))
         doubled = train(table, ImportanceVector(method="shannon", values=[0.6, 0.2]))
-        recs = [RequestRecord(ids, 0) for ids in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        recs = [(0, 0), (0, 1), (1, 0), (1, 1)]
         s_base = [score(base, r).score for r in recs]
         s_scaled = [score(scaled, r).score for r in recs]
         for a, b in zip(s_base, s_scaled):
@@ -136,12 +135,11 @@ class TestScore:
         m0 = train(table, imp, epsilon=0.0)
         m1 = train(table, imp, epsilon=0.0199)
         for ids in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            rec = RequestRecord(ids, 0)
-            assert score(m0, rec).score == score(m1, rec).score
+            assert score(m0, ids).score == score(m1, ids).score
 
     def test_determinism_bit_identical(self):
         model = _model_from_counts([[10, 30], [40, 5]])
-        rec = RequestRecord((1,), 0)
+        rec = (1,)
         values = {score(model, rec).score for _ in range(100)}
         assert len(values) == 1
 
@@ -150,15 +148,14 @@ class TestScore:
         model = train(table, ImportanceVector(method="shannon", values=[1.0]))
         other = FactorDictionary(["f0"], [["x", "y"]])
         with pytest.raises(FingerprintMismatch):
-            score(model, RequestRecord((0,), 0), dictionary=other)
+            score(model, (0,), dictionary=other)
         # matching dictionary passes
-        assert score(model, RequestRecord((0,), 0),
-                     dictionary=table.dictionary).score > 0
+        assert score(model, (0,), dictionary=table.dictionary).score > 0
 
     def test_wrong_arity(self):
         model = _model_from_counts([[1, 3]])
         with pytest.raises(DimensionMismatch):
-            score(model, RequestRecord((0, 0), 0))
+            score(model, (0, 0))
 
 
 class TestScoreBatch:
@@ -186,6 +183,17 @@ class TestScoreBatch:
         result = score_batch(model, batch)
         single = np.array([score(model, batch[i]).score for i in range(len(batch))])
         assert np.array_equal(result.scores, single)
+
+    def test_plain_tuple_and_list_match_batch_bits(self):
+        model = _model_from_counts([[10, 30], [40, 5], [3, 3]], [[25, 25], [18, 23]],
+                                   importance=[0.7, 0.2])
+        ids = [[0, 1], [2, 0], [1, 5], [-1, 1], [9, -1]]
+        result = score_batch(model, RequestBatch(ids, np.zeros(len(ids), dtype=np.int8)))
+        for row, expected, used in zip(ids, result.scores, result.used_factors):
+            for factors in (tuple(row), list(row)):
+                got = score(model, factors)
+                assert np.float64(got.score).tobytes() == expected.tobytes()
+                assert got.used_factors == used
 
     def test_order_preserved(self):
         model = _model_from_counts([[1, 3], [4, 0]])
@@ -366,7 +374,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         for _ in range(1000):
-            rec = RequestRecord((int(rng.integers(0, 2)), int(rng.integers(0, 2))), 0)
+            rec = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             assert score(model, rec).score == score(loaded, rec).score
         assert loaded.fingerprint == model.fingerprint
 
@@ -404,7 +412,7 @@ class TestPersistence:
         loaded = load_model(path)
         other = FactorDictionary(["f0", "f1"], [["p", "q"], ["r", "s"]])
         with pytest.raises(FingerprintMismatch):
-            score(loaded, RequestRecord((0, 0), 0), dictionary=other)
+            score(loaded, (0, 0), dictionary=other)
 
 
 class TestCalibration:

@@ -102,7 +102,8 @@ class TestFitNbdTruncated:
         observed = sample_zero_truncated_nbd(1.2, 1.8, 20_000, rng)
         freq = freq_from_counts(observed)
         m1 = fit_nbd_truncated(freq)
-        m7 = fit_nbd_truncated(freq.scaled(7))
+        m7 = fit_nbd_truncated(FrequencyTable({n: 7 * c for n, c in freq.counts.items()},
+                                              freq.window_hours))
         assert m7.k == pytest.approx(m1.k, rel=1e-6)
         assert m7.m == pytest.approx(m1.m, rel=1e-6)
 

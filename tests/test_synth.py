@@ -224,7 +224,7 @@ class TestGenGammaPoisson:
         spec = PopulationSpec(k=1.0, m=5.0, users=500, window_hours=48.0)
         sample = gen_gamma_poisson(spec, seed=5)
         for u in range(0, 500, 50):
-            t = sample.user_times(u)
+            t = sample.times[sample.offsets[u]:sample.offsets[u + 1]]
             assert np.all(np.diff(t) >= 0)
             assert len(t) == sample.counts[u]
             assert np.all((t >= 0) & (t < 48.0))
@@ -331,7 +331,7 @@ class TestSynthSpecJson:
         assert spec.seed == 7
         assert spec.requests.factors[0].levels == ("x", "y")
         assert spec.population.m == 2.5
-        assert spec.churn.mean_tau_days() == 6.0
+        assert (spec.churn.tau_days, spec.churn.mix) == ({"chrome": 6.0}, {"chrome": 1.0})
         assert spec.intensity.harmonics[0].period_hours == 24.0
         # generators run off the parsed spec
         _, batch = gen_requests(spec.requests, spec.seed)
