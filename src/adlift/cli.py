@@ -24,10 +24,6 @@ from .features import ImportanceVector, rank_factors
 
 PROG = "adlift"
 
-# the longest hourly series a file may span, gaps included (114 years): a
-# series is filled to one float per hour
-MAX_SERIES_HOURS = 1_000_000
-
 COMMANDS = ("synth", "build-tables", "rank", "train", "score", "pace",
             "fit-nbd", "survival", "adjust-churn", "forecast", "virtualize",
             "alarm")
@@ -177,9 +173,9 @@ def _load_series(path) -> tuple[int, np.ndarray]:
         raise AdliftError(f"{path}: empty series")
     _reject_repeats(path, rows, hours, "hour")
     start = min(hours)
-    if max(hours) - start >= MAX_SERIES_HOURS:
+    if max(hours) - start >= timeseries.MAX_SERIES_HOURS:
         raise DataError(f"{path}: hours {start} to {max(hours)} span more than "
-                        f"{MAX_SERIES_HOURS} hours")
+                        f"{timeseries.MAX_SERIES_HOURS} hours")
     series = np.zeros(max(hours) - start + 1)
     for hour, value in zip(hours, values):
         series[hour - start] = value
@@ -242,10 +238,11 @@ def _read_request_rows(path, factor_names, delimiter: str) -> ingest.Rows:
 
 
 def _encoded_batch(model: predictor.SparseRateModel, path,
-                   delimiter: str) -> ingest.RequestBatch:
+                   delimiter: str) -> tuple[ingest.Rows, ingest.RequestBatch]:
+    """The rows of ``path`` and a batch of the model's ids of each distinct row."""
     rows = _read_request_rows(path, model.factor_names, delimiter)
-    matrix = rows.gather(model.encode_columns(rows.columns))
-    return ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
+    matrix = model.encode_columns(rows.columns)
+    return rows, ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -334,30 +331,30 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     model = predictor.load_model(args.model)
-    result = predictor.score_batch(
-        model, _encoded_batch(model, args.input, args.delimiter))
+    rows, batch = _encoded_batch(model, args.input, args.delimiter)
+    result = predictor.score_batch(model, batch)
+    n = len(rows.codes)
     emit_report(["index", "score", "used_factors"],
-                ingest.Columns(np.arange(len(result)), result.scores,
-                               result.used_factors), args.out)
-    _info(f"scored {len(result)} requests at "
-          f"{result.throughput_rps:,.0f} req/s -> {args.out}")
+                ingest.Columns(np.arange(n), rows.coded(result.scores),
+                               rows.coded(result.used_factors)), args.out)
+    _info(f"scored {n} requests, {len(result)} distinct rows -> {args.out}")
     return 0
 
 
 def _cmd_pace(args) -> int:
     model = predictor.load_model(args.model)
-    result = predictor.score_batch(
-        model, _encoded_batch(model, args.input, args.delimiter))
-    n = len(result)
+    rows, batch = _encoded_batch(model, args.input, args.delimiter)
+    result = predictor.score_batch(model, batch)
+    n = len(rows.codes)
     horizon = args.horizon if args.horizon is not None else n
     state = predictor.PacingState(target_total=args.target,
                                   horizon_requests=horizon,
                                   threshold=args.threshold,
                                   block_size=args.block, gamma=args.gamma)
-    show, threshold = predictor.pace_batch(state, result.scores)
+    show, threshold = predictor.pace_batch(state, rows.gather(result.scores))
     emit_report(["index", "score", "show", "threshold"],
-                ingest.Columns(np.arange(n), result.scores, show.astype(np.int64),
-                               threshold), args.out)
+                ingest.Columns(np.arange(n), rows.coded(result.scores),
+                               show.astype(np.int64), threshold), args.out)
     _info(f"showed {state.shown_so_far}/{args.target} over {n} requests "
           f"-> {args.out}")
     return 0

@@ -278,6 +278,13 @@ class Rows(NamedTuple):
             return values
         return values.T[..., self.codes].T
 
+    def coded(self, values: np.ndarray):
+        """Per-distinct-row ``values`` as a report column: ``Coded`` where there
+        is at most one distinct row per 2 rows (the writer's rule), else gathered."""
+        if 2 * len(values) <= len(self.codes):
+            return Coded(values, self.codes)
+        return self.gather(values)
+
     def line(self, j: int) -> int:
         """The line of distinct row ``j``'s first occurrence, counting rows
         from the header's line 1 (a quoted cell's newlines start no line)."""
@@ -537,7 +544,8 @@ def _fmt(value) -> str:
 
 
 class Coded(NamedTuple):
-    """A report column whose row i is ``str(labels[codes[i]])``."""
+    """A report column whose row i is ``labels[codes[i]]``: as a number where
+    ``labels`` is a numpy int or float array, else as ``str(label)``."""
 
     labels: Sequence
     codes: np.ndarray
@@ -729,8 +737,14 @@ def _float_cells(x: np.ndarray) -> _Matrix:
 _WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
+def _number_cells(values: np.ndarray) -> _Matrix:
+    """Numpy int or float ``values`` widened to 64 bits and rendered as cells."""
+    values = values.astype(_WIDE[values.dtype.kind], copy=False)
+    return (_float_cells if values.dtype.kind == "f" else _int_cells)(values)
+
+
 def _coded_numbers(column: np.ndarray) -> Coded:
-    """A numeric column as a coded one, with one label per distinct value.
+    """A numeric column as a coded one whose labels are its distinct values.
 
     An int column whose values span fewer values than it has rows is coded
     by offset from its minimum, in O(n); any other by bit pattern, so that
@@ -741,25 +755,30 @@ def _coded_numbers(column: np.ndarray) -> Coded:
         if int(column.max()) - low < len(column):
             offset = (column - column.dtype.type(low)).astype(np.intp)
             present = np.bincount(offset) > 0
-            labels = [str(low + k) for k in np.flatnonzero(present).tolist()]
+            labels = np.flatnonzero(present).astype(column.dtype) + column.dtype.type(low)
             return Coded(labels, (np.cumsum(present) - 1)[offset])
     distinct, codes = np.unique(column.view(np.uint64), return_inverse=True)
-    text = "%.12g".__mod__ if column.dtype.kind == "f" else str
-    return Coded(list(map(text, distinct.view(column.dtype).tolist())), codes)
+    return Coded(distinct.view(column.dtype), codes)
 
 
-def _label_table(labels: list[str], codes: np.ndarray) -> _Matrix | _Ragged:
-    """The bytes of ``labels``, as a matrix to gather rows from where its
-    padding stays small (see MAX_KEY_BLOWUP and MAX_BLOCK_BYTES); a label
-    that is not UTF-8 text raises only if a code shows it."""
-    try:
-        table = _ragged(labels)
-    except UnicodeEncodeError:
-        shown = np.zeros(len(labels), bool)
-        shown[codes] = True
-        table = _ragged([label if seen else "" for label, seen in zip(labels, shown)])
-    if not labels or (table.width * len(labels) > MAX_KEY_BLOWUP * len(table.data)
-                      or table.width * WRITE_BLOCK > MAX_BLOCK_BYTES):
+def _label_table(labels: Sequence, codes: np.ndarray, lone: bool) -> _Matrix | _Ragged:
+    """A coded column's label cells (numbers by ``_number_cells``, unpadded), as a
+    matrix to gather rows from where padding stays small (see MAX_KEY_BLOWUP and
+    MAX_BLOCK_BYTES); a label that is not UTF-8 text raises only if a code shows it."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in _WIDE and len(labels):
+        cells, keep = _number_cells(labels)
+        lengths = keep.sum(axis=1)
+        table = _Ragged(cells[keep], np.cumsum(lengths) - lengths, lengths)
+    else:
+        labels = _csv_cells(list(map(str, labels)), lone)
+        try:
+            table = _ragged(labels)
+        except UnicodeEncodeError:
+            shown = np.zeros(len(labels), bool)
+            shown[codes] = True
+            table = _ragged([label if seen else "" for label, seen in zip(labels, shown)])
+    if not len(labels) or (table.width * len(labels) > MAX_KEY_BLOWUP * len(table.data)
+                           or table.width * WRITE_BLOCK > MAX_BLOCK_BYTES):
         return table
     return table.rows(0, len(labels))
 
@@ -768,22 +787,21 @@ def _column_cells(column, lone: bool):
     """A function from a row range of ``column`` to its cells as CSV bytes (a
     ``_Matrix``, or a ``_Ragged`` to be rendered a few rows at a time).
 
-    Coded columns encode each label once and gather its bytes by code, and
+    Coded columns render each label once and gather its bytes by code, and
     so do numeric columns whose first block repeats their bit patterns: coding
     costs about as much as formatting half the values, hence 1 distinct value
-    per 2 rows, not read_columns' 8. Other numeric columns are written by
-    digit arithmetic (``_int_cells``, ``_float_cells``), and other sequences
-    by ``_fmt`` per cell.
+    per 2 rows, not read_columns' 8. Numbers, numeric labels included, are
+    written by digit arithmetic (``_int_cells``, ``_float_cells``), other
+    labels by ``str`` and other sequences by ``_fmt`` per cell.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in _WIDE:
         column = column.astype(_WIDE[column.dtype.kind], copy=False)
         if not (len(column) and _repeats(column.view(np.uint64)[:ROW_BLOCK].tolist(), 2)):
-            cells = _float_cells if column.dtype.kind == "f" else _int_cells
-            return lambda start, stop: cells(column[start:stop])
+            return lambda start, stop: _number_cells(column[start:stop])
         column = _coded_numbers(column)
     if isinstance(column, Coded):
         codes = column.codes
-        table = _label_table(_csv_cells(list(map(str, column.labels)), lone), codes)
+        table = _label_table(column.labels, codes, lone)
         return lambda start, stop: table.take(codes[start:stop])
     return lambda start, stop: _ragged(_csv_cells(list(map(_fmt, column[start:stop])), lone))
 
@@ -791,8 +809,8 @@ def _column_cells(column, lone: bool):
 def write_columns(path, header: Sequence[str], table: Columns) -> None:
     """Write ``table`` under ``header`` as a CSV file, atomically.
 
-    Each cell is what csv.writer writes for ``_fmt(value)`` (for ``str(label)``
-    in a coded column), with "\\n" line ends. Rows go out ``WRITE_BLOCK`` at a
+    Each cell is what csv.writer writes for ``_fmt(value)`` (see ``Coded`` for
+    a coded column), with "\\n" line ends. Rows go out ``WRITE_BLOCK`` at a
     time (fewer where cells are wide, see MAX_BLOCK_BYTES), each block as one
     uint8 matrix of the columns' fixed-width cells and a "," or "\\n" after
     each, less the bytes that its mask drops; neither the report's text nor

@@ -136,6 +136,8 @@ def train(table: FactorTable, importance: ImportanceVector,
     for counts in table.counts:
         totals = counts.sum(axis=1)
         rates.append((counts[:, 1] + beta) / (totals + 2.0 * beta))
+        if not ((rates[-1] > 0.0) & (rates[-1] < 1.0)).all():
+            raise DomainError(f"beta {beta} rounds a smoothed rate to 0 or 1")
     positives = int(table.counts[0][:, 1].sum())
     global_rate = (positives + beta) / (table.total + 2.0 * beta)
     model = SparseRateModel(

@@ -24,6 +24,9 @@ from .ingest import HourlySeries, SECONDS_PER_HOUR
 
 DEFAULT_WINDOW = 168  # one week of hours
 RANK_ENERGY_TARGET = 0.95
+# the longest series a file may span, gaps included (114 years), forecast
+# horizon and residual window: a series is filled to one float per hour
+MAX_SERIES_HOURS = 1_000_000
 
 
 def _as_series_values(series) -> tuple[np.ndarray, int]:
@@ -149,8 +152,8 @@ def ssa_forecast(model: SsaModel, horizon: int) -> np.ndarray:
     the linear recurrence. Deterministic; an explosive recurrence root is
     flagged with UnstableRecurrenceWarning but the forecast is still returned.
     """
-    if horizon < 0:
-        raise DomainError("horizon must be non-negative")
+    if not 0 <= horizon <= MAX_SERIES_HOURS:
+        raise DomainError(f"horizon must lie in [0, {MAX_SERIES_HOURS}], got {horizon}")
     if model.max_root_modulus() > 1.0 + 1.0e-6:
         warnings.warn(f"recurrence root modulus {model.max_root_modulus():.6f} "
                       "exceeds 1; forecast may diverge", UnstableRecurrenceWarning)
@@ -235,8 +238,8 @@ class AlarmConfig:
             raise DomainError("sigma_multiplier must be positive")
         if self.consecutive_hours < 1:
             raise DomainError("consecutive_hours must be at least 1")
-        if self.residual_window < 10:
-            raise DomainError("residual_window must be at least 10")
+        if not 10 <= self.residual_window <= MAX_SERIES_HOURS:
+            raise DomainError(f"residual_window must lie in [10, {MAX_SERIES_HOURS}]")
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,8 @@ def test_layers_install_score_and_pace(monkeypatch, tmp_path):
         tracer.restore()
     metrics = {name: value for name, (value, _) in
                layers.per_layer_metrics(tracer, {}).items()}
-    assert metrics["predictor.score_batch.rows"] == 2 * len(rows)
+    # score and pace each score the 5 distinct rows once
+    assert metrics["predictor.score_batch.rows"] == 2 * len(set(rows))
     assert metrics["predictor.score_batch.errors"] == 0
     assert all(type(s) is adlift.ScoredRequest for s in scored)
     assert [s.score for s in scored] == result.scores.tolist()

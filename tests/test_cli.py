@@ -264,6 +264,19 @@ def report_column(draw):
     return cells, cells
 
 
+# numpy labels of a coded column: floats with the specials and ties above,
+# and ints with int64's extremes and uint64 values above int64's range
+NUMBER_LABELS = st.one_of(
+    st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), TIE_FLOATS),
+             min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(INT_EDGES)),
+             min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(-128, 127), min_size=1, max_size=40).map(
+        lambda v: np.array(v, dtype=np.int8)),
+    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+             min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.uint64)))
+
+
 def csv_writer_oracle(header, rows) -> bytes:
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
@@ -312,6 +325,29 @@ class TestEmitReport:
             emit_report(header, ingest.Columns(*(column for column, _ in columns)), path)
         rows = list(zip(*(cells for _, cells in columns)))
         assert path.read_bytes() == csv_writer_oracle(header, rows)
+
+    @given(NUMBER_LABELS, st.lists(st.integers(0, 2**31 - 1), max_size=300),
+           st.booleans(), st.integers(1, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_numeric_labels_write_as_their_column(self, tmp_path_factory, labels, picks,
+                                                  lone, block):
+        # a coded column of numbers, alone on its row or beside an index,
+        # gives the bytes of the per-row column it codes
+        codes = np.array(picks, dtype=np.int32) % len(labels)
+        index = [] if lone else [np.arange(len(codes))]
+        header = ["x"] if lone else ["x", "i"]
+        d = tmp_path_factory.mktemp("report")
+        with mock.patch.object(ingest, "WRITE_BLOCK", block):
+            emit_report(header, ingest.Columns(ingest.Coded(labels, codes), *index),
+                        d / "coded.csv")
+            emit_report(header, ingest.Columns(labels[codes], *index), d / "rows.csv")
+        assert (d / "coded.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+    def test_numeric_labels_of_no_rows(self, tmp_path):
+        # what score and pace write for a header-only request log
+        emit_report(["x"], ingest.Columns(ingest.Coded(np.empty(0), np.empty(0, np.int32))),
+                    tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == "x\n"
 
     def test_mixed_cells_keep_their_formatting(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -474,7 +510,7 @@ class TestRepeatedRequestLines:
     against reports built row by row from csv.reader."""
 
     @staticmethod
-    def write_requests(path, rng, browsers, delimiter):
+    def write_requests(path, rng, browsers, delimiter, quoted=True):
         rate = {"chrome": 0.6, "safari": 0.1, "": 0.3}
         rows = []
         for _ in range(600):
@@ -482,23 +518,31 @@ class TestRepeatedRequestLines:
             shown = rng.random() < rate.get(browser, 0.2) + 0.2 * (os_name == "mac")
             rows.append([browser, os_name, str(int(shown))])
         lines = [delimiter.join(row) for row in rows]
-        # one quoted line, read as the same cells, in a later read chunk
-        lines[400] = delimiter.join(f'"{cell}"' for cell in rows[400])
+        if quoted:
+            # one quoted line, read as the same cells, in a later read chunk
+            lines[400] = delimiter.join(f'"{cell}"' for cell in rows[400])
         path.write_text(delimiter.join(["browser", "os", "label"]) + "\n"
                         + "\n".join(lines) + "\n")
         return rows
 
-    @pytest.mark.parametrize("tab", [False, True])
-    def test_reports_match_per_row_oracle(self, workdir, monkeypatch, tab):
+    @pytest.mark.parametrize("tab, heldout", [
+        pytest.param(False, "quoted", id="False"), pytest.param(True, "quoted", id="True"),
+        pytest.param(False, "keyed", id="keyed"),
+        pytest.param(False, "distinct", id="distinct")])
+    def test_reports_match_per_row_oracle(self, workdir, monkeypatch, tab, heldout):
+        # held-out logs: line-keyed up to a quoted line and keyed by cells
+        # after it (the ids False and True name the training log's --tab),
+        # line-keyed throughout, or of distinct rows
         from adlift import predictor
-        from adlift.cli import _save_tables
+        from adlift.cli import _encoded_batch, _save_tables
 
         d, rng = workdir, np.random.default_rng(5)
         monkeypatch.setattr(ingest, "CHUNK_CHARS", 256)
         rows = self.write_requests(d / "requests.csv", rng, ["chrome", "safari", "", "ff"],
                                    "\t" if tab else ",")
-        held = self.write_requests(d / "heldout.csv", rng,
-                                   ["chrome", "safari", "", "opera"], ",")
+        held = self.write_requests(
+            d / "heldout.csv", rng, [str(j) for j in range(600)] if heldout == "distinct"
+            else ["chrome", "safari", "", "opera"], ",", quoted=heldout == "quoted")
         assert run("build-tables", "--schema", d / "schema.json", "--input",
                    d / "requests.csv", *(["--tab"] if tab else []),
                    "--out", d / "tables.json") == 0
@@ -524,6 +568,9 @@ class TestRepeatedRequestLines:
 
         model = predictor.load_model(d / "model.json")
         assert (model.importance > 0).all()
+        distinct = len(_encoded_batch(model, d / "heldout.csv", ",")[1])
+        assert (distinct == len(held)) if heldout == "distinct" \
+            else (distinct < len(held) / 2)
         with open(d / "heldout.csv", newline="") as fh:
             cells = list(csv.reader(fh))[1:]
         assert [row[:2] for row in cells] == [row[:2] for row in held]
@@ -531,23 +578,21 @@ class TestRepeatedRequestLines:
         result = predictor.score_batch(model, ingest.RequestBatch(
             matrix, np.zeros(len(matrix), dtype=np.int8)))
         assert (result.used_factors < model.m).any()
-        n = len(result)
-        emit_report(["index", "score", "used_factors"],
-                    ingest.Columns(np.arange(n), result.scores, result.used_factors),
-                    d / "oracle_scores.csv")
-        assert (d / "scores.csv").read_bytes() == (d / "oracle_scores.csv").read_bytes()
+        n, scores = len(result), result.scores.tolist()
+        assert (d / "scores.csv").read_bytes() == csv_writer_oracle(
+            ["index", "score", "used_factors"],
+            zip(range(n), scores, result.used_factors.tolist()))
         state = predictor.PacingState(target_total=60, horizon_requests=n,
                                       block_size=50)
         show, threshold = predictor.pace_batch(state, result.scores)
-        emit_report(["index", "score", "show", "threshold"],
-                    ingest.Columns(np.arange(n), result.scores, show.astype(np.int64),
-                                   threshold), d / "oracle_decisions.csv")
-        assert (d / "decisions.csv").read_bytes() == \
-            (d / "oracle_decisions.csv").read_bytes()
+        assert (d / "decisions.csv").read_bytes() == csv_writer_oracle(
+            ["index", "score", "show", "threshold"],
+            zip(range(n), scores, show.astype(int).tolist(), threshold.tolist()))
 
     @pytest.mark.parametrize("browsers", [["chrome", "safari", "", "opera"], None])
     def test_encoded_batch_is_column_major(self, tmp_path, browsers):
-        # None: every line distinct, so no row is gathered
+        # the batch holds the distinct rows; None: every line distinct, so
+        # the batch is every row and no row is gathered
         from adlift import predictor
         from adlift.cli import _encoded_batch
 
@@ -558,9 +603,10 @@ class TestRepeatedRequestLines:
             ["browser", "os"], [["chrome", "safari", ingest.MISSING_LEVEL], ["win", "mac"]],
             [0.7, 0.2], [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5,
             global_rate=0.3, fingerprint="")
-        batch = _encoded_batch(model, path, ",")
+        read, batch = _encoded_batch(model, path, ",")
         assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
-        assert np.array_equal(batch.factors, model.encode_columns(
+        assert (len(batch) < len(rows) / 2) if browsers else (len(batch) == len(rows))
+        assert np.array_equal(read.gather(batch.factors), model.encode_columns(
             [[row[i] for row in rows] for i in (0, 1)]))
 
     def test_tab_log_scores_as_its_csv_twin(self, workdir, capsys):
@@ -677,6 +723,15 @@ class TestExitCodes:
           for g in ("nan", "-1", "inf")],
         *[(["survival", f"--guard-days={g}"], 2, "guard_days must be non-negative")
           for g in ("nan", "-1", "-inf")],
+        # argparse reads a separate "-inf" as an option name: a usage error
+        (["survival", "--guard-days", "-inf"], 1, "expected one argument"),
+        # 2 * 1e308 overflows, and 20 + 1e-20 rounds to 20 (chrome: 20 of 20)
+        *[(["train", f"--beta={beta}"], 2, "rounds a smoothed rate to 0 or 1")
+          for beta in ("1e308", "1e-20")],
+        *[(["alarm", f"--R={r}"], 2, "residual_window must lie in [10, 1000000]")
+          for r in ("99999999999999999999", "1000001", "9")],
+        *[(["forecast", f"--horizon={h}"], 2, "horizon must lie in [0, 1000000]")
+          for h in ("99999999999999999999", "1000001", "-1")],
     ])
     def test_bad_numeric_flag_keeps_the_exit_code(self, workdir, capsys, argv, code,
                                                   message):
