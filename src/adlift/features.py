@@ -79,8 +79,8 @@ def renyi_mi(table: FactorTable, factor: int, alpha: float = DEFAULT_ALPHA) -> f
     an empty joint cell with positive marginals has no agreed convention and
     raises ZeroCellAtSmallAlpha.
     """
-    if not 0.0 < alpha < math.inf:
-        raise BadAlpha(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 < alpha <= 16.0:  # expm1 stays finite: 15 * log(2**63) < 709
+        raise BadAlpha(f"alpha must be positive and finite, at most 16, got {alpha}")
     if alpha == 1.0:
         return shannon_mi(table, factor)
     p, p_level, p_label = _joint_and_marginals(table, factor)

@@ -69,10 +69,6 @@ class Schema:
         return len(self.factor_columns)
 
     @classmethod
-    def from_json(cls, text: str) -> "Schema":
-        return cls.from_doc(json.loads(text))
-
-    @classmethod
     def from_doc(cls, doc: dict) -> "Schema":
         version = doc.get("version")
         if version != 1:
@@ -82,13 +78,6 @@ class Schema:
             label_column=doc["label"],
             timestamp_column=doc.get("timestamp"),
         )
-
-    def to_json(self) -> str:
-        doc: dict = {"version": 1, "factors": list(self.factor_columns),
-                     "label": self.label_column}
-        if self.timestamp_column is not None:
-            doc["timestamp"] = self.timestamp_column
-        return json.dumps(doc)
 
 
 class FactorDictionary:
@@ -112,9 +101,6 @@ class FactorDictionary:
 
     def level_count(self, factor: int) -> int:
         return len(self._levels[factor])
-
-    def label_of(self, factor: int, level_id: int) -> str:
-        return self._levels[factor][level_id]
 
     def fingerprint(self) -> str:
         """Stable digest of factor names and level labels, in id order."""

@@ -66,6 +66,8 @@ class SparseRateModel:
         for r in self.rates:
             if len(r) and not ((r > 0.0) & (r < 1.0)).all():
                 raise ValueError("smoothed rates must lie strictly inside (0, 1)")
+        if not ((self.importance >= 0.0) & (self.importance < math.inf)).all():
+            raise ValueError("importances must be finite and non-negative")
         # One lookup table per active factor, built once. Entry k holds the
         # weighted rate rates[i][k] * imp as its real part and the weight imp
         # as its imaginary part; entry n_levels is the 0 sentinel that unseen
@@ -73,6 +75,9 @@ class SparseRateModel:
         # lookup and one add accumulate both sums of the score. ``score``
         # reads a python-float copy of the same products (python floats beat
         # numpy scalars per call), so batch and scalar scores agree bit for bit.
+        # Every row whose levels were all seen has the weight sum ``_den`` (the
+        # same adds in the same order), and numpy and python divide by it with
+        # correct rounding, so the seen-levels paths keep these bits.
         self._tables = []
         for i, r in enumerate(self.rates):
             if self.importance[i] > 0.0:
@@ -83,6 +88,15 @@ class SparseRateModel:
         self._active = tuple(
             (i, float(self.importance[i]), tuple(table.real[:n_levels].tolist()), n_levels)
             for i, n_levels, table in self._tables)
+        self._real = [(i, table.real.copy()) for i, _, table in self._tables]
+        self._limits = np.full(self.m, 2**32)
+        self._seen, self._den, self._n_active = [], 0.0, len(self._active)
+        for j, (i, imp, weighted, n_levels) in enumerate(self._active):
+            self._limits[i] = n_levels
+            self._seen.append((i, weighted, n_levels, (self._den, j)))
+            self._den += imp
+        if not math.isfinite(self._den):
+            raise ValueError(f"active importances sum to {self._den}")
         self._level_maps = [{label: k for k, label in enumerate(ls)}
                             for ls in self.level_labels]
 
@@ -140,12 +154,15 @@ def train(table: FactorTable, importance: ImportanceVector,
             raise DomainError(f"beta {beta} rounds a smoothed rate to 0 or 1")
     positives = int(table.counts[0][:, 1].sum())
     global_rate = (positives + beta) / (table.total + 2.0 * beta)
-    model = SparseRateModel(
-        factor_names=table.dictionary.factor_names,
-        level_labels=[table.dictionary.levels(i) for i in range(table.m)],
-        importance=kept, rates=rates, epsilon=epsilon, beta=beta,
-        global_rate=global_rate, fingerprint=table.dictionary.fingerprint(),
-        method=importance.method, alpha=importance.alpha)
+    try:
+        model = SparseRateModel(
+            factor_names=table.dictionary.factor_names,
+            level_labels=[table.dictionary.levels(i) for i in range(table.m)],
+            importance=kept, rates=rates, epsilon=epsilon, beta=beta,
+            global_rate=global_rate, fingerprint=table.dictionary.fingerprint(),
+            method=importance.method, alpha=importance.alpha)
+    except ValueError as exc:  # an infinite importance, or a sum that overflows
+        raise DomainError(str(exc)) from None
     if model.all_pruned:
         warnings.warn("every factor importance is at or below epsilon; "
                       "model degenerates to the global rate", AllPrunedWarning)
@@ -160,16 +177,26 @@ def score(model: SparseRateModel, factors: Sequence[int],
     Factors with unseen levels (id outside the training range) are excluded
     and the weights renormalize; if nothing contributes the score falls back
     to the global rate. Deterministic: same model and request give the same
-    bits on every run.
+    bits on every run. A row whose levels were all seen adds only its weighted
+    rates and divides by ``model._den``, the general loop's weight sum: the same
+    bits. At an unseen level the general loop resumes with the sums so far.
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
     if len(factors) != model.m:
         raise DimensionMismatch(f"record has {len(factors)} factors, model has {model.m}")
     num = 0.0
-    den = 0.0
-    used = 0
-    for i, imp, weighted, n_levels in model._active:
+    for i, weighted, n_levels, resume in model._seen:
+        k = factors[i]
+        if not 0 <= k < n_levels:
+            break
+        num += weighted[k]
+    else:
+        if model._n_active:
+            return ScoredRequest(num / model._den, model._n_active)
+        return ScoredRequest(model.global_rate, 0)
+    den, used = resume
+    for i, imp, weighted, n_levels in model._active[used:]:
         k = factors[i]
         if 0 <= k < n_levels:
             num += weighted[k]
@@ -218,25 +245,34 @@ def _score_matrix(model: SparseRateModel, factors: np.ndarray,
     factor's ids of a block are one contiguous run. Read as uint32, every id
     outside [0, n_levels), -1 included, clips to the table's 0 sentinel.
     Factors accumulate in index order, as in ``score``, so the results are
-    bit-identical to the scalar path.
+    bit-identical to the scalar path. A block whose active columns' maxima lie
+    below their ``n_levels`` adds only the weighted rates and divides by the
+    model's ``_den``: the general path's adds and correctly rounded division.
     """
     n = len(factors)
     ids = factors.view(np.uint32)
     size = min(n, SCORE_BLOCK)
     scratch = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128),
-               np.empty(size, dtype=np.intp), np.empty(size, dtype=bool))
+               np.empty(size, dtype=np.intp), np.empty(size, dtype=bool), np.empty(size))
     for start in range(0, n, SCORE_BLOCK):
         rows = slice(start, min(n, start + SCORE_BLOCK))
-        sums, term, slot, known = (a[:rows.stop - start] for a in scratch)
+        sums, term, slot, known, lookup = (a[:rows.stop - start] for a in scratch)
         count = used[rows]
+        block = ids[rows]
+        out = scores[rows]
+        if model._n_active and (block.max(axis=0) < model._limits).all():
+            out.fill(0.0)
+            for i, weighted in model._real:
+                out += np.take(weighted, block[:, i], out=lookup)
+            out /= model._den
+            count.fill(model._n_active)
+            continue
         sums.fill(0.0)
         count.fill(0)
-        block = ids[rows]
         for i, n_levels, table in model._tables:
             np.minimum(block[:, i], n_levels, out=slot)
             sums += np.take(table, slot, out=term)
             count += np.less(slot, n_levels, out=known)
-        out = scores[rows]
         out.fill(model.global_rate)
         np.divide(sums.real, sums.imag, out=out, where=np.greater(count, 0, out=known))
 
@@ -271,9 +307,9 @@ class PacingState:
     """Feedback controller spending ``target_total`` impressions over a stream.
 
     Mutated in place by ``pace`` and ``pace_batch``; confine one state to one
-    decision thread. DomainError unless 0 <= threshold <= 1, gamma is
-    non-negative and finite, and target and horizon are non-negative; a
-    block size below 1 closes a block after every request.
+    decision thread. DomainError unless 0 <= threshold <= 1, 0 <= gamma <= 16
+    and target and horizon lie in [0, 2**63) (16 * log(2**63) < 709 keeps the
+    threshold factor finite); a block size below 1 closes a block per request.
     """
 
     target_total: int
@@ -289,13 +325,13 @@ class PacingState:
     def __post_init__(self):
         if not 0 <= self.threshold <= 1:
             raise DomainError(f"threshold must lie in [0, 1], got {self.threshold}")
-        if not 0 <= self.gamma < math.inf:
-            raise DomainError(f"gamma must be non-negative and finite, got {self.gamma}")
-        if self.target_total < 0:
-            raise DomainError(f"target_total must be non-negative, got {self.target_total}")
-        if self.horizon_requests < 0:
-            raise DomainError(
-                f"horizon_requests must be non-negative, got {self.horizon_requests}")
+        if not 0 <= self.gamma <= 16:
+            raise DomainError(f"gamma must be non-negative and finite, at most 16, "
+                              f"got {self.gamma}")
+        for name in ("target_total", "horizon_requests"):
+            if not 0 <= getattr(self, name) < 2**63:
+                raise DomainError(f"{name} must be non-negative and below 2**63, "
+                                  f"got {getattr(self, name)}")
 
 
 def pace(state: PacingState, scored: ScoredRequest) -> bool:

@@ -372,11 +372,14 @@ def estimate_survival(events: EventBatch, window: tuple[int, int],
     exponential MLE is total observed lifetime (censored included) divided
     by the number of deaths; with zero deaths the total itself is reported
     as a lower bound and flagged. DomainError for a ``guard_days`` that is
-    not >= 0, NaN included, and naming the first event outside the window.
+    not >= 0, NaN included, for a window bound outside int64, and naming the
+    first event outside the window.
     """
     if not guard_days >= 0:
         raise DomainError(f"guard_days must be non-negative, got {guard_days}")
     t0, t1 = window
+    if not (-2**63 <= t0 < 2**63 and -2**63 <= t1 < 2**63):
+        raise DomainError(f"window bounds must lie in int64, got {window}")
     guard_s = guard_days * SECONDS_PER_DAY
     ts = events.timestamps
     outside = np.flatnonzero((ts < t0) | (ts >= t1))

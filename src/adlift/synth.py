@@ -9,7 +9,6 @@ Gamma-Poisson parameters, known churn rates, known intensity profiles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -187,10 +186,6 @@ class SynthSpec:
     population: PopulationSpec | None = None
     churn: ChurnSpec | None = None
     intensity: IntensitySpec | None = None
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthSpec":
-        return cls.from_doc(json.loads(text))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SynthSpec":

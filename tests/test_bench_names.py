@@ -59,7 +59,8 @@ def test_layers_install_score_and_pace(monkeypatch, tmp_path):
     tracer = importlib.import_module("tracer").Tracer()
     score_batch = adlift.predictor.score_batch  # unwrapped: not counted as rows
     d = tmp_path
-    (d / "schema.json").write_text(adlift.Schema(("browser", "os"), "label").to_json())
+    (d / "schema.json").write_text(
+        json.dumps({"version": 1, "factors": ["browser", "os"], "label": "label"}))
     rows = ["chrome,win,1", "safari,mac,0", "ff,win,0", "chrome,,0", "opera,mac,1"] * 40
     (d / "requests.csv").write_text("browser,os,label\n" + "\n".join(rows) + "\n")
     layers.install(tracer, adlift)

@@ -732,6 +732,12 @@ class TestExitCodes:
           for r in ("99999999999999999999", "1000001", "9")],
         *[(["forecast", f"--horizon={h}"], 2, "horizon must lie in [0, 1000000]")
           for h in ("99999999999999999999", "1000001", "-1")],
+        # expm1 overflowed at a large order, and a block's rate ratio to the
+        # power gamma, or a window bound converted to float
+        (["rank", "--method", "renyi", "--alpha=1e308"], 2, "at most 16"),
+        (["pace", "--gamma=17", "--block=1"], 2, "at most 16"),
+        (["pace", f"--horizon={2**63}", "--block=1"], 2, "below 2**63"),
+        (["survival", f"--window=0:{10**400}"], 2, "window bounds must lie in int64"),
     ])
     def test_bad_numeric_flag_keeps_the_exit_code(self, workdir, capsys, argv, code,
                                                   message):
@@ -762,6 +768,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (d / "out").exists()
+
+    @pytest.mark.parametrize("importance, message", [
+        ((math.inf, 1.0), "importances must be finite and non-negative"),
+        ((math.nan, 1.0), "importances must be finite and non-negative"),
+        ((-1.0, 1.0), "importances must be finite and non-negative"),
+        ((1e308, 1e308), "active importances sum to inf"),
+    ])
+    def test_bad_model_importance_is_data_error(self, workdir, capsys, importance,
+                                                message):
+        # a model file with a valid checksum line: the check is the model's own
+        d = workdir
+        model = _train_small_model(d)
+        doc = json.loads(model.read_text().splitlines()[0])
+        for factor, value in zip(doc["factors"], importance):
+            factor["importance"] = value
+        body = json.dumps(doc)
+        model.write_text(f"{body}\nsha256:{hashlib.sha256(body.encode()).hexdigest()}\n")
+        capsys.readouterr()
+        assert run("score", "--model", model, "--input", d / "requests.csv",
+                   "--out", d / "scores.csv") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (d / "scores.csv").exists()
+
+    @pytest.mark.parametrize("importance", [(math.inf, 1.0), (1e308, 1e308)])
+    def test_bad_importance_file_is_data_error(self, workdir, capsys, importance):
+        d = workdir
+        _train_small_model(d)
+        doc = json.loads((d / "importance.json").read_text())
+        for entry, value in zip(doc["entries"], importance):
+            entry["value"] = value
+        (d / "importance.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--tables", d / "tables.json", "--importance",
+                   d / "importance.json", "--out", d / "model2.json") == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (d / "model2.json").exists()
 
     def test_pace_block_below_one_closes_every_block(self, workdir):
         d = workdir

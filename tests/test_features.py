@@ -87,6 +87,11 @@ class TestRenyiMi:
             renyi_mi(t, 0, 0.0)
         with pytest.raises(BadAlpha):
             renyi_mi(t, 0, -1.0)
+        with pytest.raises(BadAlpha):
+            renyi_mi(t, 0, 16.5)
+        # the largest order stays finite at the largest log-ratio an int64
+        # total allows: a label seen once in 2**62 records
+        assert math.isfinite(renyi_mi(make_table([[2**62, 0], [0, 1]]), 0, 16.0))
 
     def test_zero_cell_small_alpha_raises(self):
         t = make_table([[50, 0], [10, 40]])

@@ -1,6 +1,10 @@
 """Every loader, fed mutated valid files and random bytes through ``dispatch``,
-exits 0, 2 or 3: no input escapes as a traceback or as the usage code 1."""
+exits 0, 2 or 3: no input escapes as a traceback or as the usage code 1.
+Every value flag, given extreme and malformed values, exits 0-3, with 1 only
+from argparse and no output file after a failure."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -125,3 +129,60 @@ def test_every_loader_exits_0_2_or_3(valid_files, tmp_path_factory, data, target
     d = tmp_path_factory.mktemp("fuzz")
     (d / "x").write_bytes(blob)
     assert _run(argv, valid_files, d / "x", d / "out") in (0, 2, 3)
+
+
+# one argv per (subcommand, value flag): the flag and its value come last
+FLAGS = [
+    ("synth --spec {spec} --out-requests OUT", "--seed"),
+    ("rank --tables {tables} --out OUT", "--method"),
+    ("rank --tables {tables} --method renyi --out OUT", "--alpha"),
+    *(("train --tables {tables} --importance {importance} --out OUT", flag)
+      for flag in ("--epsilon", "--beta")),
+    ("pace --model {model} --input {requests} --out OUT", "--target"),
+    # blocks of one request, so that every request moves the threshold
+    *(("pace --model {model} --input {requests} --target 2 --block 1 --out OUT", flag)
+      for flag in ("--horizon", "--threshold", "--block", "--gamma")),
+    ("fit-nbd --freq {freq} --out OUT", "--window-hours"),
+    ("survival --events {events} --out OUT", "--window"),
+    ("survival --events {events} --window 0:86400 --out OUT", "--guard-days"),
+    ("adjust-churn --freq {freq} --survival {survival} --out OUT", "--window-hours"),
+    *(("adjust-churn --freq {freq} --survival {survival} --window-hours 720 --out OUT",
+       flag) for flag in ("--threshold", "--mix")),
+    *(("forecast --series {series} --out OUT", flag) for flag in ("--L", "--r", "--horizon")),
+    *(("alarm --series {series} --forecast {forecast} --out OUT", flag)
+      for flag in ("--c", "--h", "--R")),
+]
+
+# extreme and malformed values, and random numbers small enough that no
+# accepted value asks for more than a few MB
+VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "1e400",
+                     "99999999999999999999", "-99999999999999999999", "1" + "0" * 400,
+                     "", "x"]),
+    st.integers(-1000, 1000).map(str),
+    st.floats(allow_nan=False).map(repr))
+
+# the value as it is, or inside a --window or --mix shaped value
+SHAPES = ("{}", "0:{}", "{}:86400", "chrome:{}", "chrome:{},safari:0.5")
+
+
+@given(target=st.sampled_from(FLAGS), value=VALUES, shape=st.sampled_from(SHAPES),
+       joined=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_every_value_flag_keeps_the_exit_code(valid_files, tmp_path_factory, target,
+                                              value, shape, joined):
+    argv, flag = target
+    value = shape.format(value)
+    out = tmp_path_factory.mktemp("flag") / "out"
+    names = {name: str(p) for name, p in valid_files.items()}
+    args = [a.format(**names) if "{" in a else str(out) if a == "OUT" else a
+            for a in argv.split()]
+    args += [f"{flag}={value}"] if joined else [flag, value]
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = cli.dispatch(args)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), err
+    if code == 1:
+        assert "usage:" in err, err
+    if code:
+        assert not out.exists(), err

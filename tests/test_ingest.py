@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -24,10 +25,11 @@ SCHEMA1 = Schema(factor_columns=("browser",), label_column="label")
 
 
 class TestSchema:
-    def test_from_json_roundtrip(self):
-        schema = Schema(("browser", "os"), "label", timestamp_column="ts")
-        again = Schema.from_json(schema.to_json())
-        assert again == schema
+    def test_from_doc_reads_every_field(self):
+        text = ('{"version": 1, "factors": ["browser", "os"], "label": "label", '
+                '"timestamp": "ts"}')
+        schema = Schema.from_doc(json.loads(text))
+        assert schema == Schema(("browser", "os"), "label", timestamp_column="ts")
 
     def test_rejects_duplicate_factors(self):
         with pytest.raises(ValueError):
@@ -39,7 +41,7 @@ class TestSchema:
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
-            Schema.from_json('{"version": 2, "factors": ["a"], "label": "y"}')
+            Schema.from_doc(json.loads('{"version": 2, "factors": ["a"], "label": "y"}'))
 
 
 class TestParseRequests:
@@ -137,9 +139,9 @@ class TestParseRequests:
         # ids may be permuted (first-seen order); decoded labels must agree
         assert np.array_equal(batch2.labels, batch.labels)
         for i in range(spec.factors.__len__()):
-            orig = [dictionary.label_of(i, k) for k in batch.factors[:, i]]
-            back = [dic2.label_of(i, k) for k in batch2.factors[:, i]]
-            assert back == orig
+            orig, back = dictionary.levels(i), dic2.levels(i)
+            assert [back[k] for k in batch2.factors[:, i]] \
+                == [orig[k] for k in batch.factors[:, i]]
 
     def test_writer_matches_row_by_row_csv(self, tmp_path):
         # labels that need quoting, written by column and by the per-row loop
@@ -154,7 +156,7 @@ class TestParseRequests:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["browser", "os", "label"])
             for row, label in zip(batch.factors, batch.labels):
-                writer.writerow([dictionary.label_of(i, int(k)) for i, k in enumerate(row)]
+                writer.writerow([dictionary.levels(i)[k] for i, k in enumerate(row)]
                                 + [int(label)])
         assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 

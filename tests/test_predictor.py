@@ -17,6 +17,22 @@ from adlift.synth import FactorSpec, RequestSpec, gen_requests
 from conftest import make_table
 
 
+def _general_score(model, ids):
+    """The reference loop: every active factor checks its level and adds its
+    weighted rate, its weight and one used factor, in index order."""
+    num, den, used = 0.0, 0.0, 0
+    for i, imp in enumerate(model.importance.tolist()):
+        if imp > 0.0 and 0 <= ids[i] < len(model.rates[i]):
+            num += float(model.rates[i][ids[i]] * imp)
+            den += imp
+            used += 1
+    return (num / den, used) if used else (model.global_rate, 0)
+
+
+def _bits(scored):
+    return np.float64(scored[0]).tobytes(), scored[1]
+
+
 def _model_from_counts(*factor_counts, importance=None, epsilon=0.0, beta=0.5):
     table = make_table(*factor_counts)
     if importance is None:
@@ -157,6 +173,23 @@ class TestScore:
         with pytest.raises(DimensionMismatch):
             score(model, (0, 0))
 
+    @pytest.mark.parametrize("where", ["none", "first", "middle", "last"])
+    def test_unseen_level_resumes_the_general_loop(self, rng, where):
+        # active factors 1, 2, 4, 6 and 7; factors 0, 3 and 5 are pruned
+        importance = rng.exponential(1.0, 8) * [0, 1, 1, 0, 1, 0, 1, 1]
+        model = SparseRateModel([f"f{i}" for i in range(8)], [["a", "b", "c"]] * 8,
+                                importance, [rng.uniform(0.01, 0.99, 3) for _ in range(8)],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        for _ in range(50):
+            ids = rng.integers(0, 3, 8)
+            ids[[0, 3, 5]] = -1
+            if where != "none":
+                ids[{"first": 1, "middle": 4, "last": 7}[where]] = rng.choice([-1, 3])
+            got = score(model, ids.tolist())
+            expected = _general_score(model, ids.tolist())
+            assert _bits((got.score, got.used_factors)) == _bits(expected)
+            assert got.used_factors == (5 if where == "none" else 4)
+
 
 class TestScoreBatch:
     def test_empty_stream(self):
@@ -208,10 +241,16 @@ class TestScoreBatch:
     @given(n=st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 17]),
            seed=st.integers(0, 2**32 - 1),
            pruned=st.lists(st.booleans(), min_size=1, max_size=6),
-           distinct=st.sampled_from([None, 1, 7]))
-    @example(n=B + 1, seed=0, pruned=[True, True, True], distinct=None)
-    @settings(max_examples=20, deadline=None)
-    def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned, distinct):
+           distinct=st.sampled_from([None, 1, 7]),
+           unseen=st.sampled_from(["none", "quarter", "one block"]),
+           pruned_unseen=st.booleans())
+    @example(n=B + 1, seed=0, pruned=[True, True, True], distinct=None,
+             unseen="quarter", pruned_unseen=True)
+    @example(n=3 * B + 17, seed=1, pruned=[False, True, False, False], distinct=None,
+             unseen="one block", pruned_unseen=False)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned, distinct, unseen,
+                                             pruned_unseen):
         rng = np.random.default_rng(seed)
         levels = rng.integers(1, 6, len(pruned))
         model = SparseRateModel(
@@ -221,16 +260,26 @@ class TestScoreBatch:
             [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels],
             epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
         factors = np.column_stack([rng.integers(0, n_levels, n) for n_levels in levels])
-        # a quarter of the cells unseen: -1, n_levels or an int32 extreme
-        for i, n_levels in enumerate(levels):
-            unseen = rng.random(n) < 0.25
-            factors[unseen, i] = rng.choice([-1, n_levels, 2**31 - 1, -2**31],
-                                            unseen.sum())
+        # unseen cells: a quarter of them, a quarter of one row block's, or
+        # none; a pruned factor's unseen cells when pruned_unseen
+        cells = rng.random(factors.shape) < 0.25
+        if unseen != "quarter":
+            cells &= np.array(pruned) & pruned_unseen
         if distinct is not None and n:
             # rows repeated from a few distinct ones, as a request log's are
-            factors = factors[rng.integers(0, min(distinct, n), n)]
+            pick = rng.integers(0, min(distinct, n), n)
+            factors, cells = factors[pick], cells[pick]
+        if unseen == "one block":
+            in_block = np.arange(n) // SCORE_BLOCK == rng.integers(0, n // SCORE_BLOCK + 1)
+            cells |= in_block[:, None] & (rng.random(factors.shape) < 0.25)
+        for i, n_levels in enumerate(levels):
+            # an unseen id is -1, n_levels or an int32 extreme
+            factors[cells[:, i], i] = rng.choice([-1, n_levels, 2**31 - 1, -2**31],
+                                                 cells[:, i].sum())
         batch = RequestBatch(factors, np.zeros(n, dtype=np.int8))
         expected = [score(model, rec) for rec in batch]
+        assert [_bits((s.score, s.used_factors)) for s in expected] \
+            == [_bits(_general_score(model, rec)) for rec in batch]
         scores = np.array([s.score for s in expected], dtype=np.float64)
         used = np.array([s.used_factors for s in expected], dtype=np.int64)
         result = score_batch(model, batch)
@@ -272,15 +321,17 @@ class TestScoreBatch:
             [f"f{i}" for i in range(m)], [[f"v{k}" for k in range(8)]] * m,
             rng.exponential(1.0, m), [rng.uniform(0.01, 0.99, 8) for _ in range(m)],
             epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
-        batch = RequestBatch(rng.integers(-1, 9, (n, m)), np.zeros(n, dtype=np.int8))
-        tracemalloc.start()
-        try:
-            result = score_batch(model, batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        outputs = result.scores.nbytes + result.used_factors.nbytes
-        assert peak <= outputs + 4 * 2**20
+        # ids -1 and 8 are unseen; a batch of seen ids takes the seen-levels path
+        for low, high in ((-1, 9), (0, 8)):
+            batch = RequestBatch(rng.integers(low, high, (n, m)), np.zeros(n, dtype=np.int8))
+            tracemalloc.start()
+            try:
+                result = score_batch(model, batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            outputs = result.scores.nbytes + result.used_factors.nbytes
+            assert peak <= outputs + 4 * 2**20
 
 
 class TestPace:

@@ -327,7 +327,7 @@ class TestSynthSpecJson:
                         "harmonics": [{"period_hours": 24, "amplitude": 5.0}]}
         }
         """
-        spec = SynthSpec.from_json(doc)
+        spec = SynthSpec.from_doc(json.loads(doc))
         assert spec.seed == 7
         assert spec.requests.factors[0].levels == ("x", "y")
         assert spec.population.m == 2.5
