@@ -18,6 +18,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from sys import intern
@@ -200,21 +201,28 @@ class FactorTable:
         return self.counts[factor].shape[0]
 
 
+def _decoded(labels: Sequence[str] | np.ndarray, errors: str) -> list[str]:
+    """Labels as a list of str, an ``S`` array's bytes decoded with ``errors``."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind == "S":
+        return [label.decode("utf-8", errors) for label in labels.tolist()]
+    return list(labels)
+
+
 class EventBatch:
     """Cookie events as columns, one entry per event in input order.
 
     ``cookies`` and ``browsers`` are int32 codes into ``cookie_labels`` and
     ``browser_labels`` (``parse_cookie_events`` numbers labels in first-seen
-    order); ``timestamps`` are int64 epoch seconds.
+    order); ``timestamps`` are int64 epoch seconds. ``S`` label arrays (UTF-8,
+    surrogates passed) stay bytes in ``columns()``, decoded on first access.
     """
 
-    def __init__(self, cookies, cookie_labels: Sequence[str], browsers,
-                 browser_labels: Sequence[str], timestamps):
+    def __init__(self, cookies, cookie_labels: Sequence[str] | np.ndarray, browsers,
+                 browser_labels: Sequence[str] | np.ndarray, timestamps):
         self.cookies = np.asarray(cookies, dtype=np.int32)
         self.browsers = np.asarray(browsers, dtype=np.int32)
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
-        self.cookie_labels = list(cookie_labels)
-        self.browser_labels = list(browser_labels)
+        self._labels = (cookie_labels, browser_labels)
         shape = self.timestamps.shape
         if len(shape) != 1 or self.cookies.shape != shape or self.browsers.shape != shape:
             raise ValueError("cookies, browsers and timestamps must be (n,)")
@@ -222,10 +230,18 @@ class EventBatch:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    @cached_property
+    def cookie_labels(self) -> list[str]:
+        return _decoded(self._labels[0], "surrogatepass")
+
+    @cached_property
+    def browser_labels(self) -> list[str]:
+        return _decoded(self._labels[1], "surrogatepass")
+
     def columns(self) -> tuple["Coded", "Coded", np.ndarray]:
         """The cookie id, browser and timestamp columns, as report columns."""
-        return (Coded(self.cookie_labels, self.cookies),
-                Coded(self.browser_labels, self.browsers), self.timestamps)
+        return (Coded(self._labels[0], self.cookies),
+                Coded(self._labels[1], self.browsers), self.timestamps)
 
 
 @dataclass
@@ -531,7 +547,8 @@ def _fmt(value) -> str:
 
 class Coded(NamedTuple):
     """A report column whose row i is ``labels[codes[i]]``: as a number where
-    ``labels`` is a numpy int or float array, else as ``str(label)``."""
+    ``labels`` is a numpy int or float array, as its UTF-8 text where an
+    ``S`` array of its bytes, else as ``str(label)``."""
 
     labels: Sequence
     codes: np.ndarray
@@ -660,15 +677,16 @@ def _digits(values: np.ndarray, out: np.ndarray) -> None:
 def _signed(negative: np.ndarray, magnitude: np.ndarray,
             tail: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The cells and mask of a block built a byte per row (each row one byte
-    of every cell): a "-", kept where ``negative``, the digits of int64
-    ``magnitude`` without leading zeros, and ``tail`` rows left to fill."""
+    of every cell): a "-" kept where ``negative`` (if any is), the digits of
+    int64 ``magnitude`` without leading zeros, and ``tail`` rows left to fill."""
     width = len(str(int(magnitude.max())))
-    cells = np.empty((1 + width + tail, len(magnitude)), np.uint8)
+    sign = int(negative.any())
+    cells = np.empty((sign + width + tail, len(magnitude)), np.uint8)
     keep = np.empty(cells.shape, bool)
-    cells[0], keep[0] = ord("-"), negative
-    _digits(magnitude, cells[1:1 + width])
-    keep[1:1 + width] = magnitude >= _POWERS[width - 1::-1, None]
-    keep[width] = True
+    cells[:sign], keep[:sign] = ord("-"), negative
+    _digits(magnitude, cells[sign:sign + width])
+    keep[sign:sign + width] = magnitude >= _POWERS[width - 1::-1, None]
+    keep[sign + width - 1] = True
     return cells, keep
 
 
@@ -747,10 +765,36 @@ def _coded_numbers(column: np.ndarray) -> Coded:
     return Coded(distinct.view(column.dtype), codes)
 
 
+def _byte_table(labels: np.ndarray, lone: bool) -> _Matrix | None:
+    """An ``S`` label array as its cells: the uint8 view, each row kept up to its
+    last non-NUL byte. None unless each label is strict UTF-8, none is quoted by
+    csv.writer and the padding is small (by ``_label_table``'s rule)."""
+    if labels.itemsize * WRITE_BLOCK > MAX_BLOCK_BYTES:  # before any copy
+        return None
+    data, width = labels.tobytes(), labels.itemsize
+    cells = np.frombuffer(data, np.uint8).reshape(len(labels), width)
+    keep = cells != 0
+    for j in range(width - 2, -1, -1):
+        keep[:, j] |= keep[:, j + 1]
+    # where the padded text is UTF-8 (no byte dropped by "ignore"), a label
+    # that is not UTF-8 alone starts the next one with a continuation byte
+    if (len(data.decode("utf-8", "ignore").encode()) < len(data)
+            or (cells[:, 0] >> 6 == 2).any() or (lone and not keep[:, 0].all())
+            or any(c.encode() in data for c in _QUOTED_CHARS)
+            or width * len(labels) > MAX_KEY_BLOWUP * np.count_nonzero(keep)):
+        return None
+    return _Matrix(cells, keep)
+
+
 def _label_table(labels: Sequence, codes: np.ndarray, lone: bool) -> _Matrix | _Ragged:
     """A coded column's label cells (numbers by ``_number_cells``, unpadded), as a
     matrix to gather rows from where padding stays small (see MAX_KEY_BLOWUP and
-    MAX_BLOCK_BYTES); a label that is not UTF-8 text raises only if a code shows it."""
+    MAX_BLOCK_BYTES); a label that is not UTF-8 text (``S`` labels that
+    ``_byte_table`` declines are decoded) raises only if a code shows it."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind == "S":
+        if (table := _byte_table(labels, lone)) is not None:
+            return table
+        labels = _decoded(labels, "surrogateescape")
     if isinstance(labels, np.ndarray) and labels.dtype.kind in _WIDE and len(labels):
         cells, keep = _number_cells(labels)
         lengths = keep.sum(axis=1)
@@ -963,20 +1007,15 @@ def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     return cells
 
 
-def _coded(chunks: list[np.ndarray]) -> tuple[np.ndarray, list[str]]:
+def _coded(chunks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """``_codes`` of the ``S`` keys of ``chunks``: each key's index among the
-    distinct keys, and those decoded in first-seen order."""
+    distinct keys, and those, still ``S``, in first-seen order."""
     keys = np.concatenate(chunks) if chunks else np.empty(0, "S1")
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(order), np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
-    # the distinct keys as lines of one text, decoded at once: no cell holds
-    # "\n" or a NUL, so dropping the zero padding leaves each cell whole
-    lines = np.pad(keys[first[order]].view(np.uint8).reshape(-1, keys.itemsize),
-                   ((0, 0), (0, 1)), constant_values=10)
-    text = lines[lines != 0].tobytes().decode("utf-8", "surrogatepass")
-    return rank[inverse], text.split("\n")[:-1]
+    return rank[inverse], keys[first[order]]
 
 
 def _plain_events(pieces: Iterator[str], read: list[str],
@@ -1034,30 +1073,28 @@ def _plain_events(pieces: Iterator[str], read: list[str],
         for j in (positions[name] for name in EVENT_COLUMNS):
             starts = seps[:, j - 1] + 1 if j else line_starts
             spans.append((starts, seps[:, j] - starts))
-        stamp_lengths = spans[2][1]
+        *key_spans, (stamp_starts, stamp_lengths) = spans
         rows, body_bytes = rows + n, body_bytes + len(data)
-        widest = max(widest, spans[0][1].max(), spans[1][1].max())
+        widest = max(widest, *(lengths.max() for _, lengths in key_spans))
         if ((seps[:, -1] - line_starts).max() > limit
                 or widest * rows > MAX_KEY_BLOWUP * body_bytes
                 or stamp_lengths.min() < 1 or stamp_lengths.max() > MAX_STAMP_DIGITS):
             return None
-        *key_cells, stamp_cells = (_cell_bytes(buf, *span) for span in spans)
-        digits = stamp_cells - np.uint8(48)
-        if np.count_nonzero(digits <= 9) != stamp_lengths.sum():
-            return None
-        for chunks, cells in zip(keys, key_cells):
-            chunks.append(cells.view(f"S{cells.shape[1]}").ravel())
-        # each stamp read as if padded with zeros to the widest, then divided
-        # by the padding's place value (at most 18 digits: no overflow)
-        digits *= stamp_cells != 0
-        w = digits.shape[1]
-        value = (digits.astype(np.int64) @ 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
-                 // 10 ** (w - stamp_lengths))
+        # digits read back from each stamp's end (at most 18: no overflow)
+        ends, value = stamp_starts + stamp_lengths, np.zeros(n, np.int64)
+        for place in range(int(stamp_lengths.max())):
+            digit = buf.take(ends - 1 - place, mode="clip") - np.uint8(48)
+            digit[stamp_lengths <= place] = 0
+            if digit.max() > 9:
+                return None
+            value += np.multiply(digit, _POWERS[place], dtype=np.int64)
         stamps.append(value)
+        for chunks, span in zip(keys, key_spans):
+            cells = _cell_bytes(buf, *span)
+            chunks.append(cells.view(f"S{cells.shape[1]}").ravel())
     if positions is None:
         return None
-    (cookies, cookie_labels), (browsers, browser_labels) = map(_coded, keys)
-    return EventBatch(cookies, cookie_labels, browsers, browser_labels,
+    return EventBatch(*chain.from_iterable(map(_coded, keys)),  # codes, keys per column
                       np.concatenate(stamps) if stamps else np.empty(0, np.int64))
 
 

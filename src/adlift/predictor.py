@@ -66,8 +66,10 @@ class SparseRateModel:
         for r in self.rates:
             if len(r) and not ((r > 0.0) & (r < 1.0)).all():
                 raise ValueError("smoothed rates must lie strictly inside (0, 1)")
-        if not ((self.importance >= 0.0) & (self.importance < math.inf)).all():
-            raise ValueError("importances must be finite and non-negative")
+        bad = np.flatnonzero(~((self.importance >= 0.0) & (self.importance < math.inf)))
+        if len(bad):
+            raise ValueError(f"importances must be finite and non-negative: factor "
+                             f"{self.factor_names[bad[0]]!r} has {self.importance[bad[0]]}")
         # One lookup table per active factor, built once. Entry k holds the
         # weighted rate rates[i][k] * imp as its real part and the weight imp
         # as its imaginary part; entry n_levels is the 0 sentinel that unseen
@@ -136,8 +138,8 @@ def train(table: FactorTable, importance: ImportanceVector,
 
     Level rates are (n_pos + beta) / (n + 2 beta); importances at or below
     epsilon are zeroed. If every factor is pruned the model degenerates to
-    the smoothed global rate and an AllPrunedWarning is emitted.
-    """
+    the smoothed global rate and an AllPrunedWarning is emitted. DomainError
+    names a factor whose importance is NaN, infinite or negative."""
     if importance.m != table.m:
         raise DimensionMismatch(
             f"importance has {importance.m} entries for {table.m} factors")
@@ -145,7 +147,9 @@ def train(table: FactorTable, importance: ImportanceVector,
         raise DomainError(f"epsilon must be non-negative, got {epsilon}")
     if not 0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite, got {beta}")
-    kept = np.where(importance.values > epsilon, importance.values, 0.0)
+    # a NaN or negative importance is kept, for the model to reject
+    kept = np.where((importance.values >= 0) & (importance.values <= epsilon), 0.0,
+                    importance.values)
     rates = []
     for counts in table.counts:
         totals = counts.sum(axis=1)

@@ -12,10 +12,10 @@ before mixed-Poisson modelling.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DimensionMismatch, DomainError, OutOfDomain,
                      RankDeficientWarning, TooShort,
@@ -27,6 +27,7 @@ RANK_ENERGY_TARGET = 0.95
 # the longest series a file may span, gaps included (114 years), forecast
 # horizon and residual window: a series is filled to one float per hour
 MAX_SERIES_HOURS = 1_000_000
+MAX_WINDOW_FLOATS = 1 << 20  # floats of residual windows check_alarm holds at once
 
 
 def _as_series_values(series) -> tuple[np.ndarray, int]:
@@ -259,31 +260,39 @@ def check_alarm(actual, forecast, config: AlarmConfig = AlarmConfig()) -> AlarmR
     hours beyond ``sigma_multiplier`` times the trailing in-control sigma.
 
     The first ``residual_window`` hours are burn-in that seeds the sigma
-    estimate; flagged hours never enter the trailing window.
-    """
+    estimate; flagged hours never enter the trailing window, so between flags
+    it slides, and the sigmas of a stretch of hours are taken at once (with
+    the bits of one std per hour) up to its first flag, whose run keeps its
+    sigma. Stretches start at 1 hour after a flag and double up to
+    MAX_WINDOW_FLOATS floats of windows."""
     actual_values, _ = _as_series_values(actual)
     forecast_values = np.asarray(forecast, dtype=np.float64)
     if len(actual_values) != len(forecast_values):
         raise DimensionMismatch(f"actual has {len(actual_values)} hours, "
                                 f"forecast {len(forecast_values)}")
     residuals = actual_values - forecast_values
-    window: deque[float] = deque(maxlen=config.residual_window)
-    run = 0
-    sigma = 0.0
-    exceedances: list[int] = []
-    for t, e in enumerate(residuals):
-        if len(window) < config.residual_window:
-            window.append(e)
+    size, n, limit = config.residual_window, len(residuals), config.sigma_multiplier
+    # kept[:end]: the in-control residuals so far; a stretch is written after them
+    kept, end, t, hours, sigma, exceedances = residuals.copy(), size, size, 1, 0.0, []
+    while t < n:
+        hours = min(hours, MAX_WINDOW_FLOATS // size, n - t)
+        kept[end:end + hours] = residuals[t:t + hours]
+        windows = as_strided(kept[end - size:], (hours, size), kept.strides * 2)
+        sigmas = windows.std(axis=1, ddof=1)
+        flagged = np.flatnonzero(np.abs(residuals[t:t + hours]) > limit * sigmas)
+        if not len(flagged):
+            end, t, sigma, hours = end + hours, t + hours, float(sigmas[-1]), 2 * hours
             continue
-        sigma = float(np.std(np.fromiter(window, dtype=np.float64), ddof=1))
-        if abs(e) > config.sigma_multiplier * sigma:
+        first = int(flagged[0])
+        end, t, sigma, run = end + first, t + first, float(sigmas[first]), 0
+        while t < n and abs(residuals[t]) > limit * sigma:
             exceedances.append(t)
             run += 1
             if run >= config.consecutive_hours:
                 return AlarmReport(alarm_hour=t, sigma=sigma, hours_checked=t + 1,
                                    exceedances=tuple(exceedances))
-        else:
-            run = 0
-            window.append(e)
-    return AlarmReport(alarm_hour=None, sigma=sigma, hours_checked=len(residuals),
+            t += 1
+        if t < n:
+            kept[end], end, t, hours = residuals[t], end + 1, t + 1, 1
+    return AlarmReport(alarm_hour=None, sigma=sigma, hours_checked=n,
                        exceedances=tuple(exceedances))

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adlift import ingest
@@ -237,6 +237,11 @@ TIE_FLOATS = _either_sign(_ulps(st.one_of(
     st.sampled_from([1e-5, 1e-4, 1e11, 1e12, 9.999999999995e-5, 99999999999.99995,
                      999999999999.5]))))
 INT_EDGES = [0, -1, int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)]
+# pieces of byte labels: the characters csv.writer quotes, NUL, a two-byte
+# character, its lead and continuation bytes alone, a byte that is never
+# UTF-8 and an encoded lone surrogate
+_LABEL_BYTES = [b"a", b",", b'"', b"\r", b"\n", b"\0", "é".encode(), b"\xc3", b"\xa9",
+                b"\xff", "\ud800".encode("utf-8", "surrogatepass")]
 # labels with NUL, a two-byte character and both quote characters
 _LABEL = st.text(st.sampled_from(["a", "\0", "é", ",", '"', "'", "\r", "\n", " "]),
                  max_size=4)
@@ -343,6 +348,39 @@ class TestEmitReport:
             emit_report(header, ingest.Columns(labels[codes], *index), d / "rows.csv")
         assert (d / "coded.csv").read_bytes() == (d / "rows.csv").read_bytes()
 
+    @given(st.lists(st.lists(st.sampled_from(_LABEL_BYTES), max_size=4).map(b"".join),
+                    min_size=1, max_size=8),
+           st.lists(st.integers(0, 2**31 - 1), max_size=60), st.booleans(),
+           st.integers(1, 7))
+    @example([b"\xc3", b"\xa9"], [0, 1], True, 4)
+    @example([b"\xc3", b"\xa9"], [1], True, 4)
+    @example([b"a\0b", b"", "é".encode()], [0, 1, 2], False, 2)
+    @example([b"ab", b""], [1, 0], True, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_byte_labels_write_as_their_text(self, tmp_path_factory, labels, picks, lone,
+                                             block):
+        # an S label array gives the bytes of its labels decoded, each byte
+        # that is not UTF-8 as a lone surrogate, or raises where they raise:
+        # labels to quote, the empty label alone on its row, interior NULs,
+        # two-byte characters, and bytes that are not UTF-8 alone or at all
+        keys = np.array(labels, dtype="S")
+        text = [key.decode("utf-8", "surrogateescape") for key in keys.tolist()]
+        codes = np.array(picks, dtype=np.int32) % len(keys)
+        index = [] if lone else [np.arange(len(codes))]
+        header = ["x"] if lone else ["x", "i"]
+        d = tmp_path_factory.mktemp("report")
+
+        def written(column, name):
+            try:
+                emit_report(header, ingest.Columns(ingest.Coded(column, codes), *index),
+                            d / name)
+            except UnicodeEncodeError:
+                return "UnicodeEncodeError"
+            return (d / name).read_bytes()
+
+        with mock.patch.object(ingest, "WRITE_BLOCK", block):
+            assert written(keys, "bytes.csv") == written(text, "text.csv")
+
     def test_numeric_labels_of_no_rows(self, tmp_path):
         # what score and pace write for a header-only request log
         emit_report(["x"], ingest.Columns(ingest.Coded(np.empty(0), np.empty(0, np.int32))),
@@ -425,22 +463,23 @@ class TestEmitReport:
         assert path.read_text() == "x\na\na\n"
 
     def test_wide_label_keeps_blocks_small(self, tmp_path):
-        # one 20,000-byte label among short ones: a block padded to its width
-        # on every row would take 8 Ki x 20,000 bytes
-        wide = "w" * 20_000
+        # one 20,000-byte label among short ones, as text and as an S array:
+        # a block padded to its width on every row would take 8 Ki x 20,000
+        # bytes
+        labels = ["w" * 20_000, *map(str, range(1, 5000))]
         codes = np.arange(2 * ingest.WRITE_BLOCK) % 5000
-        column = ingest.Coded([wide, *map(str, range(1, 5000))], codes)
         path = tmp_path / "r.csv"
-        tracemalloc.start()
-        try:
-            emit_report(["x", "i"], ingest.Columns(column, np.arange(len(codes))), path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * ingest.MAX_BLOCK_BYTES
-        labels = column.labels
-        assert path.read_bytes() == csv_writer_oracle(
-            ["x", "i"], [(labels[k], i) for i, k in enumerate(codes.tolist())])
+        for column in (labels, np.array(labels, dtype="S")):
+            tracemalloc.start()
+            try:
+                emit_report(["x", "i"], ingest.Columns(ingest.Coded(column, codes),
+                                                       np.arange(len(codes))), path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * ingest.MAX_BLOCK_BYTES
+            assert path.read_bytes() == csv_writer_oracle(
+                ["x", "i"], [(labels[k], i) for i, k in enumerate(codes.tolist())])
 
     @pytest.mark.parametrize("writer", ["report", "requests", "events", "json", "model"])
     def test_every_writer_replaces_its_target_whole(self, tmp_path, monkeypatch, writer):
@@ -792,7 +831,8 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
         assert not (d / "scores.csv").exists()
 
-    @pytest.mark.parametrize("importance", [(math.inf, 1.0), (1e308, 1e308)])
+    @pytest.mark.parametrize("importance", [(math.inf, 1.0), (1e308, 1e308),
+                                            (math.nan, -3.0), (1.0, -3.0), (math.nan, 0.5)])
     def test_bad_importance_file_is_data_error(self, workdir, capsys, importance):
         d = workdir
         _train_small_model(d)
@@ -803,8 +843,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("train", "--tables", d / "tables.json", "--importance",
                    d / "importance.json", "--out", d / "model2.json") == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
         assert not (d / "model2.json").exists()
+        # a NaN, infinite or negative importance is named by its factor
+        bad = [name for name, value in zip(SCHEMA["factors"], importance)
+               if not 0 <= value < math.inf]
+        if bad:
+            assert ("importances must be finite and non-negative: "
+                    f"factor {bad[0]!r}") in err
 
     def test_pace_block_below_one_closes_every_block(self, workdir):
         d = workdir
@@ -1198,3 +1245,24 @@ class TestGoldenVisitDigests:
             assert run(*argv) == 0, argv[0]
         assert {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
                 for name in GOLDEN_VISITS_DIGESTS} == GOLDEN_VISITS_DIGESTS
+
+    def test_survival_decodes_no_cookie_id(self, tmp_path, monkeypatch):
+        # a plain event file keeps its cookie ids as bytes: survival decodes
+        # the two browser labels and nothing else
+        d = tmp_path
+        (d / "visits_spec.json").write_text(json.dumps(GOLDEN_VISITS_SPEC))
+        assert run("synth", "--spec", d / "visits_spec.json", "--seed", 11,
+                   "--out-events", d / "events.csv", "--out-freq", d / "freq.csv",
+                   "--out-series", d / "hourly.csv") == 0
+        decode = ingest._decoded
+
+        def browsers_only(keys, errors):
+            if len(keys) > 2:
+                raise AssertionError(f"{len(keys)} labels decoded")
+            return decode(keys, errors)
+
+        monkeypatch.setattr(ingest, "_decoded", browsers_only)
+        assert run("survival", "--events", d / "events.csv", "--window", "0:2592000",
+                   "--guard-days", "3", "--out", d / "survival.csv") == 0
+        assert hashlib.sha256((d / "survival.csv").read_bytes()).hexdigest() \
+            == GOLDEN_VISITS_DIGESTS["survival.csv"]

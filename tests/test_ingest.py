@@ -351,9 +351,11 @@ class TestReaderOracle:
 
 
 EVENT_COLUMNS = ("cookie_id", "browser", "timestamp")
-# cells of a plain event file: a lone surrogate and a two-byte character
-# among them, and timestamps of 1 to 18 digits
-PLAIN_KEYS = ["a", "b", "", "c d", "é", "x\ud800", "u1s2"]
+# cells of a plain event file: a lone surrogate, characters of two to four
+# bytes and a key wider than 8 bytes among them, commas inside keys where
+# the delimiter is not one, and timestamps of 1 to 18 digits
+PLAIN_KEYS = ["a", "b", "", "c d", "é", "x\ud800", "u1s2", "€😀", "cookie-12345"]
+COMMA_KEYS = ["a,b", ","]
 PLAIN_STAMPS = ["0", "7", "1414231", "00012", "9" * 18]
 # what sends a file to read_columns: cells to quote, NULs (an S key drops a
 # trailing one), timestamps that Python int reads (or rejects) but plain
@@ -362,6 +364,23 @@ TRIGGER_CELLS = {"quote": ["x,y", 'q"q', '"'], "nul": ["nl\0", "\0", "n\0l"],
                  "stamp": ["+5", "5_0", "-5", " 5", "٣", "1" * 19, str(2 ** 63),
                            "", "x"]}
 TRIGGERS = (*TRIGGER_CELLS, "blank", "ragged", "crlf", "quoted header", "missing name")
+
+
+def encoded(write):
+    """``write()``'s bytes, or the name of the UnicodeEncodeError it raised."""
+    try:
+        return write()
+    except UnicodeEncodeError:
+        return "UnicodeEncodeError"
+
+
+def csv_rows(header, rows) -> str:
+    """``header`` and ``rows`` as csv.writer writes them, with "\n" line ends."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def event_lists(events):
@@ -383,7 +402,8 @@ def event_files(draw):
     names in any order, with extra and repeated names; a plain one has
     plain cells and "\n" line ends only, any other one or two of TRIGGERS.
     Either may lack its final newline."""
-    delimiter = draw(st.sampled_from([",", "\t"]))
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    keys = PLAIN_KEYS + (COMMA_KEYS if delimiter != "," else [])
     triggers = draw(st.sets(st.sampled_from(TRIGGERS), max_size=2))
     extras = draw(st.lists(st.sampled_from(["x", "browser", "timestamp"]), max_size=2))
     header = draw(st.permutations([*EVENT_COLUMNS, *extras]))
@@ -401,7 +421,7 @@ def event_files(draw):
         kinds = [kind for kind in kinds if kind in triggers]
         if kinds and draw(st.integers(0, 3)) == 0:
             return draw(st.sampled_from(TRIGGER_CELLS[draw(st.sampled_from(kinds))]))
-        return draw(st.sampled_from(PLAIN_STAMPS if name == "timestamp" else PLAIN_KEYS))
+        return draw(st.sampled_from(PLAIN_STAMPS if name == "timestamp" else keys))
 
     def line():
         kind = draw(st.integers(0, 7))
@@ -437,19 +457,30 @@ class TestEventParseOracle:
     @example(case=('"x,y",cookie_id,browser,timestamp\na,b,c,d,1\n', ",", False),
              chunk=48, block=4, newline="\n")
     @settings(max_examples=400, deadline=None)
-    def test_matches_csv_reader_and_int(self, case, chunk, block, newline):
-        # newline None reads "\r\n" as "\n", as open_text does
+    def test_matches_csv_reader_and_int(self, tmp_path_factory, case, chunk, block,
+                                        newline):
+        # newline None reads "\r\n" as "\n", as open_text does; the events
+        # write back as csv.writer writes the oracle's rows
         text, delimiter, plain = case
         expected = outcome(lambda: oracle_events(io.StringIO(text, newline=newline),
                                                  delimiter))
         with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, ROW_BLOCK=block), \
                 mock.patch.object(ingest, "read_columns",
                                   wraps=ingest.read_columns) as general:
-            got = outcome(lambda: event_lists(parse_cookie_events(
-                io.StringIO(text, newline=newline), delimiter)))
-        assert got == expected
+            parsed = outcome(lambda: parse_cookie_events(io.StringIO(text, newline=newline),
+                                                         delimiter))
+        if parsed[0] != "ok":
+            assert parsed == expected
+            return
+        assert ("ok", event_lists(parsed[1])) == expected
         if plain:
             general.assert_not_called()
+        cookies, cookie_labels, browsers, browser_labels, stamps = expected[1]
+        rows = [(cookie_labels[c], browser_labels[b], t)
+                for c, b, t in zip(cookies, browsers, stamps)]
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        assert encoded(lambda: write_events_csv(path, parsed[1]) or path.read_bytes()) \
+            == encoded(lambda: csv_rows(EVENT_COLUMNS, rows).encode("utf-8"))
 
     def test_synth_events_are_read_column_wise(self, tmp_path):
         # a generated file spans several read chunks; reading it through
@@ -573,8 +604,8 @@ class TestCookieEvents:
         events = parse_cookie_events(text)
         assert len(events) == 2
         cookies, browsers, timestamps = events.columns()
-        assert [cookies.labels[k] for k in cookies.codes] == ["c1", "c2"]
-        assert [browsers.labels[k] for k in browsers.codes] == ["chrome", "safari"]
+        assert [events.cookie_labels[k] for k in cookies.codes] == ["c1", "c2"]
+        assert [events.browser_labels[k] for k in browsers.codes] == ["chrome", "safari"]
         assert timestamps.tolist() == [1000, 2000]
 
     def test_bad_timestamp(self):

@@ -1,7 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 from scipy import stats
 
+from adlift import timeseries
 from adlift.errors import (DimensionMismatch, DomainError, OutOfDomain,
                            RankDeficientWarning, TooShort, ZeroTotal)
 from adlift.ingest import HourlySeries, SECONDS_PER_HOUR
@@ -12,6 +18,48 @@ from adlift.timeseries import (AlarmConfig, build_virtual_clock, check_alarm,
 
 def hourly(counts, start=0):
     return HourlySeries(start_hour=start, counts=np.asarray(counts, dtype=np.int64))
+
+
+def reference_alarm(actual, forecast, config):
+    """check_alarm as one sigma per hour over a deque of the trailing
+    in-control residuals: the reference the stretch scan must match."""
+    residuals = np.asarray(actual, dtype=np.float64) - np.asarray(forecast, dtype=np.float64)
+    window = deque(maxlen=config.residual_window)
+    run, sigma, exceedances = 0, 0.0, []
+    for t, e in enumerate(residuals):
+        if len(window) < config.residual_window:
+            window.append(e)
+            continue
+        sigma = float(np.std(np.fromiter(window, dtype=np.float64), ddof=1))
+        if abs(e) > config.sigma_multiplier * sigma:
+            exceedances.append(t)
+            run += 1
+            if run >= config.consecutive_hours:
+                return t, sigma, t + 1, exceedances
+        else:
+            run = 0
+            window.append(e)
+    return None, sigma, len(residuals), exceedances
+
+
+def alarm_series(seed, n, size, pattern):
+    """(actual, forecast) of ``n`` hours whose residuals are noise with
+    spikes: none, a few, about half the hours, every other hour after the
+    burn-in of ``size`` hours, or the benchmark's shape (Poisson counts about
+    a daily harmonic, against that harmonic)."""
+    rng = np.random.default_rng(seed)
+    hours = np.arange(n)
+    if pattern == "bench":
+        forecast = 40.0 + 20.0 * np.sin(2 * np.pi * hours / 24)
+        return rng.poisson(forecast).astype(np.float64), forecast
+    actual = rng.normal(0.0, rng.uniform(0.1, 100.0), n) + rng.uniform(-1e3, 1e3)
+    spikes = {"none": np.zeros(n, bool),
+              "sparse": rng.random(n) < 0.02,
+              "dense": rng.random(n) < 0.5,
+              "alternate": (hours > size) & (hours % 2 == 0)}[pattern]
+    actual[spikes] += rng.choice([-1.0, 1.0], int(spikes.sum())) * rng.uniform(
+        1.0, 1e4, int(spikes.sum()))
+    return actual, np.full(n, actual[:size].mean() if n else 0.0)
 
 
 class TestSsaFit:
@@ -216,6 +264,49 @@ class TestCheckAlarm:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             check_alarm(np.zeros(10), np.zeros(11))
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(10, 200),
+           extra=st.one_of(st.integers(-10, 1), st.integers(2, 400)),
+           consecutive=st.integers(1, 4), multiplier=st.sampled_from([0.5, 1.0, 3.0]),
+           pattern=st.sampled_from(["none", "sparse", "dense", "alternate"]))
+    @example(seed=42, size=168, extra=2000 - 168, consecutive=2, multiplier=3.0,
+             pattern="bench")
+    @example(seed=1, size=168, extra=2000 - 168, consecutive=1000, multiplier=3.0,
+             pattern="alternate")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_hourly_loop(self, seed, size, extra, consecutive, multiplier,
+                                     pattern):
+        # series of n <= W hours (nothing checked), n = W + 1, and longer ones
+        # with no, sparse, dense and alternating flags, against one sigma per
+        # hour over a deque: the same hours, exceedances and sigma bits
+        n = max(size + extra, 0)
+        actual, forecast = alarm_series(seed, n, size, pattern)
+        config = AlarmConfig(sigma_multiplier=multiplier, consecutive_hours=consecutive,
+                             residual_window=size)
+        report = check_alarm(actual, forecast, config)
+        alarm_hour, sigma, hours_checked, exceedances = reference_alarm(
+            actual, forecast, config)
+        assert report.alarm_hour == alarm_hour
+        assert report.hours_checked == hours_checked
+        assert list(report.exceedances) == exceedances
+        assert np.float64(report.sigma).view(np.int64) == np.float64(sigma).view(np.int64)
+
+    def test_stretches_stay_within_the_window_bound(self, monkeypatch):
+        # with room for 2 windows of 50 hours, a series with few flags is
+        # scanned 1 or 2 hours at a time and gives the same report
+        actual, forecast = alarm_series(3, 600, 50, "sparse")
+        config = AlarmConfig(residual_window=50, consecutive_hours=3)
+        expected = check_alarm(actual, forecast, config)
+        shapes = []
+
+        def recorded(x, shape, strides, **kwargs):
+            shapes.append(shape)
+            return as_strided(x, shape, strides, **kwargs)
+
+        monkeypatch.setattr(timeseries, "MAX_WINDOW_FLOATS", 2 * 50 + 49)
+        monkeypatch.setattr(timeseries, "as_strided", recorded)
+        assert check_alarm(actual, forecast, config) == expected
+        assert {rows for rows, _ in shapes} == {1, 2}
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
