@@ -15,6 +15,7 @@ import difflib
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -502,7 +503,9 @@ def _mix_arg(text: str) -> dict[str, float]:
     return mix
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as is."""
     parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -74,9 +74,9 @@ class SparseRateModel:
         # weighted rate rates[i][k] * imp as its real part and the weight imp
         # as its imaginary part; entry n_levels is the 0 sentinel that unseen
         # ids map to. Complex addition adds the two parts separately, so one
-        # lookup and one add accumulate both sums of the score. ``score``
-        # reads a python-float copy of the same products (python floats beat
-        # numpy scalars per call), so batch and scalar scores agree bit for bit.
+        # lookup and one add accumulate both sums of the score. ``score`` maps
+        # level ids to python-float copies of the same products (python floats
+        # beat numpy scalars per call), so batch and scalar scores agree bit for bit.
         # Every row whose levels were all seen has the weight sum ``_den`` (the
         # same adds in the same order), and numpy and python divide by it with
         # correct rounding, so the seen-levels paths keep these bits.
@@ -88,14 +88,14 @@ class SparseRateModel:
                 table.imag[:-1] = self.importance[i]
                 self._tables.append((i, len(r), table))
         self._active = tuple(
-            (i, float(self.importance[i]), tuple(table.real[:n_levels].tolist()), n_levels)
-            for i, n_levels, table in self._tables)
+            (i, float(self.importance[i]), dict(enumerate(table.real[:-1].tolist())))
+            for i, _, table in self._tables)
         self._real = [(i, table.real.copy()) for i, _, table in self._tables]
         self._limits = np.full(self.m, 2**32)
         self._seen, self._den, self._n_active = [], 0.0, len(self._active)
-        for j, (i, imp, weighted, n_levels) in enumerate(self._active):
-            self._limits[i] = n_levels
-            self._seen.append((i, weighted, n_levels, (self._den, j)))
+        for j, (i, imp, weighted) in enumerate(self._active):
+            self._limits[i] = len(weighted)
+            self._seen.append((i, weighted, (self._den, j)))
             self._den += imp
         if not math.isfinite(self._den):
             raise ValueError(f"active importances sum to {self._den}")
@@ -178,38 +178,37 @@ def score(model: SparseRateModel, factors: Sequence[int],
     """Score one request, given as its per-factor level ids (``batch[i]``):
     the importance-weighted mean of its level rates.
 
-    Factors with unseen levels (id outside the training range) are excluded
-    and the weights renormalize; if nothing contributes the score falls back
-    to the global rate. Deterministic: same model and request give the same
-    bits on every run. A row whose levels were all seen adds only its weighted
-    rates and divides by ``model._den``, the general loop's weight sum: the same
-    bits. At an unseen level the general loop resumes with the sums so far.
+    An id matches a training level by value, as a dict key: numpy ints, bools
+    and whole floats score as that level; any other hashable id (-1, 2**40,
+    1.5, NaN) is unseen, and an unhashable one raises TypeError. Factors with
+    unseen levels are excluded and the weights renormalize; if nothing
+    contributes the score falls back to the global rate. Deterministic: same
+    model and request give the same bits on every run. A row whose levels were
+    all seen adds only its weighted rates and divides by ``model._den``, the
+    general loop's weight sum: the same bits. At an unseen level the general
+    loop resumes with the sums so far.
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
-    if len(factors) != model.m:
+    if len(factors) != len(model.factor_names):
         raise DimensionMismatch(f"record has {len(factors)} factors, model has {model.m}")
     num = 0.0
-    for i, weighted, n_levels, resume in model._seen:
-        k = factors[i]
-        if not 0 <= k < n_levels:
-            break
-        num += weighted[k]
+    try:
+        for i, weighted, resume in model._seen:
+            num += weighted[factors[i]]
+    except KeyError:
+        den, used = resume
+        for i, imp, weighted in model._active[used:]:
+            k = factors[i]
+            if k in weighted:
+                num += weighted[k]
+                den += imp
+                used += 1
     else:
-        if model._n_active:
-            return ScoredRequest(num / model._den, model._n_active)
-        return ScoredRequest(model.global_rate, 0)
-    den, used = resume
-    for i, imp, weighted, n_levels in model._active[used:]:
-        k = factors[i]
-        if 0 <= k < n_levels:
-            num += weighted[k]
-            den += imp
-            used += 1
+        den, used = model._den, model._n_active
     if used == 0:
         return ScoredRequest(model.global_rate, 0)
     return ScoredRequest(num / den, used)
-
 
 @dataclass
 class BatchScores:

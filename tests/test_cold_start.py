@@ -139,3 +139,27 @@ def codes_without_scipy(tmp_path_factory):
 @pytest.mark.parametrize("stage", STAGES)
 def test_stage_runs_without_scipy(codes_without_scipy, stage):
     assert codes_without_scipy[stage] == 0
+
+
+def test_calls_in_one_process_match_fresh_processes(d):
+    """The parser is built once per process: neither a usage error nor a
+    ``--tab`` stage leaves a value for the next call to read."""
+    setup = stages(d)[:4]
+    assert run_fresh(setup)[0] == [0] * len(setup)
+    (d / "requests.tsv").write_text((d / "requests.csv").read_text().replace(",", "\t"))
+
+    def calls(tag):
+        return [["pace", "--tab", f"--model={d / 'model.json'}",
+                 f"--input={d / 'requests.tsv'}", f"--out={d / f'decisions_{tag}.csv'}"],
+                ["build-tables", "--tab", f"--schema={d / 'schema.json'}",
+                 f"--input={d / 'requests.tsv'}", f"--out={d / f'tables_{tag}.json'}"],
+                ["score", f"--model={d / 'model.json'}", f"--input={d / 'requests.csv'}",
+                 f"--out={d / f'scores_{tag}.csv'}"]]
+
+    fresh = [run_fresh([argv])[0][0] for argv in calls("fresh")]
+    shared = run_fresh(calls("shared"))[0]
+    assert fresh == shared == [1, 0, 0]
+    for tag in ("fresh", "shared"):
+        assert not (d / f"decisions_{tag}.csv").exists()
+        assert (d / f"tables_{tag}.json").read_bytes() == (d / "tables.json").read_bytes()
+    assert (d / "scores_shared.csv").read_bytes() == (d / "scores_fresh.csv").read_bytes()

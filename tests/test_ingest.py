@@ -701,6 +701,15 @@ class TestRequestBatch:
         assert all(type(v) is int for row in rows for v in row)
         assert batch.labels.tolist() == labels.tolist()
 
+    @pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (ROW_BLOCK - 1, 4), (ROW_BLOCK, 1),
+                                      (ROW_BLOCK + 1, 4), (ROW_BLOCK + 1, 0)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_iteration_yields_each_row_as_a_tuple(self, rng, n, m, order):
+        factors = np.array(rng.integers(-2**31, 2**31, (n, m)), dtype=np.int32, order=order)
+        batch = RequestBatch(factors, np.zeros(n, dtype=np.int8))
+        assert list(batch) == [tuple(row) for row in batch.factors.tolist()]
+        assert len(list(batch)) == n
+
     def test_factors_stored_column_major(self):
         ids = np.arange(12).reshape(4, 3)
         labels = np.zeros(4, dtype=np.int8)

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,6 +172,23 @@ class TestScore:
         # matching dictionary passes
         assert score(model, (0,), dictionary=table.dictionary).score > 0
 
+    def test_fingerprint_is_computed_once(self):
+        names, levels = ["f0", "é"], [["x", "y"], ["a,b", ""]]
+        dictionary = FactorDictionary(names, levels)
+        payload = json.dumps({"factors": names, "levels": levels},
+                             ensure_ascii=False, separators=(",", ":"))
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        with mock.patch("adlift.ingest.json.dumps", wraps=json.dumps) as dumps:
+            assert [dictionary.fingerprint() for _ in range(3)] == [expected] * 3
+        assert dumps.call_count == 1
+        assert dictionary._fingerprint == expected
+        model = SparseRateModel(names, levels, [1.0, 1.0], [[0.2, 0.4], [0.5, 0.6]],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint=expected)
+        assert score(model, (1, 0), dictionary=dictionary) == score(model, (1, 0))
+        other = FactorDictionary(names, [["x", "y"], ["a,b", "c"]])
+        with pytest.raises(FingerprintMismatch):
+            score(model, (1, 0), dictionary=other)
+
     def test_wrong_arity(self):
         model = _model_from_counts([[1, 3]])
         with pytest.raises(DimensionMismatch):
@@ -189,6 +210,51 @@ class TestScore:
             expected = _general_score(model, ids.tolist())
             assert _bits((got.score, got.used_factors)) == _bits(expected)
             assert got.used_factors == (5 if where == "none" else 4)
+
+    # active factors 1, 2, 4, 6 and 7; the pruned factors 0, 3 and 5 lie between
+    LAYOUT = (0, 1, 1, 0, 1, 0, 1, 1)
+    AT = {"first": 1, "middle": 4, "last": 7}
+    AS_KIND = {"int": int, "int32": np.int32, "int64": np.int64, "bool": bool,
+               "float": float}
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(sorted(AS_KIND)), min_size=8, max_size=8),
+           unseen=st.dictionaries(st.sampled_from(["first", "middle", "last", "every"]),
+                                  st.sampled_from([-1, "n_levels", 2**40, 1.5, math.nan])))
+    @example(seed=0, kinds=["bool", "int32", "int64", "float"] * 2, unseen={})
+    @example(seed=1, kinds=["float"] * 8, unseen={"every": math.nan})
+    @example(seed=2, kinds=["int32"] * 8,
+             unseen={"first": -1, "middle": "n_levels", "last": 2**40, "every": 1.5})
+    @settings(max_examples=150, deadline=None)
+    def test_ids_match_levels_by_value(self, seed, kinds, unseen):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(2, 6, len(self.LAYOUT))
+        model = SparseRateModel([f"f{i}" for i in range(len(levels))],
+                                [[f"v{k}" for k in range(n)] for n in levels],
+                                rng.exponential(1.0, len(levels)) * self.LAYOUT,
+                                [rng.uniform(0.001, 0.999, n) for n in levels],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        # numpy ints, bools and whole floats name the level of their value
+        ids = [int(rng.integers(0, 2 if kind == "bool" else n))
+               for kind, n in zip(kinds, levels)]
+        row = [self.AS_KIND[kind](k) for kind, k in zip(kinds, ids)]
+        active = [i for i, on in enumerate(self.LAYOUT) if on]
+        for where, value in unseen.items():
+            for i in active if where == "every" else [self.AT[where]]:
+                row[i] = int(levels[i]) if value == "n_levels" else value
+                ids[i] = -1
+        got = score(model, row)
+        expected = _general_score(model, ids)
+        assert _bits((got.score, got.used_factors)) == _bits(expected)
+        assert got == score(model, tuple(ids))
+        if "every" in unseen:
+            assert (got.score, got.used_factors) == (model.global_rate, 0)
+
+    @pytest.mark.parametrize("ids", [([0], 0, 0), (0, 0, [1]), (-1, [0], 0), (0, -1, [1])])
+    def test_unhashable_id_raises_type_error(self, ids):
+        model = _model_from_counts([[1, 3], [4, 0]], [[4, 4]], [[5, 1], [1, 1]])
+        with pytest.raises(TypeError):
+            score(model, ids)
 
 
 class TestScoreBatch:
