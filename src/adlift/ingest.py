@@ -104,13 +104,7 @@ class FactorDictionary:
         return len(self._levels[factor])
 
     def fingerprint(self) -> str:
-        """Stable digest of factor names and level labels, in id order, computed
-        once: names and levels are copied at construction, and a dictionary
-        does not change after that."""
-        return self._fingerprint
-
-    @cached_property
-    def _fingerprint(self) -> str:
+        """Stable digest of factor names and level labels, in id order."""
         payload = json.dumps(
             {"factors": self.factor_names, "levels": self._levels},
             ensure_ascii=False, separators=(",", ":"))
@@ -167,9 +161,7 @@ class RequestBatch:
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for start in range(0, len(self), ROW_BLOCK):
-            block = self.factors[start:start + ROW_BLOCK]
-            # zip of the columns builds the row tuples; with no column it yields none
-            yield from zip(*block.T.tolist()) if self.m else repeat((), len(block))
+            yield from map(tuple, self.factors[start:start + ROW_BLOCK].tolist())
 
 
 class FactorTable:

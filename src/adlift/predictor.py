@@ -210,6 +210,7 @@ def score(model: SparseRateModel, factors: Sequence[int],
         return ScoredRequest(model.global_rate, 0)
     return ScoredRequest(num / den, used)
 
+
 @dataclass
 class BatchScores:
     """Element-wise scores for a batch, with measured throughput.

@@ -1,8 +1,5 @@
-import hashlib
-import json
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,23 +168,6 @@ class TestScore:
             score(model, (0,), dictionary=other)
         # matching dictionary passes
         assert score(model, (0,), dictionary=table.dictionary).score > 0
-
-    def test_fingerprint_is_computed_once(self):
-        names, levels = ["f0", "é"], [["x", "y"], ["a,b", ""]]
-        dictionary = FactorDictionary(names, levels)
-        payload = json.dumps({"factors": names, "levels": levels},
-                             ensure_ascii=False, separators=(",", ":"))
-        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        with mock.patch("adlift.ingest.json.dumps", wraps=json.dumps) as dumps:
-            assert [dictionary.fingerprint() for _ in range(3)] == [expected] * 3
-        assert dumps.call_count == 1
-        assert dictionary._fingerprint == expected
-        model = SparseRateModel(names, levels, [1.0, 1.0], [[0.2, 0.4], [0.5, 0.6]],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint=expected)
-        assert score(model, (1, 0), dictionary=dictionary) == score(model, (1, 0))
-        other = FactorDictionary(names, [["x", "y"], ["a,b", "c"]])
-        with pytest.raises(FingerprintMismatch):
-            score(model, (1, 0), dictionary=other)
 
     def test_wrong_arity(self):
         model = _model_from_counts([[1, 3]])
