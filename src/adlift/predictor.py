@@ -70,33 +70,19 @@ class SparseRateModel:
         if len(bad):
             raise ValueError(f"importances must be finite and non-negative: factor "
                              f"{self.factor_names[bad[0]]!r} has {self.importance[bad[0]]}")
-        # One lookup table per active factor, built once. Entry k holds the
-        # weighted rate rates[i][k] * imp as its real part and the weight imp
-        # as its imaginary part; entry n_levels is the 0 sentinel that unseen
-        # ids map to. Complex addition adds the two parts separately, so one
-        # lookup and one add accumulate both sums of the score. ``score`` maps
-        # level ids to python-float copies of the same products (python floats
-        # beat numpy scalars per call), so batch and scalar scores agree bit for bit.
-        # Every row whose levels were all seen has the weight sum ``_den`` (the
-        # same adds in the same order), and numpy and python divide by it with
-        # correct rounding, so the seen-levels paths keep these bits.
-        self._tables = []
-        for i, r in enumerate(self.rates):
-            if self.importance[i] > 0.0:
-                table = np.zeros(len(r) + 1, dtype=np.complex128)
-                table.real[:-1] = r * self.importance[i]
-                table.imag[:-1] = self.importance[i]
-                self._tables.append((i, len(r), table))
-        self._active = tuple(
-            (i, float(self.importance[i]), dict(enumerate(table.real[:-1].tolist())))
-            for i, _, table in self._tables)
-        self._real = [(i, table.real.copy()) for i, _, table in self._tables]
-        self._limits = np.full(self.m, 2**32)
-        self._seen, self._den, self._n_active = [], 0.0, len(self._active)
-        for j, (i, imp, weighted) in enumerate(self._active):
-            self._limits[i] = len(weighted)
-            self._seen.append((i, weighted, (self._den, j)))
+        # Per active factor, in index order, the weighted rates rates[i][k] * imp:
+        # a dict of python floats for ``score`` (they beat numpy scalars per
+        # call) and a float table with a trailing 0.0 for ``score_batch``. Both
+        # add the same products in the same order, so their scores agree bit for bit.
+        self._active, self._seen, self._real, self._den = [], [], [], 0.0
+        for i in np.flatnonzero(self.importance > 0.0).tolist():
+            imp = float(self.importance[i])
+            weighted = self.rates[i] * imp
+            self._active.append((i, imp, dict(enumerate(weighted.tolist()))))
+            self._seen.append((i, self._active[-1][2], (self._den, len(self._seen))))
+            self._real.append((i, imp, np.append(weighted, 0.0)))
             self._den += imp
+        self._n_active = len(self._active)
         if not math.isfinite(self._den):
             raise ValueError(f"active importances sum to {self._den}")
         self._level_maps = [{label: k for k, label in enumerate(ls)}
@@ -237,48 +223,8 @@ class BatchScores:
 
 
 SCORE_BLOCK = 8192
-"""Rows per block of ``_score_matrix``: a block's ids and its few scratch
+"""Rows per block of ``score_batch``: a block's ids and its few scratch
 vectors stay in cache while every factor passes over them."""
-
-
-def _score_matrix(model: SparseRateModel, factors: np.ndarray,
-                  scores: np.ndarray, used: np.ndarray) -> None:
-    """Score the (n, m) int32 id matrix into ``scores`` and ``used`` (n,).
-
-    Walks the rows in blocks of SCORE_BLOCK; in a column-major matrix each
-    factor's ids of a block are one contiguous run. Read as uint32, every id
-    outside [0, n_levels), -1 included, clips to the table's 0 sentinel.
-    Factors accumulate in index order, as in ``score``, so the results are
-    bit-identical to the scalar path. A block whose active columns' maxima lie
-    below their ``n_levels`` adds only the weighted rates and divides by the
-    model's ``_den``: the general path's adds and correctly rounded division.
-    """
-    n = len(factors)
-    ids = factors.view(np.uint32)
-    size = min(n, SCORE_BLOCK)
-    scratch = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128),
-               np.empty(size, dtype=np.intp), np.empty(size, dtype=bool), np.empty(size))
-    for start in range(0, n, SCORE_BLOCK):
-        rows = slice(start, min(n, start + SCORE_BLOCK))
-        sums, term, slot, known, lookup = (a[:rows.stop - start] for a in scratch)
-        count = used[rows]
-        block = ids[rows]
-        out = scores[rows]
-        if model._n_active and (block.max(axis=0) < model._limits).all():
-            out.fill(0.0)
-            for i, weighted in model._real:
-                out += np.take(weighted, block[:, i], out=lookup)
-            out /= model._den
-            count.fill(model._n_active)
-            continue
-        sums.fill(0.0)
-        count.fill(0)
-        for i, n_levels, table in model._tables:
-            np.minimum(block[:, i], n_levels, out=slot)
-            sums += np.take(table, slot, out=term)
-            count += np.less(slot, n_levels, out=known)
-        out.fill(model.global_rate)
-        np.divide(sums.real, sums.imag, out=out, where=np.greater(count, 0, out=known))
 
 
 def worker_count() -> int:
@@ -293,6 +239,14 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
 
     DimensionMismatch unless the batch has the model's factor count.
     Scoring runs on the calling thread; ``threads`` is accepted and ignored.
+    Walks the rows in blocks of SCORE_BLOCK; in a column-major matrix each
+    factor's ids of a block are one contiguous run. Read as uint32, every id
+    outside [0, n_levels), -1 included, clips to its table's trailing 0.0, so
+    each active factor adds its weighted rate or an exact 0.0, in index order
+    as in ``score``: the same bits. A block whose ids were all seen divides by
+    the model's ``_den``; a block with an unseen id also sums and counts each
+    row's weights of seen levels in index order, and a row with none scores
+    the global rate.
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
@@ -302,7 +256,31 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     n = len(batch)
     scores = np.empty(n)
     used = np.empty(n, dtype=np.int64)
-    _score_matrix(model, batch.factors, scores, used)
+    ids = batch.factors.view(np.uint32)
+    size = min(n, SCORE_BLOCK)
+    scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+    for start in range(0, n, SCORE_BLOCK):
+        rows = slice(start, min(n, start + SCORE_BLOCK))
+        term, den, known = (a[:rows.stop - start] for a in scratch)
+        block, out, count = ids[rows], scores[rows], used[rows]
+        out.fill(0.0)
+        seen = model._n_active > 0
+        for i, _, table in model._real:
+            out += np.take(table, block[:, i], mode="clip", out=term)
+            seen = seen and block[:, i].max() < len(table) - 1
+        if seen:
+            out /= model._den
+            count.fill(model._n_active)
+            continue
+        den.fill(0.0)
+        count.fill(0)
+        for i, imp, table in model._real:
+            np.less(block[:, i], len(table) - 1, out=known)
+            den += np.multiply(known, imp, out=term)
+            count += known
+        np.greater(count, 0, out=known)
+        np.divide(out, den, out=out, where=known)
+        out[~known] = model.global_rate
     return BatchScores(scores, used, elapsed_s=time.perf_counter() - t_start)
 
 
@@ -435,13 +413,12 @@ def load_model(path) -> SparseRateModel:
     """Read a model file back, verifying version and checksum."""
     with open_text(path) as fh:
         text = fh.read()
-    lines = text.splitlines()
-    if len(lines) < 2 or not lines[-1].startswith("sha256:"):
+    # split at the last "\n" only: str.splitlines would also split the body
+    # at the U+2028, U+2029 and U+0085 that ensure_ascii=False leaves raw
+    body, newline, last = text.removesuffix("\n").rpartition("\n")
+    if not newline or not last.startswith("sha256:"):
         raise CorruptFile(f"{path}: missing checksum line")
-    body = "\n".join(lines[:-1])
-    expected = lines[-1][len("sha256:"):]
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if actual != expected:
+    if hashlib.sha256(body.encode("utf-8")).hexdigest() != last[len("sha256:"):]:
         raise CorruptFile(f"{path}: checksum mismatch")
 
     def build(doc):

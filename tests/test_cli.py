@@ -955,7 +955,8 @@ class TestLoaderErrors:
 
     TABLES = {"version": 1, "total": 4,
               "factors": [{"name": "browser", "levels": ["chrome", "safari"],
-                           "counts": [[1, 2], [1, 0]]}]}
+                           "counts": [[1, 2], [1, 0]]},
+                          {"name": "os", "levels": ["win"], "counts": [[2, 2]]}]}
 
     @pytest.mark.parametrize("text, message", [
         ("not json", "not a JSON document"),
@@ -986,6 +987,10 @@ class TestLoaderErrors:
         ("not json", "not a JSON document"),
         ('{"method": "shannon"}', "missing key 'entries'"),
         ('{"method": "shannon", "entries": [{"value": 0.1}]}', "missing key 'index'"),
+        ('{"method": "shannon", "entries": [{"index": 5, "value": 0.1}, '
+         '{"index": 5, "value": 0.2}]}', "entry indices must be 0..1, each once"),
+        ('{"method": "shannon", "entries": [{"index": 0, "value": 0.1}, '
+         '{"index": 2, "value": 0.2}]}', "entry indices must be 0..1, each once"),
     ])
     def test_bad_importance_file_is_data_error(self, workdir, capsys, text, message):
         (workdir / "tables.json").write_text(json.dumps(self.TABLES))
@@ -994,6 +999,7 @@ class TestLoaderErrors:
                    "--importance", workdir / "importance.json",
                    "--out", workdir / "model.json") == 2
         assert f"importance.json: {message}" in capsys.readouterr().err
+        assert not (workdir / "model.json").exists()
 
     # one argv per loader; {bad} is the file under test, the rest are valid
     NON_UTF8 = {

@@ -294,6 +294,9 @@ class TestScoreBatch:
              unseen="quarter", pruned_unseen=True)
     @example(n=3 * B + 17, seed=1, pruned=[False, True, False, False], distinct=None,
              unseen="one block", pruned_unseen=False)
+    # the only unseen id in the last row of the partial final block
+    @example(n=3 * B + 17, seed=2, pruned=[True, False, False], distinct=None,
+             unseen="last row", pruned_unseen=False)
     @settings(max_examples=40, deadline=None)
     def test_batch_equals_scalar_bit_for_bit(self, n, seed, pruned, distinct, unseen,
                                              pruned_unseen):
@@ -318,6 +321,8 @@ class TestScoreBatch:
         if unseen == "one block":
             in_block = np.arange(n) // SCORE_BLOCK == rng.integers(0, n // SCORE_BLOCK + 1)
             cells |= in_block[:, None] & (rng.random(factors.shape) < 0.25)
+        if unseen == "last row":
+            cells[-1, pruned.index(False)] = True
         for i, n_levels in enumerate(levels):
             # an unseen id is -1, n_levels or an int32 extreme
             factors[cells[:, i], i] = rng.choice([-1, n_levels, 2**31 - 1, -2**31],
@@ -474,6 +479,24 @@ class TestPersistence:
             rec = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             assert score(model, rec).score == score(loaded, rec).score
         assert loaded.fingerprint == model.fingerprint
+
+    def test_line_separators_in_labels_round_trip(self, tmp_path):
+        # JSON keeps U+2028, U+2029 and U+0085 raw; str.splitlines splits at them
+        model = SparseRateModel(
+            [f"f{c}" for c in "\u2028\u2029\x85"],
+            [[f"a{c}", f"{c}", f"b{c}c"] for c in "\u2028\u2029\x85"],
+            [0.5, 0.25, 0.125], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
+            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="fp\u2028\u2029\x85")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.factor_names == model.factor_names
+        assert loaded.level_labels == model.level_labels
+        assert loaded.fingerprint == model.fingerprint
+        assert loaded.importance.tobytes() == model.importance.tobytes()
+        assert [r.tobytes() for r in loaded.rates] == [r.tobytes() for r in model.rates]
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         path = tmp_path / "model.json"
