@@ -99,7 +99,9 @@ def _load_tables(path) -> ingest.FactorTable:
 def _load_importance(path) -> ImportanceVector:
     def build(doc):
         entries = sorted(doc["entries"], key=lambda e: e["index"])
-        if [e["index"] for e in entries] != list(range(len(entries))):
+        # by type too: False and 1.0 equal 0 and 1
+        if [(type(e["index"]), e["index"]) for e in entries] \
+                != [(int, k) for k in range(len(entries))]:
             raise DataError(f"{path}: entry indices must be 0..{len(entries) - 1}, "
                             f"each once")
         return ImportanceVector(method=doc["method"],

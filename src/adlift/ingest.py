@@ -215,33 +215,45 @@ class EventBatch:
     ``browser_labels`` (``parse_cookie_events`` numbers labels in first-seen
     order); ``timestamps`` are int64 epoch seconds. ``S`` label arrays (UTF-8,
     surrogates passed) stay bytes in ``columns()``, decoded on first access.
+    Labels given as None take their codes as an ``S`` array of one key per
+    event, coded by ``_coded`` on the first access of the column's codes or
+    labels: ``columns()`` gives such a column as its keys, uncoded.
     """
 
-    def __init__(self, cookies, cookie_labels: Sequence[str] | np.ndarray, browsers,
-                 browser_labels: Sequence[str] | np.ndarray, timestamps):
-        self.cookies = np.asarray(cookies, dtype=np.int32)
-        self.browsers = np.asarray(browsers, dtype=np.int32)
+    def __init__(self, cookies, cookie_labels: Sequence[str] | np.ndarray | None,
+                 browsers, browser_labels: Sequence[str] | np.ndarray | None, timestamps):
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
-        self._labels = (cookie_labels, browser_labels)
+        self._keys = [keys if labels is None else Coded(labels, np.asarray(keys, np.int32))
+                      for keys, labels in ((cookies, cookie_labels),
+                                           (browsers, browser_labels))]
         shape = self.timestamps.shape
-        if len(shape) != 1 or self.cookies.shape != shape or self.browsers.shape != shape:
+        if len(shape) != 1 or any(np.shape(getattr(key, "codes", key)) != shape
+                                  for key in self._keys):
             raise ValueError("cookies, browsers and timestamps must be (n,)")
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    def _column(self, j: int) -> "Coded":
+        """Key column ``j`` (0 cookies, 1 browsers), coded on first use."""
+        if not isinstance(self._keys[j], Coded):
+            self._keys[j] = _coded(self._keys[j])
+        return self._keys[j]
+
+    cookies = property(lambda self: self._column(0).codes)
+    browsers = property(lambda self: self._column(1).codes)
+
     @cached_property
     def cookie_labels(self) -> list[str]:
-        return _decoded(self._labels[0], "surrogatepass")
+        return _decoded(self._column(0).labels, "surrogatepass")
 
     @cached_property
     def browser_labels(self) -> list[str]:
-        return _decoded(self._labels[1], "surrogatepass")
+        return _decoded(self._column(1).labels, "surrogatepass")
 
-    def columns(self) -> tuple["Coded", "Coded", np.ndarray]:
+    def columns(self) -> tuple["Coded | np.ndarray", "Coded | np.ndarray", np.ndarray]:
         """The cookie id, browser and timestamp columns, as report columns."""
-        return (Coded(self._labels[0], self.cookies),
-                Coded(self._labels[1], self.browsers), self.timestamps)
+        return (*self._keys, self.timestamps)
 
 
 @dataclass
@@ -300,12 +312,18 @@ class Rows(NamedTuple):
 # stage by 2 to 5 MB.
 CHUNK_CHARS = 1 << 16
 
+# Characters parse_cookie_events reads at a time. Unlike a request log's (see
+# CHUNK_CHARS), an event file's piece is read column-wise, with a fixed number
+# of numpy calls and no Python object per line, so larger pieces cost less:
+# 64 Ki pieces cut the benchmark's 4.4 MB events file into 67, 1 Mi into 5.
+EVENT_CHUNK_CHARS = 1 << 20
 
-def _pieces(stream: TextIO) -> Iterator[str]:
-    """The text of ``stream`` in pieces of about CHUNK_CHARS characters, each
+
+def _pieces(stream: TextIO, size: int) -> Iterator[str]:
+    """The text of ``stream`` in pieces of about ``size`` characters, each
     ending at a "\\n" but the last."""
     rest = ""
-    while chunk := stream.read(CHUNK_CHARS):
+    while chunk := stream.read(size):
         cut = chunk.rfind("\n") + 1
         if cut:
             yield rest + chunk[:cut]
@@ -326,7 +344,7 @@ def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
     delimiters, so both kinds of key give the same cells (see ``_cells``).
     A csv.Error of the reader is raised again naming its line.
     """
-    pieces = _pieces(stream)
+    pieces = _pieces(stream, CHUNK_CHARS)
     lines_above = 0
     for piece in pieces:
         lines = piece.split("\n")
@@ -555,8 +573,8 @@ class Coded(NamedTuple):
 
 
 class Columns:
-    """A report's columns, one per header name: numpy int or float arrays,
-    ``Coded`` columns or other sequences. ``len()`` is the number of rows."""
+    """A report's columns, one per header name: numpy int, float or ``S``
+    arrays, ``Coded`` columns or other sequences. ``len()`` is the number of rows."""
 
     def __init__(self, *columns):
         lengths = {len(c.codes) if isinstance(c, Coded) else len(c) for c in columns}
@@ -751,8 +769,8 @@ def _coded_numbers(column: np.ndarray) -> Coded:
     """A numeric column as a coded one whose labels are its distinct values.
 
     An int column whose values span fewer values than it has rows is coded
-    by offset from its minimum, in O(n); any other by bit pattern, so that
-    -0.0 and 0.0 (and NaNs with other payloads) stay apart.
+    by offset from its minimum, in O(n); any other by bit pattern with
+    ``_coded``, so that -0.0 and 0.0 (and NaNs with other payloads) stay apart.
     """
     if column.dtype.kind != "f":
         low = int(column.min())
@@ -761,7 +779,7 @@ def _coded_numbers(column: np.ndarray) -> Coded:
             present = np.bincount(offset) > 0
             labels = np.flatnonzero(present).astype(column.dtype) + column.dtype.type(low)
             return Coded(labels, (np.cumsum(present) - 1)[offset])
-    distinct, codes = np.unique(column.view(np.uint64), return_inverse=True)
+    distinct, codes = _coded(column.view(np.uint64))
     return Coded(distinct.view(column.dtype), codes)
 
 
@@ -773,24 +791,26 @@ def _byte_table(labels: np.ndarray, lone: bool) -> _Matrix | None:
         return None
     data, width = labels.tobytes(), labels.itemsize
     cells = np.frombuffer(data, np.uint8).reshape(len(labels), width)
-    keep = cells != 0
+    keep = np.ascontiguousarray((cells != 0).T)  # a row per byte: each OR is contiguous
     for j in range(width - 2, -1, -1):
-        keep[:, j] |= keep[:, j + 1]
+        keep[j] |= keep[j + 1]
     # where the padded text is UTF-8 (no byte dropped by "ignore"), a label
     # that is not UTF-8 alone starts the next one with a continuation byte
     if (len(data.decode("utf-8", "ignore").encode()) < len(data)
-            or (cells[:, 0] >> 6 == 2).any() or (lone and not keep[:, 0].all())
+            or (cells[:, 0] >> 6 == 2).any() or (lone and not keep[0].all())
             or any(c.encode() in data for c in _QUOTED_CHARS)
             or width * len(labels) > MAX_KEY_BLOWUP * np.count_nonzero(keep)):
         return None
-    return _Matrix(cells, keep)
+    return _Matrix(cells, keep.T)
 
 
-def _label_table(labels: Sequence, codes: np.ndarray, lone: bool) -> _Matrix | _Ragged:
+def _label_table(labels: Sequence, codes: np.ndarray | slice,
+                 lone: bool) -> _Matrix | _Ragged:
     """A coded column's label cells (numbers by ``_number_cells``, unpadded), as a
     matrix to gather rows from where padding stays small (see MAX_KEY_BLOWUP and
     MAX_BLOCK_BYTES); a label that is not UTF-8 text (``S`` labels that
-    ``_byte_table`` declines are decoded) raises only if a code shows it."""
+    ``_byte_table`` declines are decoded) raises only if a code shows it
+    (``slice(None)``: every label is shown)."""
     if isinstance(labels, np.ndarray) and labels.dtype.kind == "S":
         if (table := _byte_table(labels, lone)) is not None:
             return table
@@ -820,8 +840,11 @@ def _column_cells(column, lone: bool):
     Coded columns render each label once and gather its bytes by code, and
     so do numeric columns whose first block repeats their bit patterns: coding
     costs about as much as formatting half the values, hence 1 distinct value
-    per 2 rows, not read_columns' 8. Numbers, numeric labels included, are
-    written by digit arithmetic (``_int_cells``, ``_float_cells``), other
+    per 2 rows, not read_columns' 8. An ``S`` array (an EventBatch column not
+    yet coded) is its own labels, a block at a time: ``_byte_table`` makes it
+    its byte matrix, and a block it declines is decoded row by row; keys too
+    wide for its matrix are coded first. Numbers, numeric labels included,
+    are written by digit arithmetic (``_int_cells``, ``_float_cells``), other
     labels by ``str`` and other sequences by ``_fmt`` per cell.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in _WIDE:
@@ -829,6 +852,10 @@ def _column_cells(column, lone: bool):
         if not (len(column) and _repeats(column.view(np.uint64)[:ROW_BLOCK].tolist(), 2)):
             return lambda start, stop: _number_cells(column[start:stop])
         column = _coded_numbers(column)
+    if isinstance(column, np.ndarray) and column.dtype.kind == "S":
+        if column.itemsize * WRITE_BLOCK <= MAX_BLOCK_BYTES:
+            return lambda start, stop: _label_table(column[start:stop], slice(None), lone)
+        column = _coded(column)  # wider keys are decoded, once per distinct key
     if isinstance(column, Coded):
         codes = column.codes
         table = _label_table(column.labels, codes, lone)
@@ -1007,15 +1034,18 @@ def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     return cells
 
 
-def _coded(chunks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``_codes`` of the ``S`` keys of ``chunks``: each key's index among the
-    distinct keys, and those, still ``S``, in first-seen order."""
-    keys = np.concatenate(chunks) if chunks else np.empty(0, "S1")
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+def _coded(keys: np.ndarray) -> "Coded":
+    """``keys`` as a coded column, as ``_codes`` codes a list: the distinct
+    keys in first-seen order, and each key's index among them (int32). Only
+    the first key of each run of equal keys is sorted; the rest take its code."""
+    # the first key of each run, and none of no keys
+    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))[:len(keys)]
+    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(order), np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
-    return rank[inverse], keys[first[order]]
+    return Coded(keys[heads[first[order]]],
+                 np.repeat(rank[inverse], np.diff(heads, append=len(keys))))
 
 
 def _plain_events(pieces: Iterator[str], read: list[str],
@@ -1034,14 +1064,14 @@ def _plain_events(pieces: Iterator[str], read: list[str],
     key arrays stay within MAX_KEY_BLOWUP times the bytes read. The header
     is read as ``read_columns`` reads it: a repeated name means its last
     column. Each piece's named cells become ``S`` key arrays and int64
-    timestamps; the keys are coded once all are read.
+    timestamps; the EventBatch codes a key column where it is first used.
     """
     sep = delimiter.encode("utf-8", "surrogatepass")
     if len(sep) != 1:
         return None
     limit = csv.field_size_limit()
-    keys: tuple[list, list] = ([], [])
-    stamps: list[np.ndarray] = []
+    keys = ([np.empty(0, "S1")], [np.empty(0, "S1")])
+    stamps = [np.empty(0, np.int64)]
     positions = None
     rows = body_bytes = widest = 0
     for piece in pieces:
@@ -1094,8 +1124,8 @@ def _plain_events(pieces: Iterator[str], read: list[str],
             chunks.append(cells.view(f"S{cells.shape[1]}").ravel())
     if positions is None:
         return None
-    return EventBatch(*chain.from_iterable(map(_coded, keys)),  # codes, keys per column
-                      np.concatenate(stamps) if stamps else np.empty(0, np.int64))
+    return EventBatch(np.concatenate(keys[0]), None, np.concatenate(keys[1]), None,
+                      np.concatenate(stamps))
 
 
 def parse_cookie_events(stream: TextIO | str,
@@ -1110,7 +1140,7 @@ def parse_cookie_events(stream: TextIO | str,
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    pieces, read = _pieces(stream), []
+    pieces, read = _pieces(stream, EVENT_CHUNK_CHARS), []
     events = _plain_events(pieces, read, delimiter)
     if events is not None:
         return events

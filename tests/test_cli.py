@@ -991,6 +991,11 @@ class TestLoaderErrors:
          '{"index": 5, "value": 0.2}]}', "entry indices must be 0..1, each once"),
         ('{"method": "shannon", "entries": [{"index": 0, "value": 0.1}, '
          '{"index": 2, "value": 0.2}]}', "entry indices must be 0..1, each once"),
+        # equal to 0 and 1 by value, but not integers
+        ('{"method": "shannon", "entries": [{"index": false, "value": 0.1}, '
+         '{"index": 1, "value": 0.2}]}', "entry indices must be 0..1, each once"),
+        ('{"method": "shannon", "entries": [{"index": 0, "value": 0.1}, '
+         '{"index": 1.0, "value": 0.2}]}', "entry indices must be 0..1, each once"),
     ])
     def test_bad_importance_file_is_data_error(self, workdir, capsys, text, message):
         (workdir / "tables.json").write_text(json.dumps(self.TABLES))

@@ -444,17 +444,53 @@ def event_files(draw):
     return text, delimiter, not triggers
 
 
+@st.composite
+def ungrouped_event_files(draw):
+    """An event file as real traffic orders it, by time rather than by
+    cookie: rows drawn grouped by cookie, then shuffled, or cut into runs of
+    random lengths that are put in random order, so that a cookie's events
+    fall into several runs."""
+    cookies = draw(st.lists(st.sampled_from(PLAIN_KEYS) | st.text("ab€", max_size=3),
+                            min_size=1, max_size=30, unique=True))
+    rows = [(cookie, draw(st.sampled_from(["chrome", "safari", "ff"])),
+             draw(st.integers(0, 10**6)))
+            for cookie in cookies for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    else:
+        cuts = sorted(set(draw(st.lists(st.integers(1, len(rows)), max_size=len(rows)))))
+        runs = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+        rows = [row for run in draw(st.permutations(runs)) for row in run]
+    return "cookie_id,browser,timestamp\n" + "".join(f"{c},{b},{t}\n" for c, b, t in rows)
+
+
+def columns_oracle(text):
+    """parse_cookie_events' codes, labels and timestamps from read_columns
+    and ``_codes``, as lists."""
+    rows = read_columns(text, EVENT_COLUMNS)
+    cookies, browsers, stamps = ([column[k] for k in rows.codes.tolist()]
+                                 for column in rows.columns)
+    (cookie_codes, cookie_labels), (browser_codes, browser_labels) = \
+        map(ingest._codes, (cookies, browsers))
+    return (cookie_codes.tolist(), cookie_labels, browser_codes.tolist(), browser_labels,
+            list(map(int, stamps)))
+
+
 class TestEventParseOracle:
     """parse_cookie_events against csv.reader and Python int row by row,
-    with read chunks of a few characters: a plain file is read column-wise,
-    any other by read_columns, and both give the oracle's codes, labels and
-    timestamps, or its exception."""
+    with read chunks of a few characters (both CHUNK_CHARS and
+    EVENT_CHUNK_CHARS): a plain file is read column-wise, any other by
+    read_columns, and both give the oracle's codes, labels and timestamps,
+    or its exception."""
 
     @given(case=event_files(), chunk=st.integers(1, 48), block=st.integers(1, 6),
            newline=st.sampled_from(["\n", None]))
     @example(case=("cookie_id,browser,timestamp\nn\0,b,1\nn,b,2\n", ",", False),
              chunk=48, block=4, newline="\n")
     @example(case=('"x,y",cookie_id,browser,timestamp\na,b,c,d,1\n', ",", False),
+             chunk=48, block=4, newline="\n")
+    # every browser cell empty: the writer's byte buffer of labels is empty
+    @example(case=("cookie_id,browser,timestamp\na,,0\n", ",", True),
              chunk=48, block=4, newline="\n")
     @settings(max_examples=400, deadline=None)
     def test_matches_csv_reader_and_int(self, tmp_path_factory, case, chunk, block,
@@ -464,7 +500,8 @@ class TestEventParseOracle:
         text, delimiter, plain = case
         expected = outcome(lambda: oracle_events(io.StringIO(text, newline=newline),
                                                  delimiter))
-        with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, ROW_BLOCK=block), \
+        with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, EVENT_CHUNK_CHARS=chunk,
+                                 ROW_BLOCK=block), \
                 mock.patch.object(ingest, "read_columns",
                                   wraps=ingest.read_columns) as general:
             parsed = outcome(lambda: parse_cookie_events(io.StringIO(text, newline=newline),
@@ -472,30 +509,48 @@ class TestEventParseOracle:
         if parsed[0] != "ok":
             assert parsed == expected
             return
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+
+        def written():
+            return encoded(lambda: write_events_csv(path, parsed[1]) or path.read_bytes())
+
+        # written before and after reading the codes, which code the key
+        # columns of a column-wise parse
+        uncoded = written()
         assert ("ok", event_lists(parsed[1])) == expected
         if plain:
             general.assert_not_called()
         cookies, cookie_labels, browsers, browser_labels, stamps = expected[1]
         rows = [(cookie_labels[c], browser_labels[b], t)
                 for c, b, t in zip(cookies, browsers, stamps)]
-        path = tmp_path_factory.mktemp("events") / "events.csv"
-        assert encoded(lambda: write_events_csv(path, parsed[1]) or path.read_bytes()) \
+        assert uncoded == written() \
             == encoded(lambda: csv_rows(EVENT_COLUMNS, rows).encode("utf-8"))
 
     def test_synth_events_are_read_column_wise(self, tmp_path):
         # a generated file spans several read chunks; reading it through
         # read_columns would be a silent fallback and a slow parse
-        sample = gen_gamma_poisson(PopulationSpec(k=0.8, m=2.5, users=3000,
+        sample = gen_gamma_poisson(PopulationSpec(k=0.8, m=2.5, users=40_000,
                                                   window_hours=720.0), seed=5)
         events = apply_churn(sample, ChurnSpec(tau_days={"chrome": 6.0, "safari": 10.0},
                                                mix={"chrome": 0.7, "safari": 0.3}), seed=6)
         path = tmp_path / "events.csv"
         write_events_csv(path, events)
-        assert path.stat().st_size > 2 * ingest.CHUNK_CHARS
+        assert path.stat().st_size > 2 * ingest.EVENT_CHUNK_CHARS
         with mock.patch.object(ingest, "read_columns", side_effect=AssertionError), \
                 ingest.open_text(path) as fh:
             parsed = parse_cookie_events(fh)
         assert event_lists(parsed) == event_lists(events)
+
+    @given(text=ungrouped_event_files(), chunk=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_ungrouped_files_match_read_columns(self, text, chunk):
+        # the column-wise parse codes only the first key of each run of
+        # equal keys; shuffled rows and split runs give the same codes
+        expected = columns_oracle(text)
+        with mock.patch.object(ingest, "EVENT_CHUNK_CHARS", chunk), \
+                mock.patch.object(ingest, "read_columns", side_effect=AssertionError):
+            events = parse_cookie_events(text)
+            assert event_lists(events) == expected
 
     def test_long_key_cells_are_read_row_by_row(self):
         # one long cookie among short ones would make every row of the key
@@ -603,10 +658,29 @@ class TestCookieEvents:
         text = "cookie_id,browser,timestamp\nc1,chrome,1000\nc2,safari,2000\n"
         events = parse_cookie_events(text)
         assert len(events) == 2
+        # the column-wise parse keeps its key columns as keys until one is used
         cookies, browsers, timestamps = events.columns()
-        assert [events.cookie_labels[k] for k in cookies.codes] == ["c1", "c2"]
-        assert [events.browser_labels[k] for k in browsers.codes] == ["chrome", "safari"]
+        assert cookies.tolist() == [b"c1", b"c2"]
+        assert browsers.tolist() == [b"chrome", b"safari"]
         assert timestamps.tolist() == [1000, 2000]
+        assert [events.cookie_labels[k] for k in events.cookies] == ["c1", "c2"]
+        assert [events.browser_labels[k] for k in events.browsers] == ["chrome", "safari"]
+        assert [column.codes.tolist() for column in events.columns()[:2]] == [[0, 1]] * 2
+
+    def test_wide_keys_are_written_once_per_distinct_key(self, tmp_path):
+        # keys too wide for the writer's byte matrix, one of 20 KB on most
+        # rows: written uncoded, they are decoded once per distinct key, not
+        # once per row, and the bytes are csv.writer's
+        wide = ["w" * 20_000, "v" * 200, "u" * 300]
+        rows = [(wide[k % 7 // 5 + k % 7 // 6], "chrome", k) for k in range(70)]
+        text = csv_rows(EVENT_COLUMNS, rows)
+        with mock.patch.object(ingest, "read_columns", side_effect=AssertionError):
+            events = parse_cookie_events(text)
+        path = tmp_path / "events.csv"
+        with mock.patch.object(ingest, "_decoded", wraps=ingest._decoded) as decoded:
+            write_events_csv(path, events)
+        assert sum(len(call.args[0]) for call in decoded.call_args_list) == len(wide)
+        assert path.read_text() == text
 
     def test_bad_timestamp(self):
         with pytest.raises(BadLabel, match="line 2"):
