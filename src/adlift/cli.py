@@ -14,6 +14,7 @@ import csv
 import difflib
 import json
 import math
+import re
 import sys
 from functools import cache
 
@@ -471,6 +472,13 @@ def _cmd_alarm(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a lone "-inf", "-nan" or "-1e5" for an option name;
+        # read every negative float literal as a value, as "--flag=-inf" is
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

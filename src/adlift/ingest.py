@@ -290,7 +290,13 @@ class Rows(NamedTuple):
         1, ... and nothing moves."""
         if len(values) == len(self.codes):
             return values
-        return values.T[..., self.codes].T
+        columns = values.reshape(len(values), -1).T
+        out = np.empty((len(columns), len(self.codes)), values.dtype)
+        for start in range(0, len(self.codes), 1 << 16):  # 512 KB of intp codes at once
+            block = self.codes[start:start + (1 << 16)].astype(np.intp)
+            for column, part in zip(columns, out[:, start:start + len(block)]):
+                np.take(column, block, out=part, mode="clip")  # codes are in range
+        return out.T.reshape(len(self.codes), *values.shape[1:])
 
     def coded(self, values: np.ndarray):
         """Per-distinct-row ``values`` as a report column: ``Coded`` where there

@@ -9,8 +9,9 @@ Cookie deletion splits one user into several observed identities, inflating
 low-frequency counts; ``adjust_for_churn`` inverts that distortion under a
 per-browser exponential lifetime model.
 
-scipy is imported inside the functions that call it, so that importing
-``adlift`` costs no scipy import for the commands that use none.
+Both fits run scipy's Nelder-Mead step for step in ``_nelder_mead``: only
+``scipy.special`` is imported, inside the functions that call it, so that
+importing ``adlift`` costs no scipy import for the commands that use none.
 """
 
 from __future__ import annotations
@@ -34,6 +35,63 @@ K_DEGENERATE = 1.0e4
 
 OPT_TOL = 1.0e-6
 OPT_MAX_EVALS = 10_000
+MAX_EVALS_MESSAGE = "Maximum number of function evaluations has been exceeded."
+
+
+def _nelder_mead(fun, x0: np.ndarray, simplex: np.ndarray | None = None):
+    """scipy 1.17's ``minimize(fun, x0, method="Nelder-Mead")`` with xatol = fatol
+    = OPT_TOL, maxfev = OPT_MAX_EVALS and ``simplex`` as its initial simplex,
+    step for step and so bit for bit. Returns (x, f, evaluations, converged)."""
+    n_evals = 0
+
+    def f(x):
+        nonlocal n_evals
+        if n_evals >= OPT_MAX_EVALS:
+            raise StopIteration  # ends the step, as scipy's _MaxFuncCallError
+        n_evals += 1
+        return fun(np.copy(x))
+
+    n = len(x0)
+    if simplex is None:  # scipy's: x0, then each coordinate in turn 5 % out, or 0.00025
+        simplex = np.where(np.eye(n + 1, n, -1, dtype=bool),
+                           np.where(x0 != 0, (1 + 0.05) * x0, 0.00025), x0)
+    sim, fsim = np.array(simplex, dtype=np.float64), np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except StopIteration:
+        pass
+    order = np.argsort(fsim)  # scipy sorts once more before its first step
+    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if n_evals >= OPT_MAX_EVALS or (np.max(np.abs(sim[1:] - sim[0])) <= OPT_TOL
+                                        and np.max(np.abs(fsim[0] - fsim[1:])) <= OPT_TOL):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except StopIteration:
+            pass
+    return sim[0], np.min(fsim), n_evals, n_evals < OPT_MAX_EVALS
 
 
 class FrequencyTable:
@@ -244,7 +302,6 @@ def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
 def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
     """``fit_nbd_truncated`` without its goodness of fit, whose pmf runs
     over every n up to ``freq.max_n``."""
-    from scipy import optimize
     from scipy.special import gammaln
 
     if min_count < 1:
@@ -292,20 +349,18 @@ def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
         return float(-(cs * (log_p - log_trunc)).sum() / total)
 
     x0 = np.array([math.log(init[0]), math.log(init[1])])
-    res = optimize.minimize(nll, x0, method="Nelder-Mead",
-                            options={"xatol": OPT_TOL, "fatol": OPT_TOL,
-                                     "maxfev": OPT_MAX_EVALS})
-    if not res.success:
-        raise NoConvergence(f"truncated NBD fit did not converge: {res.message}")
-    k_hat = float(math.exp(res.x[0]))
-    m_hat = float(math.exp(res.x[1]))
+    x, fun, _, converged = _nelder_mead(nll, x0)
+    if not converged:
+        raise NoConvergence(f"truncated NBD fit did not converge: {MAX_EVALS_MESSAGE}")
+    k_hat = float(math.exp(x[0]))
+    m_hat = float(math.exp(x[1]))
     if k_hat > K_DEGENERATE:
         raise DegenerateData(
             f"fitted shape k={k_hat:.3g} is in the Poisson regime; NBD not "
             "identifiable", poisson_mean=_zt_poisson_mle(mean_all))
 
     return NbdModel(k=k_hat, m=m_hat, fit_method="truncated_mle",
-                    loglik=-res.fun * total)
+                    loglik=-fun * total)
 
 
 @dataclass(frozen=True)
@@ -488,7 +543,6 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     table's browsers, DegenerateData for a de-churned k above K_DEGENERATE
     (the Poisson regime), and NumericalError for a non-finite result.
     """
-    from scipy import optimize
     from scipy.special import betainc
 
     if loyalty_threshold < 2:
@@ -548,11 +602,7 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     obs_arr = np.array(obs_bins + [0], dtype=np.float64)
     edges = np.array([0, *pool_edges], dtype=np.float64)
 
-    eval_count = 0
-
     def objective(x: np.ndarray) -> float:
-        nonlocal eval_count
-        eval_count += 1
         s = _identities_above(*np.exp(x), lengths, segments, edges)
         exp_arr = np.maximum(np.append(s[:-1] - s[1:], s[-1]) * (total / s[0]),
                              1.0e-9)
@@ -576,13 +626,10 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
                key=lambda km: objective(np.log(np.asarray(km))))
     x0 = np.array([math.log(best[0]), math.log(best[1])])
     simplex = np.array([x0, x0 + [0.5, 0.0], x0 + [0.0, 0.5]])
-    res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                            options={"xatol": OPT_TOL, "fatol": OPT_TOL,
-                                     "maxfev": OPT_MAX_EVALS,
-                                     "initial_simplex": simplex})
-    if not res.success:
-        raise NoConvergence(f"churn adjustment search did not converge: {res.message}")
-    k_hat, m_hat = map(float, np.exp(res.x))
+    x, fun, n_evals, converged = _nelder_mead(objective, x0, simplex)
+    if not converged:
+        raise NoConvergence(f"churn adjustment search did not converge: {MAX_EVALS_MESSAGE}")
+    k_hat, m_hat = map(float, np.exp(x))
     if k_hat > K_DEGENERATE:
         raise DegenerateData(
             f"de-churned shape k={k_hat:.3g} is in the Poisson regime; NBD not "
@@ -590,9 +637,9 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     identities_per_user = float(_identities_above(k_hat, m_hat, lengths, segments,
                                                   edges[:1])[0])
     true_users = total / identities_per_user if identities_per_user > 0 else math.inf
-    if not all(map(math.isfinite, (k_hat, m_hat, true_users, res.fun))):
+    if not all(map(math.isfinite, (k_hat, m_hat, true_users, fun))):
         raise NumericalError(f"churn adjustment is not finite: k={k_hat}, m={m_hat}, "
-                             f"true users {true_users}, objective {res.fun}")
+                             f"true users {true_users}, objective {fun}")
 
     # sum_{n >= threshold} max(U P(n) - observed(n), 0): the whole model mass
     # U P(N >= threshold) less min(U P(n), observed(n)) at each observed n
@@ -602,5 +649,6 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
     missing = (true_users * float(betainc(loyalty_threshold, k_hat, m_hat / (k_hat + m_hat)))
                - float(np.minimum(model, loyal[:, 1]).sum()))
     return ChurnAdjustment(k=k_hat, m=m_hat, true_users=true_users,
-                           missing_loyal=missing, objective=float(res.fun),
-                           n_evals=eval_count, identities_per_user=identities_per_user)
+                           missing_loyal=missing, objective=float(fun),
+                           n_evals=len(candidates) + n_evals,
+                           identities_per_user=identities_per_user)

@@ -186,12 +186,21 @@ class VirtualClock:
         return float(self.breakpoints[-1])
 
     def cumulative(self, timestamps) -> np.ndarray:
-        """Piecewise-linear cumulative intensity at epoch-second timestamps."""
+        """Piecewise-linear cumulative intensity at epoch-second timestamps: at
+        hour h, np.interp's (bp[j+1] - bp[j]) * (h - j) + bp[j], j = floor(h),
+        and np.interp itself where that is NaN, so every bit is np.interp's."""
         ts = np.asarray(timestamps, dtype=np.float64)
         hours = ts / SECONDS_PER_HOUR - self.start_hour
         if ((hours < 0) | (hours > self.n_hours)).any():
             raise OutOfDomain("timestamp outside the clock's window")
-        return np.interp(hours, np.arange(self.n_hours + 1), self.breakpoints)
+        bp = self.breakpoints
+        j = np.fmin(hours, self.n_hours).astype(np.intp)  # NaN reads the last knot
+        with np.errstate(invalid="ignore"):
+            out = np.append(np.diff(bp), 0.0)[j] * (hours - j) + bp[j]
+        redo = np.isnan(out)
+        if redo.any():  # a non-finite slope or knot, or a NaN hour
+            out = np.where(redo, np.interp(hours, np.arange(self.n_hours + 1), bp), out)
+        return out
 
 
 def build_virtual_clock(intensity, start_hour: int | None = None) -> VirtualClock:

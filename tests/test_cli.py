@@ -762,8 +762,11 @@ class TestExitCodes:
           for g in ("nan", "-1", "inf")],
         *[(["survival", f"--guard-days={g}"], 2, "guard_days must be non-negative")
           for g in ("nan", "-1", "-inf")],
-        # argparse reads a separate "-inf" as an option name: a usage error
-        (["survival", "--guard-days", "-inf"], 1, "expected one argument"),
+        # a negative float literal as a separate argument is a value too
+        *[(["survival", "--guard-days", g], 2, "guard_days must be non-negative")
+          for g in ("-inf", "-nan", "-Infinity", "-1e5")],
+        *[(["pace", *gamma], 2, "gamma must be non-negative and finite")
+          for gamma in (["--gamma", "-inf"], ["--gamma=-inf"], ["--gamma", "-nan"])],
         # 2 * 1e308 overflows, and 20 + 1e-20 rounds to 20 (chrome: 20 of 20)
         *[(["train", f"--beta={beta}"], 2, "rounds a smoothed rate to 0 or 1")
           for beta in ("1e308", "1e-20")],

@@ -1,8 +1,9 @@
 """What each CLI process imports before it does any work.
 
-Only ``fit-nbd`` and ``adjust-churn`` need scipy; ``import adlift.cli``
-loads none of it. These tests count modules in a fresh interpreter rather
-than timing the import, so load on the machine cannot make them flake.
+Only ``fit-nbd`` and ``adjust-churn`` need scipy, and of it only
+``scipy.special``; ``import adlift.cli`` loads none of it. These tests count
+modules in a fresh interpreter rather than timing the import, so load on the
+machine cannot make them flake.
 """
 
 import json
@@ -78,27 +79,40 @@ def survival(d):
             "--guard-days=3", f"--out={d / 'survival.csv'}"]
 
 
+def fit_nbd(d):
+    return ["fit-nbd", f"--freq={d / 'freq.csv'}", "--window-hours=240",
+            f"--out={d / 'nbd.json'}"]
+
+
+def adjust_churn(d):
+    return ["adjust-churn", f"--freq={d / 'freq.csv'}", f"--survival={d / 'survival.csv'}",
+            "--window-hours=240", f"--out={d / 'churn.json'}"]
+
+
 class TestImportGuard:
     def test_import_loads_no_scipy(self):
         assert run_fresh([]) == ([], [])
 
     def test_fit_nbd_loads_no_scipy_stats(self, d):
-        codes, scipy_modules = run_fresh(
-            [synth(d), ["fit-nbd", f"--freq={d / 'freq.csv'}", "--window-hours=240",
-                        f"--out={d / 'nbd.json'}"]])
+        codes, scipy_modules = run_fresh([synth(d), fit_nbd(d)])
         assert codes == [0, 0]
         assert json.loads((d / "nbd.json").read_text())["gof"]["dof"] >= 1
         assert "scipy.special" in scipy_modules
-        assert not [m for m in scipy_modules if m.startswith("scipy.stats")]
+        assert not [m for m in scipy_modules if m.startswith(("scipy.stats",
+                                                              "scipy.optimize"))]
 
     def test_adjust_churn_loads_no_scipy_stats(self, d):
-        codes, scipy_modules = run_fresh(
-            [synth(d), survival(d),
-             ["adjust-churn", f"--freq={d / 'freq.csv'}", f"--survival={d / 'survival.csv'}",
-              "--window-hours=240", f"--out={d / 'churn.json'}"]])
+        codes, scipy_modules = run_fresh([synth(d), survival(d), adjust_churn(d)])
         assert codes == [0, 0, 0]
-        assert "scipy.optimize" in scipy_modules
-        assert not [m for m in scipy_modules if m.startswith("scipy.stats")]
+        assert not [m for m in scipy_modules if m.startswith(("scipy.stats",
+                                                              "scipy.optimize"))]
+
+    def test_every_stage_in_one_process_loads_no_scipy_optimize(self, d):
+        argvs = [*stages(d), fit_nbd(d), adjust_churn(d)]
+        codes, scipy_modules = run_fresh(argvs)
+        assert codes == [0] * len(argvs)
+        assert "scipy.special" in scipy_modules
+        assert not [m for m in scipy_modules if m.startswith("scipy.optimize")]
 
 
 def stages(d):

@@ -8,7 +8,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adlift import cli
@@ -160,7 +160,17 @@ VALUES = st.one_of(
                      "99999999999999999999", "-99999999999999999999", "1" + "0" * 400,
                      "", "x"]),
     st.integers(-1000, 1000).map(str),
-    st.floats(allow_nan=False).map(repr))
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["-inf", "-nan"]))
+
+# the float flags whose range checks reject -inf and NaN with the data code,
+# whether the value follows "=" or comes as an argument of its own
+REJECTS_NEGATIVE = {("rank", "--alpha"), ("train", "--epsilon"), ("train", "--beta"),
+                    ("pace", "--threshold"), ("pace", "--gamma"),
+                    ("survival", "--guard-days"), ("adjust-churn", "--window-hours"),
+                    ("alarm", "--c")}
+GUARD_DAYS, GAMMA = (next(t for t in FLAGS if t[1] == flag)
+                     for flag in ("--guard-days", "--gamma"))
 
 # the value as it is, or inside a --window or --mix shaped value
 SHAPES = ("{}", "0:{}", "{}:86400", "chrome:{}", "chrome:{},safari:0.5")
@@ -168,10 +178,16 @@ SHAPES = ("{}", "0:{}", "{}:86400", "chrome:{}", "chrome:{},safari:0.5")
 
 @given(target=st.sampled_from(FLAGS), value=VALUES, shape=st.sampled_from(SHAPES),
        joined=st.booleans())
+@example(target=GUARD_DAYS, value="-inf", shape="{}", joined=False)
+@example(target=GUARD_DAYS, value="-nan", shape="{}", joined=False)
+@example(target=GAMMA, value="-inf", shape="{}", joined=False)
+@example(target=GAMMA, value="-nan", shape="{}", joined=False)
 @settings(max_examples=500, deadline=None)
 def test_every_value_flag_keeps_the_exit_code(valid_files, tmp_path_factory, target,
                                               value, shape, joined):
     argv, flag = target
+    rejected = (shape == "{}" and value in ("-inf", "-nan")
+                and (argv.split()[0], flag) in REJECTS_NEGATIVE)
     value = shape.format(value)
     out = tmp_path_factory.mktemp("flag") / "out"
     names = {name: str(p) for name, p in valid_files.items()}
@@ -186,3 +202,5 @@ def test_every_value_flag_keeps_the_exit_code(valid_files, tmp_path_factory, tar
         assert "usage:" in err, err
     if code:
         assert not out.exists(), err
+    if rejected:
+        assert code == 2, err

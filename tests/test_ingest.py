@@ -185,6 +185,16 @@ def expand(rows):
 
 
 class TestReadColumns:
+    @pytest.mark.parametrize("shape, dtype", [((), np.float64), ((), np.bool_),
+                                              ((3,), np.int32), ((1,), np.int8)])
+    def test_gather_is_fancy_indexing(self, rng, shape, dtype):
+        # more codes than one block of 65,536, and a block cut mid-way
+        codes = rng.integers(0, 193, 3 * 65_536 + 123).astype(np.int32)
+        values = rng.integers(0, 100, (193, *shape)).astype(dtype)
+        got = ingest.Rows([], codes).gather(values)
+        assert got.dtype == dtype and np.array_equal(got, values[codes])
+        assert got.ndim == 1 or got.flags.f_contiguous  # column-major, as documented
+
     def test_columns_in_requested_order(self):
         text = "a,b,c\n1,2,3\n4,5,6\n"
         assert expand(read_columns(text, ["c", "a"])) == [["3", "6"], ["1", "4"]]

@@ -11,9 +11,11 @@ from scipy.special import chdtrc
 
 from adlift.errors import (DegenerateData, DomainError, InconsistentInputs,
                            NoDeathsWarning)
+from adlift import repeatbuy
 from adlift.ingest import EventBatch
-from adlift.repeatbuy import (FrequencyTable, GofReport, SurvivalRow, SurvivalTable,
-                              _identities_above, _pooled_chi_square,
+from adlift.repeatbuy import (MAX_EVALS_MESSAGE, OPT_MAX_EVALS, OPT_TOL,
+                              FrequencyTable, GofReport, SurvivalRow, SurvivalTable,
+                              _identities_above, _nelder_mead, _pooled_chi_square,
                               _segment_quadrature,
                               adjust_for_churn, build_frequency_table,
                               compare_frequencies, estimate_survival,
@@ -123,6 +125,57 @@ class TestFitNbdTruncated:
             if model.gof.pvalue > 0.01:
                 passes += 1
         assert passes >= 95
+
+
+def drawn_objective(a, b, r, c0, c1, wave, cut, cut_value):
+    """A smooth 2-D objective: a tilted quadratic bowl around (c0, c1) with a
+    ripple, and ``cut_value`` (the 1e12 plateau of an impossible fit, or NaN)
+    where x0 + x1 > ``cut``."""
+    def fun(x):
+        if x[0] + x[1] > cut:
+            return cut_value
+        d0, d1 = x[0] - c0, x[1] - c1
+        return float(a * d0 * d0 + b * d1 * d1 + r * d0 * d1 + wave * math.sin(3.0 * x[0]))
+    return fun
+
+
+COORD = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+class TestNelderMeadMatchesScipy:
+    @given(shape=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(-1.0, 1.0),
+                           COORD, COORD, st.floats(0.0, 2.0)),
+           cut=st.floats(-10.0, 10.0) | st.just(math.inf),
+           cut_value=st.sampled_from([1.0e12, math.nan]),
+           x0=st.tuples(COORD | st.just(0.0), COORD | st.just(0.0)),
+           simplex=st.none() | st.lists(st.tuples(COORD, COORD), min_size=3, max_size=3),
+           max_evals=st.integers(1, 120) | st.just(OPT_MAX_EVALS))
+    @example(shape=(1.0, 100.0, 0.0, 1.0, 1.0, 0.0), cut=math.inf, cut_value=1.0e12,
+             x0=(-1.2, 1.0), simplex=None, max_evals=OPT_MAX_EVALS)
+    @example(shape=(1.0, 1.0, 0.0, 3.0, 3.0, 0.0), cut=1.0, cut_value=math.nan,
+             x0=(0.0, 0.0), simplex=None, max_evals=OPT_MAX_EVALS)
+    # NaN everywhere never converges: every one of the OPT_MAX_EVALS calls is made
+    @example(shape=(1.0, 1.0, 0.0, 0.0, 0.0, 0.0), cut=-math.inf, cut_value=math.nan,
+             x0=(1.0, 2.0), simplex=None, max_evals=OPT_MAX_EVALS)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, shape, cut, cut_value, x0, simplex, max_evals):
+        from scipy import optimize
+
+        fun = drawn_objective(*shape, cut, cut_value)
+        x0 = np.array(x0)
+        simplex = None if simplex is None else np.array(simplex)
+        options = {"xatol": OPT_TOL, "fatol": OPT_TOL, "maxfev": max_evals}
+        if simplex is not None:
+            options["initial_simplex"] = simplex
+        # a bowl with no minimum runs off to inf - inf = NaN on both sides
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            want = optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+            patch.setattr(repeatbuy, "OPT_MAX_EVALS", max_evals)
+            x, f, n_evals, converged = _nelder_mead(fun, x0, simplex)
+        assert x.tobytes() == want.x.tobytes()
+        assert np.float64(f).tobytes() == np.float64(want.fun).tobytes()
+        assert (n_evals, converged) == (want.nfev, want.success)
+        assert converged or want.message == MAX_EVALS_MESSAGE
 
 
 def pooled_chi_square_loop(observed, expected_probs, total, n_params) -> GofReport:

@@ -174,6 +174,24 @@ class TestVirtualClock:
         assert clock.total_mass == pytest.approx(float(mass.sum()))
         assert np.allclose(np.diff(clock.breakpoints), mass)
 
+    @given(values=st.lists(st.sampled_from([0.0, 0.5, 3.0, 1e308, np.inf, np.nan])
+                           | st.floats(0.0, 1e6), min_size=1, max_size=8),
+           start=st.integers(-3, 3),
+           stamps=st.lists(st.integers(0, 8).map(float) | st.floats(0.0, 8.0)
+                           | st.sampled_from([-0.0, np.nan]), max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_cumulative_is_np_interp_bit_for_bit(self, values, start, stamps):
+        with np.errstate(over="ignore"):
+            bp = np.concatenate(([0.0], np.cumsum(values)))
+        clock = timeseries.VirtualClock(start_hour=start, breakpoints=bp)
+        ts = (np.array(stamps) + start) * SECONDS_PER_HOUR
+        hours = ts / SECONDS_PER_HOUR - start
+        ts = ts[~((hours < 0) | (hours > clock.n_hours))]
+        want = np.interp(ts / SECONDS_PER_HOUR - start, np.arange(clock.n_hours + 1), bp)
+        assert clock.cumulative(ts).tobytes() == want.tobytes()
+        for t, w in zip(ts[:1], want):  # and a scalar timestamp
+            assert np.float64(clock.cumulative(t)).tobytes() == w.tobytes()
+
     def test_zero_total_rejected(self):
         with pytest.raises(ZeroTotal):
             build_virtual_clock(np.zeros(5))
