@@ -210,8 +210,13 @@ def _load_freq(path, window_hours: float | None) -> repeatbuy.FrequencyTable:
         raise MissingColumn(f"{path}: expected columns n,count")
     ns = _report_column(path, positions, rows, "n", int)
     _reject_repeats(path, rows, ns, "n")
-    return repeatbuy.FrequencyTable(
-        dict(zip(ns, _report_column(path, positions, rows, "count", int))), window_hours)
+    counts = _report_column(path, positions, rows, "count", int)
+    for (line, _), n, count in zip(rows, ns, counts):
+        if n > repeatbuy.MAX_VISITS or count >= 2**63:
+            raise DataError(f"{path}: line {line}: n must be at most "
+                            f"{repeatbuy.MAX_VISITS} and count below 2^63, "
+                            f"got {n} and {count}")
+    return repeatbuy.FrequencyTable(dict(zip(ns, counts)), window_hours)
 
 
 def _load_survival(path) -> repeatbuy.SurvivalTable:
@@ -423,6 +428,10 @@ def _cmd_forecast(args) -> int:
     start, values = _load_series(args.series)
     model = timeseries.ssa_fit(values, L=args.L, r=args.r)
     future = timeseries.ssa_forecast(model, args.horizon)
+    last = start + model.n + args.horizon - 1
+    if not -2**63 <= start <= last < 2**63:
+        raise DataError(f"{args.series}: forecast hours {start} to {last} fall "
+                        "outside int64")
     emit_report(["hour", "actual", "forecast"],
                 ingest.Columns(start + np.arange(model.n + args.horizon),
                                values.tolist() + [""] * args.horizon,

@@ -197,9 +197,6 @@ class FactorTable:
     def m(self) -> int:
         return len(self.counts)
 
-    def level_count(self, factor: int) -> int:
-        return self.counts[factor].shape[0]
-
 
 def _decoded(labels: Sequence[str] | np.ndarray, errors: str) -> list[str]:
     """Labels as a list of str, an ``S`` array's bytes decoded with ``errors``."""
@@ -772,19 +769,9 @@ def _number_cells(values: np.ndarray) -> _Matrix:
 
 
 def _coded_numbers(column: np.ndarray) -> Coded:
-    """A numeric column as a coded one whose labels are its distinct values.
-
-    An int column whose values span fewer values than it has rows is coded
-    by offset from its minimum, in O(n); any other by bit pattern with
-    ``_coded``, so that -0.0 and 0.0 (and NaNs with other payloads) stay apart.
-    """
-    if column.dtype.kind != "f":
-        low = int(column.min())
-        if int(column.max()) - low < len(column):
-            offset = (column - column.dtype.type(low)).astype(np.intp)
-            present = np.bincount(offset) > 0
-            labels = np.flatnonzero(present).astype(column.dtype) + column.dtype.type(low)
-            return Coded(labels, (np.cumsum(present) - 1)[offset])
+    """A 64-bit numeric column as a coded one whose labels are its distinct
+    values, coded by bit pattern with ``_coded``, so that -0.0 and 0.0 (and
+    NaNs with other payloads) stay apart."""
     distinct, codes = _coded(column.view(np.uint64))
     return Coded(distinct.view(column.dtype), codes)
 

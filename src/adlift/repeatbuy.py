@@ -4,7 +4,8 @@ churn correction.
 Visit counts per window follow the negative binomial in the classic
 repeat-buying parameterization (shape k, window mean m). Because the total
 population of potential visitors is undefined, every fit is zero-truncated:
-only identities with at least one observed event enter the likelihood.
+only identities with at least one observed event enter the likelihood. A
+frequency file holds counts n from 1 to MAX_VISITS.
 Cookie deletion splits one user into several observed identities, inflating
 low-frequency counts; ``adjust_for_churn`` inverts that distortion under a
 per-browser exponential lifetime model.
@@ -32,6 +33,10 @@ SECONDS_PER_DAY = 86400.0
 
 # beyond this shape the NBD is numerically Poisson and not identifiable
 K_DEGENERATE = 1.0e4
+
+# the largest count n a frequency file may hold: the goodness of fit takes
+# the pmf at every n up to it (as timeseries.MAX_SERIES_HOURS)
+MAX_VISITS = 1_000_000
 
 OPT_TOL = 1.0e-6
 OPT_MAX_EVALS = 10_000
@@ -146,7 +151,6 @@ class NbdModel:
     m: float
     fit_method: str
     gof: GofReport | None = None
-    loglik: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and math.isfinite(self.m)
@@ -269,69 +273,50 @@ def _detruncated_moments(freq: FrequencyTable) -> tuple[float, float] | None:
     return k, m
 
 
-def fit_nbd_truncated(freq: FrequencyTable, min_count: int = 1) -> NbdModel:
-    """Maximum-likelihood truncated NBD fit.
+def fit_nbd_truncated(freq: FrequencyTable) -> NbdModel:
+    """Maximum-likelihood zero-truncated NBD fit.
 
-    The likelihood is prod_n [P(n)/P(N >= min_count)]^c_n over counts
-    n >= min_count, maximized over (log k, log m) by Nelder-Mead and
-    initialized from de-truncated method of moments. The default
-    min_count=1 is the plain zero-truncated fit; min_count=2 anchors the
-    fit on the bulk and is the reference for singleton-inflation
-    diagnostics (the churn signature would otherwise drag the fit itself).
-    Raises DegenerateData (with a zero-truncated Poisson fallback mean
-    attached) when no overdispersion is identifiable, and DegenerateData
-    when the fit is so far into the log-series boundary that
-    P(N >= min_count) rounds to 0; NoConvergence on optimizer failure.
+    The likelihood is prod_n [P(n)/P(N >= 1)]^c_n over counts n >= 1,
+    maximized over (log k, log m) by Nelder-Mead and initialized from
+    de-truncated method of moments. Raises DegenerateData (with a
+    zero-truncated Poisson fallback mean attached) when no overdispersion is
+    identifiable, and DegenerateData when the fit is so far into the
+    log-series boundary that P(N >= 1) rounds to 0; NoConvergence on
+    optimizer failure.
     """
-    model = _truncated_mle(freq, min_count)
-    pmf_low = np.asarray(nbd_pmf(model.k, model.m, np.arange(0, min_count)))
-    norm = 1.0 - float(pmf_low.sum())
+    model = _truncated_mle(freq)
+    norm = 1.0 - float(nbd_pmf(model.k, model.m, 0))
     if not norm > 0:
-        # far into the log-series boundary (k -> 0, m -> 0) P(N < min_count)
-        # rounds to 1, and the truncated pmf of the fit is 0/0
+        # far into the log-series boundary (k -> 0, m -> 0) P(0) rounds to 1,
+        # and the truncated pmf of the fit is 0/0
         raise DegenerateData(f"fitted shape k={model.k:.3g} is at the log-series "
-                             f"boundary: P(N >= {min_count}) rounds to 0; NBD not "
-                             "identifiable")
-    probs = np.asarray(nbd_pmf(model.k, model.m,
-                               np.arange(min_count, freq.max_n + 1))) / norm
-    shifted = {n - min_count + 1: c for n, c in freq.counts.items() if n >= min_count}
-    gof = _pooled_chi_square(shifted, probs, sum(shifted.values()), n_params=2)
+                             "boundary: P(N >= 1) rounds to 0; NBD not identifiable")
+    probs = np.asarray(nbd_pmf(model.k, model.m, np.arange(1, freq.max_n + 1))) / norm
+    gof = _pooled_chi_square(freq.counts, probs, freq.total_cookies, n_params=2)
     return replace(model, gof=gof)
 
 
-def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
+def _truncated_mle(freq: FrequencyTable) -> NbdModel:
     """``fit_nbd_truncated`` without its goodness of fit, whose pmf runs
     over every n up to ``freq.max_n``."""
     from scipy.special import gammaln
 
-    if min_count < 1:
-        raise DomainError("min_count must be at least 1")
-    counts = {n: c for n, c in freq.counts.items() if n >= min_count}
-    total = sum(counts.values())
-    mean_all = freq.total_events / max(freq.total_cookies, 1)
-    if len(counts) < 3 or total < 100:
+    total = freq.total_cookies
+    mean_all = freq.total_events / max(total, 1)
+    if len(freq.counts) < 3 or total < 100:
         raise DegenerateData(
-            f"need >= 3 distinct counts >= {min_count} and >= 100 cookies, got "
-            f"{len(counts)} distinct / {total} cookies",
+            f"need >= 3 distinct counts and >= 100 cookies, got "
+            f"{len(freq.counts)} distinct / {total} cookies",
             poisson_mean=_zt_poisson_mle(mean_all) if total else None)
+    init = _detruncated_moments(freq)
+    if init is None:
+        raise DegenerateData(
+            "variance does not exceed mean after de-truncation; NBD not "
+            "identifiable, use the Poisson fallback",
+            poisson_mean=_zt_poisson_mle(mean_all))
 
-    if min_count == 1:
-        init = _detruncated_moments(freq)
-        if init is None:
-            raise DegenerateData(
-                "variance does not exceed mean after de-truncation; NBD not "
-                "identifiable, use the Poisson fallback",
-                poisson_mean=_zt_poisson_mle(mean_all))
-    else:
-        mean_r = sum(n * c for n, c in counts.items()) / total
-        ex2_r = sum(n * n * c for n, c in counts.items()) / total
-        var_r = ex2_r - mean_r ** 2
-        init = ((mean_r ** 2 / (var_r - mean_r), mean_r) if var_r > mean_r
-                else (1.0, mean_r))
-
-    ns = np.array(sorted(counts), dtype=np.float64)
-    cs = np.array([counts[int(n)] for n in ns], dtype=np.float64)
-    below = np.arange(0, min_count)
+    ns = np.array(list(freq.counts), dtype=np.float64)
+    cs = np.array(list(freq.counts.values()), dtype=np.float64)
 
     def nll(x: np.ndarray) -> float:
         k = math.exp(x[0])
@@ -339,17 +324,15 @@ def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
         log_ratio_k = math.log(k / (k + m))
         log_p = (gammaln(k + ns) - gammaln(k) - gammaln(ns + 1.0)
                  + k * log_ratio_k + ns * math.log(m / (k + m)))
-        mass_below = float(np.exp(
-            gammaln(k + below) - gammaln(k) - gammaln(below + 1.0)
-            + k * log_ratio_k + below * math.log(m / (k + m))).sum())
-        if mass_below >= 1.0:
+        p0 = float(np.exp(k * log_ratio_k))  # the pmf's other terms are 0 at n = 0
+        if p0 >= 1.0:
             return 1.0e12
-        log_trunc = math.log1p(-mass_below)
+        log_trunc = math.log1p(-p0)
         # normalized per cookie so the objective is scale-free in counts
         return float(-(cs * (log_p - log_trunc)).sum() / total)
 
     x0 = np.array([math.log(init[0]), math.log(init[1])])
-    x, fun, _, converged = _nelder_mead(nll, x0)
+    x, _, _, converged = _nelder_mead(nll, x0)
     if not converged:
         raise NoConvergence(f"truncated NBD fit did not converge: {MAX_EVALS_MESSAGE}")
     k_hat = float(math.exp(x[0]))
@@ -359,8 +342,7 @@ def _truncated_mle(freq: FrequencyTable, min_count: int) -> NbdModel:
             f"fitted shape k={k_hat:.3g} is in the Poisson regime; NBD not "
             "identifiable", poisson_mean=_zt_poisson_mle(mean_all))
 
-    return NbdModel(k=k_hat, m=m_hat, fit_method="truncated_mle",
-                    loglik=-fun * total)
+    return NbdModel(k=k_hat, m=m_hat, fit_method="truncated_mle")
 
 
 @dataclass(frozen=True)
@@ -617,7 +599,7 @@ def adjust_for_churn(freq: FrequencyTable, survival: SurvivalTable,
                   for k0 in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4)
                   for f in (0.125, 0.25, 0.5, 1.0, 2.0)]
     try:
-        naive = _truncated_mle(freq, 1)
+        naive = _truncated_mle(freq)
         candidates.append((min(max(naive.k, 0.05), 100.0),
                            naive.m * (1.0 + deaths_per_user)))
     except DegenerateData:

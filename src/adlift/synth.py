@@ -5,6 +5,11 @@ generator (``np.random.default_rng``) with 64-bit seeds, so streams are
 reproducible across runs and platforms. These generators double as the
 independent oracles for the estimator tests: planted effects, known
 Gamma-Poisson parameters, known churn rates, known intensity profiles.
+
+A spec is BadSpec when it asks for more than MAX_COUNT requests, users or
+hours, when a population's drawn means or an intensity's envelope over its
+hours expect more than MAX_COUNT events, or when a population's window is
+2^63 seconds or more; each is checked before any per-event array is drawn.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
 
 HOURS_PER_DAY = 24.0
 
-# the most requests, users or hours a spec may ask for: each costs memory
+# the most requests, users, hours or expected events a spec may ask for:
+# each costs memory
 MAX_COUNT = 10**9
 
 
@@ -99,6 +105,9 @@ class PopulationSpec:
             raise BadSpec("k and m must be positive")
         if not (self.users > 0 and _positive(self.window_hours)):
             raise BadSpec("users and window_hours must be positive")
+        if self.window_hours * SECONDS_PER_HOUR >= 2**63:
+            raise BadSpec(f"window_hours must be below 2^63 seconds, got "
+                          f"{self.window_hours}")
 
 
 @dataclass(frozen=True)
@@ -299,7 +308,6 @@ class PopulationSample:
     counts: np.ndarray
     times: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    window_hours: float = 0.0
 
     @property
     def users(self) -> int:
@@ -315,6 +323,9 @@ def gen_gamma_poisson(spec: PopulationSpec, seed: int) -> PopulationSample:
     """
     rng = np.random.default_rng(seed)
     means = rng.gamma(shape=spec.k, scale=spec.m / spec.k, size=spec.users)
+    if not means.sum() <= MAX_COUNT:
+        raise BadSpec(f"the users' drawn means sum to {means.sum():.3g} events, "
+                      f"more than {MAX_COUNT}")
     counts = rng.poisson(means).astype(np.int64)
     offsets = np.zeros(spec.users + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -322,12 +333,10 @@ def gen_gamma_poisson(spec: PopulationSpec, seed: int) -> PopulationSample:
     times = rng.random(total) * spec.window_hours
     user_idx = np.repeat(np.arange(spec.users), counts)
     order = np.lexsort((times, user_idx))
-    return PopulationSample(counts=counts, times=times[order], offsets=offsets,
-                            window_hours=spec.window_hours)
+    return PopulationSample(counts=counts, times=times[order], offsets=offsets)
 
 
-def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int,
-                start_epoch: int = 0) -> EventBatch:
+def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventBatch:
     """Split each user's event stream into cookie identities at exponential
     death times.
 
@@ -367,7 +376,7 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int,
     new_cookie[1:] = (ev_user[1:] != ev_user[:-1]) | (seg[1:] != seg[:-1])
     labels = list(map("u{}s{}".format, ev_user[new_cookie].tolist(),
                       seg[new_cookie].tolist()))
-    ts = start_epoch + (ev_time * SECONDS_PER_HOUR).astype(np.int64)
+    ts = (ev_time * SECONDS_PER_HOUR).astype(np.int64)
     return EventBatch(np.cumsum(new_cookie) - 1, labels, browser_idx[ev_user],
                       browsers, ts)
 
@@ -388,17 +397,19 @@ def gen_inhomogeneous_poisson(spec: IntensitySpec, seed: int) -> np.ndarray:
     lam_max = spec.envelope()
     if lam_max <= 0.0:
         return np.empty(0)
+    if lam_max * t_max > MAX_COUNT:
+        raise BadSpec(f"intensity envelope {lam_max:.3g}/h over {spec.n_hours} hours "
+                      f"draws more than {MAX_COUNT} events")
     n_cand = rng.poisson(lam_max * t_max)
     cand = np.sort(rng.random(n_cand) * t_max)
     accept = rng.random(n_cand) * lam_max < np.maximum(np.asarray(spec.value(cand)), 0.0)
     return cand[accept]
 
 
-def events_from_times(times_hours: Sequence[float], browser: str = "chrome",
-                      start_epoch: int = 0, prefix: str = "c") -> EventBatch:
-    """Wrap raw event times as single-visit events, one cookie each (test plumbing)."""
+def events_from_times(times_hours: Sequence[float]) -> EventBatch:
+    """Wrap raw event times as single-visit chrome events, one cookie c{i}
+    each (test plumbing)."""
     n = len(times_hours)
-    ts = start_epoch + (np.asarray(times_hours, dtype=np.float64)
-                        * SECONDS_PER_HOUR).astype(np.int64)
-    return EventBatch(np.arange(n), [f"{prefix}{i}" for i in range(n)],
-                      np.zeros(n, dtype=np.int32), [browser], ts)
+    ts = (np.asarray(times_hours, dtype=np.float64) * SECONDS_PER_HOUR).astype(np.int64)
+    return EventBatch(np.arange(n), [f"c{i}" for i in range(n)],
+                      np.zeros(n, dtype=np.int32), ["chrome"], ts)

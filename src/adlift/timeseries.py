@@ -54,19 +54,10 @@ class SsaModel:
     reconstructed: np.ndarray = field(repr=False)
     start_hour: int = 0
     rank_reduced: bool = False
-    _max_root_modulus: float | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.reconstructed)
-
-    def max_root_modulus(self) -> float:
-        """Largest modulus among the recurrence's characteristic roots."""
-        if self._max_root_modulus is None:
-            poly = np.concatenate(([1.0], -self.recurrence[::-1]))
-            roots = np.roots(poly)
-            self._max_root_modulus = float(np.abs(roots).max()) if len(roots) else 0.0
-        return self._max_root_modulus
 
 
 def _diagonal_average(matrix: np.ndarray) -> np.ndarray:
@@ -155,8 +146,11 @@ def ssa_forecast(model: SsaModel, horizon: int) -> np.ndarray:
     """
     if not 0 <= horizon <= MAX_SERIES_HOURS:
         raise DomainError(f"horizon must lie in [0, {MAX_SERIES_HOURS}], got {horizon}")
-    if model.max_root_modulus() > 1.0 + 1.0e-6:
-        warnings.warn(f"recurrence root modulus {model.max_root_modulus():.6f} "
+    # the largest modulus among the recurrence's characteristic roots
+    roots = np.roots(np.concatenate(([1.0], -model.recurrence[::-1])))
+    modulus = float(np.abs(roots).max()) if len(roots) else 0.0
+    if modulus > 1.0 + 1.0e-6:
+        warnings.warn(f"recurrence root modulus {modulus:.6f} "
                       "exceeds 1; forecast may diverge", UnstableRecurrenceWarning)
     lag = model.window - 1
     buf = list(model.reconstructed[-lag:])

@@ -874,12 +874,29 @@ class TestLoaderErrors:
         ("n,count\nx,100\n", 2),              # non-numeric cell
         ("n,count\n1,100\n\n2,40,7\n", 4),    # long row after a blank line
         ("n,count\n1,100\n2,40\n1,5\n", 4),   # repeated n
+        # n above MAX_VISITS: past 2^53 a float lookup missed it, and 10^10
+        # asked the goodness of fit for a 74.5 GiB pmf
+        ("n,count\n1,100\n1000001,5\n", 3),
+        ("n,count\n1,100\n10000000000,5\n", 3),
+        ("n,count\n1,100\n2,40\n9007199254740993,5\n", 4),
+        ("n,count\n1,9223372036854775808\n", 2),   # count past int64
     ])
     def test_bad_freq_row_is_data_error(self, workdir, capsys, text, line):
         (workdir / "freq.csv").write_text(text)
         assert run("fit-nbd", "--freq", workdir / "freq.csv",
                    "--out", workdir / "nbd.json") == 2
         assert f"freq.csv: line {line}:" in capsys.readouterr().err
+        assert not (workdir / "nbd.json").exists()
+
+    def test_count_past_int64_is_data_error_in_adjust_churn(self, workdir, capsys):
+        (workdir / "freq.csv").write_text(f"n,count\n1,60\n2,{10**400}\n3,12\n")
+        (workdir / "survival.csv").write_text(
+            "browser,tau_days,deaths,censored\nchrome,6,10,2\n")
+        assert run("adjust-churn", "--freq", workdir / "freq.csv",
+                   "--survival", workdir / "survival.csv", "--window-hours", "720",
+                   "--out", workdir / "adjusted.json") == 2
+        assert "freq.csv: line 3: n must be at most" in capsys.readouterr().err
+        assert not (workdir / "adjusted.json").exists()
 
     def test_bad_survival_row_is_data_error(self, workdir, capsys):
         (workdir / "freq.csv").write_text("n,count\n1,100\n2,40\n")
@@ -1113,6 +1130,40 @@ class TestLoaderErrors:
         assert (f"{key} must be an integer no larger than 1000000000, got {value!r}"
                 in capsys.readouterr().err)
         assert not (workdir / "out.csv").exists()
+
+    @pytest.mark.parametrize("section, key, value, flag, message", [
+        ("intensity", "base", 1e20, "--out-series", "draws more than 1000000000 events"),
+        ("intensity", "base", 9007199254740993, "--out-series",
+         "draws more than 1000000000 events"),
+        ("population", "m", 1e20, "--out-events", "more than 1000000000"),
+        ("population", "m", 9007199254740993, "--out-events", "more than 1000000000"),
+        ("population", "window_hours", 1e20, "--out-events",
+         "window_hours must be below 2^63 seconds, got 1e+20"),
+    ])
+    def test_synth_magnitudes_are_bounded(self, workdir, capsys, section, key, value,
+                                          flag, message):
+        spec = json.loads(json.dumps(SYNTH_SPEC))
+        spec[section][key] = value
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run("synth", "--spec", workdir / "spec.json", flag, workdir / "out.csv") == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "out.csv").exists()
+
+    @pytest.mark.parametrize("start, code", [(2**63 - 100, 0), (2**63 - 10, 2),
+                                             (10**30, 2)])
+    def test_forecast_hours_stay_in_int64(self, workdir, capsys, start, code):
+        (workdir / "hourly.csv").write_text("hour,count\n" + "".join(
+            f"{start + h},{5 + (h * 7) % 4}\n" for h in range(40)))
+        assert run("forecast", "--series", workdir / "hourly.csv", "--L", "12",
+                   "--horizon", "6", "--out", workdir / "forecast.csv") == code
+        if code:
+            assert (f"forecast hours {start} to {start + 45} fall outside int64"
+                    in capsys.readouterr().err)
+            assert not (workdir / "forecast.csv").exists()
+        else:
+            lines = (workdir / "forecast.csv").read_text().splitlines()
+            assert [int(line.split(",")[0]) for line in lines[1:]] == [
+                start + h for h in range(46)]
 
     @pytest.mark.parametrize("text, message", [
         ("hour,count\n0,1\n1,nan\n", "line 3: count must be finite, got nan"),

@@ -6,6 +6,7 @@ from argparse and no output file after a failure."""
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +66,11 @@ ARGV = [
 # small values of the valid files; letters that spell nan and inf
 NOISE = b'\x00\x80\xe9\xff \t\r\n,";:{}[]-+.eEnaifNI'
 
+# numbers that take the place of one digit run: past int64, past 2^53, past
+# float64, and each above every size cap, so that none asks for memory
+LARGE = [b"99999999999999999999", b"9223372036854775808", b"9007199254740993",
+         b"1" + b"0" * 400, b"1e400", b"1e308"]
+
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
@@ -107,6 +113,13 @@ def mutated(draw, valid: bytes):
     return bytes(data)
 
 
+@st.composite
+def renumbered(draw, valid: bytes):
+    """``valid`` with one maximal run of digits replaced by a LARGE number."""
+    start, end = draw(st.sampled_from([m.span() for m in re.finditer(rb"\d+", valid)]))
+    return valid[:start] + draw(st.sampled_from(LARGE)) + valid[end:]
+
+
 def _run(argv, valid_files, path, out):
     names = {name: str(p) for name, p in valid_files.items()}
     return cli.dispatch([a.format(**names) if "{" in a else
@@ -115,10 +128,12 @@ def _run(argv, valid_files, path, out):
 
 
 def fuzzed(valid: bytes):
-    """Random bytes, the valid header line and random bytes, or a mutation."""
+    """Random bytes, the valid header line and random bytes, a mutation, or
+    one number made large."""
     header = valid.split(b"\n", 1)[0] + b"\n"
     return st.one_of(st.binary(max_size=200),
-                     st.binary(max_size=200).map(header.__add__), mutated(valid))
+                     st.binary(max_size=200).map(header.__add__), mutated(valid),
+                     renumbered(valid))
 
 
 @given(data=st.data(), target=st.sampled_from(ARGV))

@@ -109,12 +109,6 @@ class TestFitNbdTruncated:
         assert m7.k == pytest.approx(m1.k, rel=1e-6)
         assert m7.m == pytest.approx(m1.m, rel=1e-6)
 
-    def test_bulk_anchored_fit_on_clean_data(self, rng):
-        observed = sample_zero_truncated_nbd(0.8, 2.5, 150_000, rng)
-        model = fit_nbd_truncated(freq_from_counts(observed), min_count=2)
-        assert abs(model.k - 0.8) / 0.8 < 0.15
-        assert abs(model.m - 2.5) / 2.5 < 0.15
-
     def test_self_consistency_gof_calibration(self, rng):
         # refit on data resampled from a fitted model: p > 0.01 in >= 95/100
         k0, m0 = 0.9, 2.0
