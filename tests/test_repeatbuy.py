@@ -124,12 +124,13 @@ class TestFitNbdTruncated:
 def drawn_objective(a, b, r, c0, c1, wave, cut, cut_value):
     """A smooth 2-D objective: a tilted quadratic bowl around (c0, c1) with a
     ripple, and ``cut_value`` (the 1e12 plateau of an impossible fit, or NaN)
-    where x0 + x1 > ``cut``."""
+    where x0 + x1 > ``cut``. A simplex that runs off to infinity reads NaN from
+    the ripple (``np.sin(inf)``) where ``math.sin`` would raise."""
     def fun(x):
         if x[0] + x[1] > cut:
             return cut_value
         d0, d1 = x[0] - c0, x[1] - c1
-        return float(a * d0 * d0 + b * d1 * d1 + r * d0 * d1 + wave * math.sin(3.0 * x[0]))
+        return float(a * d0 * d0 + b * d1 * d1 + r * d0 * d1 + wave * np.sin(3.0 * x[0]))
     return fun
 
 
@@ -151,6 +152,10 @@ class TestNelderMeadMatchesScipy:
     # NaN everywhere never converges: every one of the OPT_MAX_EVALS calls is made
     @example(shape=(1.0, 1.0, 0.0, 0.0, 0.0, 0.0), cut=-math.inf, cut_value=math.nan,
              x0=(1.0, 2.0), simplex=None, max_evals=OPT_MAX_EVALS)
+    # a saddle with no minimum: the simplex reaches x0 = inf, where the ripple is NaN
+    @example(shape=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0), cut=math.inf, cut_value=1.0e12,
+             x0=(3.961533245143208, 0.0), simplex=[(0.0, 1.0), (0.0, 1.0), (1.0, 1.0)],
+             max_evals=OPT_MAX_EVALS)
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit(self, shape, cut, cut_value, x0, simplex, max_evals):
         from scipy import optimize
