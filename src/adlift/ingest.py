@@ -160,8 +160,10 @@ class RequestBatch:
         return tuple(self.factors[i].tolist())
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for start in range(0, len(self), ROW_BLOCK):
-            yield from map(tuple, self.factors[start:start + ROW_BLOCK].tolist())
+        if not self.m:  # zip() of no columns would yield no rows
+            return repeat((), len(self))
+        return chain.from_iterable(zip(*self.factors[start:start + ROW_BLOCK].T.tolist())
+                                   for start in range(0, len(self), ROW_BLOCK))
 
 
 class FactorTable:
@@ -700,7 +702,7 @@ def _signed(negative: np.ndarray, magnitude: np.ndarray,
     """The cells and mask of a block built a byte per row (each row one byte
     of every cell): a "-" kept where ``negative`` (if any is), the digits of
     int64 ``magnitude`` without leading zeros, and ``tail`` rows left to fill."""
-    width = len(str(int(magnitude.max())))
+    width = len(str(int(magnitude.max(initial=0))))
     sign = int(negative.any())
     cells = np.empty((sign + width + tail, len(magnitude)), np.uint8)
     keep = np.empty(cells.shape, bool)
@@ -852,6 +854,8 @@ def _column_cells(column, lone: bool):
     if isinstance(column, Coded):
         codes = column.codes
         table = _label_table(column.labels, codes, lone)
+        if isinstance(table, _Matrix):  # each block gathers rows of the mask
+            table = table._replace(keep=np.ascontiguousarray(table.keep))
         return lambda start, stop: table.take(codes[start:stop])
     return lambda start, stop: _ragged(_csv_cells(list(map(_fmt, column[start:stop])), lone))
 
@@ -1020,7 +1024,7 @@ class _Replay(NamedTuple):
 def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The (n, w) uint8 matrix of the cells of ``buf`` at ``starts`` with
     ``lengths``: w is the longest length, and each row is zero past its cell."""
-    w = max(int(lengths.max()), 1)
+    w = max(int(lengths.max(initial=0)), 1)
     padded = np.concatenate([buf, np.zeros(w, np.uint8)])
     cells = np.lib.stride_tricks.sliding_window_view(padded, w)[starts]
     cells *= np.arange(w) < lengths[:, None]

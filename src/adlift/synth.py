@@ -8,8 +8,10 @@ Gamma-Poisson parameters, known churn rates, known intensity profiles.
 
 A spec is BadSpec when it asks for more than MAX_COUNT requests, users or
 hours, when a population's drawn means or an intensity's envelope over its
-hours expect more than MAX_COUNT events, or when a population's window is
-2^63 seconds or more; each is checked before any per-event array is drawn.
+hours expect more than MAX_COUNT events, when a cookie lifetime in the churn
+mix expects more than MAX_COUNT deaths per user in the population's window,
+or when a population's window is 2^63 seconds or more; each is checked
+before any per-event array is drawn.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import BadSpec
 from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
-                     SECONDS_PER_HOUR)
+                     SECONDS_PER_HOUR, _cell_bytes, _int_cells)
 
 HOURS_PER_DAY = 24.0
 
@@ -196,6 +198,17 @@ class SynthSpec:
     churn: ChurnSpec | None = None
     intensity: IntensitySpec | None = None
 
+    def __post_init__(self):
+        if self.population is None or self.churn is None:
+            return
+        # a user's deaths in the window number MAX_COUNT or so at most, so no
+        # Poisson mean passes numpy's limit and no cookie id wraps
+        shortest = min(self.churn.tau_days[b] for b, p in self.churn.mix.items() if p > 0)
+        if self.population.window_hours / (shortest * HOURS_PER_DAY) > MAX_COUNT:
+            raise BadSpec(f"a cookie lifetime of {shortest:.3g} days expects more than "
+                          f"{MAX_COUNT} deaths per user in {self.population.window_hours} "
+                          f"hours")
+
     @classmethod
     def from_doc(cls, doc: dict) -> "SynthSpec":
         requests = population = churn = intensity = None
@@ -331,9 +344,17 @@ def gen_gamma_poisson(spec: PopulationSpec, seed: int) -> PopulationSample:
     np.cumsum(counts, out=offsets[1:])
     total = int(offsets[-1])
     times = rng.random(total) * spec.window_hours
-    user_idx = np.repeat(np.arange(spec.users), counts)
-    order = np.lexsort((times, user_idx))
-    return PopulationSample(counts=counts, times=times[order], offsets=offsets)
+    # one int64 sort of user * total + (the time's rank among all times)
+    # orders each user's times as lexsort((times, user)) does; both factors
+    # are near MAX_COUNT at most, so the key cannot overflow
+    order = times.argsort()
+    rank = np.empty(total, np.int64)
+    rank[order] = np.arange(total)
+    base = np.repeat(np.arange(spec.users, dtype=np.int64) * total, counts)
+    key = base + rank
+    key.sort()
+    key -= base
+    return PopulationSample(counts=counts, times=times[order[key]], offsets=offsets)
 
 
 def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventBatch:
@@ -374,11 +395,24 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventB
     # a user's segment is a run of consecutive events: cookie u{u}s{s}
     new_cookie = np.ones(len(seg), dtype=bool)
     new_cookie[1:] = (ev_user[1:] != ev_user[:-1]) | (seg[1:] != seg[:-1])
-    labels = list(map("u{}s{}".format, ev_user[new_cookie].tolist(),
-                      seg[new_cookie].tolist()))
     ts = (ev_time * SECONDS_PER_HOUR).astype(np.int64)
-    return EventBatch(np.cumsum(new_cookie) - 1, labels, browser_idx[ev_user],
-                      browsers, ts)
+    return EventBatch(np.cumsum(new_cookie) - 1,
+                      _cookie_keys(ev_user[new_cookie], seg[new_cookie]),
+                      browser_idx[ev_user], browsers, ts)
+
+
+def _cookie_keys(users: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """The cookie ids ``u{user}s{segment}`` as an ``S`` array, their digits
+    written by the report writer's digit arithmetic."""
+    n = len(users)
+    user, segment = _int_cells(users), _int_cells(segments)
+    u, s = (np.full((n, 1), ord(c), np.uint8) for c in "us")
+    kept = np.ones((n, 1), bool)
+    cells = np.concatenate([u, user.cells, s, segment.cells], axis=1)
+    keep = np.concatenate([kept, user.keep, kept, segment.keep], axis=1)
+    lengths = keep.sum(axis=1)
+    keys = _cell_bytes(cells[keep], np.cumsum(lengths) - lengths, lengths)
+    return keys.view(f"S{keys.shape[1]}").ravel()
 
 
 def gen_inhomogeneous_poisson(spec: IntensitySpec, seed: int) -> np.ndarray:

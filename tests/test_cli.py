@@ -1139,6 +1139,11 @@ class TestLoaderErrors:
         ("population", "m", 9007199254740993, "--out-events", "more than 1000000000"),
         ("population", "window_hours", 1e20, "--out-events",
          "window_hours must be below 2^63 seconds, got 1e+20"),
+        # a Poisson mean past numpy's limit, and int64-wrapped segment ids
+        ("churn", "tau_days", {"chrome": 1e-300, "safari": 10.0}, "--out-events",
+         "expects more than 1000000000 deaths per user"),
+        ("churn", "tau_days", {"chrome": 1e-15, "safari": 10.0}, "--out-events",
+         "expects more than 1000000000 deaths per user"),
     ])
     def test_synth_magnitudes_are_bounded(self, workdir, capsys, section, key, value,
                                           flag, message):

@@ -786,7 +786,8 @@ class TestRequestBatch:
         assert batch.labels.tolist() == labels.tolist()
 
     @pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (ROW_BLOCK - 1, 4), (ROW_BLOCK, 1),
-                                      (ROW_BLOCK + 1, 4), (ROW_BLOCK + 1, 0)])
+                                      (ROW_BLOCK + 1, 4), (2 * ROW_BLOCK + 3, 1),
+                                      (ROW_BLOCK + 1, 0)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_iteration_yields_each_row_as_a_tuple(self, rng, n, m, order):
         factors = np.array(rng.integers(-2**31, 2**31, (n, m)), dtype=np.int32, order=order)

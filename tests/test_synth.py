@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,7 +14,7 @@ from adlift import synth
 from adlift.cli import dispatch
 from adlift.errors import BadSpec
 from adlift.features import rank_factors
-from adlift.ingest import build_factor_table
+from adlift.ingest import EventBatch, build_factor_table, write_events_csv
 from adlift.repeatbuy import build_frequency_table, nbd_pmf
 from adlift.synth import (MAX_COUNT, ChurnSpec, FactorSpec, Harmonic,
                           IntensitySpec, PopulationSpec, RequestSpec, SynthSpec,
@@ -185,6 +185,36 @@ def test_bench_request_inputs_are_reproduced(tmp_path):
         assert sha256(tmp_path / out) == recorded[out], out
 
 
+def test_bench_visit_inputs_are_reproduced(tmp_path):
+    """The seed-42 visit files of the benchmark hash to the recorded digests."""
+    spec = json.loads((BENCH / "spec.json").read_text())
+    recorded = json.loads((BENCH / "digests.json").read_text())["visits"]
+    doc = {key: spec["visits"][key] for key in ("population", "churn", "intensity")}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    outs = {"--out-events": "events.csv", "--out-freq": "freq.csv",
+            "--out-series": "hourly.csv"}
+    assert dispatch(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--seed", str(spec["bench_seed"]),
+                     *(a for flag, out in outs.items() for a in (flag, str(tmp_path / out)))]) == 0
+    for out in outs.values():
+        assert sha256(tmp_path / out) == recorded[out], out
+
+
+def lexsort_population(spec: PopulationSpec, seed: int):
+    """The counts and times of ``gen_gamma_poisson``, each user's times put in
+    order by one lexsort over (user, time): the reference for its sort."""
+    rng = np.random.default_rng(seed)
+    means = rng.gamma(shape=spec.k, scale=spec.m / spec.k, size=spec.users)
+    counts = rng.poisson(means)
+    times = rng.random(counts.sum()) * spec.window_hours
+    return counts, times[np.lexsort((times, np.repeat(np.arange(spec.users), counts)))]
+
+
+def populations():
+    return st.builds(PopulationSpec, k=st.floats(0.05, 20.0), m=st.floats(1e-3, 30.0),
+                     users=st.integers(1, 300), window_hours=st.floats(1e-3, 1e4))
+
+
 class TestGenGammaPoisson:
     def test_poisson_limit_dispersion(self):
         spec = PopulationSpec(k=1e9, m=2.0, users=100_000, window_hours=24.0)
@@ -220,14 +250,18 @@ class TestGenGammaPoisson:
         with pytest.raises(BadSpec):
             PopulationSpec(k=1.0, m=0.0, users=10, window_hours=24.0)
 
-    def test_times_sorted_within_users(self):
-        spec = PopulationSpec(k=1.0, m=5.0, users=500, window_hours=48.0)
-        sample = gen_gamma_poisson(spec, seed=5)
-        for u in range(0, 500, 50):
-            t = sample.times[sample.offsets[u]:sample.offsets[u + 1]]
-            assert np.all(np.diff(t) >= 0)
-            assert len(t) == sample.counts[u]
-            assert np.all((t >= 0) & (t < 48.0))
+    @given(spec=populations(), seed=st.integers(0, 2**32))
+    @example(spec=PopulationSpec(k=1.0, m=1e-9, users=3, window_hours=24.0), seed=0)
+    @example(spec=PopulationSpec(k=0.1, m=0.5, users=50, window_hours=24.0), seed=1)
+    @example(spec=PopulationSpec(k=1.0, m=40.0, users=1, window_hours=1.0), seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_times_match_the_lexsort_oracle(self, spec, seed):
+        # each user's times in ascending order, bit for bit as lexsort puts them
+        counts, times = lexsort_population(spec, seed)
+        sample = gen_gamma_poisson(spec, seed)
+        assert np.array_equal(sample.counts, counts)
+        assert np.array_equal(sample.times.view(np.uint64), times.view(np.uint64))
+        assert sample.offsets.tolist() == [0, *np.cumsum(counts).tolist()]
 
 
 class TestApplyChurn:
@@ -277,6 +311,36 @@ class TestApplyChurn:
         assert all(len(browsers) == 1 for browsers in by_user.values())
         share = sum(1 for b in by_user.values() if b == {"chrome"}) / len(by_user)
         assert abs(share - 0.7) < 0.02
+
+    @given(keys=st.lists(st.tuples(st.integers(0, MAX_COUNT), st.integers(0, MAX_COUNT)),
+                         max_size=40))
+    @example(keys=[])
+    @example(keys=[(0, 0), (MAX_COUNT, MAX_COUNT), (9, 10), (99_999, 7)])
+    def test_cookie_keys_match_str_format(self, keys):
+        pairs = np.array(keys, np.int64).reshape(-1, 2)
+        ids = synth._cookie_keys(pairs[:, 0], pairs[:, 1])
+        assert ids.dtype.kind == "S"
+        assert ids.tolist() == [f"u{u}s{s}".encode() for u, s in keys]
+
+    @given(spec=populations(), tau=st.floats(1e-4, 1e3), seed=st.integers(0, 2**32))
+    @example(spec=PopulationSpec(k=1.0, m=1e-9, users=3, window_hours=24.0),
+             tau=1.0, seed=0)
+    @example(spec=PopulationSpec(k=0.1, m=0.5, users=50, window_hours=24.0),
+             tau=0.01, seed=1)
+    @example(spec=PopulationSpec(k=1.0, m=40.0, users=1, window_hours=1.0),
+             tau=1e-3, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_events_file_matches_the_str_labels(self, tmp_path_factory, spec, tau, seed):
+        # the byte keys are written as the per-cookie strings they replace
+        events = apply_churn(gen_gamma_poisson(spec, seed),
+                             ChurnSpec({"chrome": tau, "safari": 2 * tau},
+                                       {"chrome": 0.6, "safari": 0.4}), seed + 1)
+        d = tmp_path_factory.mktemp("events")
+        write_events_csv(d / "keys.csv", events)
+        write_events_csv(d / "strs.csv", EventBatch(
+            events.cookies, events.cookie_labels, events.browsers, events.browser_labels,
+            events.timestamps))
+        assert (d / "keys.csv").read_bytes() == (d / "strs.csv").read_bytes()
 
 
 class TestInhomogeneousPoisson:
@@ -349,3 +413,18 @@ class TestSynthSpecJson:
         doc[section][key] = MAX_COUNT + 1
         with pytest.raises(BadSpec, match=f"{key} must be an integer no larger than"):
             SynthSpec.from_doc(doc)
+
+    @pytest.mark.parametrize("tau_days, ok", [
+        ({"chrome": 3.1e-8}, True), ({"chrome": 2.9e-8}, False),
+        ({"chrome": 1.0, "safari": 1e-300}, True)])
+    def test_churn_deaths_per_user_are_bounded(self, tau_days, ok):
+        # 720 hours over a lifetime of 3e-8 days expect 1e9 deaths per user;
+        # a browser of no share draws none
+        doc = {"population": {"k": 0.8, "m": 2.5, "users": 1, "window_hours": 720},
+               "churn": {"tau_days": {"safari": 1.0, **tau_days},
+                         "mix": {"chrome": 1.0, "safari": 0.0}}}
+        if ok:
+            assert SynthSpec.from_doc(doc).churn is not None
+        else:
+            with pytest.raises(BadSpec, match="deaths per user"):
+                SynthSpec.from_doc(doc)
