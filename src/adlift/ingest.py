@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from sys import intern
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -216,10 +216,13 @@ class EventBatch:
     surrogates passed) stay bytes in ``columns()``, decoded on first access.
     Labels given as None take their codes as an ``S`` array of one key per
     event, coded by ``_coded`` on the first access of the column's codes or
-    labels: ``columns()`` gives such a column as its keys, uncoded.
+    labels: ``columns()`` gives such a column as its keys, uncoded. Labels
+    given as a callable are its result, made on the first access of the
+    labels, so a reader of the codes alone never makes them.
     """
 
-    def __init__(self, cookies, cookie_labels: Sequence[str] | np.ndarray | None,
+    def __init__(self, cookies,
+                 cookie_labels: Sequence[str] | np.ndarray | Callable[[], np.ndarray] | None,
                  browsers, browser_labels: Sequence[str] | np.ndarray | None, timestamps):
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self._keys = [keys if labels is None else Coded(labels, np.asarray(keys, np.int32))
@@ -234,13 +237,20 @@ class EventBatch:
         return len(self.timestamps)
 
     def _column(self, j: int) -> "Coded":
-        """Key column ``j`` (0 cookies, 1 browsers), coded on first use."""
-        if not isinstance(self._keys[j], Coded):
-            self._keys[j] = _coded(self._keys[j])
+        """Key column ``j`` (0 cookies, 1 browsers), coded and labelled on first use."""
+        key = self._keys[j]
+        if not isinstance(key, Coded):
+            self._keys[j] = _coded(key)
+        elif callable(key.labels):
+            self._keys[j] = Coded(key.labels(), key.codes)
         return self._keys[j]
 
-    cookies = property(lambda self: self._column(0).codes)
-    browsers = property(lambda self: self._column(1).codes)
+    def _codes(self, j: int) -> np.ndarray:
+        key = self._keys[j]
+        return (key if isinstance(key, Coded) else self._column(j)).codes
+
+    cookies = property(lambda self: self._codes(0))
+    browsers = property(lambda self: self._codes(1))
 
     @cached_property
     def cookie_labels(self) -> list[str]:
@@ -252,7 +262,8 @@ class EventBatch:
 
     def columns(self) -> tuple["Coded | np.ndarray", "Coded | np.ndarray", np.ndarray]:
         """The cookie id, browser and timestamp columns, as report columns."""
-        return (*self._keys, self.timestamps)
+        return (*(self._column(j) if isinstance(key, Coded) else key
+                  for j, key in enumerate(self._keys)), self.timestamps)
 
 
 @dataclass

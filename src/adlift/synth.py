@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -392,12 +393,13 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventB
         np.maximum.accumulate(starts, out=starts)
         seg = seg - starts
 
-    # a user's segment is a run of consecutive events: cookie u{u}s{s}
+    # a user's segment is a run of consecutive events: cookie u{u}s{s}, its
+    # key made only when the labels are read (the frequency table reads codes)
     new_cookie = np.ones(len(seg), dtype=bool)
     new_cookie[1:] = (ev_user[1:] != ev_user[:-1]) | (seg[1:] != seg[:-1])
     ts = (ev_time * SECONDS_PER_HOUR).astype(np.int64)
     return EventBatch(np.cumsum(new_cookie) - 1,
-                      _cookie_keys(ev_user[new_cookie], seg[new_cookie]),
+                      partial(_cookie_keys, ev_user[new_cookie], seg[new_cookie]),
                       browser_idx[ev_user], browsers, ts)
 
 

@@ -1,9 +1,15 @@
 """SSA reconstruction/forecasting of hourly series, virtual-time rescaling,
 and forecast-deviation alarms.
 
-SSA embeds the series into an L x (n-L+1) Hankel trajectory matrix, keeps
+SSA embeds the series into an L x (n-L+1) Hankel trajectory matrix X, keeps
 the leading singular components, reconstructs by diagonal averaging, and
-forecasts with the linear recurrence implied by the signal subspace.
+forecasts with the linear recurrence implied by the signal subspace. The
+components come from the eigendecomposition of the L x L lag covariance
+X X^T, of the series scaled by the power of two that puts max|x| in
+[0.5, 1) (undone exactly), so X X^T can neither overflow nor underflow. An
+eigenvalue is nonzero above lambda_1 max(L, K) eps: as eigenvalues are
+squared singular values, components below s_1 sqrt(max(L, K) eps), about
+1e-6 s_1, count as numerically zero and read 0 in ``singular_values``.
 Virtual time stretches the clock so that every unit carries roughly the
 same expected number of events, which removes daily/weekly seasonality
 before mixed-Poisson modelling.
@@ -93,17 +99,24 @@ def ssa_fit(series, L: int | None = None, r: int | None = None) -> SsaModel:
                        f"(need >= {2 * L})")
 
     K = n - L + 1
-    trajectory = np.lib.stride_tricks.sliding_window_view(values, L).T  # (L, K)
-    u, s, vt = np.linalg.svd(trajectory, full_matrices=False)
+    # a power of two brings max|x| into [0.5, 1): exact, and the lag
+    # covariance X X^T can then neither overflow nor underflow
+    scale = np.ldexp(1.0, -int(np.frexp(np.abs(values).max())[1]))
+    trajectory = np.lib.stride_tricks.sliding_window_view(values * scale, L).T.copy()
+    lam, u = np.linalg.eigh(trajectory @ trajectory.T)  # (L, K) -> (L, L)
+    lam, u = lam[::-1], u[:, ::-1]
 
-    tol = s[0] * max(L, K) * np.finfo(np.float64).eps if s[0] > 0 else 0.0
-    num_rank = int((s > tol).sum())
+    # eigenvalues are squared singular values, so this rank rule spans a
+    # dynamic range of about 1/sqrt(max(L, K) eps) in singular values
+    lam = np.where(lam > lam[0] * max(L, K) * np.finfo(np.float64).eps, lam, 0.0)
+    num_rank = int(np.count_nonzero(lam))
     if num_rank == 0:
         raise DomainError("series is identically zero; nothing to fit")
+    s = np.sqrt(lam) / scale
 
     rank_reduced = False
     if r is None:
-        energy = np.cumsum(s ** 2) / float((s ** 2).sum())
+        energy = np.cumsum(lam) / float(lam.sum())
         r = int(np.searchsorted(energy, RANK_ENERGY_TARGET) + 1)
         r = min(r, num_rank)
     else:
@@ -132,8 +145,8 @@ def ssa_fit(series, L: int | None = None, r: int | None = None) -> SsaModel:
     head = u[:L - 1, :r]
     recurrence = head @ pi / (1.0 - nu2)  # x[t] = recurrence . x[t-L+1 : t]
 
-    low_rank = (u[:, :r] * s[:r]) @ vt[:r]
-    reconstructed = _diagonal_average(low_rank)
+    basis = u[:, :r]
+    reconstructed = _diagonal_average(basis @ (basis.T @ trajectory)) / scale
     return SsaModel(window=L, rank=r, singular_values=s, recurrence=recurrence,
                     reconstructed=reconstructed, start_hour=start_hour,
                     rank_reduced=rank_reduced)

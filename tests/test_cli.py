@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +41,7 @@ SYNTH_SPEC = {
 }
 
 SCHEMA = {"version": 1, "factors": ["browser", "os"], "label": "label"}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -706,6 +709,38 @@ class TestDeterminism:
             a = (d / f"{stem}_a.{ext}").read_bytes()
             b = (d / f"{stem}_b.{ext}").read_bytes()
             assert a == b, f"{name} differs between runs"
+
+    @pytest.mark.parametrize("seed", [5, 99])
+    def test_forecast_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, seed):
+        # the benchmark's hourly series at two seeds whose forecast.csv bytes
+        # moved with the thread count when SSA took the trajectory's SVD
+        intensity = json.loads((ROOT / "bench" / "spec.json").read_text())["visits"]["intensity"]
+        (tmp_path / "spec.json").write_text(json.dumps({"intensity": intensity}))
+        assert run("synth", "--spec", tmp_path / "spec.json", "--seed", seed,
+                   "--out-series", tmp_path / "hourly.csv") == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"forecast{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "adlift.cli", "forecast",
+                 "--series", str(tmp_path / "hourly.csv"), "--L", "168", "--r", "auto",
+                 "--horizon", "168", "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                     "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_forecast_takes_no_svd(self, workdir, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert run("synth", "--spec", workdir / "spec.json",
+                   "--out-series", workdir / "hourly.csv") == 0
+        assert run("forecast", "--series", workdir / "hourly.csv",
+                   "--out", workdir / "forecast.csv") == 0
 
 
 class TestExitCodes:

@@ -200,6 +200,23 @@ def test_bench_visit_inputs_are_reproduced(tmp_path):
         assert sha256(tmp_path / out) == recorded[out], out
 
 
+def test_freq_alone_makes_no_cookie_key(tmp_path, monkeypatch):
+    """``synth --out-freq`` reads the cookie codes only: no key is made, and
+    the frequency table is the benchmark's."""
+    def keys(users, segments):
+        raise AssertionError("cookie keys made")
+
+    monkeypatch.setattr(synth, "_cookie_keys", keys)
+    spec = json.loads((BENCH / "spec.json").read_text())
+    doc = {key: spec["visits"][key] for key in ("population", "churn")}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    assert dispatch(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--seed", str(spec["bench_seed"]),
+                     "--out-freq", str(tmp_path / "freq.csv")]) == 0
+    recorded = json.loads((BENCH / "digests.json").read_text())["visits"]
+    assert sha256(tmp_path / "freq.csv") == recorded["freq.csv"]
+
+
 def lexsort_population(spec: PopulationSpec, seed: int):
     """The counts and times of ``gen_gamma_poisson``, each user's times put in
     order by one lexsort over (user, time): the reference for its sort."""

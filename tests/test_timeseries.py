@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -12,8 +13,10 @@ from adlift.errors import (DimensionMismatch, DomainError, OutOfDomain,
                            RankDeficientWarning, TooShort, ZeroTotal)
 from adlift.ingest import HourlySeries, SECONDS_PER_HOUR
 from adlift.synth import Harmonic, IntensitySpec, gen_inhomogeneous_poisson
-from adlift.timeseries import (AlarmConfig, build_virtual_clock, check_alarm,
+from adlift.timeseries import (AlarmConfig, SsaModel, build_virtual_clock, check_alarm,
                                ssa_fit, ssa_forecast, virtualize)
+
+EPS = np.finfo(np.float64).eps
 
 
 def hourly(counts, start=0):
@@ -147,6 +150,173 @@ class TestSsaFit:
     def test_forecast_horizon_zero(self):
         model = ssa_fit(np.full(50, 2.0), L=5, r=1)
         assert len(ssa_forecast(model, 0)) == 0
+
+
+def svd_fit(x, L, r):
+    """ssa_fit by the singular value decomposition of the trajectory matrix,
+    with its rank rule s_i > s_1 max(L, K) eps: the reference for the fit
+    from the lag covariance. Returns the model and its verticality nu^2."""
+    K = len(x) - L + 1
+    u, s, vt = np.linalg.svd(np.lib.stride_tricks.sliding_window_view(x, L).T,
+                             full_matrices=False)
+    tol = s[0] * max(L, K) * EPS if s[0] > 0 else 0.0
+    num_rank = int((s > tol).sum())
+    if num_rank == 0:
+        raise DomainError("series is identically zero; nothing to fit")
+    rank_reduced = False
+    if r is None:
+        energy = np.cumsum(s ** 2) / float((s ** 2).sum())
+        r = min(int(np.searchsorted(energy, timeseries.RANK_ENERGY_TARGET) + 1), num_rank)
+    elif r > num_rank:
+        warnings.warn(f"requested rank {r} exceeds numerical rank {num_rank}; "
+                      "reduced", RankDeficientWarning)
+        r, rank_reduced = num_rank, True
+    while r > 0:
+        pi = u[L - 1, :r]
+        nu2 = float(pi @ pi)
+        if nu2 < 1.0 - 1.0e-10:
+            break
+        warnings.warn(f"signal subspace at rank {r} is vertical; reduced",
+                      RankDeficientWarning)
+        r, rank_reduced = r - 1, True
+    if r == 0:
+        raise DomainError("no usable components: signal subspace is vertical")
+    model = SsaModel(window=L, rank=r, singular_values=s,
+                     recurrence=u[:L - 1, :r] @ pi / (1.0 - nu2),
+                     reconstructed=timeseries._diagonal_average((u[:, :r] * s[:r]) @ vt[:r]),
+                     rank_reduced=rank_reduced)
+    return model, nu2
+
+
+def fitted(fit, x, L, r):
+    """``fit(x, L, r)``, or the DomainError it raised, and the (category,
+    message) of each warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fit(x, L, r)
+        except DomainError as e:
+            result = e
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def drawn_series(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    t = np.arange(float(n))
+    if kind == "poisson":
+        return rng.poisson(rng.uniform(0.1, 100.0), n).astype(np.float64)
+    if kind == "harmonics":
+        periods = rng.choice([7.5, 12.0, 24.0, 168.0], rng.integers(1, 4), replace=False)
+        return (rng.uniform(-10.0, 100.0) + rng.normal(0.0, rng.uniform(0.01, 5.0), n)
+                + sum(rng.uniform(0.1, 20.0) * np.sin(2 * np.pi * t / p + rng.uniform(0, 7))
+                      for p in periods))
+    if kind == "gaussian":
+        return rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0), n)
+    return np.full(n, rng.uniform(-1e3, 1e3))
+
+
+@st.composite
+def ssa_cases(draw):
+    """(series, L, r): Poisson counts, harmonics plus noise, Gaussian noise or
+    a constant, any window L in [2, n//2] and r None or in [1, L)."""
+    n = draw(st.integers(4, 400))
+    x = drawn_series(draw(st.sampled_from(["poisson", "harmonics", "gaussian", "constant"])),
+                     draw(st.integers(0, 2**32 - 1)), n)
+    L = draw(st.integers(2, n // 2))
+    return x, L, draw(st.none() | st.integers(1, L - 1))
+
+
+T480, T720 = np.arange(480.0), np.arange(720.0)
+CONSTANT = (np.full(100, 4.25), 12, None)
+SINUSOID = (np.sin(2 * np.pi * T480 / 24.0 + 0.3), 48, None)  # rank 2
+TREND_WEEKLY = (50.0 + 0.02 * T720 + 8.0 * np.sin(2 * np.pi * T720 / 168.0 + 1.0), 168, 4)
+
+
+class TestSsaFitMatchesSvd:
+    @given(case=ssa_cases())
+    @example(case=CONSTANT)
+    @example(case=SINUSOID)
+    @example(case=TREND_WEEKLY)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_svd_oracle(self, case):
+        # where no singular value lies between the two rank rules and each
+        # rank k the fit cuts at separates s_k^2 from s_(k+1)^2 by 1e-9 s_1^2
+        # (at a tie neither decomposition fixes the subspace): the same ranks,
+        # errors and warnings, and a fit within 1e-9 of max|x|; the forecast
+        # within 1e-9 of the larger of max|x| and the forecast's own size
+        # over 1 - nu^2, the recurrence's denominator
+        x, L, r = case
+        want, want_warnings = fitted(svd_fit, x, L, r)
+        s = np.linalg.svd(np.lib.stride_tricks.sliding_window_view(x, L).T, compute_uv=False)
+        K, rank = len(x) - L + 1, 0 if isinstance(want, DomainError) else want[0].rank
+        vertical = sum("vertical" in message for _, message in want_warnings)
+        cuts = range(max(rank, 1), min(rank + vertical, L - 1) + 1)
+        if not (((s <= s[0] * max(L, K) * EPS) | (s >= 1e-5 * s[0])).all()
+                and all(s[k - 1] ** 2 - s[k] ** 2 >= 1e-9 * s[0] ** 2 for k in cuts)):
+            return
+        got, got_warnings = fitted(ssa_fit, x, L, r)
+        assert got_warnings == want_warnings
+        if isinstance(want, DomainError):
+            assert isinstance(got, DomainError) and str(got) == str(want)
+            return
+        want, nu2 = want
+        assert (got.rank, got.rank_reduced) == (want.rank, want.rank_reduced)
+        top = np.abs(x).max()
+        assert np.abs(got.reconstructed - want.reconstructed).max() <= 1e-9 * top
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = ssa_forecast(want, 24)
+            deviation = np.abs(ssa_forecast(got, 24) - expected).max()
+        assert deviation <= 1e-9 * max(top, np.abs(expected).max()) / (1.0 - nu2)
+
+    @given(case=ssa_cases(), k=st.integers(1, 1000) | st.integers(-1000, -1))
+    @example(case=CONSTANT, k=1000)
+    @example(case=SINUSOID, k=-1000)
+    @example(case=TREND_WEEKLY, k=1)
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, case, k):
+        def exact(values):  # no subnormal or infinite value, which would round
+            values = np.abs(values[values != 0])
+            return np.isfinite(values).all() and (values >= np.finfo(np.float64).tiny).all()
+
+        x, L, r = case
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = x * 2.0 ** k
+        if not exact(scaled):
+            return
+        (base, warned), (other, other_warned) = fitted(ssa_fit, x, L, r), fitted(ssa_fit, scaled, L, r)
+        assert other_warned == warned
+        if isinstance(base, DomainError):
+            assert str(other) == str(base)
+            return
+        with np.errstate(over="ignore", under="ignore"):
+            want = base.reconstructed * 2.0 ** k
+        if exact(np.concatenate([base.reconstructed, want])):
+            assert other.rank == base.rank
+            assert other.reconstructed.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("magnitude", [1e300, 1e-300, 1e-170])
+    def test_extreme_magnitudes_match_the_oracle(self, magnitude):
+        # X X^T of these overflows or underflows unless the series is scaled
+        x = (1.0 + np.random.default_rng(3).random(400)) * magnitude
+        (want, _), want_warnings = fitted(svd_fit, x, 168, 3)
+        got, got_warnings = fitted(ssa_fit, x, 168, 3)
+        assert (got.rank, got_warnings) == (want.rank, want_warnings)
+        assert np.abs(got.reconstructed - want.reconstructed).max() <= 1e-9 * x.max()
+
+    def test_rank_rule_spans_about_1e6_of_singular_values(self):
+        # deliberately changed: a component below s_1 sqrt(max(L, K) eps), about
+        # 6e-7 s_1 here, is numerically zero; the SVD rule kept all 47
+        x = (1e3 + 0.01 * np.arange(972.0)
+             + np.random.default_rng(2).normal(0.0, 1e-3, 972))
+        (want, _), want_warnings = fitted(svd_fit, x, 191, 47)
+        got, got_warnings = fitted(ssa_fit, x, 191, 47)
+        assert (want.rank, want_warnings) == (47, [])
+        assert (got.rank, got.rank_reduced) == (2, True)
+        assert got_warnings == [(RankDeficientWarning,
+                                 "requested rank 47 exceeds numerical rank 2; reduced")]
+        assert (got.singular_values[2:] == 0).all()
+        assert np.abs(got.reconstructed - want.reconstructed).max() <= 1e-5 * x.max()
 
 
 class TestVirtualClock:
