@@ -217,8 +217,8 @@ class EventBatch:
     Labels given as None take their codes as an ``S`` array of one key per
     event, coded by ``_coded`` on the first access of the column's codes or
     labels: ``columns()`` gives such a column as its keys, uncoded. Labels
-    given as a callable are its result, made on the first access of the
-    labels, so a reader of the codes alone never makes them.
+    given as a callable are what it returns; it is called on the first access
+    of the labels, so a reader of the codes alone never calls it.
     """
 
     def __init__(self, cookies,
