@@ -130,9 +130,5 @@ class RankDeficientWarning(UserWarning):
     """Requested rank exceeds numerical rank; it was reduced."""
 
 
-class UnstableRecurrenceWarning(UserWarning):
-    """Forecast recurrence has a root outside the unit circle."""
-
-
 class NoDeathsWarning(UserWarning):
     """All cookies censored; reported lifetime is a lower bound."""

@@ -1101,8 +1101,9 @@ def _plain_events(pieces: Iterator[str], read: list[str],
             return None
         buf = np.frombuffer(data, np.uint8)
         # the line ends and delimiters in order: width per line, the last a "\n"
-        seps = np.flatnonzero((buf == 10) | (buf == sep[0]))
-        n = data.count(b"\n")
+        newline = buf == 10
+        seps = np.flatnonzero(newline | (buf == sep[0]))
+        n = int(np.count_nonzero(newline))
         if len(seps) != n * width or (buf[seps[width - 1::width]] != 10).any():
             return None
         seps = seps.reshape(n, width)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -741,6 +742,43 @@ class TestDeterminism:
                    "--out-series", workdir / "hourly.csv") == 0
         assert run("forecast", "--series", workdir / "hourly.csv",
                    "--out", workdir / "forecast.csv") == 0
+
+    @staticmethod
+    def bench_forecast(d):
+        """synth's hourly series of the benchmark at its seed, then forecast
+        and alarm with the benchmark's arguments."""
+        spec = json.loads((ROOT / "bench" / "spec.json").read_text())
+        visits = spec["visits"]
+        (d / "spec.json").write_text(json.dumps({"intensity": visits["intensity"]}))
+        stages = [
+            ("synth", "--spec", d / "spec.json", "--seed", spec["bench_seed"],
+             "--out-series", d / "hourly.csv"),
+            ("forecast", "--series", d / "hourly.csv", "--L", visits["forecast_L"],
+             "--r", "auto", "--horizon", visits["forecast_horizon"],
+             "--out", d / "forecast.csv"),
+            ("alarm", "--series", d / "hourly.csv", "--forecast", d / "forecast.csv",
+             "--out", d / "alarm.json"),
+        ]
+        for argv in stages:
+            assert run(*argv) == 0, argv[0]
+
+    def test_forecast_takes_no_root_solve(self, tmp_path, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("characteristic roots solved")
+
+        monkeypatch.setattr(np, "roots", solve)
+        monkeypatch.setattr(np.linalg, "eigvals", solve)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.bench_forecast(tmp_path)
+        assert [str(w.message) for w in caught] == []
+
+    def test_bench_forecast_bytes_are_reproduced(self, tmp_path):
+        self.bench_forecast(tmp_path)
+        recorded = json.loads((ROOT / "bench" / "digests.json").read_text())["visits"]
+        for name in ("hourly.csv", "forecast.csv", "alarm.json"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == recorded[name], name
 
 
 class TestExitCodes:
