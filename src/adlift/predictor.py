@@ -33,6 +33,9 @@ MODEL_VERSION = 1
 DEFAULT_EPSILON = 0.01
 DEFAULT_BETA = 0.5
 
+SCORER_TERMS = 8
+"""Weighted rates added per statement of a model's generated scalar scorer."""
+
 
 @dataclass(slots=True)
 class ScoredRequest:
@@ -71,22 +74,74 @@ class SparseRateModel:
             raise ValueError(f"importances must be finite and non-negative: factor "
                              f"{self.factor_names[bad[0]]!r} has {self.importance[bad[0]]}")
         # Per active factor, in index order, the weighted rates rates[i][k] * imp:
-        # a dict of python floats for ``score`` (they beat numpy scalars per
-        # call) and a float table with a trailing 0.0 for ``score_batch``. Both
-        # add the same products in the same order, so their scores agree bit for bit.
-        self._active, self._seen, self._real, self._den = [], [], [], 0.0
+        # a dict of python floats for the generated scorer of ``score`` (they
+        # beat numpy scalars per call) and a float table with a trailing 0.0
+        # for ``score_batch``. Both add the same products in the same order,
+        # so their scores agree bit for bit. _dens[j] is the weight sum of the
+        # first j active factors, added in index order; the last is _den.
+        self._active, self._real, self._dens = [], [], [0.0]
         for i in np.flatnonzero(self.importance > 0.0).tolist():
             imp = float(self.importance[i])
             weighted = self.rates[i] * imp
             self._active.append((i, imp, dict(enumerate(weighted.tolist()))))
-            self._seen.append((i, self._active[-1][2], (self._den, len(self._seen))))
             self._real.append((i, imp, np.append(weighted, 0.0)))
-            self._den += imp
+            self._dens.append(self._dens[-1] + imp)
+        self._den = self._dens[-1]
         self._n_active = len(self._active)
         if not math.isfinite(self._den):
             raise ValueError(f"active importances sum to {self._den}")
         self._level_maps = [{label: k for k, label in enumerate(ls)}
                             for ls in self.level_labels]
+        self._scorer = self._build_scorer()
+
+    def __getstate__(self):
+        # pickle cannot name a generated function: leave the scorer out of
+        # the state, and build it again on load
+        return {k: v for k, v in self.__dict__.items() if k != "_scorer"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._scorer = self._build_scorer()
+
+    def _build_scorer(self):
+        """The scalar kernel of ``score``, generated from the active factors.
+        Each factor's dict is bound as a default argument, so the source holds
+        only indices and names, never a label."""
+        active, global_rate, n = self._active, self.global_rate, self._n_active
+        # per statement start: the weight sum before it and the factors from
+        # it on; an all-pruned model resumes at 0 at once
+        resume = {start: (self._dens[start], active[start:])
+                  for start in range(0, max(n, 1), SCORER_TERMS)}
+
+        def general(factors, num, used):
+            den, rest = resume[used]
+            for i, imp, weighted in rest:
+                rate = weighted.get(factors[i])
+                if rate is not None:
+                    num += rate
+                    den += imp
+                    used += 1
+            if used == 0:
+                return ScoredRequest(global_rate, 0)
+            return ScoredRequest(num / den, used)
+
+        lines = [f"def scorer(factors, {''.join(f'w{j}, ' for j in range(n))}"
+                 f"den, general, result):"]
+        for start in range(0, n, SCORER_TERMS):
+            terms = " + ".join(f"w{j}[factors[{active[j][0]}]]"
+                               for j in range(start, min(n, start + SCORER_TERMS)))
+            before = "num" if start else "0.0"
+            lines += ["    try:", f"        num = {'num + ' if start else ''}{terms}",
+                      "    except KeyError:",
+                      f"        return general(factors, {before}, {start})"]
+        lines.append(f"    return result(num / den, {n})" if n
+                     else "    return general(factors, 0.0, 0)")
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        scorer = namespace["scorer"]
+        scorer.__defaults__ = (*(w for _, _, w in active), self._den, general,
+                               ScoredRequest)
+        return scorer
 
     @property
     def m(self) -> int:
@@ -169,32 +224,17 @@ def score(model: SparseRateModel, factors: Sequence[int],
     1.5, NaN) is unseen, and an unhashable one raises TypeError. Factors with
     unseen levels are excluded and the weights renormalize; if nothing
     contributes the score falls back to the global rate. Deterministic: same
-    model and request give the same bits on every run. A row whose levels were
-    all seen adds only its weighted rates and divides by ``model._den``, the
-    general loop's weight sum: the same bits. At an unseen level the general
-    loop resumes with the sums so far.
+    model and request give the same bits on every run. The model's generated
+    scorer adds a row's weighted rates in index order, SCORER_TERMS to a
+    statement, and divides by ``model._den``, the general loop's weight sum:
+    the same bits. At an unseen level the general loop resumes at the first
+    factor of that statement, with the sums of the statements before it.
     """
     if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
         raise FingerprintMismatch("record dictionary does not match the model's")
     if len(factors) != len(model.factor_names):
         raise DimensionMismatch(f"record has {len(factors)} factors, model has {model.m}")
-    num = 0.0
-    try:
-        for i, weighted, resume in model._seen:
-            num += weighted[factors[i]]
-    except KeyError:
-        den, used = resume
-        for i, imp, weighted in model._active[used:]:
-            k = factors[i]
-            if k in weighted:
-                num += weighted[k]
-                den += imp
-                used += 1
-    else:
-        den, used = model._den, model._n_active
-    if used == 0:
-        return ScoredRequest(model.global_rate, 0)
-    return ScoredRequest(num / den, used)
+    return model._scorer(factors)
 
 
 @dataclass

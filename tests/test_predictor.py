@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,9 +12,9 @@ from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                            FingerprintMismatch, VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
 from adlift.ingest import FactorDictionary, RequestBatch, build_factor_table
-from adlift.predictor import (SCORE_BLOCK, PacingState, ScoredRequest, SparseRateModel,
-                              load_model, pace, pace_batch, save_model, score,
-                              score_batch, train)
+from adlift.predictor import (SCORE_BLOCK, SCORER_TERMS, PacingState, ScoredRequest,
+                              SparseRateModel, load_model, pace, pace_batch, save_model,
+                              score, score_batch, train)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
 from conftest import make_table
@@ -32,6 +34,11 @@ def _general_score(model, ids):
 
 def _bits(scored):
     return np.float64(scored[0]).tobytes(), scored[1]
+
+
+def _scored_bits(model, factors):
+    got = score(model, factors)
+    return _bits((got.score, got.used_factors))
 
 
 def _model_from_counts(*factor_counts, importance=None, epsilon=0.0, beta=0.5):
@@ -235,6 +242,86 @@ class TestScore:
         model = _model_from_counts([[1, 3], [4, 0]], [[4, 4]], [[5, 1], [1, 1]])
         with pytest.raises(TypeError):
             score(model, ids)
+
+
+class TestGeneratedScorer:
+    """The scalar scorer generated from a model's active factors."""
+
+    @staticmethod
+    def _assert_scalar_equals_batch(model, rows):
+        batch = RequestBatch(np.array(rows, dtype=np.int32).reshape(len(rows), model.m),
+                             np.zeros(len(rows), dtype=np.int8))
+        result = score_batch(model, batch)
+        for row, expected, used in zip(rows, result.scores, result.used_factors):
+            got = _scored_bits(model, row)
+            assert got == _bits((expected, used))
+            assert got == _bits(_general_score(model, row))
+
+    def test_unseen_at_each_place_of_each_statement(self, rng):
+        # 50 active factors, 7 statements; 10 pruned factors lie among them
+        m = 60
+        importance = rng.exponential(1.0, m)
+        importance[rng.choice(m, 10, replace=False)] = 0.0
+        levels = rng.integers(1, 5, m)
+        model = SparseRateModel([f"f{i}" for i in range(m)],
+                                [[f"v{k}" for k in range(n)] for n in levels],
+                                importance, [rng.uniform(0.001, 0.999, n) for n in levels],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        active = np.flatnonzero(importance > 0).tolist()
+        assert len(active) == 50
+        seen = [[int(rng.integers(0, n)) for n in levels] for _ in range(8)]
+        rows = [list(row) for row in seen]
+        for start in range(0, len(active), SCORER_TERMS):
+            statement = active[start:start + SCORER_TERMS]
+            for at in (statement[0], statement[len(statement) // 2], statement[-1]):
+                for row in seen:
+                    rows.append(list(row))
+                    rows[-1][at] = int(rng.choice([-1, levels[at]]))
+            # this statement's factors and every later one unseen
+            rows.append(list(seen[0]))
+            for i in active[start:]:
+                rows[-1][i] = -1
+        self._assert_scalar_equals_batch(model, rows)
+
+    def test_all_pruned_model_scores_global_rate(self):
+        with pytest.warns(AllPrunedWarning):
+            model = _model_from_counts([[30, 10], [20, 40]], [[50, 50]],
+                                       [[10, 20], [30, 40]],
+                                       importance=[0.001, 0.0, 0.002], epsilon=0.01)
+        for row in ([0, 0, 0], [1, 0, 1], [-1, 7, 2**31 - 1]):
+            assert score(model, row) == ScoredRequest(model.global_rate, 0)
+        self._assert_scalar_equals_batch(model, [[0, 0, 0], [-1, 7, 1]])
+
+    def test_names_and_labels_never_reach_the_source(self, rng):
+        hostile = ["'", '"', "'''", '"""', "\n", "a\nb", "# c", "\\", "{0}", "w0",
+                   "__import__('os').system('exit 1')", "factors[0]", ")", "\x00"]
+        model = SparseRateModel(
+            hostile, [[label, f"{label}!", f"#{label}\n"] for label in hostile],
+            rng.exponential(1.0, len(hostile)),
+            [rng.uniform(0.001, 0.999, 3) for _ in hostile],
+            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="'\n#")
+        labels = [[str(rng.choice([label, f"{label}!", f"#{label}\n", "unseen"]))
+                   for label in hostile]
+                  for _ in range(200)]
+        ids = model.encode_columns(list(zip(*labels)))
+        assert (ids == -1).any()
+        rows = ids.tolist()
+        assert [model.encode_labels(row) for row in labels] == [tuple(r) for r in rows]
+        self._assert_scalar_equals_batch(model, rows)
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_model_round_trips_before_and_after_scoring(self, rng, clone):
+        importance = rng.exponential(1.0, 12) * (rng.random(12) < 0.8)
+        model = SparseRateModel([f"f{i}" for i in range(12)], [["a", "b", "c"]] * 12,
+                                importance, [rng.uniform(0.01, 0.99, 3) for _ in range(12)],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="fp")
+        rows = rng.integers(-1, 4, (300, 12)).tolist()
+        before = clone(model)
+        expected = [_scored_bits(model, row) for row in rows]
+        after = clone(model)
+        for copied in (before, after, clone(after)):
+            assert [_scored_bits(copied, row) for row in rows] == expected
 
 
 class TestScoreBatch:
