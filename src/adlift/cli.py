@@ -111,13 +111,16 @@ def _load_importance(path) -> ImportanceVector:
     return _read_json(path, build)
 
 
-def _read_report(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
-    """The column positions of a small CSV file's header and its non-blank
-    rows as (line, cells).
+def _read_report(path, columns: dict, key: str) -> tuple[list[int], list[list]]:
+    """The line of each non-blank row of a small CSV report, and one list per
+    entry of ``columns``: a column name, or a tuple of names of which the
+    first in the header is read, mapped to its cells' type (int, float, str).
 
-    Raises DataError naming ``path: line N`` for a row whose width differs
-    from the header's or that csv.reader cannot read.
-    """
+    Raises DataError naming ``path: line N`` for a row that csv.reader cannot
+    read or whose width differs from the header's, MissingColumn for a
+    column the header lacks, and DataError naming the line of a cell that
+    does not convert, a float that is not finite, or a ``key`` cell that
+    repeats an earlier row's."""
     with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -129,37 +132,35 @@ def _read_report(path) -> tuple[dict[str, int], list[tuple[int, list[str]]]]:
         if len(cells) != len(header):
             raise DataError(f"{path}: line {line}: expected {len(header)} fields, "
                             f"got {len(cells)}")
-    return {name: j for j, name in enumerate(header)}, rows
-
-
-def _report_column(path, positions, rows, name, convert) -> list:
-    """The ``name`` cell of every row through ``convert`` (int or float)."""
-    j = positions[name]
-    values = []
-    for line, cells in rows:
-        try:
-            values.append(convert(cells[j]))
-        except ValueError:
-            raise DataError(f"{path}: line {line}: {name} must be "
-                            f"{convert.__name__}, got {cells[j]!r}") from None
-    return values
-
-
-def _finite(path, rows, values, name) -> list[float]:
-    """``values``; DataError naming the first row whose value is NaN or infinite."""
-    for (line, _), value in zip(rows, values):
-        if not math.isfinite(value):
-            raise DataError(f"{path}: line {line}: {name} must be finite, got {value!r}")
-    return values
-
-
-def _reject_repeats(path, rows, keys, name) -> None:
-    """DataError naming the first row whose key repeats an earlier row's."""
+    positions, picked = {name: j for j, name in enumerate(header)}, {}
+    for names, convert in columns.items():
+        names = (names,) if isinstance(names, str) else names
+        name = next((n for n in names if n in positions), None)
+        if name is None:
+            raise MissingColumn(f"{path}: column {' or '.join(map(repr, names))} "
+                                "not found in header")
+        picked[name] = convert
+    lines, values = [line for line, _ in rows], {name: [] for name in picked}
+    for name, convert in picked.items():
+        j, column = positions[name], values[name]
+        for line, cells in rows:
+            try:
+                column.append(convert(cells[j]))
+            except ValueError:
+                raise DataError(f"{path}: line {line}: {name} must be "
+                                f"{convert.__name__}, got {cells[j]!r}") from None
+    for name, convert in picked.items():
+        if convert is float:
+            for line, value in zip(lines, values[name]):
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: line {line}: {name} must be finite, "
+                                    f"got {value!r}")
     first_line = {}
-    for (line, _), key in zip(rows, keys):
-        if first_line.setdefault(key, line) != line:
-            raise DataError(f"{path}: line {line}: {name} {key!r} repeats line "
-                            f"{first_line[key]}")
+    for line, value in zip(lines, values[key]):
+        if first_line.setdefault(value, line) != line:
+            raise DataError(f"{path}: line {line}: {key} {value!r} repeats line "
+                            f"{first_line[value]}")
+    return lines, list(values.values())
 
 
 def _load_series(path) -> tuple[int, np.ndarray]:
@@ -167,51 +168,33 @@ def _load_series(path) -> tuple[int, np.ndarray]:
 
     Missing hours are filled with zero so the series is contiguous.
     """
-    positions, rows = _read_report(path)
-    if "hour" not in positions:
-        raise MissingColumn(f"{path}: expected columns hour,count")
-    value_col = "count" if "count" in positions else "forecast"
-    if value_col not in positions:
-        raise MissingColumn(f"{path}: expected a count or forecast column")
-    hours = _report_column(path, positions, rows, "hour", int)
-    values = _finite(path, rows, _report_column(path, positions, rows, value_col, float),
-                     value_col)
+    _, (hours, values) = _read_report(path, {"hour": int, ("count", "forecast"): float},
+                                      "hour")
     if not hours:
         raise AdliftError(f"{path}: empty series")
-    _reject_repeats(path, rows, hours, "hour")
-    start = min(hours)
-    if max(hours) - start >= timeseries.MAX_SERIES_HOURS:
-        raise DataError(f"{path}: hours {start} to {max(hours)} span more than "
+    start, end = min(hours), max(hours)
+    if end - start >= timeseries.MAX_SERIES_HOURS:
+        raise DataError(f"{path}: hours {start} to {end} span more than "
                         f"{timeseries.MAX_SERIES_HOURS} hours")
-    series = np.zeros(max(hours) - start + 1)
+    series = np.zeros(end - start + 1)
     for hour, value in zip(hours, values):
         series[hour - start] = value
     return start, series
 
 
 def _load_forecast_csv(path) -> tuple[int, np.ndarray]:
-    positions, rows = _read_report(path)
-    if "hour" not in positions or "forecast" not in positions:
-        raise MissingColumn(f"{path}: expected columns hour,forecast")
-    hours = _report_column(path, positions, rows, "hour", int)
-    forecast = _report_column(path, positions, rows, "forecast", float)
-    pairs = sorted(zip(hours, _finite(path, rows, forecast, "forecast")))
-    if not pairs:
+    _, (hours, forecast) = _read_report(path, {"hour": int, "forecast": float}, "hour")
+    if not hours:
         raise AdliftError(f"{path}: empty forecast")
-    hours = [h for h, _ in pairs]
-    if hours != list(range(hours[0], hours[0] + len(hours))):
+    start = min(hours)
+    if max(hours) - start != len(hours) - 1:  # the hours are distinct
         raise AdliftError(f"{path}: forecast hours must be contiguous")
-    return hours[0], np.array([v for _, v in pairs])
+    return start, np.array([value for _, value in sorted(zip(hours, forecast))])
 
 
 def _load_freq(path, window_hours: float | None) -> repeatbuy.FrequencyTable:
-    positions, rows = _read_report(path)
-    if "n" not in positions or "count" not in positions:
-        raise MissingColumn(f"{path}: expected columns n,count")
-    ns = _report_column(path, positions, rows, "n", int)
-    _reject_repeats(path, rows, ns, "n")
-    counts = _report_column(path, positions, rows, "count", int)
-    for (line, _), n, count in zip(rows, ns, counts):
+    lines, (ns, counts) = _read_report(path, {"n": int, "count": int}, "n")
+    for line, n, count in zip(lines, ns, counts):
         if n > repeatbuy.MAX_VISITS or count >= 2**63:
             raise DataError(f"{path}: line {line}: n must be at most "
                             f"{repeatbuy.MAX_VISITS} and count below 2^63, "
@@ -220,18 +203,10 @@ def _load_freq(path, window_hours: float | None) -> repeatbuy.FrequencyTable:
 
 
 def _load_survival(path) -> repeatbuy.SurvivalTable:
-    positions, rows = _read_report(path)
-    if not {"browser", "tau_days", "deaths", "censored"} <= positions.keys():
-        raise MissingColumn(f"{path}: expected columns browser,tau_days,"
-                            "deaths,censored")
-    browsers = [cells[positions["browser"]] for _, cells in rows]
-    _reject_repeats(path, rows, browsers, "browser")
-    taus, deaths, censored = (_report_column(path, positions, rows, name, convert)
-                              for name, convert in (("tau_days", float),
-                                                    ("deaths", int),
-                                                    ("censored", int)))
-    for (line, _), t, d, c in zip(rows, _finite(path, rows, taus, "tau_days"),
-                                  deaths, censored):
+    lines, columns = _read_report(
+        path, {"browser": str, "tau_days": float, "deaths": int, "censored": int},
+        "browser")
+    for line, _, t, d, c in zip(lines, *columns):
         if not t > 0:
             raise DataError(f"{path}: line {line}: tau_days must be positive, got {t!r}")
         if d < 0 or c < 0:
@@ -239,7 +214,7 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
                             f"non-negative, got {d} and {c}")
     return repeatbuy.SurvivalTable(rows={
         b: repeatbuy.SurvivalRow(tau_days=t, deaths=d, censored=c)
-        for b, t, d, c in zip(browsers, taus, deaths, censored)})
+        for b, t, d, c in zip(*columns)})
 
 
 def _read_request_rows(path, factor_names, delimiter: str) -> ingest.Rows:

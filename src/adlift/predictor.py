@@ -90,8 +90,11 @@ class SparseRateModel:
         self._n_active = len(self._active)
         if not math.isfinite(self._den):
             raise ValueError(f"active importances sum to {self._den}")
+        # an empty label reads as the __missing__ level, as ingest parses it
         self._level_maps = [{label: k for k, label in enumerate(ls)}
                             for ls in self.level_labels]
+        for level_map in self._level_maps:
+            level_map[""] = level_map.get(MISSING_LEVEL, -1)
         self._scorer = self._build_scorer()
 
     def __getstate__(self):
@@ -152,7 +155,8 @@ class SparseRateModel:
         return not self._active
 
     def encode_labels(self, labels: Sequence[str]) -> tuple[int, ...]:
-        """Map level labels to training ids; unseen labels become -1."""
+        """Map level labels to training ids; unseen labels become -1 and an
+        empty label is the ``__missing__`` level, as in ``encode_columns``."""
         if len(labels) != self.m:
             raise DimensionMismatch(f"expected {self.m} labels, got {len(labels)}")
         return tuple(lm.get(lab, -1) for lm, lab in zip(self._level_maps, labels))
@@ -162,14 +166,18 @@ class SparseRateModel:
         column-major as ``RequestBatch`` stores it.
 
         Unseen labels become -1; an empty label is the ``__missing__`` level.
+        DimensionMismatch unless there is one column per factor, all of one
+        length.
         """
         if len(columns) != self.m:
             raise DimensionMismatch(f"expected {self.m} columns, got {len(columns)}")
-        n = len(columns[0]) if columns else 0
+        lengths = [len(column) for column in columns]
+        if len(set(lengths)) > 1:
+            raise DimensionMismatch(f"columns must have one length, got lengths {lengths}")
+        n = lengths[0] if lengths else 0
         matrix = np.empty((n, self.m), dtype=np.int32, order="F")
         for i, (level_map, column) in enumerate(zip(self._level_maps, columns)):
-            lookup = {**level_map, "": level_map.get(MISSING_LEVEL, -1)}
-            matrix[:, i] = np.fromiter(map(lookup.get, column, repeat(-1)), np.int32, n)
+            matrix[:, i] = np.fromiter(map(level_map.get, column, repeat(-1)), np.int32, n)
         return matrix
 
 
@@ -248,7 +256,8 @@ class BatchScores:
 
     scores: np.ndarray = field(repr=False)
     used_factors: np.ndarray = field(repr=False)
-    errors: list[tuple[int, Exception]] = field(default_factory=list, repr=False)
+    errors: list[tuple[int, Exception]] = field(default_factory=list, init=False,
+                                                repr=False)
     elapsed_s: float = 0.0
 
     @property
@@ -332,17 +341,18 @@ class PacingState:
     decision thread. DomainError unless 0 <= threshold <= 1, 0 <= gamma <= 16
     and target and horizon lie in [0, 2**63) (16 * log(2**63) < 709 keeps the
     threshold factor finite); a block size below 1 closes a block per request.
+    The running counters start at 0 and are set only by the pacing.
     """
 
     target_total: int
     horizon_requests: int
     threshold: float = 0.0
-    shown_so_far: int = 0
-    seen_so_far: int = 0
+    shown_so_far: int = field(default=0, init=False)
+    seen_so_far: int = field(default=0, init=False)
     block_size: int = 1000
     gamma: float = 0.5
-    block_seen: int = 0
-    block_shown: int = 0
+    block_seen: int = field(default=0, init=False)
+    block_shown: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not 0 <= self.threshold <= 1:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adlift import ingest
-from adlift.cli import _load_series, dispatch, emit_report
+from adlift.cli import PROG, _load_series, dispatch, emit_report
 from adlift.ingest import _fmt
 
 SYNTH_SPEC = {
@@ -1281,6 +1281,95 @@ class TestLoaderErrors:
         assert run("alarm", "--series", d / "hourly.csv",
                    "--forecast", d / "forecast.csv", "--out", d / "alarm.json") == 2
         assert "forecast.csv: line 3: forecast must be float" in capsys.readouterr().err
+
+
+# One fault per report file: the file's text, the line the error names (None
+# for a fault of the header or of the whole file) and the message after it.
+# Each table covers a missing column, a short row, a long row after a blank
+# row, a cell that does not convert, a non-finite float, a repeated key and
+# the loader's own bounds.
+SERIES_FAULTS = [
+    ("hour,value\n0,1\n", None, "column 'count' or 'forecast' not found in header"),
+    ("count\n1\n", None, "column 'hour' not found in header"),
+    ("hour,count\n0,1\n1\n", 3, "expected 2 fields, got 1"),
+    ("hour,count\n0,1\n\n2,5,7\n", 4, "expected 2 fields, got 3"),
+    ("hour,count\n0,1\nx,5\n", 3, "hour must be int, got 'x'"),
+    ("hour,count\n0,1\n1,1.5x\n", 3, "count must be float, got '1.5x'"),
+    ("hour,count\n0,1\n1,inf\n", 3, "count must be finite, got inf"),
+    ("hour,forecast\n0,1\n1,nan\n", 3, "forecast must be finite, got nan"),
+    ("hour,count\n0,1\n0,5\n", 3, "hour 0 repeats line 2"),
+    ("hour,count\n", None, "empty series"),
+    ("hour,count\n5,1\n1000005,2\n", None,
+     "hours 5 to 1000005 span more than 1000000 hours"),
+]
+FORECAST_FAULTS = [
+    ("hour,actual\n0,1\n", None, "column 'forecast' not found in header"),
+    ("hour,actual,forecast\n0,1,1.0\n1,1\n", 3, "expected 3 fields, got 2"),
+    ("hour,actual,forecast\n0,1,1.0\n\n1,1,1.0,7\n", 4, "expected 3 fields, got 4"),
+    ("hour,actual,forecast\n0,1,1.0\n1.5,1,1.0\n", 3, "hour must be int, got '1.5'"),
+    ("hour,actual,forecast\n0,1,1.0\n1,1,-inf\n", 3, "forecast must be finite, got -inf"),
+    ("hour,actual,forecast\n0,1,1.0\n1,1,1.0\n0,1,2.0\n", 4, "hour 0 repeats line 2"),
+    ("hour,actual,forecast\n", None, "empty forecast"),
+    ("hour,actual,forecast\n0,1,1.0\n2,1,1.0\n", None, "forecast hours must be contiguous"),
+]
+FREQ_FAULTS = [
+    ("n,visits\n1,100\n", None, "column 'count' not found in header"),
+    ("n,count\n1,100\n2\n", 3, "expected 2 fields, got 1"),
+    ("n,count\n1,100\n\n2,40,7\n", 4, "expected 2 fields, got 3"),
+    ("n,count\nx,100\n", 2, "n must be int, got 'x'"),
+    ("n,count\n1,100\n2,inf\n", 3, "count must be int, got 'inf'"),
+    ("n,count\n1,100\n2,40\n1,5\n", 4, "n 1 repeats line 2"),
+    ("n,count\n1,100\n1000001,5\n", 3, "n must be at most 1000000 and count below 2^63, "
+                                       "got 1000001 and 5"),
+    ("n,count\n1,9223372036854775808\n", 2, "n must be at most 1000000 and count below "
+                                            "2^63, got 1 and 9223372036854775808"),
+]
+SURVIVAL_FAULTS = [
+    ("browser,tau_days,deaths\nchrome,6.0,100\n", None,
+     "column 'censored' not found in header"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\nsafari,9.5,4\n", 3,
+     "expected 4 fields, got 3"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\n\nsafari,9.5,4,1,0\n", 4,
+     "expected 4 fields, got 5"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\nsafari,9.5,four,1\n", 3,
+     "deaths must be int, got 'four'"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\nsafari,inf,4,1\n", 3,
+     "tau_days must be finite, got inf"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\nchrome,9.5,4,1\n", 3,
+     "browser 'chrome' repeats line 2"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\nsafari,0,4,1\n", 3,
+     "tau_days must be positive, got 0.0"),
+    ("browser,tau_days,deaths,censored\nchrome,6.0,100,10\nsafari,9.5,4,-1\n", 3,
+     "deaths and censored must be non-negative, got 4 and -1"),
+]
+# the subcommand that reads each file as X, with valid companion files
+FAULT_COMMANDS = {
+    "series": "forecast --series X --L 12 --horizon 6 --out OUT",
+    "forecast": "alarm --series {d}/hourly.csv --forecast X --R 12 --out OUT",
+    "freq": "fit-nbd --freq X --out OUT",
+    "survival": "adjust-churn --freq {d}/freq.csv --survival X --window-hours 720 "
+                "--out OUT",
+}
+
+
+@pytest.mark.parametrize("kind, text, line, message", [
+    *(("series", *fault) for fault in SERIES_FAULTS),
+    *(("forecast", *fault) for fault in FORECAST_FAULTS),
+    *(("freq", *fault) for fault in FREQ_FAULTS),
+    *(("survival", *fault) for fault in SURVIVAL_FAULTS),
+])
+def test_one_fault_in_a_report_file(workdir, capsys, kind, text, line, message):
+    (workdir / "hourly.csv").write_text(
+        "hour,count\n" + "".join(f"{h},{10 + h % 3}\n" for h in range(40)))
+    (workdir / "freq.csv").write_text(TestLoaderErrors.CHURN_FREQ)
+    bad, out = workdir / f"bad_{kind}.csv", workdir / "out"
+    bad.write_text(text)
+    argv = [str(bad) if a == "X" else str(out) if a == "OUT" else a.format(d=workdir)
+            for a in FAULT_COMMANDS[kind].split()]
+    assert dispatch(argv) == 2
+    where = f"{bad}: line {line}: " if line is not None else f"{bad}: "
+    assert f"{PROG}: error: {where}{message}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _train_small_model(d):

@@ -25,13 +25,8 @@ ingest.parse_requests(delimiter)
 ingest.read_columns(check)
 ingest.read_columns(delimiter)
 predictor.BatchScores(elapsed_s)
-predictor.BatchScores(errors)
-predictor.PacingState(block_seen)
-predictor.PacingState(block_shown)
 predictor.PacingState(block_size)
 predictor.PacingState(gamma)
-predictor.PacingState(seen_so_far)
-predictor.PacingState(shown_so_far)
 predictor.PacingState(threshold)
 predictor.SparseRateModel(alpha)
 predictor.SparseRateModel(method)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,29 @@ class TestGeneratedScorer:
         rows = ids.tolist()
         assert [model.encode_labels(row) for row in labels] == [tuple(r) for r in rows]
         self._assert_scalar_equals_batch(model, rows)
+
+    @pytest.mark.parametrize("levels, ids", [
+        (["x", "__missing__"], [0, -1, 1, 1]),
+        (["x"], [0, -1, -1, -1]),
+    ])
+    def test_encode_labels_and_columns_agree(self, levels, ids):
+        # seen, unseen, empty and __missing__ labels; "" is the __missing__ level
+        model = SparseRateModel(["f"], [levels], [1.0], [np.full(len(levels), 0.4)],
+                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="fp")
+        labels = ["x", "y", "", "__missing__"]
+        assert [model.encode_labels([label]) for label in labels] == [(k,) for k in ids]
+        assert model.encode_columns([labels]).ravel().tolist() == ids
+
+    @pytest.mark.parametrize("columns, lengths", [
+        ([["x"], ["a", "b"]], "[1, 2]"),
+        ([["x", "y"], ["a"]], "[2, 1]"),
+    ])
+    def test_encode_columns_of_different_lengths(self, columns, lengths):
+        model = SparseRateModel(["f", "g"], [["x", "y"], ["a", "b"]], [1.0, 1.0],
+                                [[0.2, 0.4], [0.3, 0.5]], epsilon=0.0, beta=0.5,
+                                global_rate=0.3, fingerprint="fp")
+        with pytest.raises(DimensionMismatch, match=f"got lengths {re.escape(lengths)}"):
+            model.encode_columns(columns)
 
     @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
                                        copy.deepcopy], ids=["pickle", "deepcopy"])
