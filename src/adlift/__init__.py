@@ -7,8 +7,8 @@ correction, virtual-time detrending, SSA forecasting and change alarms.
 """
 
 from .features import ImportanceVector, rank_factors, renyi_mi, shannon_mi
-from .ingest import (EventBatch, FactorDictionary, FactorTable, HourlySeries,
-                     RequestBatch, Schema, aggregate_hourly, build_factor_table,
+from .ingest import (EventBatch, FactorDictionary, FactorTable, RequestBatch,
+                     Schema, aggregate_hourly, build_factor_table,
                      parse_cookie_events, parse_requests)
 from .predictor import (BatchScores, PacingState, ScoredRequest,
                         SparseRateModel, load_model, pace, pace_batch,

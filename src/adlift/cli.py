@@ -112,9 +112,10 @@ def _load_importance(path) -> ImportanceVector:
 
 
 def _read_report(path, columns: dict, key: str) -> tuple[list[int], list[list]]:
-    """The line of each non-blank row of a small CSV report, and one list per
-    entry of ``columns``: a column name, or a tuple of names of which the
-    first in the header is read, mapped to its cells' type (int, float, str).
+    """The line on which each non-blank row of a small CSV report starts (a
+    quoted cell may span lines), and one list per entry of ``columns``: a
+    column name, or a tuple of names of which the first in the header is
+    read, mapped to its cells' type (int, float, str).
 
     Raises DataError naming ``path: line N`` for a row that csv.reader cannot
     read or whose width differs from the header's, MissingColumn for a
@@ -124,8 +125,11 @@ def _read_report(path, columns: dict, key: str) -> tuple[list[int], list[list]]:
     with ingest.open_text(path) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, [])
-            rows = [(line, cells) for line, cells in enumerate(reader, start=2) if cells]
+            header, rows, line = next(reader, []), [], reader.line_num + 1
+            for cells in reader:  # a row starts on the line after the last one
+                if cells:
+                    rows.append((line, cells))
+                line = reader.line_num + 1
         except csv.Error as exc:
             raise csv.Error(f"line {reader.line_num}: {exc}") from None
     for line, cells in rows:
@@ -267,13 +271,12 @@ def _cmd_synth(args) -> int:
         if spec.intensity is None:
             raise AdliftError("spec has no 'intensity' section")
         times = synth.gen_inhomogeneous_poisson(spec.intensity, seed + 3)
-        series, _ = ingest.aggregate_hourly(
+        counts, _ = ingest.aggregate_hourly(
             (times * ingest.SECONDS_PER_HOUR).astype(np.int64),
             (0, spec.intensity.n_hours * ingest.SECONDS_PER_HOUR))
-        emit_report(["hour", "count"],
-                    ingest.Columns(series.start_hour + np.arange(len(series)),
-                                   series.counts), args.out_series)
-        _info(f"wrote {len(series)} hourly counts to {args.out_series}")
+        emit_report(["hour", "count"], ingest.Columns(np.arange(len(counts)), counts),
+                    args.out_series)
+        _info(f"wrote {len(counts)} hourly counts to {args.out_series}")
     return 0
 
 

@@ -17,7 +17,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
@@ -264,22 +264,6 @@ class EventBatch:
         """The cookie id, browser and timestamp columns, as report columns."""
         return (*(self._column(j) if isinstance(key, Coded) else key
                   for j, key in enumerate(self._keys)), self.timestamps)
-
-
-@dataclass
-class HourlySeries:
-    """Contiguous hourly counts; missing hours are stored as zero."""
-
-    start_hour: int
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1:
-            raise ValueError("counts must be one-dimensional")
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 class Rows(NamedTuple):
@@ -1167,22 +1151,20 @@ def write_events_csv(path, events: EventBatch) -> None:
                   Columns(*events.columns()))
 
 
-def aggregate_hourly(timestamps, window: tuple[int, int]) -> tuple[HourlySeries, int]:
+def aggregate_hourly(timestamps, window: tuple[int, int]) -> tuple[np.ndarray, int]:
     """Count epoch-second timestamps per hour inside ``window = [t0, t1)``.
 
-    Both boundaries must be hour-aligned epoch seconds. Timestamps outside
-    the window are dropped; their number is returned alongside the series.
+    Both boundaries must be hour-aligned epoch seconds. Returns the int64
+    counts, whose entry h is hour ``t0 // 3600 + h`` (a missing hour counts
+    0), and the number of timestamps outside the window, which are dropped.
     """
     t0, t1 = window
     if t0 % SECONDS_PER_HOUR or t1 % SECONDS_PER_HOUR:
         raise UnalignedWindow(f"window boundaries must be hour-aligned: {window}")
     if t0 >= t1:
         raise UnalignedWindow(f"window must satisfy t0 < t1: {window}")
-    start_hour = t0 // SECONDS_PER_HOUR
-    n_hours = (t1 - t0) // SECONDS_PER_HOUR
     ts = np.asarray(timestamps, dtype=np.int64)
     inside = (ts >= t0) & (ts < t1)
-    hours = ts[inside] // SECONDS_PER_HOUR - start_hour
-    counts = np.bincount(hours, minlength=n_hours)
-    return (HourlySeries(start_hour=int(start_hour), counts=counts),
-            int(len(ts) - len(hours)))
+    hours = ts[inside] // SECONDS_PER_HOUR - t0 // SECONDS_PER_HOUR
+    counts = np.bincount(hours, minlength=(t1 - t0) // SECONDS_PER_HOUR)
+    return counts.astype(np.int64, copy=False), int(len(ts) - len(hours))

@@ -385,8 +385,6 @@ class SurvivalRow:
     tau_days: float
     deaths: int
     censored: int
-    no_deaths: bool = False
-    degenerate: bool = False
 
 
 @dataclass
@@ -408,9 +406,9 @@ def estimate_survival(events: EventBatch, window: tuple[int, int],
     within ``guard_days`` of the window end are right-censored. The
     exponential MLE is total observed lifetime (censored included) divided
     by the number of deaths; with zero deaths the total itself is reported
-    as a lower bound and flagged. DomainError for a ``guard_days`` that is
-    not >= 0, NaN included, for a window bound outside int64, and naming the
-    first event outside the window.
+    as a lower bound, with a NoDeathsWarning. DomainError for a
+    ``guard_days`` that is not >= 0, NaN included, for a window bound outside
+    int64, and naming the first event outside the window.
     """
     if not guard_days >= 0:
         raise DomainError(f"guard_days must be non-negative, got {guard_days}")
@@ -439,16 +437,12 @@ def estimate_survival(events: EventBatch, window: tuple[int, int],
     rows: dict[str, SurvivalRow] = {}
     for label, b in sorted((label, b) for b, label in enumerate(events.browser_labels)
                            if deaths[b] + n_censored[b]):
-        total_days = totals[b] / SECONDS_PER_DAY
         if deaths[b] == 0:
             warnings.warn(f"browser {label!r}: all cookies censored; lifetime is a "
                           "lower bound", NoDeathsWarning)
-            rows[label] = SurvivalRow(tau_days=total_days, deaths=0,
-                                      censored=n_censored[b], no_deaths=True)
-        else:
-            tau = total_days / deaths[b]
-            rows[label] = SurvivalRow(tau_days=tau, deaths=deaths[b],
-                                      censored=n_censored[b], degenerate=(tau == 0.0))
+        # with no deaths, the total itself: divided by 1, it is unchanged
+        tau = totals[b] / SECONDS_PER_DAY / max(deaths[b], 1)
+        rows[label] = SurvivalRow(tau_days=tau, deaths=deaths[b], censored=n_censored[b])
     return SurvivalTable(rows=rows)
 
 

@@ -6,12 +6,13 @@ reproducible across runs and platforms. These generators double as the
 independent oracles for the estimator tests: planted effects, known
 Gamma-Poisson parameters, known churn rates, known intensity profiles.
 
-A spec is BadSpec when it asks for more than MAX_COUNT requests, users or
-hours, when a population's drawn means or an intensity's envelope over its
-hours expect more than MAX_COUNT events, when a cookie lifetime in the churn
-mix expects more than MAX_COUNT deaths per user in the population's window,
-or when a population's window is 2^63 seconds or more; each is checked
-before any per-event array is drawn.
+A spec is BadSpec when it asks for more than MAX_COUNT requests or users,
+for more hours than timeseries.MAX_SERIES_HOURS (the longest series that
+forecast and virtualize read), when a population's drawn means or an
+intensity's envelope over its hours expect more than MAX_COUNT events, when
+a cookie lifetime in the churn mix expects more than MAX_COUNT deaths per
+user in the population's window, or when a population's window is 2^63
+seconds or more; each is checked before any per-event array is drawn.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import BadSpec
 from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
                      SECONDS_PER_HOUR, _cell_bytes, _int_cells)
+from .timeseries import MAX_SERIES_HOURS
 
 HOURS_PER_DAY = 24.0
 
@@ -161,6 +163,9 @@ class IntensitySpec:
     def __post_init__(self):
         if self.n_hours <= 0:
             raise BadSpec("n_hours must be positive")
+        if self.n_hours > MAX_SERIES_HOURS:
+            raise BadSpec(f"n_hours must be an integer no larger than {MAX_SERIES_HOURS}, "
+                          f"got {self.n_hours!r}")
         if not (math.isfinite(self.base) and math.isfinite(self.trend)):
             raise BadSpec("intensity base and trend must be finite")
 

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DimensionMismatch, DomainError, OutOfDomain,
                      RankDeficientWarning, TooShort, ZeroTotal)
-from .ingest import HourlySeries, SECONDS_PER_HOUR
+from .ingest import SECONDS_PER_HOUR
 
 DEFAULT_WINDOW = 168  # one week of hours
 RANK_ENERGY_TARGET = 0.95
@@ -35,13 +35,11 @@ MAX_SERIES_HOURS = 1_000_000
 MAX_WINDOW_FLOATS = 1 << 20  # floats of residual windows check_alarm holds at once
 
 
-def _as_series_values(series) -> tuple[np.ndarray, int]:
-    if isinstance(series, HourlySeries):
-        return series.counts.astype(np.float64), series.start_hour
+def _as_series_values(series) -> np.ndarray:
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError("series must be one-dimensional")
-    return arr, 0
+    return arr
 
 
 def default_window_length(n: int) -> int:
@@ -57,7 +55,6 @@ class SsaModel:
     singular_values: np.ndarray = field(repr=False)
     recurrence: np.ndarray = field(repr=False)
     reconstructed: np.ndarray = field(repr=False)
-    start_hour: int = 0
     rank_reduced: bool = False
 
     @property
@@ -81,13 +78,14 @@ def ssa_fit(series, L: int | None = None, r: int | None = None) -> SsaModel:
 
     Parameters
     ----------
-    series : HourlySeries or 1-d array
+    series : 1-d array of the values of consecutive hours, read as float64;
+        any other shape is a DomainError
     L : window length (default one week, or n//2 for short series)
     r : number of components; default is the smallest rank capturing 95%
         of the squared singular mass. Requests beyond the numerical rank
         are reduced with a RankDeficientWarning.
     """
-    values, start_hour = _as_series_values(series)
+    values = _as_series_values(series)
     n = len(values)
     if L is None:
         L = default_window_length(n)
@@ -147,8 +145,7 @@ def ssa_fit(series, L: int | None = None, r: int | None = None) -> SsaModel:
     basis = u[:, :r]
     reconstructed = _diagonal_average(basis @ (basis.T @ trajectory)) / scale
     return SsaModel(window=L, rank=r, singular_values=s, recurrence=recurrence,
-                    reconstructed=reconstructed, start_hour=start_hour,
-                    rank_reduced=rank_reduced)
+                    reconstructed=reconstructed, rank_reduced=rank_reduced)
 
 
 def ssa_forecast(model: SsaModel, horizon: int) -> np.ndarray:
@@ -206,21 +203,21 @@ class VirtualClock:
         return out
 
 
-def build_virtual_clock(intensity, start_hour: int | None = None) -> VirtualClock:
-    """Build the virtual clock from hourly intensities (counts or forecasts).
+def build_virtual_clock(intensity, start_hour: int = 0) -> VirtualClock:
+    """Build the virtual clock from hourly intensities (counts or forecasts),
+    a 1-d array whose entry h is hour ``start_hour + h``.
 
     The cumulative intensity is piecewise linear through the hourly sums;
     zero-intensity hours collapse to flat segments.
     """
-    values, series_start = _as_series_values(intensity)
+    values = _as_series_values(intensity)
     if (values < 0).any():
         raise DomainError("intensities must be non-negative")
     total = float(values.sum())
     if total <= 0.0:
         raise ZeroTotal("total intensity must be positive")
     breakpoints = np.concatenate(([0.0], np.cumsum(values)))
-    return VirtualClock(start_hour=series_start if start_hour is None else start_hour,
-                        breakpoints=breakpoints)
+    return VirtualClock(start_hour=start_hour, breakpoints=breakpoints)
 
 
 def virtualize(clock: VirtualClock, timestamps) -> np.ndarray:
@@ -277,7 +274,7 @@ def check_alarm(actual, forecast, config: AlarmConfig = AlarmConfig()) -> AlarmR
     the bits of one std per hour) up to its first flag, whose run keeps its
     sigma. Stretches start at 1 hour after a flag and double up to
     MAX_WINDOW_FLOATS floats of windows."""
-    actual_values, _ = _as_series_values(actual)
+    actual_values = _as_series_values(actual)
     forecast_values = np.asarray(forecast, dtype=np.float64)
     if len(actual_values) != len(forecast_values):
         raise DimensionMismatch(f"actual has {len(actual_values)} hours, "

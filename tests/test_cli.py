@@ -1208,6 +1208,9 @@ class TestLoaderErrors:
         ("intensity", "base", 1e20, "--out-series", "draws more than 1000000000 events"),
         ("intensity", "base", 9007199254740993, "--out-series",
          "draws more than 1000000000 events"),
+        # more hours than forecast and virtualize read back
+        ("intensity", "n_hours", 1_000_001, "--out-series",
+         "n_hours must be an integer no larger than 1000000, got 1000001"),
         ("population", "m", 1e20, "--out-events", "more than 1000000000"),
         ("population", "m", 9007199254740993, "--out-events", "more than 1000000000"),
         ("population", "window_hours", 1e20, "--out-events",
@@ -1317,6 +1320,8 @@ FREQ_FAULTS = [
     ("n,count\n1,100\n2\n", 3, "expected 2 fields, got 1"),
     ("n,count\n1,100\n\n2,40,7\n", 4, "expected 2 fields, got 3"),
     ("n,count\nx,100\n", 2, "n must be int, got 'x'"),
+    # a quoted cell spans lines 2 and 3, so the bad row starts on line 4
+    ('n,count\n1,"5\n"\nx,1\n', 4, "n must be int, got 'x'"),
     ("n,count\n1,100\n2,inf\n", 3, "count must be int, got 'inf'"),
     ("n,count\n1,100\n2,40\n1,5\n", 4, "n 1 repeats line 2"),
     ("n,count\n1,100\n1000001,5\n", 3, "n must be at most 1000000 and count below 2^63, "

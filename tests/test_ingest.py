@@ -633,19 +633,26 @@ class TestFactorTable:
 
 class TestAggregateHourly:
     def test_three_events_one_hour(self):
-        series, dropped = aggregate_hourly([10, 3599, 1800], (0, 7200))
-        assert series.counts.tolist() == [3, 0]
+        counts, dropped = aggregate_hourly([10, 3599, 1800], (0, 7200))
+        assert (counts.dtype, counts.tolist()) == (np.int64, [3, 0])
         assert dropped == 0
 
     def test_no_events(self):
-        series, dropped = aggregate_hourly([], (0, 3600 * 5))
-        assert series.counts.tolist() == [0] * 5
+        counts, dropped = aggregate_hourly([], (0, 3600 * 5))
+        assert (counts.dtype, counts.tolist()) == (np.int64, [0] * 5)
         assert dropped == 0
 
     def test_event_conservation_with_drops(self):
-        series, dropped = aggregate_hourly([-5, 100, 3600 * 3], (0, 3600 * 2))
-        assert int(series.counts.sum()) + dropped == 3
+        counts, dropped = aggregate_hourly([-5, 100, 3600 * 3], (0, 3600 * 2))
+        assert int(counts.sum()) + dropped == 3
         assert dropped == 2
+
+    def test_entry_h_is_hour_t0_plus_h(self):
+        # a window of hours 2, 3 and 4: the ends fall either side of it
+        counts, dropped = aggregate_hourly(
+            [7199, 7200, 10799, 10800, 14400, 17999, 18000, 3], (7200, 18000))
+        assert counts.tolist() == [2, 1, 2]
+        assert dropped == 3
 
     def test_unaligned_window(self):
         with pytest.raises(UnalignedWindow):
@@ -659,8 +666,8 @@ class TestAggregateHourly:
         for h in range(hours):
             n = rng.poisson(lam)
             ts.extend(h * 3600 + rng.integers(0, 3600, n))
-        series, _ = aggregate_hourly(ts, (0, hours * 3600))
-        assert abs(series.counts.mean() - lam) < 3 * np.sqrt(lam / hours)
+        counts, _ = aggregate_hourly(ts, (0, hours * 3600))
+        assert abs(counts.mean() - lam) < 3 * np.sqrt(lam / hours)
 
 
 class TestCookieEvents:

@@ -37,8 +37,6 @@ predictor.train(beta)
 predictor.train(epsilon)
 repeatbuy.FrequencyTable(window_hours)
 repeatbuy.NbdModel(gof)
-repeatbuy.SurvivalRow(degenerate)
-repeatbuy.SurvivalRow(no_deaths)
 repeatbuy.build_frequency_table(window_hours)
 repeatbuy.estimate_survival(guard_days)
 synth.Harmonic(phase)
@@ -54,7 +52,6 @@ timeseries.AlarmConfig(residual_window)
 timeseries.AlarmConfig(sigma_multiplier)
 timeseries.AlarmReport(exceedances)
 timeseries.SsaModel(rank_reduced)
-timeseries.SsaModel(start_hour)
 timeseries.build_virtual_clock(start_hour)
 timeseries.check_alarm(config)
 timeseries.ssa_fit(L)

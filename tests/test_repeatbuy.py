@@ -306,7 +306,7 @@ class TestEstimateSurvival:
         table = estimate_survival(events, (0, 100 * DAY), guard_days=7.0)
         row = table.rows["chrome"]
         assert row.tau_days == 0.0
-        assert row.degenerate
+        assert row.deaths == 10
 
     def test_all_censored_flagged_lower_bound(self):
         t1 = 50 * DAY
@@ -314,7 +314,7 @@ class TestEstimateSurvival:
         with pytest.warns(NoDeathsWarning):
             table = estimate_survival(events, (0, t1), guard_days=7.0)
         row = table.rows["chrome"]
-        assert row.no_deaths
+        assert row.deaths == 0
         assert row.tau_days == pytest.approx(39.0)
 
     def test_event_outside_window_rejected(self):
@@ -514,12 +514,10 @@ def survival_oracle(events, window, guard_days):
         if deaths == 0:
             warnings.warn(f"browser {b!r}: all cookies censored; lifetime is a "
                           "lower bound", NoDeathsWarning)
-            rows[b] = SurvivalRow(tau_days=total_days, deaths=0, censored=censored,
-                                  no_deaths=True)
+            rows[b] = SurvivalRow(tau_days=total_days, deaths=0, censored=censored)
         else:
-            tau = total_days / deaths
-            rows[b] = SurvivalRow(tau_days=tau, deaths=deaths, censored=censored,
-                                  degenerate=(tau == 0.0))
+            rows[b] = SurvivalRow(tau_days=total_days / deaths, deaths=deaths,
+                                  censored=censored)
     return SurvivalTable(rows=rows)
 
 

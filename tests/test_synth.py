@@ -20,6 +20,7 @@ from adlift.synth import (MAX_COUNT, ChurnSpec, FactorSpec, Harmonic,
                           IntensitySpec, PopulationSpec, RequestSpec, SynthSpec,
                           apply_churn, gen_gamma_poisson,
                           gen_inhomogeneous_poisson, gen_requests)
+from adlift.timeseries import MAX_SERIES_HOURS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -421,14 +422,16 @@ class TestSynthSpecJson:
     @pytest.mark.parametrize("section, key", [("requests", "n"), ("population", "users"),
                                               ("intensity", "n_hours")])
     def test_sizes_past_the_bound_are_rejected(self, section, key):
+        # a series is bounded below MAX_COUNT: forecast and virtualize read it
+        bound = MAX_SERIES_HOURS if key == "n_hours" else MAX_COUNT
         doc = {"requests": {"n": 1, "base_rate": 0.1, "factors": [
                    {"name": "b", "levels": ["x"], "probs": [1.0], "effects": [0.0]}]},
                "population": {"k": 0.8, "m": 2.5, "users": 1, "window_hours": 720},
                "intensity": {"n_hours": 1, "base": 10.0}}
-        doc[section][key] = MAX_COUNT
+        doc[section][key] = bound
         assert SynthSpec.from_doc(doc) is not None
-        doc[section][key] = MAX_COUNT + 1
-        with pytest.raises(BadSpec, match=f"{key} must be an integer no larger than"):
+        doc[section][key] = bound + 1
+        with pytest.raises(BadSpec, match=f"{key} must be an integer no larger than {bound},"):
             SynthSpec.from_doc(doc)
 
     @pytest.mark.parametrize("tau_days, ok", [

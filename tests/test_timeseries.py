@@ -11,16 +11,12 @@ from scipy import stats
 from adlift import timeseries
 from adlift.errors import (DimensionMismatch, DomainError, OutOfDomain,
                            RankDeficientWarning, TooShort, ZeroTotal)
-from adlift.ingest import HourlySeries, SECONDS_PER_HOUR
+from adlift.ingest import SECONDS_PER_HOUR
 from adlift.synth import Harmonic, IntensitySpec, gen_inhomogeneous_poisson
 from adlift.timeseries import (AlarmConfig, SsaModel, build_virtual_clock, check_alarm,
                                ssa_fit, ssa_forecast, virtualize)
 
 EPS = np.finfo(np.float64).eps
-
-
-def hourly(counts, start=0):
-    return HourlySeries(start_hour=start, counts=np.asarray(counts, dtype=np.int64))
 
 
 def reference_alarm(actual, forecast, config):
@@ -141,11 +137,6 @@ class TestSsaFit:
         assert model.window == 168
         model = ssa_fit(np.sin(np.arange(100.0) / 5), L=None, r=2)
         assert model.window == 50
-
-    def test_accepts_hourly_series(self):
-        series = hourly([5] * 80, start=100)
-        model = ssa_fit(series, L=8, r=1)
-        assert model.start_hour == 100
 
     def test_forecast_horizon_zero(self):
         model = ssa_fit(np.full(50, 2.0), L=5, r=1)
