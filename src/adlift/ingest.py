@@ -130,19 +130,46 @@ def _exactly(values, dtype) -> np.ndarray:
     raise ValueError(f"{values.dtype} values that {np.dtype(dtype)} cannot hold")
 
 
+# the types a RequestBatch keeps its level ids in
+ID_DTYPES = (np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32))
+
+
+def id_dtype(levels) -> np.dtype:
+    """The narrowest of int8, int16 and int32 that holds -1 and every id below
+    the largest of ``levels``, the factors' level counts: L levels fit b bits
+    while L <= 2^(b-1), so that every negative id, read as unsigned, is at
+    least L (see ``_unsigned_ids``)."""
+    widest = max(levels, default=0)
+    return next((t for t in ID_DTYPES if widest <= 1 << (8 * t.itemsize - 1)), ID_DTYPES[-1])
+
+
+def _unsigned_ids(ids: np.ndarray, levels: int) -> np.ndarray:
+    """``ids`` read as unsigned, so that every id outside [0, levels), -1
+    included, reads as ``levels`` or more: a view where ``levels`` fits the
+    ids' own type (see ``id_dtype``), else an int32 copy."""
+    if levels > 1 << (8 * ids.itemsize - 1):
+        ids = ids.astype(np.int32)
+    return ids.view(f"u{ids.itemsize}")
+
+
 class RequestBatch:
     """Bid requests as arrays: per-factor level ids plus a binary outcome.
 
-    ``factors`` is an (n, m) int32 matrix of level ids stored column-major,
-    so each factor's ids are one contiguous column; ``labels`` an (n,) int8
-    vector. Row i, as ``batch[i]`` or from iteration, is its tuple of factor
-    ids as Python ints; labels are read from ``labels``. ValueError for
-    ids or labels that the int32 or int8 cast would change (2**32, 0.7,
-    NaN); column-major int32 factors are kept without a copy.
+    ``factors`` is an (n, m) matrix of level ids stored column-major, so each
+    factor's ids are one contiguous column; ``labels`` an (n,) int8 vector.
+    ``parse_requests``, ``synth.gen_requests`` and ``encode_columns`` store
+    the ids in ``id_dtype`` of their level counts. int8, int16 and int32 ids
+    keep their type, without a copy when column-major; ids of any other type
+    are cast to int32. Row i, as ``batch[i]`` or from iteration, is its tuple of
+    factor ids as Python ints; labels are read from ``labels``. ValueError
+    for ids or labels that the int32 or int8 cast would change (2**32, 0.7,
+    NaN).
     """
 
     def __init__(self, factors: np.ndarray, labels: np.ndarray):
-        factors = np.asfortranarray(_exactly(factors, np.int32))
+        factors = np.asarray(factors)
+        factors = np.asfortranarray(factors if factors.dtype in ID_DTYPES
+                                    else _exactly(factors, np.int32))
         labels = _exactly(labels, np.int8)
         if factors.ndim != 2 or labels.ndim != 1 or len(factors) != len(labels):
             raise ValueError("factors must be (n, m) and labels (n,)")
@@ -900,14 +927,15 @@ def _label_ids(column: Sequence[str], line) -> np.ndarray:
     return labels
 
 
-def _level_ids(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """Levels in first-seen order, "" read as MISSING_LEVEL, and each cell's id."""
+def _levels(column: Sequence[str]) -> tuple[list[str], dict]:
+    """Levels in first-seen order, "" read as MISSING_LEVEL, and the id of each
+    distinct cell."""
     seen = dict.fromkeys(column)
     levels = list(dict.fromkeys(label or MISSING_LEVEL for label in seen))
     index = {label: k for k, label in enumerate(levels)}
     if "" in seen:
         index[""] = index[MISSING_LEVEL]
-    return levels, np.fromiter(map(index.__getitem__, column), np.int32, len(column))
+    return levels, index
 
 
 def parse_requests(stream: TextIO | str, schema: Schema,
@@ -916,7 +944,8 @@ def parse_requests(stream: TextIO | str, schema: Schema,
 
     The header row must contain every schema column (extras are ignored).
     Raises MissingColumn, BadLabel or RaggedRow; the two row errors name the
-    earliest offending line. Input order is preserved.
+    earliest offending line. Input order is preserved. The ids are stored in
+    ``id_dtype`` of the level counts.
     """
     rows = read_columns(stream, [*schema.factor_columns, schema.label_column],
                         delimiter,
@@ -925,9 +954,12 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     labels = _label_ids(label_column, rows.line)
     # a level first occurs where its row first occurs, so levels keep the
     # first-seen order of the file
-    levels, ids = zip(*map(_level_ids, factor_columns))
+    levels, indexes = zip(*map(_levels, factor_columns))
+    ids = np.empty((len(labels), len(levels)), id_dtype(map(len, levels)), order="F")
+    for column, index, out in zip(factor_columns, indexes, ids.T):
+        out[:] = np.fromiter(map(index.__getitem__, column), out.dtype, len(column))
     return (FactorDictionary(list(schema.factor_columns), levels),
-            RequestBatch(rows.gather(np.stack(ids).T), rows.gather(labels)))
+            RequestBatch(rows.gather(ids), rows.gather(labels)))
 
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
@@ -944,7 +976,8 @@ def build_factor_table(batch: RequestBatch,
 
     DimensionMismatch unless the batch has the dictionary's factor count;
     ValueError for a label other than 0 or 1, or for a level id outside
-    [0, L) of its factor.
+    [0, L) of its factor. Ids of every width are checked by
+    ``_unsigned_ids`` and counted as 2 * id + label in int64.
     """
     if batch.m != dictionary.m:
         raise DimensionMismatch(
@@ -957,11 +990,12 @@ def build_factor_table(batch: RequestBatch,
     for i, name in enumerate(dictionary.factor_names):
         levels = dictionary.level_count(i)
         ids = batch.factors[:, i]
-        # read as unsigned, a negative id is 2^31 or more, so one
+        # read as unsigned, a negative id is ``levels`` or more, so one
         # maximum finds an id past either end
-        if n and ids.view(np.uint32).max() >= levels:
+        if n and _unsigned_ids(ids, levels).max() >= levels:
             raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
-        np.multiply(ids, 2, out=flat)
+        # in int64: in the ids' own type, 2 * id wraps from 2^(b-2) on
+        np.multiply(ids, 2, out=flat, dtype=np.int64)
         flat += batch.labels
         counts.append(np.bincount(flat, minlength=levels * 2).reshape(-1, 2))
     return FactorTable(counts, n, dictionary)

@@ -26,7 +26,7 @@ from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainErr
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (MISSING_LEVEL, FactorDictionary, FactorTable, RequestBatch,
-                     atomic_write, load_json, open_text)
+                     _unsigned_ids, atomic_write, id_dtype, load_json, open_text)
 
 MODEL_VERSION = 1
 
@@ -162,8 +162,8 @@ class SparseRateModel:
         return tuple(lm.get(lab, -1) for lm, lab in zip(self._level_maps, labels))
 
     def encode_columns(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
-        """Map one label column per factor to an (n, m) int32 id matrix,
-        column-major as ``RequestBatch`` stores it.
+        """Map one label column per factor to an (n, m) id matrix, column-major
+        as ``RequestBatch`` stores it, in ``id_dtype`` of the level counts.
 
         Unseen labels become -1; an empty label is the ``__missing__`` level.
         DimensionMismatch unless there is one column per factor, all of one
@@ -175,9 +175,9 @@ class SparseRateModel:
         if len(set(lengths)) > 1:
             raise DimensionMismatch(f"columns must have one length, got lengths {lengths}")
         n = lengths[0] if lengths else 0
-        matrix = np.empty((n, self.m), dtype=np.int32, order="F")
-        for i, (level_map, column) in enumerate(zip(self._level_maps, columns)):
-            matrix[:, i] = np.fromiter(map(level_map.get, column, repeat(-1)), np.int32, n)
+        matrix = np.empty((n, self.m), id_dtype(map(len, self.level_labels)), order="F")
+        for level_map, column, out in zip(self._level_maps, columns, matrix.T):
+            out[:] = np.fromiter(map(level_map.get, column, repeat(-1)), out.dtype, n)
         return matrix
 
 
@@ -289,8 +289,10 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     DimensionMismatch unless the batch has the model's factor count.
     Scoring runs on the calling thread; ``threads`` is accepted and ignored.
     Walks the rows in blocks of SCORE_BLOCK; in a column-major matrix each
-    factor's ids of a block are one contiguous run. Read as uint32, every id
-    outside [0, n_levels), -1 included, clips to its table's trailing 0.0, so
+    factor's ids of a block are one contiguous run. Read as unsigned of their
+    own width, or as uint32 where an active factor has more levels than half
+    that width's range (see ``ingest.id_dtype``), every id outside
+    [0, n_levels), -1 included, clips to its table's trailing 0.0, so
     each active factor adds its weighted rate or an exact 0.0, in index order
     as in ``score``: the same bits. A block whose ids were all seen divides by
     the model's ``_den``; a block with an unseen id also sums and counts each
@@ -305,13 +307,14 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     n = len(batch)
     scores = np.empty(n)
     used = np.empty(n, dtype=np.int64)
-    ids = batch.factors.view(np.uint32)
+    widest = max((len(table) - 1 for _, _, table in model._real), default=0)
     size = min(n, SCORE_BLOCK)
     scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
     for start in range(0, n, SCORE_BLOCK):
         rows = slice(start, min(n, start + SCORE_BLOCK))
         term, den, known = (a[:rows.stop - start] for a in scratch)
-        block, out, count = ids[rows], scores[rows], used[rows]
+        block = _unsigned_ids(batch.factors[rows], widest)
+        out, count = scores[rows], used[rows]
         out.fill(0.0)
         seen = model._n_active > 0
         for i, _, table in model._real:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadSpec
 from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
-                     SECONDS_PER_HOUR, _cell_bytes, _int_cells)
+                     SECONDS_PER_HOUR, _cell_bytes, _int_cells, id_dtype)
 from .timeseries import MAX_SERIES_HOURS
 
 HOURS_PER_DAY = 24.0
@@ -41,12 +41,11 @@ def _positive(value: float) -> bool:
     return 0.0 < value < math.inf
 
 
-def _count(section: dict, key: str) -> int:
-    """``section[key]``; BadSpec unless it is an integer up to MAX_COUNT."""
+def _count(section: dict, key: str, bound: int) -> int:
+    """``section[key]``; BadSpec unless it is an integer up to ``bound``."""
     value = section[key]
-    if type(value) is not int or value > MAX_COUNT:
-        raise BadSpec(f"{key} must be an integer no larger than {MAX_COUNT}, "
-                      f"got {value!r}")
+    if type(value) is not int or value > bound:
+        raise BadSpec(f"{key} must be an integer no larger than {bound}, got {value!r}")
     return value
 
 
@@ -221,7 +220,7 @@ class SynthSpec:
         if "requests" in doc:
             r = doc["requests"]
             requests = RequestSpec(
-                n=_count(r, "n"), base_rate=float(r["base_rate"]),
+                n=_count(r, "n", MAX_COUNT), base_rate=float(r["base_rate"]),
                 factors=tuple(FactorSpec(name=f["name"], levels=tuple(f["levels"]),
                                          probs=tuple(float(p) for p in f["probs"]),
                                          effects=tuple(float(e) for e in f["effects"]))
@@ -229,7 +228,7 @@ class SynthSpec:
         if "population" in doc:
             p = doc["population"]
             population = PopulationSpec(k=float(p["k"]), m=float(p["m"]),
-                                        users=_count(p, "users"),
+                                        users=_count(p, "users", MAX_COUNT),
                                         window_hours=float(p["window_hours"]))
         if "churn" in doc:
             c = doc["churn"]
@@ -238,7 +237,7 @@ class SynthSpec:
         if "intensity" in doc:
             i = doc["intensity"]
             intensity = IntensitySpec(
-                n_hours=_count(i, "n_hours"), base=float(i["base"]),
+                n_hours=_count(i, "n_hours", MAX_SERIES_HOURS), base=float(i["base"]),
                 trend=float(i.get("trend", 0.0)),
                 harmonics=tuple(Harmonic(period_hours=float(h["period_hours"]),
                                          amplitude=float(h["amplitude"]),
@@ -294,7 +293,8 @@ def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, Reques
     Bernoulli with log-odds logit(base_rate) plus the planted per-level
     effects of the drawn levels, so a spec and seed give the same requests
     as they always have. Each factor's ids are drawn straight into its
-    contiguous column of the batch's column-major int32 matrix.
+    contiguous column of the batch's column-major matrix, whose type is
+    ``id_dtype`` of the level counts.
     """
     rng = np.random.default_rng(seed)
     n, m = spec.n, len(spec.factors)
@@ -303,7 +303,7 @@ def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, Reques
     # the searches it saves
     size = 1 << min(MAX_CELL_BITS, (n * widest).bit_length() // 2)
     edges = np.arange(size + 1) / size
-    factors = np.empty((n, m), dtype=np.int32, order="F")
+    factors = np.empty((n, m), dtype=id_dtype([widest]), order="F")
     u = np.empty(n)
     cells = np.empty(n, dtype=np.intp)
     logits = np.full(n, math.log(spec.base_rate / (1.0 - spec.base_rate)))

@@ -127,5 +127,7 @@ def test_bidder_workload_passes_its_checks(monkeypatch):
     bidder.setup()
     bidder.run_pass()
     assert bidder.batch.factors.flags.f_contiguous
+    # the bidder's 8 levels per factor are held in one byte per id
+    assert bidder.batch.factors.itemsize == bidder.heldout.factors.itemsize == 1
     assert ops.attempted == bidder.decisions + 3
     assert ops.failed == 0, ops.failures

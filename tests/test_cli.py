@@ -647,7 +647,8 @@ class TestRepeatedRequestLines:
             [0.7, 0.2], [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5,
             global_rate=0.3, fingerprint="")
         read, batch = _encoded_batch(model, path, ",")
-        assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
+        assert batch.factors.dtype == ingest.id_dtype(map(len, model.level_labels))
+        assert batch.factors.flags.f_contiguous
         assert (len(batch) < len(rows) / 2) if browsers else (len(batch) == len(rows))
         assert np.array_equal(read.gather(batch.factors), model.encode_columns(
             [[row[i] for row in rows] for i in (0, 1)]))
@@ -1200,7 +1201,9 @@ class TestLoaderErrors:
         spec[section][key] = value
         (workdir / "spec.json").write_text(json.dumps(spec))
         assert run("synth", "--spec", workdir / "spec.json", flag, workdir / "out.csv") == 2
-        assert (f"{key} must be an integer no larger than 1000000000, got {value!r}"
+        # hours are bounded by the longest series that forecast and virtualize read
+        bound = 1_000_000 if key == "n_hours" else 1_000_000_000
+        assert (f"{key} must be an integer no larger than {bound}, got {value!r}"
                 in capsys.readouterr().err)
         assert not (workdir / "out.csv").exists()
 

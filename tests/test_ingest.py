@@ -13,9 +13,10 @@ from adlift.errors import (BadLabel, DimensionMismatch, MissingColumn, RaggedRow
                            UnalignedWindow)
 from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            RequestBatch, Schema,
-                           aggregate_hourly, build_factor_table,
+                           aggregate_hourly, build_factor_table, id_dtype,
                            parse_cookie_events, parse_requests, read_columns,
                            write_events_csv, write_requests_csv)
+from adlift.predictor import SparseRateModel
 from adlift.synth import (ChurnSpec, FactorSpec, PopulationSpec, RequestSpec,
                           apply_churn, gen_gamma_poisson, gen_requests)
 
@@ -117,7 +118,7 @@ class TestParseRequests:
         schema = Schema(("browser", "os"), "label")
         lines = ["chrome,win,1", "safari,,0", "ff,mac,0"] * repeats
         _, batch = parse_requests("browser,os,label\n" + "\n".join(lines) + "\n", schema)
-        assert batch.factors.dtype == np.int32 and batch.factors.flags.f_contiguous
+        assert batch.factors.dtype == id_dtype([3, 3]) and batch.factors.flags.f_contiguous
         assert batch.factors.tolist() == [[0, 0], [1, 1], [2, 2]] * repeats
         assert batch.labels.tolist() == [1, 0, 0] * repeats
 
@@ -610,6 +611,29 @@ class TestFactorTable:
         with pytest.raises(ValueError, match=r"factor 'g': level id outside \[0, 2\)"):
             build_factor_table(batch, dictionary)
 
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32"])
+    @pytest.mark.parametrize("levels", [2, 129, 257, 32_769])
+    def test_level_id_outside_range_rejected_at_every_width(self, dtype, levels):
+        # read as unsigned of their own width, the int8 -128 and -1 are 128
+        # and 255: real levels of a factor of 129 or 257 levels
+        info = np.iinfo(dtype)
+        dictionary = FactorDictionary(["f"], [[f"v{k}" for k in range(levels)]])
+        for bad in [-1, info.min] + [v for v in (levels, info.max) if levels <= v <= info.max]:
+            batch = RequestBatch(np.array([[0], [bad]], dtype=dtype), np.array([0, 1]))
+            with pytest.raises(ValueError, match=rf"level id outside \[0, {levels}\)"):
+                build_factor_table(batch, dictionary)
+
+    def test_int8_ids_count_as_bincount(self, rng):
+        # ids 64-127: in int8, 2 * id + label would wrap to a negative pair
+        n, levels = 5000, [128, 100]
+        ids = np.column_stack([rng.integers(64, L, n) for L in levels]).astype(np.int8)
+        labels = rng.integers(0, 2, n).astype(np.int8)
+        dictionary = FactorDictionary(["f", "g"], [[f"v{k}" for k in range(L)] for L in levels])
+        table = build_factor_table(RequestBatch(np.asfortranarray(ids), labels), dictionary)
+        for i, L in enumerate(levels):
+            expected = [np.bincount(ids[labels == s, i], minlength=L) for s in (0, 1)]
+            assert table.counts[i].tolist() == np.column_stack(expected).tolist()
+
     def test_row_sums_equal_total(self):
         spec = RequestSpec(n=5000, base_rate=0.1, factors=(
             FactorSpec("a", ("x", "y", "z"), (0.2, 0.3, 0.5), (0.0,) * 3),
@@ -769,6 +793,36 @@ class TestCookieEvents:
         assert path.read_text() == text
 
 
+class TestIdDtype:
+    # L levels fit b bits while L <= 2^(b-1): every negative id, read as
+    # unsigned, is then L or more
+    EDGES = [(128, np.int8), (129, np.int16), (32_768, np.int16), (32_769, np.int32)]
+
+    @pytest.mark.parametrize("levels, dtype", EDGES)
+    def test_producers_store_the_narrowest_type(self, levels, dtype):
+        labels = [f"v{k}" for k in range(levels)]
+        assert id_dtype([1, levels, 2]) == dtype
+        # parse_requests: one line per level, beside a factor of 2 levels
+        text = "f,g,label\n" + "".join(f"{v},{k % 2},0\n" for k, v in enumerate(labels))
+        _, batch = parse_requests(text, Schema(("f", "g"), "label"))
+        assert batch.factors.dtype == dtype
+        assert batch.factors[:, 0].tolist() == list(range(levels))
+        # gen_requests: draws of the first and the last level only
+        probs = np.zeros(levels)
+        probs[[0, -1]] = 0.5
+        spec = RequestSpec(n=1000, base_rate=0.1, factors=(
+            FactorSpec("f", tuple(labels), tuple(probs), (0.0,) * levels),))
+        _, batch = gen_requests(spec, seed=1)
+        assert batch.factors.dtype == dtype
+        assert set(batch.factors[:, 0].tolist()) == {0, levels - 1}
+        # encode_columns: an unseen label is -1
+        model = SparseRateModel(["f"], [labels], [1.0], [np.full(levels, 0.5)],
+                                epsilon=0.0, beta=0.5, global_rate=0.5, fingerprint="")
+        ids = model.encode_columns([["v0", labels[-1], "x"]])
+        assert ids.dtype == dtype and ids.flags.f_contiguous
+        assert ids[:, 0].tolist() == [0, levels - 1, -1]
+
+
 class TestRequestBatch:
     def test_sequence_protocol(self):
         batch = RequestBatch(np.array([[0, 1], [1, 0]], dtype=np.int32),
@@ -811,10 +865,14 @@ class TestRequestBatch:
             assert batch.factors.tolist() == ids.tolist()
             assert batch.factors.tobytes() == ids.astype(np.int32).tobytes()
             assert batch[1] == (3, 4, 5)
-        column_major = np.asfortranarray(ids, dtype=np.int32)
-        batch = RequestBatch(column_major, labels)
-        assert np.shares_memory(batch.factors, column_major)
-        assert batch.labels is labels
+        for dtype in ingest.ID_DTYPES:
+            column_major = np.asfortranarray(ids, dtype=dtype)
+            batch = RequestBatch(column_major, labels)
+            assert np.shares_memory(batch.factors, column_major)
+            assert batch.labels is labels
+            batch = RequestBatch(np.ascontiguousarray(column_major), labels)
+            assert batch.factors.dtype == dtype and batch.factors.flags.f_contiguous
+            assert batch.factors.tolist() == ids.tolist()
 
     @pytest.mark.parametrize("factors, labels", [
         ([[2**32], [1]], [256, 257]),

@@ -495,6 +495,42 @@ class TestScoreBatch:
             outputs = result.scores.nbytes + result.used_factors.nbytes
             assert peak <= outputs + 4 * 2**20
 
+    # ids of a narrow type read as unsigned: an int8 -1 is 255 and -128 is
+    # 128, real levels of a factor of 129 or 257 levels, so such a model
+    # must read a narrower batch as int32
+    @given(dtype=st.sampled_from(["int8", "int16", "int32"]),
+           wide=st.sampled_from([None, 129, 257, 32_769]),
+           n=st.sampled_from([1, 7, B + 1]), seed=st.integers(0, 2**32 - 1))
+    @example(dtype="int8", wide=129, n=B + 1, seed=0)
+    @example(dtype="int8", wide=257, n=7, seed=1)
+    @example(dtype="int8", wide=32_769, n=7, seed=2)
+    @example(dtype="int16", wide=32_769, n=B + 1, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_equals_batch_at_every_id_width(self, dtype, wide, n, seed):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(1, 6, 3)
+        if wide is not None:
+            levels[rng.integers(3)] = wide
+        model = SparseRateModel(
+            [f"f{i}" for i in range(3)], [[f"v{k}" for k in range(L)] for L in levels],
+            rng.exponential(1.0, 3), [rng.uniform(0.001, 0.999, L) for L in levels],
+            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        info = np.iinfo(dtype)
+        ids = np.column_stack([rng.integers(0, min(L, info.max + 1), n) for L in levels])
+        for i, L in enumerate(levels):
+            # an unseen id is -1, L where the type holds it, or an extreme
+            unseen = rng.random(n) < 0.3
+            ids[unseen, i] = rng.choice([-1, info.min, info.max, min(int(L), info.max)],
+                                        unseen.sum())
+        batch = RequestBatch(np.asfortranarray(ids, dtype=dtype), np.zeros(n, dtype=np.int8))
+        assert batch.factors.dtype == dtype
+        expected = [score(model, rec) for rec in batch]
+        assert [_bits((s.score, s.used_factors)) for s in expected] \
+            == [_bits(_general_score(model, rec)) for rec in batch]
+        result = score_batch(model, batch)
+        assert result.scores.tobytes() == np.array([s.score for s in expected]).tobytes()
+        assert result.used_factors.tolist() == [s.used_factors for s in expected]
+
 
 class TestPace:
     def test_zero_threshold_shows_until_target(self):

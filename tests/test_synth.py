@@ -14,7 +14,7 @@ from adlift import synth
 from adlift.cli import dispatch
 from adlift.errors import BadSpec
 from adlift.features import rank_factors
-from adlift.ingest import EventBatch, build_factor_table, write_events_csv
+from adlift.ingest import EventBatch, build_factor_table, id_dtype, write_events_csv
 from adlift.repeatbuy import build_frequency_table, nbd_pmf
 from adlift.synth import (MAX_COUNT, ChurnSpec, FactorSpec, Harmonic,
                           IntensitySpec, PopulationSpec, RequestSpec, SynthSpec,
@@ -130,7 +130,8 @@ class TestGenRequestsOracle:
         spec = RequestSpec(n=n, base_rate=base_rate, factors=factors)
         _, batch = gen_requests(spec, seed)
         factors, labels = oracle_requests(spec, seed)
-        assert batch.factors.dtype == np.int32 and batch.labels.dtype == np.int8
+        assert batch.factors.dtype == id_dtype(len(f.levels) for f in spec.factors)
+        assert batch.labels.dtype == np.int8
         assert batch.factors.flags.f_contiguous
         assert np.array_equal(batch.factors, factors)
         assert np.array_equal(batch.labels, labels)
@@ -142,8 +143,8 @@ class TestGenRequestsOracle:
                               oracle_sigmoid(x).view(np.uint64))
 
     def test_factor_matrix_is_the_only_full_size_copy(self):
-        # the level ids are drawn straight into the int32 factor matrix,
-        # so the set-up holds it once, plus a few float vectors of n
+        # the level ids are drawn straight into the factor matrix, one byte
+        # per id, so the set-up holds it once, plus a few float vectors of n
         levels = tuple(f"v{j}" for j in range(8))
         spec = RequestSpec(n=50_000, base_rate=0.1, factors=tuple(
             FactorSpec(f"f{i}", levels, (0.3,) + (0.1,) * 7, (0.1,) * 8)
@@ -154,7 +155,9 @@ class TestGenRequestsOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * batch.factors.nbytes
+        n, m = spec.n, len(spec.factors)
+        assert batch.factors.nbytes == n * m
+        assert peak < n * m + 8 * 8 * n
 
 
 def sha256(path) -> str:
