@@ -426,7 +426,7 @@ def _cmd_virtualize(args) -> int:
     with ingest.open_text(args.events) as fh:
         events = ingest.parse_cookie_events(fh)
     virtual = timeseries.virtualize(clock, events.timestamps)
-    emit_report(["cookie_id", "browser", "timestamp", "virtual"],
+    emit_report([*ingest.EVENT_COLUMNS, "virtual"],
                 ingest.Columns(*events.columns(), virtual), args.out)
     _info(f"virtualized {len(events)} events -> {args.out}")
     return 0

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from sys import intern
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (BadLabel, DataError, DimensionMismatch, MissingColumn, Ragg
 MISSING_LEVEL = "__missing__"
 
 SECONDS_PER_HOUR = 3600
+HOURS_PER_DAY = 24.0
 
 # Rows per block where a batch turns rows into Python objects: fewer than
 # the cyclic collector's first-generation threshold (gc.get_threshold()[0],
@@ -82,13 +83,12 @@ class Schema:
 
 
 class FactorDictionary:
-    """Bijective label <-> id mapping per factor, ids in first-seen order."""
+    """Bijective label <-> id mapping per factor: ``levels[i]`` are factor i's
+    labels, in id order."""
 
-    def __init__(self, factor_names: Sequence[str],
-                 levels: Sequence[Sequence[str]] | None = None):
+    def __init__(self, factor_names: Sequence[str], levels: Sequence[Sequence[str]]):
         self.factor_names = list(factor_names)
-        self._levels: list[list[str]] = [list(ls) for ls in levels] if levels \
-            else [[] for _ in factor_names]
+        self._levels: list[list[str]] = [list(ls) for ls in levels]
         for name, ls in zip(self.factor_names, self._levels):
             if len(set(ls)) != len(ls):
                 raise ValueError(f"duplicate level labels in factor {name!r}")
@@ -141,6 +141,28 @@ def id_dtype(levels) -> np.dtype:
     least L (see ``_unsigned_ids``)."""
     widest = max(levels, default=0)
     return next((t for t in ID_DTYPES if widest <= 1 << (8 * t.itemsize - 1)), ID_DTYPES[-1])
+
+
+def level_index(levels: Sequence[str]) -> dict[str, int]:
+    """Each of ``levels`` to its id, its position, and "" to the id of
+    MISSING_LEVEL, or to -1 where ``levels`` lack it: the map by which
+    ``encode_ids`` reads a factor's label cells."""
+    index = dict(zip(levels, count()))
+    index[""] = index.get(MISSING_LEVEL, -1)
+    return index
+
+
+def encode_ids(columns: Sequence[Sequence[str]], indexes: Sequence[dict[str, int]],
+               counts: Iterable[int]) -> np.ndarray:
+    """The level ids of one label column per factor, each cell read by its
+    factor's ``level_index`` and unseen labels as -1, as an (n, m) matrix:
+    column-major, as ``RequestBatch`` stores it, in ``id_dtype`` of the
+    factors' level ``counts``."""
+    n = len(columns[0]) if columns else 0
+    ids = np.empty((n, len(indexes)), id_dtype(counts), order="F")
+    for column, index, out in zip(columns, indexes, ids.T):
+        out[:] = np.fromiter(map(index.get, column, repeat(-1)), out.dtype, n)
+    return ids
 
 
 def _unsigned_ids(ids: np.ndarray, levels: int) -> np.ndarray:
@@ -239,17 +261,15 @@ class EventBatch:
 
     ``cookies`` and ``browsers`` are int32 codes into ``cookie_labels`` and
     ``browser_labels`` (``parse_cookie_events`` numbers labels in first-seen
-    order); ``timestamps`` are int64 epoch seconds. ``S`` label arrays (UTF-8,
-    surrogates passed) stay bytes in ``columns()``, decoded on first access.
-    Labels given as None take their codes as an ``S`` array of one key per
-    event, coded by ``_coded`` on the first access of the column's codes or
-    labels: ``columns()`` gives such a column as its keys, uncoded. Labels
-    given as a callable are what it returns; it is called on the first access
-    of the labels, so a reader of the codes alone never calls it.
+    order); ``timestamps`` are int64 epoch seconds. A key column is given in
+    one of two forms: codes with their labels, or, with labels None, an ``S``
+    array of one key per event, coded by ``_coded`` on the first access of
+    the column's codes or labels (``columns()`` gives it as its keys until
+    then). ``S`` labels (UTF-8, surrogates passed) stay bytes in
+    ``columns()``, decoded on first access.
     """
 
-    def __init__(self, cookies,
-                 cookie_labels: Sequence[str] | np.ndarray | Callable[[], np.ndarray] | None,
+    def __init__(self, cookies, cookie_labels: Sequence[str] | np.ndarray | None,
                  browsers, browser_labels: Sequence[str] | np.ndarray | None, timestamps):
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self._keys = [keys if labels is None else Coded(labels, np.asarray(keys, np.int32))
@@ -264,20 +284,13 @@ class EventBatch:
         return len(self.timestamps)
 
     def _column(self, j: int) -> "Coded":
-        """Key column ``j`` (0 cookies, 1 browsers), coded and labelled on first use."""
-        key = self._keys[j]
-        if not isinstance(key, Coded):
-            self._keys[j] = _coded(key)
-        elif callable(key.labels):
-            self._keys[j] = Coded(key.labels(), key.codes)
+        """Key column ``j`` (0 cookies, 1 browsers), coded on first use."""
+        if not isinstance(self._keys[j], Coded):
+            self._keys[j] = _coded(self._keys[j])
         return self._keys[j]
 
-    def _codes(self, j: int) -> np.ndarray:
-        key = self._keys[j]
-        return (key if isinstance(key, Coded) else self._column(j)).codes
-
-    cookies = property(lambda self: self._codes(0))
-    browsers = property(lambda self: self._codes(1))
+    cookies = property(lambda self: self._column(0).codes)
+    browsers = property(lambda self: self._column(1).codes)
 
     @cached_property
     def cookie_labels(self) -> list[str]:
@@ -927,17 +940,6 @@ def _label_ids(column: Sequence[str], line) -> np.ndarray:
     return labels
 
 
-def _levels(column: Sequence[str]) -> tuple[list[str], dict]:
-    """Levels in first-seen order, "" read as MISSING_LEVEL, and the id of each
-    distinct cell."""
-    seen = dict.fromkeys(column)
-    levels = list(dict.fromkeys(label or MISSING_LEVEL for label in seen))
-    index = {label: k for k, label in enumerate(levels)}
-    if "" in seen:
-        index[""] = index[MISSING_LEVEL]
-    return levels, index
-
-
 def parse_requests(stream: TextIO | str, schema: Schema,
                    delimiter: str = ",") -> tuple[FactorDictionary, RequestBatch]:
     """Parse delimited request-log lines into level ids against a fresh dictionary.
@@ -945,7 +947,7 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     The header row must contain every schema column (extras are ignored).
     Raises MissingColumn, BadLabel or RaggedRow; the two row errors name the
     earliest offending line. Input order is preserved. The ids are stored in
-    ``id_dtype`` of the level counts.
+    ``id_dtype`` of the level counts, by ``encode_ids``.
     """
     rows = read_columns(stream, [*schema.factor_columns, schema.label_column],
                         delimiter,
@@ -953,11 +955,10 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     *factor_columns, label_column = rows.columns
     labels = _label_ids(label_column, rows.line)
     # a level first occurs where its row first occurs, so levels keep the
-    # first-seen order of the file
-    levels, indexes = zip(*map(_levels, factor_columns))
-    ids = np.empty((len(labels), len(levels)), id_dtype(map(len, levels)), order="F")
-    for column, index, out in zip(factor_columns, indexes, ids.T):
-        out[:] = np.fromiter(map(index.__getitem__, column), out.dtype, len(column))
+    # first-seen order of the file; "" is the level MISSING_LEVEL
+    levels = [list(dict.fromkeys(cell or MISSING_LEVEL for cell in dict.fromkeys(column)))
+              for column in factor_columns]
+    ids = encode_ids(factor_columns, list(map(level_index, levels)), map(len, levels))
     return (FactorDictionary(list(schema.factor_columns), levels),
             RequestBatch(rows.gather(ids), rows.gather(labels)))
 
@@ -1074,16 +1075,15 @@ def _coded(keys: np.ndarray) -> "Coded":
                  np.repeat(rank[inverse], np.diff(heads, append=len(keys))))
 
 
-def _plain_events(pieces: Iterator[str], read: list[str],
-                  delimiter: str) -> EventBatch | None:
+def _plain_events(pieces: Iterator[str], read: list[str]) -> EventBatch | None:
     """The EventBatch of a plain event file, read column-wise from the UTF-8
     bytes of ``pieces`` with no Python object per row, or None where this
     cannot be done exactly as ``read_columns`` with ``_codes`` and
     ``_timestamps`` would do it; ``read`` gets every piece taken.
 
-    A plain file has a one-byte delimiter and no '"', "\\r" or NUL (a NUL
-    would be lost from an ``S`` key) anywhere, its header included; every
-    line has the header's width (so no line is blank) and is no longer than
+    A plain file has no '"', "\\r" or NUL (a NUL would be lost from an ``S``
+    key) anywhere, its header included; every line has the header's number
+    of comma-separated cells (so no line is blank) and is no longer than
     csv.field_size_limit() (so no cell is); every timestamp is 1 to
     MAX_STAMP_DIGITS ASCII digits (Python ``int`` also reads "+5", " 5",
     "5_0", "-5" and other digits, and longer ones may overflow); and the
@@ -1092,9 +1092,6 @@ def _plain_events(pieces: Iterator[str], read: list[str],
     column. Each piece's named cells become ``S`` key arrays and int64
     timestamps; the EventBatch codes a key column where it is first used.
     """
-    sep = delimiter.encode("utf-8", "surrogatepass")
-    if len(sep) != 1:
-        return None
     limit = csv.field_size_limit()
     keys = ([np.empty(0, "S1")], [np.empty(0, "S1")])
     stamps = [np.empty(0, np.int64)]
@@ -1104,7 +1101,7 @@ def _plain_events(pieces: Iterator[str], read: list[str],
         read.append(piece)
         if positions is None:
             header, _, piece = piece.partition("\n")
-            names = header.split(delimiter)
+            names = header.split(",")
             if any(c in header for c in '"\r\0') or len(header) > limit:
                 return None
             positions = {name: j for j, name in enumerate(names)}
@@ -1118,9 +1115,9 @@ def _plain_events(pieces: Iterator[str], read: list[str],
         if b'"' in data or b"\r" in data or b"\0" in data:
             return None
         buf = np.frombuffer(data, np.uint8)
-        # the line ends and delimiters in order: width per line, the last a "\n"
+        # the line ends and commas in order: width per line, the last a "\n"
         newline = buf == 10
-        seps = np.flatnonzero(newline | (buf == sep[0]))
+        seps = np.flatnonzero(newline | (buf == ord(",")))
         n = int(np.count_nonzero(newline))
         if len(seps) != n * width or (buf[seps[width - 1::width]] != 10).any():
             return None
@@ -1155,9 +1152,9 @@ def _plain_events(pieces: Iterator[str], read: list[str],
                       np.concatenate(stamps))
 
 
-def parse_cookie_events(stream: TextIO | str,
-                        delimiter: str = ",") -> EventBatch:
-    """Parse a ``cookie_id,browser,timestamp`` file into an EventBatch.
+def parse_cookie_events(stream: TextIO | str) -> EventBatch:
+    """Parse a comma-separated ``cookie_id,browser,timestamp`` file into an
+    EventBatch.
 
     A plain file is read column-wise (``_plain_events``); any other goes
     whole to ``read_columns``, which decides its result and its errors. The
@@ -1168,10 +1165,10 @@ def parse_cookie_events(stream: TextIO | str,
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     pieces, read = _pieces(stream, EVENT_CHUNK_CHARS), []
-    events = _plain_events(pieces, read, delimiter)
+    events = _plain_events(pieces, read)
     if events is not None:
         return events
-    rows = read_columns(_Replay(chain(read, pieces)), EVENT_COLUMNS, delimiter,
+    rows = read_columns(_Replay(chain(read, pieces)), EVENT_COLUMNS,
                         check=lambda rows: _timestamps(rows.columns[2], rows.line))
     cookie_ids, browsers, stamps = rows.columns
     cookies, cookie_labels = _codes(cookie_ids)
@@ -1181,8 +1178,7 @@ def parse_cookie_events(stream: TextIO | str,
 
 
 def write_events_csv(path, events: EventBatch) -> None:
-    write_columns(path, ["cookie_id", "browser", "timestamp"],
-                  Columns(*events.columns()))
+    write_columns(path, EVENT_COLUMNS, Columns(*events.columns()))
 
 
 def aggregate_hourly(timestamps, window: tuple[int, int]) -> tuple[np.ndarray, int]:

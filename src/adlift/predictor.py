@@ -17,7 +17,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +24,8 @@ import numpy as np
 from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainError,
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
-from .ingest import (MISSING_LEVEL, FactorDictionary, FactorTable, RequestBatch,
-                     _unsigned_ids, atomic_write, id_dtype, load_json, open_text)
+from .ingest import (FactorDictionary, FactorTable, RequestBatch, _unsigned_ids,
+                     atomic_write, encode_ids, level_index, load_json, open_text)
 
 MODEL_VERSION = 1
 
@@ -90,11 +89,7 @@ class SparseRateModel:
         self._n_active = len(self._active)
         if not math.isfinite(self._den):
             raise ValueError(f"active importances sum to {self._den}")
-        # an empty label reads as the __missing__ level, as ingest parses it
-        self._level_maps = [{label: k for k, label in enumerate(ls)}
-                            for ls in self.level_labels]
-        for level_map in self._level_maps:
-            level_map[""] = level_map.get(MISSING_LEVEL, -1)
+        self._level_maps = list(map(level_index, self.level_labels))
         self._scorer = self._build_scorer()
 
     def __getstate__(self):
@@ -155,17 +150,17 @@ class SparseRateModel:
         return not self._active
 
     def encode_labels(self, labels: Sequence[str]) -> tuple[int, ...]:
-        """Map level labels to training ids; unseen labels become -1 and an
-        empty label is the ``__missing__`` level, as in ``encode_columns``."""
+        """Map level labels to training ids by ``ingest.level_index``, as
+        ``encode_columns`` does: unseen labels become -1 and an empty label
+        is the ``__missing__`` level."""
         if len(labels) != self.m:
             raise DimensionMismatch(f"expected {self.m} labels, got {len(labels)}")
         return tuple(lm.get(lab, -1) for lm, lab in zip(self._level_maps, labels))
 
     def encode_columns(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
-        """Map one label column per factor to an (n, m) id matrix, column-major
-        as ``RequestBatch`` stores it, in ``id_dtype`` of the level counts.
-
-        Unseen labels become -1; an empty label is the ``__missing__`` level.
+        """Map one label column per factor to an (n, m) id matrix by
+        ``ingest.encode_ids``, the encoder of ``parse_requests``: unseen labels
+        become -1 and an empty label is the ``__missing__`` level.
         DimensionMismatch unless there is one column per factor, all of one
         length.
         """
@@ -174,11 +169,7 @@ class SparseRateModel:
         lengths = [len(column) for column in columns]
         if len(set(lengths)) > 1:
             raise DimensionMismatch(f"columns must have one length, got lengths {lengths}")
-        n = lengths[0] if lengths else 0
-        matrix = np.empty((n, self.m), id_dtype(map(len, self.level_labels)), order="F")
-        for level_map, column, out in zip(self._level_maps, columns, matrix.T):
-            out[:] = np.fromiter(map(level_map.get, column, repeat(-1)), out.dtype, n)
-        return matrix
+        return encode_ids(columns, self._level_maps, map(len, self.level_labels))
 
 
 def train(table: FactorTable, importance: ImportanceVector,

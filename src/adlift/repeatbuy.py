@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import (DegenerateData, DomainError, InconsistentInputs,
                      NoConvergence, NoDeathsWarning, NumericalError)
-from .ingest import EventBatch
+from .ingest import HOURS_PER_DAY, EventBatch
 
-HOURS_PER_DAY = 24.0
 SECONDS_PER_DAY = 86400.0
 
 # beyond this shape the NBD is numerically Poisson and not identifiable

@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadSpec
-from .ingest import (EventBatch, FactorDictionary, RequestBatch, Schema,
-                     SECONDS_PER_HOUR, _cell_bytes, _int_cells, id_dtype)
+from .ingest import (HOURS_PER_DAY, SECONDS_PER_HOUR, EventBatch, FactorDictionary,
+                     RequestBatch, Schema, _cell_bytes, _int_cells, id_dtype)
 from .timeseries import MAX_SERIES_HOURS
-
-HOURS_PER_DAY = 24.0
 
 # the most requests, users, hours or expected events a spec may ask for:
 # each costs memory
@@ -41,9 +38,8 @@ def _positive(value: float) -> bool:
     return 0.0 < value < math.inf
 
 
-def _count(section: dict, key: str, bound: int) -> int:
-    """``section[key]``; BadSpec unless it is an integer up to ``bound``."""
-    value = section[key]
+def _count(value, key: str, bound: int) -> int:
+    """``value`` of ``key``; BadSpec unless it is an integer up to ``bound``."""
     if type(value) is not int or value > bound:
         raise BadSpec(f"{key} must be an integer no larger than {bound}, got {value!r}")
     return value
@@ -160,11 +156,8 @@ class IntensitySpec:
     harmonics: tuple[Harmonic, ...] = ()
 
     def __post_init__(self):
-        if self.n_hours <= 0:
+        if _count(self.n_hours, "n_hours", MAX_SERIES_HOURS) <= 0:
             raise BadSpec("n_hours must be positive")
-        if self.n_hours > MAX_SERIES_HOURS:
-            raise BadSpec(f"n_hours must be an integer no larger than {MAX_SERIES_HOURS}, "
-                          f"got {self.n_hours!r}")
         if not (math.isfinite(self.base) and math.isfinite(self.trend)):
             raise BadSpec("intensity base and trend must be finite")
 
@@ -220,7 +213,7 @@ class SynthSpec:
         if "requests" in doc:
             r = doc["requests"]
             requests = RequestSpec(
-                n=_count(r, "n", MAX_COUNT), base_rate=float(r["base_rate"]),
+                n=_count(r["n"], "n", MAX_COUNT), base_rate=float(r["base_rate"]),
                 factors=tuple(FactorSpec(name=f["name"], levels=tuple(f["levels"]),
                                          probs=tuple(float(p) for p in f["probs"]),
                                          effects=tuple(float(e) for e in f["effects"]))
@@ -228,7 +221,7 @@ class SynthSpec:
         if "population" in doc:
             p = doc["population"]
             population = PopulationSpec(k=float(p["k"]), m=float(p["m"]),
-                                        users=_count(p, "users", MAX_COUNT),
+                                        users=_count(p["users"], "users", MAX_COUNT),
                                         window_hours=float(p["window_hours"]))
         if "churn" in doc:
             c = doc["churn"]
@@ -237,7 +230,7 @@ class SynthSpec:
         if "intensity" in doc:
             i = doc["intensity"]
             intensity = IntensitySpec(
-                n_hours=_count(i, "n_hours", MAX_SERIES_HOURS), base=float(i["base"]),
+                n_hours=i["n_hours"], base=float(i["base"]),
                 trend=float(i.get("trend", 0.0)),
                 harmonics=tuple(Harmonic(period_hours=float(h["period_hours"]),
                                          amplitude=float(h["amplitude"]),
@@ -398,13 +391,12 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventB
         np.maximum.accumulate(starts, out=starts)
         seg = seg - starts
 
-    # a user's segment is a run of consecutive events: cookie u{u}s{s}, its
-    # key made only when the labels are read (the frequency table reads codes)
+    # a user's segment is a run of consecutive events: cookie u{u}s{s}
     new_cookie = np.ones(len(seg), dtype=bool)
     new_cookie[1:] = (ev_user[1:] != ev_user[:-1]) | (seg[1:] != seg[:-1])
     ts = (ev_time * SECONDS_PER_HOUR).astype(np.int64)
     return EventBatch(np.cumsum(new_cookie) - 1,
-                      partial(_cookie_keys, ev_user[new_cookie], seg[new_cookie]),
+                      _cookie_keys(ev_user[new_cookie], seg[new_cookie]),
                       browser_idx[ev_user], browsers, ts)
 
 

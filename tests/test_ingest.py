@@ -363,10 +363,9 @@ class TestReaderOracle:
 
 EVENT_COLUMNS = ("cookie_id", "browser", "timestamp")
 # cells of a plain event file: a lone surrogate, characters of two to four
-# bytes and a key wider than 8 bytes among them, commas inside keys where
-# the delimiter is not one, and timestamps of 1 to 18 digits
+# bytes and a key wider than 8 bytes among them, and timestamps of 1 to 18
+# digits
 PLAIN_KEYS = ["a", "b", "", "c d", "é", "x\ud800", "u1s2", "€😀", "cookie-12345"]
-COMMA_KEYS = ["a,b", ","]
 PLAIN_STAMPS = ["0", "7", "1414231", "00012", "9" * 18]
 # what sends a file to read_columns: cells to quote, NULs (an S key drops a
 # trailing one), timestamps that Python int reads (or rejects) but plain
@@ -400,21 +399,19 @@ def event_lists(events):
             events.browser_labels, events.timestamps.tolist())
 
 
-def oracle_events(stream, delimiter):
+def oracle_events(stream):
     """parse_cookie_events from csv.reader and Python int, row by row."""
-    cookies, browsers, stamps = oracle_columns(stream, EVENT_COLUMNS, delimiter,
+    cookies, browsers, stamps = oracle_columns(stream, EVENT_COLUMNS, ",",
                                                timestamp="timestamp")
     return event_lists(make_events(zip(cookies, browsers, map(int, stamps))))
 
 
 @st.composite
 def event_files(draw):
-    """(text, delimiter, plain): an event file whose header holds the three
-    names in any order, with extra and repeated names; a plain one has
+    """(text, plain): a comma-separated event file whose header holds the
+    three names in any order, with extra and repeated names; a plain one has
     plain cells and "\n" line ends only, any other one or two of TRIGGERS.
     Either may lack its final newline."""
-    delimiter = draw(st.sampled_from([",", "\t", ";"]))
-    keys = PLAIN_KEYS + (COMMA_KEYS if delimiter != "," else [])
     triggers = draw(st.sets(st.sampled_from(TRIGGERS), max_size=2))
     extras = draw(st.lists(st.sampled_from(["x", "browser", "timestamp"]), max_size=2))
     header = draw(st.permutations([*EVENT_COLUMNS, *extras]))
@@ -422,17 +419,15 @@ def event_files(draw):
         header.remove(draw(st.sampled_from(EVENT_COLUMNS)))
 
     def render(row):
-        return delimiter.join(
-            '"' + cell.replace('"', '""') + '"'
-            if any(c in cell for c in (delimiter, '"', "\n", "\r")) else cell
-            for cell in row)
+        return ",".join('"' + cell.replace('"', '""') + '"'
+                        if any(c in cell for c in ',"\n\r') else cell for cell in row)
 
     def cell(name):
         kinds = ["stamp"] if name == "timestamp" else ["quote", "nul"]
         kinds = [kind for kind in kinds if kind in triggers]
         if kinds and draw(st.integers(0, 3)) == 0:
             return draw(st.sampled_from(TRIGGER_CELLS[draw(st.sampled_from(kinds))]))
-        return draw(st.sampled_from(PLAIN_STAMPS if name == "timestamp" else keys))
+        return draw(st.sampled_from(PLAIN_STAMPS if name == "timestamp" else PLAIN_KEYS))
 
     def line():
         kind = draw(st.integers(0, 7))
@@ -447,12 +442,12 @@ def event_files(draw):
         lines = [draw(st.sampled_from(lines)) for _ in lines]
     head = render(header)
     if "quoted header" in triggers:
-        head = delimiter.join(f'"{name}"' for name in header)
+        head = ",".join(f'"{name}"' for name in header)
     ends = ["\n", "\r\n"] if "crlf" in triggers else ["\n"]
     text = "".join(row + draw(st.sampled_from(ends)) for row in [head, *lines])
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    return text, delimiter, not triggers
+    return text, not triggers
 
 
 @st.composite
@@ -496,27 +491,25 @@ class TestEventParseOracle:
 
     @given(case=event_files(), chunk=st.integers(1, 48), block=st.integers(1, 6),
            newline=st.sampled_from(["\n", None]))
-    @example(case=("cookie_id,browser,timestamp\nn\0,b,1\nn,b,2\n", ",", False),
+    @example(case=("cookie_id,browser,timestamp\nn\0,b,1\nn,b,2\n", False),
              chunk=48, block=4, newline="\n")
-    @example(case=('"x,y",cookie_id,browser,timestamp\na,b,c,d,1\n', ",", False),
+    @example(case=('"x,y",cookie_id,browser,timestamp\na,b,c,d,1\n', False),
              chunk=48, block=4, newline="\n")
     # every browser cell empty: the writer's byte buffer of labels is empty
-    @example(case=("cookie_id,browser,timestamp\na,,0\n", ",", True),
+    @example(case=("cookie_id,browser,timestamp\na,,0\n", True),
              chunk=48, block=4, newline="\n")
     @settings(max_examples=400, deadline=None)
     def test_matches_csv_reader_and_int(self, tmp_path_factory, case, chunk, block,
                                         newline):
         # newline None reads "\r\n" as "\n", as open_text does; the events
         # write back as csv.writer writes the oracle's rows
-        text, delimiter, plain = case
-        expected = outcome(lambda: oracle_events(io.StringIO(text, newline=newline),
-                                                 delimiter))
+        text, plain = case
+        expected = outcome(lambda: oracle_events(io.StringIO(text, newline=newline)))
         with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, EVENT_CHUNK_CHARS=chunk,
                                  ROW_BLOCK=block), \
                 mock.patch.object(ingest, "read_columns",
                                   wraps=ingest.read_columns) as general:
-            parsed = outcome(lambda: parse_cookie_events(io.StringIO(text, newline=newline),
-                                                         delimiter))
+            parsed = outcome(lambda: parse_cookie_events(io.StringIO(text, newline=newline)))
         if parsed[0] != "ok":
             assert parsed == expected
             return
@@ -571,7 +564,7 @@ class TestEventParseOracle:
                                wraps=ingest.read_columns) as general:
             events = parse_cookie_events(text)
         general.assert_called_once()
-        assert event_lists(events) == oracle_events(io.StringIO(text), ",")
+        assert event_lists(events) == oracle_events(io.StringIO(text))
 
 
 class TestFactorTable:

@@ -18,9 +18,7 @@ features.ImportanceVector(alpha)
 features.rank_factors(alpha)
 features.rank_factors(method)
 features.renyi_mi(alpha)
-ingest.FactorDictionary(levels)
 ingest.Schema(timestamp_column)
-ingest.parse_cookie_events(delimiter)
 ingest.parse_requests(delimiter)
 ingest.read_columns(check)
 ingest.read_columns(delimiter)

