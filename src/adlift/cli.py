@@ -232,7 +232,7 @@ def _encoded_batch(model: predictor.SparseRateModel, path,
                    delimiter: str) -> tuple[ingest.Rows, ingest.RequestBatch]:
     """The rows of ``path`` and a batch of the model's ids of each distinct row."""
     rows = _read_request_rows(path, model.factor_names, delimiter)
-    matrix = model.encode_columns(rows.columns)
+    matrix = model.dictionary.encode(rows.columns)
     return rows, ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from sys import intern
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -84,14 +84,21 @@ class Schema:
 
 class FactorDictionary:
     """Bijective label <-> id mapping per factor: ``levels[i]`` are factor i's
-    labels, in id order."""
+    labels, in id order. It holds the rule by which ``encode`` reads label
+    cells: a label is its level's id, "" is the id of MISSING_LEVEL, or -1
+    where the factor lacks it, and an unseen label is -1. ValueError unless
+    there is one list of distinct labels per factor."""
 
     def __init__(self, factor_names: Sequence[str], levels: Sequence[Sequence[str]]):
         self.factor_names = list(factor_names)
         self._levels: list[list[str]] = [list(ls) for ls in levels]
-        for name, ls in zip(self.factor_names, self._levels):
-            if len(set(ls)) != len(ls):
+        if len(self._levels) != len(self.factor_names):
+            raise ValueError(f"{len(self._levels)} level lists for {self.m} factors")
+        self._index = [dict(zip(ls, count())) for ls in self._levels]
+        for name, ls, index in zip(self.factor_names, self._levels, self._index):
+            if len(index) != len(ls):
                 raise ValueError(f"duplicate level labels in factor {name!r}")
+            index[""] = index.get(MISSING_LEVEL, -1)
 
     @property
     def m(self) -> int:
@@ -109,6 +116,22 @@ class FactorDictionary:
             {"factors": self.factor_names, "levels": self._levels},
             ensure_ascii=False, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def encode(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
+        """The level ids of one label column per factor, as an (n, m) matrix:
+        column-major, as ``RequestBatch`` stores it, in ``id_dtype`` of the
+        level counts. DimensionMismatch unless there is one column per
+        factor, all of one length."""
+        if len(columns) != self.m:
+            raise DimensionMismatch(f"expected {self.m} columns, got {len(columns)}")
+        lengths = [len(column) for column in columns]
+        if len(set(lengths)) > 1:
+            raise DimensionMismatch(f"columns must have one length, got lengths {lengths}")
+        n = lengths[0] if lengths else 0
+        ids = np.empty((n, self.m), id_dtype(map(len, self._levels)), order="F")
+        for column, index, out in zip(columns, self._index, ids.T):
+            out[:] = np.fromiter(map(index.get, column, repeat(-1)), out.dtype, n)
+        return ids
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FactorDictionary)
@@ -143,28 +166,6 @@ def id_dtype(levels) -> np.dtype:
     return next((t for t in ID_DTYPES if widest <= 1 << (8 * t.itemsize - 1)), ID_DTYPES[-1])
 
 
-def level_index(levels: Sequence[str]) -> dict[str, int]:
-    """Each of ``levels`` to its id, its position, and "" to the id of
-    MISSING_LEVEL, or to -1 where ``levels`` lack it: the map by which
-    ``encode_ids`` reads a factor's label cells."""
-    index = dict(zip(levels, count()))
-    index[""] = index.get(MISSING_LEVEL, -1)
-    return index
-
-
-def encode_ids(columns: Sequence[Sequence[str]], indexes: Sequence[dict[str, int]],
-               counts: Iterable[int]) -> np.ndarray:
-    """The level ids of one label column per factor, each cell read by its
-    factor's ``level_index`` and unseen labels as -1, as an (n, m) matrix:
-    column-major, as ``RequestBatch`` stores it, in ``id_dtype`` of the
-    factors' level ``counts``."""
-    n = len(columns[0]) if columns else 0
-    ids = np.empty((n, len(indexes)), id_dtype(counts), order="F")
-    for column, index, out in zip(columns, indexes, ids.T):
-        out[:] = np.fromiter(map(index.get, column, repeat(-1)), out.dtype, n)
-    return ids
-
-
 def _unsigned_ids(ids: np.ndarray, levels: int) -> np.ndarray:
     """``ids`` read as unsigned, so that every id outside [0, levels), -1
     included, reads as ``levels`` or more: a view where ``levels`` fits the
@@ -179,13 +180,13 @@ class RequestBatch:
 
     ``factors`` is an (n, m) matrix of level ids stored column-major, so each
     factor's ids are one contiguous column; ``labels`` an (n,) int8 vector.
-    ``parse_requests``, ``synth.gen_requests`` and ``encode_columns`` store
-    the ids in ``id_dtype`` of their level counts. int8, int16 and int32 ids
-    keep their type, without a copy when column-major; ids of any other type
-    are cast to int32. Row i, as ``batch[i]`` or from iteration, is its tuple of
-    factor ids as Python ints; labels are read from ``labels``. ValueError
-    for ids or labels that the int32 or int8 cast would change (2**32, 0.7,
-    NaN).
+    ``parse_requests``, ``synth.gen_requests`` and ``FactorDictionary.encode``
+    store the ids in ``id_dtype`` of their level counts. int8, int16 and
+    int32 ids keep their type, without a copy when column-major; ids of any
+    other type are cast to int32. Row i, as ``batch[i]`` or from iteration,
+    is its tuple of factor ids as Python ints; labels are read from
+    ``labels``. ValueError for ids or labels that the int32 or int8 cast
+    would change (2**32, 0.7, NaN).
     """
 
     def __init__(self, factors: np.ndarray, labels: np.ndarray):
@@ -428,6 +429,10 @@ class _Index(dict):
         self.order.append(key)
         return index
 
+    def lookup(self, keys: Sequence) -> np.ndarray:
+        """The index of each of ``keys``, as int32."""
+        return np.fromiter(map(self.__getitem__, keys), np.int32, len(keys))
+
 
 def read_columns(stream: TextIO | str, names: Sequence[str],
                  delimiter: str = ",", check=None) -> Rows:
@@ -504,7 +509,7 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
     codes = [np.empty(0, dtype=np.int32)]
     for block in chain(head, blocks):
         seen = len(index.order)
-        block_codes = np.fromiter(map(index.__getitem__, block), np.int32, len(block))
+        block_codes = index.lookup(block)
         add(_cells(index.order[seen:], delimiter),
             lambda i: Rows(columns, np.concatenate(
                 [*codes, block_codes[:np.argmax(block_codes == seen + i)]])))
@@ -947,7 +952,7 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     The header row must contain every schema column (extras are ignored).
     Raises MissingColumn, BadLabel or RaggedRow; the two row errors name the
     earliest offending line. Input order is preserved. The ids are stored in
-    ``id_dtype`` of the level counts, by ``encode_ids``.
+    ``id_dtype`` of the level counts, by ``FactorDictionary.encode``.
     """
     rows = read_columns(stream, [*schema.factor_columns, schema.label_column],
                         delimiter,
@@ -958,9 +963,9 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     # first-seen order of the file; "" is the level MISSING_LEVEL
     levels = [list(dict.fromkeys(cell or MISSING_LEVEL for cell in dict.fromkeys(column)))
               for column in factor_columns]
-    ids = encode_ids(factor_columns, list(map(level_index, levels)), map(len, levels))
-    return (FactorDictionary(list(schema.factor_columns), levels),
-            RequestBatch(rows.gather(ids), rows.gather(labels)))
+    dictionary = FactorDictionary(schema.factor_columns, levels)
+    return dictionary, RequestBatch(rows.gather(dictionary.encode(factor_columns)),
+                                    rows.gather(labels))
 
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
@@ -1000,17 +1005,6 @@ def build_factor_table(batch: RequestBatch,
         flat += batch.labels
         counts.append(np.bincount(flat, minlength=levels * 2).reshape(-1, 2))
     return FactorTable(counts, n, dictionary)
-
-
-def _codes(column: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Each cell's index among the distinct cells, and those in first-seen order."""
-    first_row: dict[str, int] = {}
-    first = np.fromiter(map(first_row.setdefault, column, count()), np.int64,
-                        len(column))
-    is_first = np.zeros(len(column), dtype=bool)
-    is_first[first] = True
-    rank = np.cumsum(is_first, dtype=np.int32) - 1
-    return rank[first], list(first_row)
 
 
 def _timestamps(column: Sequence[str], line) -> np.ndarray:
@@ -1062,7 +1056,7 @@ def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
 
 
 def _coded(keys: np.ndarray) -> "Coded":
-    """``keys`` as a coded column, as ``_codes`` codes a list: the distinct
+    """``keys`` as a coded column, as ``_Index`` codes a list: the distinct
     keys in first-seen order, and each key's index among them (int32). Only
     the first key of each run of equal keys is sorted; the rest take its code."""
     # the first key of each run, and none of no keys
@@ -1078,7 +1072,7 @@ def _coded(keys: np.ndarray) -> "Coded":
 def _plain_events(pieces: Iterator[str], read: list[str]) -> EventBatch | None:
     """The EventBatch of a plain event file, read column-wise from the UTF-8
     bytes of ``pieces`` with no Python object per row, or None where this
-    cannot be done exactly as ``read_columns`` with ``_codes`` and
+    cannot be done exactly as ``read_columns`` with ``_Index`` and
     ``_timestamps`` would do it; ``read`` gets every piece taken.
 
     A plain file has no '"', "\\r" or NUL (a NUL would be lost from an ``S``
@@ -1170,11 +1164,11 @@ def parse_cookie_events(stream: TextIO | str) -> EventBatch:
         return events
     rows = read_columns(_Replay(chain(read, pieces)), EVENT_COLUMNS,
                         check=lambda rows: _timestamps(rows.columns[2], rows.line))
-    cookie_ids, browsers, stamps = rows.columns
-    cookies, cookie_labels = _codes(cookie_ids)
-    browser_codes, browser_labels = _codes(browsers)
-    return EventBatch(rows.gather(cookies), cookie_labels, rows.gather(browser_codes),
-                      browser_labels, rows.gather(_timestamps(stamps, rows.line)))
+    cookie_ids, browser_names, stamps = rows.columns
+    cookies, browsers = _Index(), _Index()
+    return EventBatch(rows.gather(cookies.lookup(cookie_ids)), cookies.order,
+                      rows.gather(browsers.lookup(browser_names)), browsers.order,
+                      rows.gather(_timestamps(stamps, rows.line)))
 
 
 def write_events_csv(path, events: EventBatch) -> None:

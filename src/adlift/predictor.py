@@ -25,7 +25,7 @@ from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainErr
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (FactorDictionary, FactorTable, RequestBatch, _unsigned_ids,
-                     atomic_write, encode_ids, level_index, load_json, open_text)
+                     atomic_write, load_json, open_text)
 
 MODEL_VERSION = 1
 
@@ -46,26 +46,29 @@ class ScoredRequest:
 
 
 class SparseRateModel:
-    """Trained predictor: per-factor importances and per-level smoothed rates."""
+    """Trained predictor over ``dictionary``, the FactorDictionary it was
+    trained on: per-factor importances and ``rates[i][k]``, the smoothed rate
+    of level k of factor i. ValueError unless there is one importance and
+    one list of rates per factor, and one rate per level."""
 
-    def __init__(self, factor_names: Sequence[str], level_labels: Sequence[Sequence[str]],
-                 importance: Sequence[float], rates: Sequence[Sequence[float]],
-                 epsilon: float, beta: float, global_rate: float, fingerprint: str,
-                 method: str = "shannon", alpha: float | None = None):
-        self.factor_names = list(factor_names)
-        self.level_labels = [list(ls) for ls in level_labels]
+    def __init__(self, dictionary: FactorDictionary, importance: Sequence[float],
+                 rates: Sequence[Sequence[float]], epsilon: float, beta: float,
+                 global_rate: float, method: str = "shannon", alpha: float | None = None):
+        self.dictionary = dictionary
+        self.factor_names = dictionary.factor_names
         self.importance = np.asarray(importance, dtype=np.float64)
         self.rates = [np.asarray(r, dtype=np.float64) for r in rates]
         self.epsilon = float(epsilon)
         self.beta = float(beta)
         self.global_rate = float(global_rate)
-        self.fingerprint = fingerprint
         self.method = method
         self.alpha = alpha
-        if not (len(self.factor_names) == len(self.level_labels)
-                == len(self.importance) == len(self.rates)):
+        if not dictionary.m == len(self.importance) == len(self.rates):
             raise ValueError("inconsistent per-factor field lengths")
-        for r in self.rates:
+        for i, r in enumerate(self.rates):
+            if len(r) != dictionary.level_count(i):
+                raise ValueError(f"factor {self.factor_names[i]!r} has "
+                                 f"{dictionary.level_count(i)} levels but {len(r)} rates")
             if len(r) and not ((r > 0.0) & (r < 1.0)).all():
                 raise ValueError("smoothed rates must lie strictly inside (0, 1)")
         bad = np.flatnonzero(~((self.importance >= 0.0) & (self.importance < math.inf)))
@@ -89,7 +92,6 @@ class SparseRateModel:
         self._n_active = len(self._active)
         if not math.isfinite(self._den):
             raise ValueError(f"active importances sum to {self._den}")
-        self._level_maps = list(map(level_index, self.level_labels))
         self._scorer = self._build_scorer()
 
     def __getstate__(self):
@@ -150,26 +152,10 @@ class SparseRateModel:
         return not self._active
 
     def encode_labels(self, labels: Sequence[str]) -> tuple[int, ...]:
-        """Map level labels to training ids by ``ingest.level_index``, as
-        ``encode_columns`` does: unseen labels become -1 and an empty label
-        is the ``__missing__`` level."""
+        """One request's level labels as training ids, by ``FactorDictionary.encode``."""
         if len(labels) != self.m:
             raise DimensionMismatch(f"expected {self.m} labels, got {len(labels)}")
-        return tuple(lm.get(lab, -1) for lm, lab in zip(self._level_maps, labels))
-
-    def encode_columns(self, columns: Sequence[Sequence[str]]) -> np.ndarray:
-        """Map one label column per factor to an (n, m) id matrix by
-        ``ingest.encode_ids``, the encoder of ``parse_requests``: unseen labels
-        become -1 and an empty label is the ``__missing__`` level.
-        DimensionMismatch unless there is one column per factor, all of one
-        length.
-        """
-        if len(columns) != self.m:
-            raise DimensionMismatch(f"expected {self.m} columns, got {len(columns)}")
-        lengths = [len(column) for column in columns]
-        if len(set(lengths)) > 1:
-            raise DimensionMismatch(f"columns must have one length, got lengths {lengths}")
-        return encode_ids(columns, self._level_maps, map(len, self.level_labels))
+        return tuple(self.dictionary.encode([[label] for label in labels]).ravel().tolist())
 
 
 def train(table: FactorTable, importance: ImportanceVector,
@@ -200,11 +186,8 @@ def train(table: FactorTable, importance: ImportanceVector,
     global_rate = (positives + beta) / (table.total + 2.0 * beta)
     try:
         model = SparseRateModel(
-            factor_names=table.dictionary.factor_names,
-            level_labels=[table.dictionary.levels(i) for i in range(table.m)],
-            importance=kept, rates=rates, epsilon=epsilon, beta=beta,
-            global_rate=global_rate, fingerprint=table.dictionary.fingerprint(),
-            method=importance.method, alpha=importance.alpha)
+            table.dictionary, importance=kept, rates=rates, epsilon=epsilon, beta=beta,
+            global_rate=global_rate, method=importance.method, alpha=importance.alpha)
     except ValueError as exc:  # an infinite importance, or a sum that overflows
         raise DomainError(str(exc)) from None
     if model.all_pruned:
@@ -216,7 +199,8 @@ def train(table: FactorTable, importance: ImportanceVector,
 def score(model: SparseRateModel, factors: Sequence[int],
           dictionary: FactorDictionary | None = None) -> ScoredRequest:
     """Score one request, given as its per-factor level ids (``batch[i]``):
-    the importance-weighted mean of its level rates.
+    the importance-weighted mean of its level rates. FingerprintMismatch
+    for a ``dictionary`` unequal to the model's.
 
     An id matches a training level by value, as a dict key: numpy ints, bools
     and whole floats score as that level; any other hashable id (-1, 2**40,
@@ -229,7 +213,7 @@ def score(model: SparseRateModel, factors: Sequence[int],
     the same bits. At an unseen level the general loop resumes at the first
     factor of that statement, with the sums of the statements before it.
     """
-    if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
+    if dictionary is not None and dictionary != model.dictionary:
         raise FingerprintMismatch("record dictionary does not match the model's")
     if len(factors) != len(model.factor_names):
         raise DimensionMismatch(f"record has {len(factors)} factors, model has {model.m}")
@@ -277,7 +261,8 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
                 threads: int | None = None) -> BatchScores:
     """Score every row of ``batch``, preserving order and measuring throughput.
 
-    DimensionMismatch unless the batch has the model's factor count.
+    DimensionMismatch unless the batch has the model's factor count, and
+    FingerprintMismatch for a ``dictionary`` unequal to the model's.
     Scoring runs on the calling thread; ``threads`` is accepted and ignored.
     Walks the rows in blocks of SCORE_BLOCK; in a column-major matrix each
     factor's ids of a block are one contiguous run. Read as unsigned of their
@@ -290,7 +275,7 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     row's weights of seen levels in index order, and a row with none scores
     the global rate.
     """
-    if dictionary is not None and dictionary.fingerprint() != model.fingerprint:
+    if dictionary is not None and dictionary != model.dictionary:
         raise FingerprintMismatch("record dictionary does not match the model's")
     if batch.m != model.m:
         raise DimensionMismatch(f"batch has {batch.m} factors, model has {model.m}")
@@ -431,20 +416,21 @@ def _close_block(state: PacingState) -> None:
 
 
 def save_model(model: SparseRateModel, path) -> None:
-    """Write the model as one JSON line plus a trailing sha256 checksum line."""
+    """Write the model as one JSON line plus a trailing sha256 checksum line;
+    the line holds the fingerprint of the model's dictionary."""
     doc = {
         "version": MODEL_VERSION,
         "epsilon": model.epsilon,
         "beta": model.beta,
         "global_rate": model.global_rate,
-        "fingerprint": model.fingerprint,
+        "fingerprint": model.dictionary.fingerprint(),
         "method": model.method,
         "alpha": model.alpha,
         "factors": [
             {"name": name,
              "importance": float(model.importance[i]),
              "levels": {label: float(model.rates[i][k])
-                        for k, label in enumerate(model.level_labels[i])}}
+                        for k, label in enumerate(model.dictionary.levels(i))}}
             for i, name in enumerate(model.factor_names)],
     }
     body = json.dumps(doc, ensure_ascii=False)
@@ -454,7 +440,8 @@ def save_model(model: SparseRateModel, path) -> None:
 
 
 def load_model(path) -> SparseRateModel:
-    """Read a model file back, verifying version and checksum."""
+    """Read a model file back, verifying version and checksum, and then that
+    the stored fingerprint is that of the levels read (else CorruptFile)."""
     with open_text(path) as fh:
         text = fh.read()
     # split at the last "\n" only: str.splitlines would also split the body
@@ -471,12 +458,14 @@ def load_model(path) -> SparseRateModel:
             raise VersionMismatch(f"{path}: model version {version!r}, "
                                   f"expected {MODEL_VERSION}")
         factors = doc["factors"]
-        return SparseRateModel(
-            factor_names=[f["name"] for f in factors],
-            level_labels=[list(f["levels"].keys()) for f in factors],
+        model = SparseRateModel(
+            FactorDictionary([f["name"] for f in factors],
+                             [list(f["levels"].keys()) for f in factors]),
             importance=[f["importance"] for f in factors],
             rates=[list(f["levels"].values()) for f in factors],
             epsilon=doc["epsilon"], beta=doc["beta"], global_rate=doc["global_rate"],
-            fingerprint=doc["fingerprint"], method=doc.get("method", "shannon"),
-            alpha=doc.get("alpha"))
+            method=doc.get("method", "shannon"), alpha=doc.get("alpha"))
+        if doc["fingerprint"] != model.dictionary.fingerprint():
+            raise CorruptFile(f"{path}: fingerprint does not match the model's levels")
+        return model
     return load_json(path, body, build)

@@ -103,9 +103,8 @@ def test_bench_calls_outside_the_tracer(monkeypatch):
     assert env["worker_count"] == adlift.predictor.worker_count()
     rng = np.random.default_rng(5)
     model = adlift.predictor.SparseRateModel(
-        ["f", "g"], [["a", "b", "c"], ["x", "y"]], [0.7, 0.2],
-        [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5, global_rate=0.3,
-        fingerprint="")
+        adlift.FactorDictionary(["f", "g"], [["a", "b", "c"], ["x", "y"]]), [0.7, 0.2],
+        [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5, global_rate=0.3)
     batch = adlift.ingest.RequestBatch(rng.integers(-1, 4, (1000, 2)),
                                        np.zeros(1000, dtype=np.int8))
     one = adlift.predictor.score_batch(model, batch, threads=1)

@@ -500,7 +500,7 @@ class TestEmitReport:
                 p, ingest.EventBatch([0], ["c"], [0], ["chrome"], [5])),
             "json": lambda p: _write_json({"a": 1}, p),
             "model": lambda p: predictor.save_model(predictor.SparseRateModel(
-                ["f"], [["a"]], [0.5], [[0.2]], 0.01, 0.5, 0.2, "x"), p),
+                ingest.FactorDictionary(["f"], [["a"]]), [0.5], [[0.2]], 0.01, 0.5, 0.2), p),
         }[writer]
         path = tmp_path / "out"
         path.write_text("old\n")
@@ -617,7 +617,7 @@ class TestRepeatedRequestLines:
         with open(d / "heldout.csv", newline="") as fh:
             cells = list(csv.reader(fh))[1:]
         assert [row[:2] for row in cells] == [row[:2] for row in held]
-        matrix = model.encode_columns([[row[i] for row in cells] for i in (0, 1)])
+        matrix = model.dictionary.encode([[row[i] for row in cells] for i in (0, 1)])
         result = predictor.score_batch(model, ingest.RequestBatch(
             matrix, np.zeros(len(matrix), dtype=np.int8)))
         assert (result.used_factors < model.m).any()
@@ -642,15 +642,16 @@ class TestRepeatedRequestLines:
         rng = np.random.default_rng(9)
         path = tmp_path / "heldout.csv"
         rows = self.write_requests(path, rng, browsers or [str(j) for j in range(600)], ",")
+        dictionary = ingest.FactorDictionary(
+            ["browser", "os"], [["chrome", "safari", ingest.MISSING_LEVEL], ["win", "mac"]])
         model = predictor.SparseRateModel(
-            ["browser", "os"], [["chrome", "safari", ingest.MISSING_LEVEL], ["win", "mac"]],
-            [0.7, 0.2], [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5,
-            global_rate=0.3, fingerprint="")
+            dictionary, [0.7, 0.2], [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5,
+            global_rate=0.3)
         read, batch = _encoded_batch(model, path, ",")
-        assert batch.factors.dtype == ingest.id_dtype(map(len, model.level_labels))
+        assert batch.factors.dtype == ingest.id_dtype([3, 2])
         assert batch.factors.flags.f_contiguous
         assert (len(batch) < len(rows) / 2) if browsers else (len(batch) == len(rows))
-        assert np.array_equal(read.gather(batch.factors), model.encode_columns(
+        assert np.array_equal(read.gather(batch.factors), dictionary.encode(
             [[row[i] for row in rows] for i in (0, 1)]))
 
     def test_tab_log_scores_as_its_csv_twin(self, workdir, capsys):
@@ -1145,6 +1146,7 @@ class TestLoaderErrors:
         ("model", {**MODEL_BODY, "factors": [{"name": "browser", "importance": 0.5,
                                               "levels": ["chrome"]}]},
          "model.json: 'list' object has no attribute 'keys'"),
+        ("model", MODEL_BODY, "model.json: fingerprint does not match the model's levels"),
         ("spec", "[1]", "spec.json: expected a JSON object, got list"),
         ("spec", '{"churn": {"tau_days": [1], "mix": {}}}',
          "spec.json: 'list' object has no attribute 'items'"),

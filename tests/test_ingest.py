@@ -16,7 +16,6 @@ from adlift.ingest import (FactorDictionary, MISSING_LEVEL, ROW_BLOCK,
                            aggregate_hourly, build_factor_table, id_dtype,
                            parse_cookie_events, parse_requests, read_columns,
                            write_events_csv, write_requests_csv)
-from adlift.predictor import SparseRateModel
 from adlift.synth import (ChurnSpec, FactorSpec, PopulationSpec, RequestSpec,
                           apply_churn, gen_gamma_poisson, gen_requests)
 
@@ -470,15 +469,21 @@ def ungrouped_event_files(draw):
     return "cookie_id,browser,timestamp\n" + "".join(f"{c},{b},{t}\n" for c, b, t in rows)
 
 
+def first_seen_codes(cells):
+    """Each cell's index among the distinct cells, and those in first-seen order."""
+    index = {}
+    return [index.setdefault(cell, len(index)) for cell in cells], list(index)
+
+
 def columns_oracle(text):
     """parse_cookie_events' codes, labels and timestamps from read_columns
-    and ``_codes``, as lists."""
+    and a plain first-seen coder, as lists."""
     rows = read_columns(text, EVENT_COLUMNS)
     cookies, browsers, stamps = ([column[k] for k in rows.codes.tolist()]
                                  for column in rows.columns)
     (cookie_codes, cookie_labels), (browser_codes, browser_labels) = \
-        map(ingest._codes, (cookies, browsers))
-    return (cookie_codes.tolist(), cookie_labels, browser_codes.tolist(), browser_labels,
+        map(first_seen_codes, (cookies, browsers))
+    return (cookie_codes, cookie_labels, browser_codes, browser_labels,
             list(map(int, stamps)))
 
 
@@ -565,6 +570,17 @@ class TestEventParseOracle:
             events = parse_cookie_events(text)
         general.assert_called_once()
         assert event_lists(events) == oracle_events(io.StringIO(text))
+
+
+class TestFactorDictionary:
+    @pytest.mark.parametrize("levels, message", [
+        ([["A"]], "1 level lists for 2 factors"),
+        ([["A"], ["B"], ["C"]], "3 level lists for 2 factors"),
+        ([["A"], ["B", "B"]], "duplicate level labels in factor 'g'"),
+    ])
+    def test_one_list_of_distinct_labels_per_factor(self, levels, message):
+        with pytest.raises(ValueError, match=message):
+            FactorDictionary(["f", "g"], levels)
 
 
 class TestFactorTable:
@@ -808,10 +824,8 @@ class TestIdDtype:
         _, batch = gen_requests(spec, seed=1)
         assert batch.factors.dtype == dtype
         assert set(batch.factors[:, 0].tolist()) == {0, levels - 1}
-        # encode_columns: an unseen label is -1
-        model = SparseRateModel(["f"], [labels], [1.0], [np.full(levels, 0.5)],
-                                epsilon=0.0, beta=0.5, global_rate=0.5, fingerprint="")
-        ids = model.encode_columns([["v0", labels[-1], "x"]])
+        # FactorDictionary.encode: an unseen label is -1
+        ids = FactorDictionary(["f"], [labels]).encode([["v0", labels[-1], "x"]])
         assert ids.dtype == dtype and ids.flags.f_contiguous
         assert ids[:, 0].tolist() == [0, levels - 1, -1]
 

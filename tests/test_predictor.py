@@ -34,6 +34,12 @@ def _general_score(model, ids):
     return (num / den, used) if used else (model.global_rate, 0)
 
 
+def _model(names, levels, importance, rates):
+    """A model of the given factors, with epsilon 0, beta 0.5 and global rate 0.3."""
+    return SparseRateModel(FactorDictionary(names, levels), importance, rates,
+                           epsilon=0.0, beta=0.5, global_rate=0.3)
+
+
 def _bits(scored):
     return np.float64(scored[0]).tobytes(), scored[1]
 
@@ -178,6 +184,33 @@ class TestScore:
         # matching dictionary passes
         assert score(model, (0,), dictionary=table.dictionary).score > 0
 
+    def test_dictionary_compared_by_value(self):
+        table = make_table([[1, 3], [2, 2]], [[3, 1], [2, 2]])
+        model = train(table, ImportanceVector(method="shannon", values=[1.0, 0.5]))
+        batch = RequestBatch(np.array([[0, 1], [1, 0]]), np.zeros(2, dtype=np.int8))
+        equal = FactorDictionary(["f0", "f1"], [["v0", "v1"], ["v0", "v1"]])
+        assert equal is not model.dictionary
+        assert score(model, (0, 1), dictionary=equal) == score(model, (0, 1))
+        assert score_batch(model, batch, dictionary=equal).scores.tobytes() \
+            == score_batch(model, batch).scores.tobytes()
+        # the same names, with one factor's levels reordered
+        reordered = FactorDictionary(["f0", "f1"], [["v0", "v1"], ["v1", "v0"]])
+        with pytest.raises(FingerprintMismatch):
+            score(model, (0, 1), dictionary=reordered)
+        with pytest.raises(FingerprintMismatch):
+            score_batch(model, batch, dictionary=reordered)
+
+    @pytest.mark.parametrize("levels, rates", [
+        (["a", "b"], [[0.2]]),
+        (["a"], [[0.2, 0.4]]),
+    ])
+    def test_rates_must_match_levels(self, levels, rates):
+        # one rate too few scored level b as unseen; one too many scored the
+        # absent id 1
+        message = f"factor 'f' has {len(levels)} levels but {len(rates[0])} rates"
+        with pytest.raises(ValueError, match=message):
+            _model(["f"], [levels], [0.5], rates)
+
     def test_wrong_arity(self):
         model = _model_from_counts([[1, 3]])
         with pytest.raises(DimensionMismatch):
@@ -187,9 +220,8 @@ class TestScore:
     def test_unseen_level_resumes_the_general_loop(self, rng, where):
         # active factors 1, 2, 4, 6 and 7; factors 0, 3 and 5 are pruned
         importance = rng.exponential(1.0, 8) * [0, 1, 1, 0, 1, 0, 1, 1]
-        model = SparseRateModel([f"f{i}" for i in range(8)], [["a", "b", "c"]] * 8,
-                                importance, [rng.uniform(0.01, 0.99, 3) for _ in range(8)],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model([f"f{i}" for i in range(8)], [["a", "b", "c"]] * 8,
+                       importance, [rng.uniform(0.01, 0.99, 3) for _ in range(8)])
         for _ in range(50):
             ids = rng.integers(0, 3, 8)
             ids[[0, 3, 5]] = -1
@@ -218,11 +250,10 @@ class TestScore:
     def test_ids_match_levels_by_value(self, seed, kinds, unseen):
         rng = np.random.default_rng(seed)
         levels = rng.integers(2, 6, len(self.LAYOUT))
-        model = SparseRateModel([f"f{i}" for i in range(len(levels))],
-                                [[f"v{k}" for k in range(n)] for n in levels],
-                                rng.exponential(1.0, len(levels)) * self.LAYOUT,
-                                [rng.uniform(0.001, 0.999, n) for n in levels],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model([f"f{i}" for i in range(len(levels))],
+                       [[f"v{k}" for k in range(n)] for n in levels],
+                       rng.exponential(1.0, len(levels)) * self.LAYOUT,
+                       [rng.uniform(0.001, 0.999, n) for n in levels])
         # numpy ints, bools and whole floats name the level of their value
         ids = [int(rng.integers(0, 2 if kind == "bool" else n))
                for kind, n in zip(kinds, levels)]
@@ -265,10 +296,9 @@ class TestGeneratedScorer:
         importance = rng.exponential(1.0, m)
         importance[rng.choice(m, 10, replace=False)] = 0.0
         levels = rng.integers(1, 5, m)
-        model = SparseRateModel([f"f{i}" for i in range(m)],
-                                [[f"v{k}" for k in range(n)] for n in levels],
-                                importance, [rng.uniform(0.001, 0.999, n) for n in levels],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model([f"f{i}" for i in range(m)],
+                       [[f"v{k}" for k in range(n)] for n in levels],
+                       importance, [rng.uniform(0.001, 0.999, n) for n in levels])
         active = np.flatnonzero(importance > 0).tolist()
         assert len(active) == 50
         seen = [[int(rng.integers(0, n)) for n in levels] for _ in range(8)]
@@ -297,15 +327,13 @@ class TestGeneratedScorer:
     def test_names_and_labels_never_reach_the_source(self, rng):
         hostile = ["'", '"', "'''", '"""', "\n", "a\nb", "# c", "\\", "{0}", "w0",
                    "__import__('os').system('exit 1')", "factors[0]", ")", "\x00"]
-        model = SparseRateModel(
-            hostile, [[label, f"{label}!", f"#{label}\n"] for label in hostile],
-            rng.exponential(1.0, len(hostile)),
-            [rng.uniform(0.001, 0.999, 3) for _ in hostile],
-            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="'\n#")
+        model = _model(hostile, [[label, f"{label}!", f"#{label}\n"] for label in hostile],
+                       rng.exponential(1.0, len(hostile)),
+                       [rng.uniform(0.001, 0.999, 3) for _ in hostile])
         labels = [[str(rng.choice([label, f"{label}!", f"#{label}\n", "unseen"]))
                    for label in hostile]
                   for _ in range(200)]
-        ids = model.encode_columns(list(zip(*labels)))
+        ids = model.dictionary.encode(list(zip(*labels)))
         assert (ids == -1).any()
         rows = ids.tolist()
         assert [model.encode_labels(row) for row in labels] == [tuple(r) for r in rows]
@@ -317,30 +345,28 @@ class TestGeneratedScorer:
     ])
     def test_encode_labels_and_columns_agree(self, levels, ids):
         # seen, unseen, empty and __missing__ labels; "" is the __missing__ level
-        model = SparseRateModel(["f"], [levels], [1.0], [np.full(len(levels), 0.4)],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="fp")
+        model = _model(["f"], [levels], [1.0], [np.full(len(levels), 0.4)])
         labels = ["x", "y", "", "__missing__"]
         assert [model.encode_labels([label]) for label in labels] == [(k,) for k in ids]
-        assert model.encode_columns([labels]).ravel().tolist() == ids
+        assert model.dictionary.encode([labels]).ravel().tolist() == ids
 
-    @pytest.mark.parametrize("columns, lengths", [
-        ([["x"], ["a", "b"]], "[1, 2]"),
-        ([["x", "y"], ["a"]], "[2, 1]"),
+    @pytest.mark.parametrize("columns, message", [
+        ([["x"], ["a", "b"]], "got lengths [1, 2]"),
+        ([["x", "y"], ["a"]], "got lengths [2, 1]"),
+        ([["x"]], "expected 2 columns, got 1"),
+        ([["x"], ["a"], ["b"]], "expected 2 columns, got 3"),
     ])
-    def test_encode_columns_of_different_lengths(self, columns, lengths):
-        model = SparseRateModel(["f", "g"], [["x", "y"], ["a", "b"]], [1.0, 1.0],
-                                [[0.2, 0.4], [0.3, 0.5]], epsilon=0.0, beta=0.5,
-                                global_rate=0.3, fingerprint="fp")
-        with pytest.raises(DimensionMismatch, match=f"got lengths {re.escape(lengths)}"):
-            model.encode_columns(columns)
+    def test_encode_checks_the_columns(self, columns, message):
+        dictionary = FactorDictionary(["f", "g"], [["x", "y"], ["a", "b"]])
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            dictionary.encode(columns)
 
     @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
                                        copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_model_round_trips_before_and_after_scoring(self, rng, clone):
         importance = rng.exponential(1.0, 12) * (rng.random(12) < 0.8)
-        model = SparseRateModel([f"f{i}" for i in range(12)], [["a", "b", "c"]] * 12,
-                                importance, [rng.uniform(0.01, 0.99, 3) for _ in range(12)],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="fp")
+        model = _model([f"f{i}" for i in range(12)], [["a", "b", "c"]] * 12,
+                       importance, [rng.uniform(0.01, 0.99, 3) for _ in range(12)])
         rows = rng.integers(-1, 4, (300, 12)).tolist()
         before = clone(model)
         expected = [_scored_bits(model, row) for row in rows]
@@ -377,13 +403,14 @@ class TestOneLabelRule:
                                            Schema(names, "label"))
         model = train(build_factor_table(batch, dictionary),
                       ImportanceVector(method="shannon", values=np.ones(len(names))))
-        ids = model.encode_columns(columns)
+        ids = model.dictionary.encode(columns)
         assert ids.dtype == batch.factors.dtype and np.array_equal(ids, batch.factors)
         queries = ["", MISSING_LEVEL, "unseen"]
         expected = [[levels.index(cell or MISSING_LEVEL)
                      if (cell or MISSING_LEVEL) in levels else -1
-                     for levels in model.level_labels] for cell in queries]
-        assert model.encode_columns([queries] * len(names)).tolist() == expected
+                     for levels in map(dictionary.levels, range(dictionary.m))]
+                    for cell in queries]
+        assert model.dictionary.encode([queries] * len(names)).tolist() == expected
         assert [list(model.encode_labels([cell] * len(names))) for cell in queries] \
             == expected
 
@@ -453,12 +480,10 @@ class TestScoreBatch:
                                              pruned_unseen):
         rng = np.random.default_rng(seed)
         levels = rng.integers(1, 6, len(pruned))
-        model = SparseRateModel(
-            [f"f{i}" for i in range(len(pruned))],
-            [[f"v{k}" for k in range(n_levels)] for n_levels in levels],
-            np.where(pruned, 0.0, rng.exponential(1.0, len(pruned))),
-            [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels],
-            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model([f"f{i}" for i in range(len(pruned))],
+                       [[f"v{k}" for k in range(n_levels)] for n_levels in levels],
+                       np.where(pruned, 0.0, rng.exponential(1.0, len(pruned))),
+                       [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels])
         factors = np.column_stack([rng.integers(0, n_levels, n) for n_levels in levels])
         # unseen cells: a quarter of them, a quarter of one row block's, or
         # none; a pruned factor's unseen cells when pruned_unseen
@@ -496,9 +521,8 @@ class TestScoreBatch:
         levels = rng.integers(1, 6, m)
         names = [f"f{i}" for i in range(m)]
         labels = [[f"v{k}" for k in range(n_levels)] for n_levels in levels]
-        model = SparseRateModel(names, labels, rng.exponential(1.0, m),
-                                [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels],
-                                epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model(names, labels, rng.exponential(1.0, m),
+                       [rng.uniform(0.001, 0.999, n_levels) for n_levels in levels])
         dictionary = FactorDictionary(names, labels)
         ids = np.column_stack([rng.integers(0, n_levels, n) for n_levels in levels])
         for i, n_levels in enumerate(levels):
@@ -519,10 +543,8 @@ class TestScoreBatch:
 
     def test_blocked_kernel_allocates_only_its_outputs(self, rng):
         n, m = 200_000, 20
-        model = SparseRateModel(
-            [f"f{i}" for i in range(m)], [[f"v{k}" for k in range(8)]] * m,
-            rng.exponential(1.0, m), [rng.uniform(0.01, 0.99, 8) for _ in range(m)],
-            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model([f"f{i}" for i in range(m)], [[f"v{k}" for k in range(8)]] * m,
+                       rng.exponential(1.0, m), [rng.uniform(0.01, 0.99, 8) for _ in range(m)])
         # ids -1 and 8 are unseen; a batch of seen ids takes the seen-levels path
         for low, high in ((-1, 9), (0, 8)):
             batch = RequestBatch(rng.integers(low, high, (n, m)), np.zeros(n, dtype=np.int8))
@@ -551,10 +573,9 @@ class TestScoreBatch:
         levels = rng.integers(1, 6, 3)
         if wide is not None:
             levels[rng.integers(3)] = wide
-        model = SparseRateModel(
-            [f"f{i}" for i in range(3)], [[f"v{k}" for k in range(L)] for L in levels],
-            rng.exponential(1.0, 3), [rng.uniform(0.001, 0.999, L) for L in levels],
-            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="")
+        model = _model([f"f{i}" for i in range(3)],
+                       [[f"v{k}" for k in range(L)] for L in levels],
+                       rng.exponential(1.0, 3), [rng.uniform(0.001, 0.999, L) for L in levels])
         info = np.iinfo(dtype)
         ids = np.column_stack([rng.integers(0, min(L, info.max + 1), n) for L in levels])
         for i, L in enumerate(levels):
@@ -665,21 +686,34 @@ class TestPersistence:
         for _ in range(1000):
             rec = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
             assert score(model, rec).score == score(loaded, rec).score
-        assert loaded.fingerprint == model.fingerprint
+        assert loaded.dictionary == model.dictionary
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_fingerprint_must_match_the_levels(self, tmp_path):
+        # a valid checksum over levels that the stored fingerprint does not name
+        import hashlib
+        import json
+        path = tmp_path / "model.json"
+        save_model(self._trained(), path)
+        doc = json.loads(path.read_text().splitlines()[0])
+        levels = doc["factors"][1]["levels"]
+        doc["factors"][1]["levels"] = dict(reversed(levels.items()))
+        body = json.dumps(doc, ensure_ascii=False)
+        path.write_text(body + "\nsha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+        with pytest.raises(CorruptFile, match="fingerprint does not match the model's levels"):
+            load_model(path)
 
     def test_line_separators_in_labels_round_trip(self, tmp_path):
         # JSON keeps U+2028, U+2029 and U+0085 raw; str.splitlines splits at them
-        model = SparseRateModel(
-            [f"f{c}" for c in "\u2028\u2029\x85"],
-            [[f"a{c}", f"{c}", f"b{c}c"] for c in "\u2028\u2029\x85"],
-            [0.5, 0.25, 0.125], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
-            epsilon=0.0, beta=0.5, global_rate=0.3, fingerprint="fp\u2028\u2029\x85")
+        model = _model([f"f{c}" for c in "\u2028\u2029\x85"],
+                       [[f"a{c}", f"{c}", f"b{c}c"] for c in "\u2028\u2029\x85"],
+                       [0.5, 0.25, 0.125], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.factor_names == model.factor_names
-        assert loaded.level_labels == model.level_labels
-        assert loaded.fingerprint == model.fingerprint
+        assert loaded.dictionary == model.dictionary
         assert loaded.importance.tobytes() == model.importance.tobytes()
         assert [r.tobytes() for r in loaded.rates] == [r.tobytes() for r in model.rates]
         save_model(loaded, tmp_path / "again.json")
