@@ -19,7 +19,7 @@ import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice, repeat, tee
 from operator import itemgetter
 from sys import intern
 from typing import Iterator, NamedTuple, Sequence, TextIO
@@ -40,6 +40,10 @@ HOURS_PER_DAY = 24.0
 # collection scans them. 64k-row blocks cost about as much in collections
 # as the work itself.
 ROW_BLOCK = 256
+
+# Rows per block where a numpy pass holds block-sized scratch arrays in
+# place of full-length ones: 2^16 float64 values are 512 KB.
+SCRATCH_ROWS = 1 << 16
 
 
 def _repeats(values: Sequence, per: int) -> bool:
@@ -327,8 +331,8 @@ class Rows(NamedTuple):
             return values
         columns = values.reshape(len(values), -1).T
         out = np.empty((len(columns), len(self.codes)), values.dtype)
-        for start in range(0, len(self.codes), 1 << 16):  # 512 KB of intp codes at once
-            block = self.codes[start:start + (1 << 16)].astype(np.intp)
+        for start in range(0, len(self.codes), SCRATCH_ROWS):
+            block = self.codes[start:start + SCRATCH_ROWS].astype(np.intp)
             for column, part in zip(columns, out[:, start:start + len(block)]):
                 np.take(column, block, out=part, mode="clip")  # codes are in range
         return out.T.reshape(len(self.codes), *values.shape[1:])
@@ -355,9 +359,12 @@ CHUNK_CHARS = 1 << 16
 
 # Characters parse_cookie_events reads at a time. Unlike a request log's (see
 # CHUNK_CHARS), an event file's piece is read column-wise, with a fixed number
-# of numpy calls and no Python object per line, so larger pieces cost less:
-# 64 Ki pieces cut the benchmark's 4.4 MB events file into 67, 1 Mi into 5.
-EVENT_CHUNK_CHARS = 1 << 20
+# of numpy calls and no Python object per line, so pieces of a few hundred
+# Ki cost least: the benchmark's 4.4 MB events file parsed in 32.3 ms in
+# 64 Ki pieces, 27.3 ms in 256 Ki, 28.2 ms in 512 Ki and 30.2 ms in 1 Mi
+# (best of 15, sizes interleaved). A piece's scratch arrays take about 10
+# bytes per character, 2.5 MB at 256 Ki and 10 MB at 1 Mi.
+EVENT_CHUNK_CHARS = 1 << 18
 
 
 def _pieces(stream: TextIO, size: int) -> Iterator[str]:
@@ -1060,20 +1067,51 @@ def _coded(keys: np.ndarray) -> "Coded":
     keys in first-seen order, and each key's index among them (int32). Only
     the first key of each run of equal keys is sorted; the rest take its code."""
     # the first key of each run, and none of no keys
-    heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))[:len(keys)]
-    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    return Coded(keys[heads[first[order]]],
-                 np.repeat(rank[inverse], np.diff(heads, append=len(keys))))
+    head = np.concatenate([[True], keys[1:] != keys[:-1]])[:len(keys)]
+    labels, codes = _first_seen(keys[head])
+    run = np.cumsum(head, dtype=np.int32)
+    del head
+    run -= 1
+    return Coded(labels, codes[run])
 
 
-def _plain_events(pieces: Iterator[str], read: list[str]) -> EventBatch | None:
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in first-seen order, and each key's index among
+    them (int32)."""
+    # a stable sort puts each distinct key's first occurrence at the head
+    # of its group
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    group = np.concatenate([[True], ordered[1:] != ordered[:-1]])[:len(keys)]
+    del ordered
+    first = order[group]
+    seen = np.zeros(len(keys), bool)
+    seen[first] = True
+    # a distinct key's code is the rank of its first occurrence among them
+    rank = np.cumsum(seen, dtype=np.int32)
+    rank -= 1
+    group_codes = rank[first]
+    del first, rank
+    ids = np.cumsum(group, dtype=np.int32)
+    ids -= 1
+    codes = np.empty(len(keys), np.int32)
+    codes[order] = group_codes[ids]
+    return keys[seen], codes
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    """The concatenation of ``chunks``, which are dropped from the list, so
+    that a column is held once while the next one is joined."""
+    column = np.concatenate(chunks)
+    chunks.clear()
+    return column
+
+
+def _plain_events(pieces: Iterator[str]) -> EventBatch | None:
     """The EventBatch of a plain event file, read column-wise from the UTF-8
     bytes of ``pieces`` with no Python object per row, or None where this
     cannot be done exactly as ``read_columns`` with ``_Index`` and
-    ``_timestamps`` would do it; ``read`` gets every piece taken.
+    ``_timestamps`` would do it.
 
     A plain file has no '"', "\\r" or NUL (a NUL would be lost from an ``S``
     key) anywhere, its header included; every line has the header's number
@@ -1084,7 +1122,8 @@ def _plain_events(pieces: Iterator[str], read: list[str]) -> EventBatch | None:
     key arrays stay within MAX_KEY_BLOWUP times the bytes read. The header
     is read as ``read_columns`` reads it: a repeated name means its last
     column. Each piece's named cells become ``S`` key arrays and int64
-    timestamps; the EventBatch codes a key column where it is first used.
+    timestamps, joined one column at a time at the end; the EventBatch
+    codes a key column where it is first used.
     """
     limit = csv.field_size_limit()
     keys = ([np.empty(0, "S1")], [np.empty(0, "S1")])
@@ -1092,7 +1131,6 @@ def _plain_events(pieces: Iterator[str], read: list[str]) -> EventBatch | None:
     positions = None
     rows = body_bytes = widest = 0
     for piece in pieces:
-        read.append(piece)
         if positions is None:
             header, _, piece = piece.partition("\n")
             names = header.split(",")
@@ -1142,8 +1180,7 @@ def _plain_events(pieces: Iterator[str], read: list[str]) -> EventBatch | None:
             chunks.append(cells.view(f"S{cells.shape[1]}").ravel())
     if positions is None:
         return None
-    return EventBatch(np.concatenate(keys[0]), None, np.concatenate(keys[1]), None,
-                      np.concatenate(stamps))
+    return EventBatch(_joined(keys[0]), None, _joined(keys[1]), None, _joined(stamps))
 
 
 def parse_cookie_events(stream: TextIO | str) -> EventBatch:
@@ -1151,18 +1188,28 @@ def parse_cookie_events(stream: TextIO | str) -> EventBatch:
     EventBatch.
 
     A plain file is read column-wise (``_plain_events``); any other goes
-    whole to ``read_columns``, which decides its result and its errors. The
-    pieces of text read are kept until then, so that nothing is read twice.
-    Raises MissingColumn, RaggedRow, or BadLabel for a timestamp that is not
-    an int64 integer; the two row errors name the earliest offending line.
+    whole to ``read_columns``, which decides its result and its errors. A
+    stream that can seek is read again from where parsing began; from one
+    that cannot, the pieces of text read are kept until then, so that
+    nothing is read twice. Raises MissingColumn, RaggedRow, or BadLabel for
+    a timestamp that is not an int64 integer; the two row errors name the
+    earliest offending line.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    pieces, read = _pieces(stream, EVENT_CHUNK_CHARS), []
-    events = _plain_events(pieces, read)
+    start = stream.tell() if stream.seekable() else None
+    pieces = _pieces(stream, EVENT_CHUNK_CHARS)
+    if start is None:
+        pieces, kept = tee(pieces)
+    events = _plain_events(pieces)
     if events is not None:
         return events
-    rows = read_columns(_Replay(chain(read, pieces)), EVENT_COLUMNS,
+    del pieces  # a tee holds every piece that one of its two sides has not read
+    if start is None:
+        stream = _Replay(kept)
+    else:
+        stream.seek(start)
+    rows = read_columns(stream, EVENT_COLUMNS,
                         check=lambda rows: _timestamps(rows.columns[2], rows.line))
     cookie_ids, browser_names, stamps = rows.columns
     cookies, browsers = _Index(), _Index()

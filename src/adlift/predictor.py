@@ -25,7 +25,7 @@ from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainErr
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (FactorDictionary, FactorTable, RequestBatch, _unsigned_ids,
-                     atomic_write, load_json, open_text)
+                     atomic_write, id_dtype, load_json, open_text)
 
 MODEL_VERSION = 1
 
@@ -225,7 +225,9 @@ class BatchScores:
     """Element-wise scores for a batch, with measured throughput.
 
     Row i of ``scores`` and ``used_factors`` belongs to row i of the batch;
-    iterating yields one ``ScoredRequest`` per row, for ``pace``. ``errors``
+    iterating yields one ``ScoredRequest`` per row, for ``pace``.
+    ``used_factors`` is in the narrowest integer type that holds the model's
+    factor count (``ingest.id_dtype``), int8 below 128 factors. ``errors``
     is always empty: a batch is checked whole before it is scored.
     """
 
@@ -282,7 +284,8 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     t_start = time.perf_counter()
     n = len(batch)
     scores = np.empty(n)
-    used = np.empty(n, dtype=np.int64)
+    # a row's count of factors used, 0 to m, is an id of m + 1 levels
+    used = np.empty(n, dtype=id_dtype([model.m + 1]))
     widest = max((len(table) - 1 for _, _, table in model._real), default=0)
     size = min(n, SCORE_BLOCK)
     scratch = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DegenerateData, DomainError, InconsistentInputs,
                      NoConvergence, NoDeathsWarning, NumericalError)
-from .ingest import HOURS_PER_DAY, EventBatch
+from .ingest import HOURS_PER_DAY, SCRATCH_ROWS, EventBatch
 
 SECONDS_PER_DAY = 86400.0
 
@@ -419,14 +419,24 @@ def estimate_survival(events: EventBatch, window: tuple[int, int],
     outside = np.flatnonzero((ts < t0) | (ts >= t1))
     if len(outside):
         raise DomainError(f"event at {int(ts[outside[0]])} outside window {window}")
-    # a stable sort keeps each cookie's events in input order, and cookies in
-    # code order, so the per-browser sums add lifetimes in first-seen order
-    order = np.argsort(events.cookies, kind="stable")
-    starts = np.flatnonzero(np.diff(events.cookies[order], prepend=-1))
-    by_cookie = ts[order]
-    first = np.minimum.reduceat(by_cookie, starts)
-    last = np.maximum.reduceat(by_cookie, starts)
-    browser = events.browsers[order[starts]]
+    # one slot per cookie code: its first and last timestamps and its first
+    # event's position, where a code that no event has keeps first > last.
+    # The slots are in code order, so the per-browser sums add lifetimes in
+    # first-seen order
+    cookies = events.cookies
+    size = int(cookies.max(initial=-1)) + 1
+    first = np.full(size, np.iinfo(np.int64).max)
+    np.minimum.at(first, cookies, ts)
+    last = np.full(size, np.iinfo(np.int64).min)
+    np.maximum.at(last, cookies, ts)
+    at = np.full(size, len(ts))
+    for start in range(0, len(ts), SCRATCH_ROWS):
+        block = cookies[start:start + SCRATCH_ROWS]
+        np.minimum.at(at, block, np.arange(start, start + len(block)))
+    used = first <= last
+    browser = events.browsers[at[used]]
+    del at
+    first, last = first[used], last[used]
     censored = last >= t1 - guard_s
     n_browsers = len(events.browser_labels)
     totals = np.bincount(browser, weights=last - first, minlength=n_browsers).tolist()

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadSpec
-from .ingest import (HOURS_PER_DAY, SECONDS_PER_HOUR, EventBatch, FactorDictionary,
-                     RequestBatch, Schema, _cell_bytes, _int_cells, id_dtype)
+from .ingest import (HOURS_PER_DAY, SCRATCH_ROWS, SECONDS_PER_HOUR, EventBatch,
+                     FactorDictionary, RequestBatch, Schema, id_dtype)
 from .timeseries import MAX_SERIES_HOURS
 
 # the most requests, users, hours or expected events a spec may ask for:
@@ -254,8 +254,9 @@ MAX_CELL_BITS = 16
 def _draw_levels(rng: np.random.Generator, probs: Sequence[float], edges: np.ndarray,
                  u: np.ndarray, cells: np.ndarray, out: np.ndarray) -> None:
     """Fill ``out`` with level ids drawn with ``probs``, consuming one
-    ``rng.random(len(out))``; ``u`` and ``cells`` are scratch buffers as long,
-    and ``edges`` are the k/size, k = 0..size, of a power-of-two size.
+    ``rng.random(len(out))`` in blocks of SCRATCH_ROWS draws; ``u`` and
+    ``cells`` are scratch buffers of one block, and ``edges`` are the
+    k/size, k = 0..size, of a power-of-two size.
 
     A draw u takes level ``count(cdf <= u)``, the level that
     ``rng.choice(len(probs), p=probs)`` returns for the same stream. The
@@ -268,14 +269,18 @@ def _draw_levels(rng: np.random.Generator, probs: Sequence[float], edges: np.nda
     cdf /= cdf[-1]
     size = len(edges) - 1
     lo = cdf.searchsorted(edges[:-1], side="right").astype(out.dtype)
-    rng.random(out=u)
-    # u * 2^k is exact, so its integer part is the draw's cell
-    np.multiply(u, size, out=cells, casting="unsafe")
-    lo.take(cells, out=out)
     mixed = cdf.searchsorted(edges[1:], side="left") > lo
-    if np.count_nonzero(mixed):
-        rows = mixed.take(cells).nonzero()[0]
-        out[rows] = cdf.searchsorted(u[rows], side="right")
+    search = np.count_nonzero(mixed)
+    for start in range(0, len(out), SCRATCH_ROWS):
+        ids = out[start:start + SCRATCH_ROWS]
+        draws, cell = u[:len(ids)], cells[:len(ids)]
+        rng.random(out=draws)
+        # u * 2^k is exact, so its integer part is the draw's cell
+        np.multiply(draws, size, out=cell, casting="unsafe")
+        lo.take(cell, out=ids)
+        if search:
+            rows = mixed.take(cell).nonzero()[0]
+            ids[rows] = cdf.searchsorted(draws[rows], side="right")
 
 
 def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, RequestBatch]:
@@ -287,7 +292,10 @@ def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, Reques
     effects of the drawn levels, so a spec and seed give the same requests
     as they always have. Each factor's ids are drawn straight into its
     contiguous column of the batch's column-major matrix, whose type is
-    ``id_dtype`` of the level counts.
+    ``id_dtype`` of the level counts. The uniforms, the log-odds and the
+    labels are taken ``ingest.SCRATCH_ROWS`` rows at a time: the stream is
+    sequential, so blocks draw the values one draw of n would, and the
+    set-up holds the matrix, the labels and one block of scratch.
     """
     rng = np.random.default_rng(seed)
     n, m = spec.n, len(spec.factors)
@@ -297,14 +305,22 @@ def gen_requests(spec: RequestSpec, seed: int) -> tuple[FactorDictionary, Reques
     size = 1 << min(MAX_CELL_BITS, (n * widest).bit_length() // 2)
     edges = np.arange(size + 1) / size
     factors = np.empty((n, m), dtype=id_dtype([widest]), order="F")
-    u = np.empty(n)
-    cells = np.empty(n, dtype=np.intp)
-    logits = np.full(n, math.log(spec.base_rate / (1.0 - spec.base_rate)))
+    block = min(n, SCRATCH_ROWS)
+    u, logits, cells = np.empty(block), np.empty(block), np.empty(block, dtype=np.intp)
     for f, ids in zip(spec.factors, factors.T):
         _draw_levels(rng, f.probs, edges, u, cells, ids)
-        logits += np.asarray(f.effects)[ids]
-    del u, cells
-    labels = (rng.random(n) < _sigmoid(logits)).astype(np.int8)
+    del cells
+    base = math.log(spec.base_rate / (1.0 - spec.base_rate))
+    effects = [np.asarray(f.effects) for f in spec.factors]
+    labels = np.empty(n, dtype=np.int8)
+    for start in range(0, n, SCRATCH_ROWS):
+        rows = slice(start, min(n, start + SCRATCH_ROWS))
+        logit, draws = logits[:rows.stop - start], u[:rows.stop - start]
+        logit.fill(base)
+        for effect, ids in zip(effects, factors.T):
+            logit += effect[ids[rows]]
+        rng.random(out=draws)
+        labels[rows] = draws < _sigmoid(logit)
     dictionary = FactorDictionary([f.name for f in spec.factors],
                                   [list(f.levels) for f in spec.factors])
     return dictionary, RequestBatch(factors, labels)
@@ -342,18 +358,22 @@ def gen_gamma_poisson(spec: PopulationSpec, seed: int) -> PopulationSample:
     offsets = np.zeros(spec.users + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     total = int(offsets[-1])
-    times = rng.random(total) * spec.window_hours
+    times = rng.random(total)
+    times *= spec.window_hours
     # one int64 sort of user * total + (the time's rank among all times)
     # orders each user's times as lexsort((times, user)) does; both factors
     # are near MAX_COUNT at most, so the key cannot overflow
     order = times.argsort()
-    rank = np.empty(total, np.int64)
-    rank[order] = np.arange(total)
+    key = np.empty(total, np.int64)
+    key[order] = np.arange(total)
+    times = times[order]
+    del order
     base = np.repeat(np.arange(spec.users, dtype=np.int64) * total, counts)
-    key = base + rank
+    key += base
     key.sort()
     key -= base
-    return PopulationSample(counts=counts, times=times[order[key]], offsets=offsets)
+    del base
+    return PopulationSample(counts=counts, times=times[key], offsets=offsets)
 
 
 def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventBatch:
@@ -362,6 +382,8 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventB
 
     Each segment between consecutive deaths gets a fresh cookie id; events
     are conserved, only identities change. Timestamps are epoch seconds.
+    The event columns are built in place where a step allows it: the cookie
+    and browser codes come out int32, as the EventBatch stores them.
     """
     rng = np.random.default_rng(seed)
     browsers = churn.browsers
@@ -372,46 +394,76 @@ def apply_churn(sample: PopulationSample, churn: ChurnSpec, seed: int) -> EventB
     browser_idx = rng.choice(len(browsers), size=users, p=mix)
     tau_user = taus_h[browser_idx]
 
-    ev_user = np.repeat(np.arange(users), sample.counts)
+    # users and events number MAX_COUNT at most, so int32 holds their indices
+    ev_user = np.repeat(np.arange(users, dtype=np.int32), sample.counts)
     ev_time = sample.times
+    active = sample.counts > 0
+    heads = sample.offsets[:-1][active]  # each user's first event
 
     # deaths form a rate-1/tau Poisson process, so the death count in each
     # inter-event gap is Poisson(gap/tau); an event's segment index is the
-    # cumulative death count up to it
-    prev_time = np.concatenate(([0.0], ev_time[:-1]))
-    first_of_user = np.zeros(len(ev_time), dtype=bool)
-    first_of_user[sample.offsets[:-1][sample.counts > 0]] = True
-    gaps = np.where(first_of_user, ev_time, ev_time - prev_time)
-    deaths_in_gap = rng.poisson(gaps / tau_user[ev_user])
-    seg = np.cumsum(deaths_in_gap)
-    if len(seg):
-        base = np.concatenate(([0], seg[:-1]))
-        starts = np.zeros(len(seg), dtype=np.int64)
-        starts[first_of_user] = base[first_of_user]
-        np.maximum.accumulate(starts, out=starts)
-        seg = seg - starts
+    # cumulative death count up to it, less that before its user's first
+    # event. A user's first gap runs from the window's start.
+    gaps = np.empty(len(ev_time))
+    np.subtract(ev_time[1:], ev_time[:-1], out=gaps[1:])
+    gaps[heads] = ev_time[heads]
+    gaps /= tau_user[ev_user]
+    seg = rng.poisson(gaps)
+    del gaps
+    first_deaths = seg[heads]
+    np.cumsum(seg, out=seg)
+    seg -= np.repeat(seg[heads] - first_deaths, sample.counts[active])
+    del heads, first_deaths
 
     # a user's segment is a run of consecutive events: cookie u{u}s{s}
     new_cookie = np.ones(len(seg), dtype=bool)
-    new_cookie[1:] = (ev_user[1:] != ev_user[:-1]) | (seg[1:] != seg[:-1])
-    ts = (ev_time * SECONDS_PER_HOUR).astype(np.int64)
-    return EventBatch(np.cumsum(new_cookie) - 1,
-                      _cookie_keys(ev_user[new_cookie], seg[new_cookie]),
-                      browser_idx[ev_user], browsers, ts)
+    np.not_equal(ev_user[1:], ev_user[:-1], out=new_cookie[1:])
+    new_cookie[1:] |= seg[1:] != seg[:-1]
+    cookies = np.cumsum(new_cookie, dtype=np.int32)
+    cookies -= 1
+    keys = _cookie_keys(ev_user[new_cookie], seg[new_cookie])
+    del seg, new_cookie
+    browser_codes = browser_idx.astype(np.int32)[ev_user]
+    del ev_user
+    ts = np.empty(len(ev_time), np.int64)
+    np.multiply(ev_time, SECONDS_PER_HOUR, out=ts, casting="unsafe")
+    return EventBatch(cookies, keys, browser_codes, browsers, ts)
+
+
+# 10^1 .. 10^18: an int64 v >= 0 has 1 + count(_TENS <= v) decimal digits
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _cookie_keys(users: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """The cookie ids ``u{user}s{segment}`` as an ``S`` array, their digits
-    written by the report writer's digit arithmetic."""
-    n = len(users)
-    user, segment = _int_cells(users), _int_cells(segments)
-    u, s = (np.full((n, 1), ord(c), np.uint8) for c in "us")
-    kept = np.ones((n, 1), bool)
-    cells = np.concatenate([u, user.cells, s, segment.cells], axis=1)
-    keep = np.concatenate([kept, user.keep, kept, segment.keep], axis=1)
-    lengths = keep.sum(axis=1)
-    keys = _cell_bytes(cells[keep], np.cumsum(lengths) - lengths, lengths)
-    return keys.view(f"S{keys.shape[1]}").ravel()
+    """The cookie ids ``u{user}s{segment}`` of non-negative integer ``users``
+    and ``segments`` as an ``S`` array, its bytes written SCRATCH_ROWS keys
+    at a time in place."""
+    width = 2 + sum(len(str(int(v.max(initial=0)))) for v in (users, segments))
+    keys = np.zeros((len(users), width), np.uint8)
+    keys[:, 0] = ord("u")
+    for start in range(0, len(keys), SCRATCH_ROWS):
+        rows = slice(start, start + SCRATCH_ROWS)
+        flat = keys[rows].reshape(-1)
+        # a key's user digits follow its "u", its "s" follows them, and its
+        # segment digits follow its "s"
+        ends = np.arange(0, len(flat), width)
+        ends += 1 + _TENS.searchsorted(users[rows], side="right")
+        _put_digits(flat, ends, users[rows])
+        flat[ends + 1] = ord("s")
+        ends += 2 + _TENS.searchsorted(segments[rows], side="right")
+        _put_digits(flat, ends, segments[rows])
+    return keys.view(f"S{width}").ravel()
+
+
+def _put_digits(flat: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
+    """Write the decimal digits of non-negative ``values`` into ``flat``,
+    each value's last digit at its entry of ``ends``."""
+    values = values.astype(np.int64)
+    while len(values):
+        flat[ends] = values % 10 + ord("0")
+        values //= 10
+        more = values > 0
+        values, ends = values[more], ends[more] - 1
 
 
 def gen_inhomogeneous_poisson(spec: IntensitySpec, seed: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (DimensionMismatch, DomainError, OutOfDomain,
                      RankDeficientWarning, TooShort, ZeroTotal)
-from .ingest import SECONDS_PER_HOUR
+from .ingest import SCRATCH_ROWS, SECONDS_PER_HOUR
 
 DEFAULT_WINDOW = 168  # one week of hours
 RANK_ENERGY_TARGET = 0.95
@@ -225,13 +225,20 @@ def virtualize(clock: VirtualClock, timestamps) -> np.ndarray:
 
     u = T_virtual * cum(t) / cum(T) with T_virtual the window length, so one
     virtual hour carries ~1/n_hours of the total event mass. Monotone
-    non-decreasing, strictly increasing where intensity is positive.
+    non-decreasing, strictly increasing where intensity is positive. The
+    map is elementwise, so it runs a block of events at a time into one
+    output array and holds one block of scratch: SCRATCH_ROWS events, or one
+    per hour of a longer clock, whose slopes each block's call computes.
     """
-    ts = np.asarray(timestamps, dtype=np.float64)
-    if ts.size == 0:
-        return np.empty(0)
+    ts = np.asarray(timestamps)
+    flat = ts.reshape(-1)
+    out = np.empty(len(flat))
     t_virtual = clock.n_hours * SECONDS_PER_HOUR
-    return t_virtual * clock.cumulative(ts) / clock.total_mass
+    block = max(SCRATCH_ROWS, clock.n_hours)
+    for start in range(0, len(flat), block):
+        rows = slice(start, start + block)
+        out[rows] = t_virtual * clock.cumulative(flat[rows]) / clock.total_mass
+    return out.reshape(ts.shape)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ def make_events(rows) -> EventBatch:
         codes = [index.setdefault(row[j], len(index)) for row in rows]
         columns += [codes, list(index)]
     return EventBatch(*columns, [row[2] for row in rows])
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +20,8 @@ from hypothesis import strategies as st
 from adlift import ingest
 from adlift.cli import PROG, _load_series, dispatch, emit_report
 from adlift.ingest import _fmt
+
+from conftest import traced_peak
 
 SYNTH_SPEC = {
     "seed": 42,
@@ -474,13 +475,9 @@ class TestEmitReport:
         codes = np.arange(2 * ingest.WRITE_BLOCK) % 5000
         path = tmp_path / "r.csv"
         for column in (labels, np.array(labels, dtype="S")):
-            tracemalloc.start()
-            try:
-                emit_report(["x", "i"], ingest.Columns(ingest.Coded(column, codes),
-                                                       np.arange(len(codes))), path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(emit_report, ["x", "i"],
+                                  ingest.Columns(ingest.Coded(column, codes),
+                                                 np.arange(len(codes))), path)
             assert peak < 8 * ingest.MAX_BLOCK_BYTES
             assert path.read_bytes() == csv_writer_oracle(
                 ["x", "i"], [(labels[k], i) for i, k in enumerate(codes.tolist())])

@@ -2,7 +2,6 @@ import copy
 import math
 import pickle
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +12,13 @@ from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
                            FingerprintMismatch, VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
 from adlift.ingest import (MISSING_LEVEL, FactorDictionary, RequestBatch, Schema,
-                           build_factor_table, parse_requests)
+                           build_factor_table, id_dtype, parse_requests)
 from adlift.predictor import (SCORE_BLOCK, SCORER_TERMS, PacingState, ScoredRequest,
                               SparseRateModel, load_model, pace, pace_batch, save_model,
                               score, score_batch, train)
 from adlift.synth import FactorSpec, RequestSpec, gen_requests
 
-from conftest import make_table
+from conftest import make_table, traced_peak
 
 
 def _general_score(model, ids):
@@ -508,10 +507,22 @@ class TestScoreBatch:
         assert [_bits((s.score, s.used_factors)) for s in expected] \
             == [_bits(_general_score(model, rec)) for rec in batch]
         scores = np.array([s.score for s in expected], dtype=np.float64)
-        used = np.array([s.used_factors for s in expected], dtype=np.int64)
         result = score_batch(model, batch)
         assert result.scores.tobytes() == scores.tobytes()
-        assert result.used_factors.tobytes() == used.tobytes()
+        # counts 0 to m in the narrowest type that holds m
+        assert result.used_factors.dtype == id_dtype([model.m + 1])
+        assert result.used_factors.tolist() == [s.used_factors for s in expected]
+
+    @pytest.mark.parametrize("m, dtype", [(127, np.int8), (128, np.int16)])
+    def test_used_factor_counts_widen_only_past_int8(self, m, dtype):
+        # a count of m factors takes int8 up to 127 factors
+        model = _model([f"f{i}" for i in range(m)], [["a", "b"]] * m,
+                       np.ones(m), [np.array([0.25, 0.75])] * m)
+        ids = np.zeros((3, m), dtype=np.int8)
+        ids[1, 0] = 2
+        result = score_batch(model, RequestBatch(ids, np.zeros(3, dtype=np.int8)))
+        assert result.used_factors.dtype == dtype
+        assert result.used_factors.tolist() == [m, m - 1, m]
 
     @given(n=st.sampled_from([0, 1, 7, B + 1]), seed=st.integers(0, 2**32 - 1),
            m=st.integers(1, 4), unseen_share=st.sampled_from([0.0, 0.3]))
@@ -548,12 +559,7 @@ class TestScoreBatch:
         # ids -1 and 8 are unseen; a batch of seen ids takes the seen-levels path
         for low, high in ((-1, 9), (0, 8)):
             batch = RequestBatch(rng.integers(low, high, (n, m)), np.zeros(n, dtype=np.int8))
-            tracemalloc.start()
-            try:
-                result = score_batch(model, batch)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            result, peak = traced_peak(score_batch, model, batch)
             outputs = result.scores.nbytes + result.used_factors.nbytes
             assert peak <= outputs + 4 * 2**20
 

@@ -17,10 +17,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adlift"
 ALLOWED = {
     ("predictor", "ingest._unsigned_ids"):
         "score_batch reads a batch's ids as unsigned, by the width rule of id_dtype",
-    ("synth", "ingest._cell_bytes"):
-        "synthetic cookie ids are built as the column-wise event parse builds its keys",
-    ("synth", "ingest._int_cells"):
-        "synthetic cookie ids are written with the report writer's digit arithmetic",
 }
 
 

@@ -11,10 +11,12 @@ from scipy import stats
 from adlift import timeseries
 from adlift.errors import (DimensionMismatch, DomainError, OutOfDomain,
                            RankDeficientWarning, TooShort, ZeroTotal)
-from adlift.ingest import SECONDS_PER_HOUR
+from adlift.ingest import SCRATCH_ROWS, SECONDS_PER_HOUR
 from adlift.synth import Harmonic, IntensitySpec, gen_inhomogeneous_poisson
 from adlift.timeseries import (AlarmConfig, SsaModel, build_virtual_clock, check_alarm,
                                ssa_fit, ssa_forecast, virtualize)
+
+from conftest import traced_peak
 
 EPS = np.finfo(np.float64).eps
 
@@ -371,6 +373,26 @@ class TestVirtualClock:
     def test_empty_events(self):
         clock = build_virtual_clock(np.full(2, 1.0))
         assert len(virtualize(clock, np.empty(0))) == 0
+
+    @pytest.mark.parametrize("n_hours", [720, SCRATCH_ROWS + 3])
+    def test_blocks_give_the_bits_of_one_pass(self, rng, n_hours):
+        # blocks of SCRATCH_ROWS events, or of one per hour of a longer
+        # clock, and a partial last block
+        clock = build_virtual_clock(rng.poisson(5.0, n_hours).astype(float) + 0.5)
+        n = 2 * max(SCRATCH_ROWS, n_hours) + 17
+        ts = rng.integers(0, n_hours * SECONDS_PER_HOUR + 1, n)
+        want = n_hours * SECONDS_PER_HOUR * clock.cumulative(ts) / clock.total_mass
+        assert virtualize(clock, ts).tobytes() == want.tobytes()
+        ts[-1] = n_hours * SECONDS_PER_HOUR + 1
+        with pytest.raises(OutOfDomain):
+            virtualize(clock, ts)
+
+    def test_holds_its_output_plus_one_block(self, rng):
+        # 5.1 vectors of SCRATCH_ROWS floats measured beyond the output
+        ts = np.sort(rng.integers(0, 720 * SECONDS_PER_HOUR, 4 * SCRATCH_ROWS))
+        clock = build_virtual_clock(rng.poisson(5.0, 720).astype(float) + 0.5)
+        virtual, peak = traced_peak(virtualize, clock, ts)
+        assert peak < virtual.nbytes + 6 * 8 * SCRATCH_ROWS
 
     def test_monotone_nondecreasing(self, rng):
         values = rng.random(24) * np.array([1.0] * 20 + [0.0] * 4)
