@@ -325,13 +325,16 @@ def _cmd_score(args) -> int:
     result = predictor.score_batch(model, batch)
     n = len(rows.codes)
     emit_report(["index", "score", "used_factors"],
-                ingest.Columns(np.arange(n), rows.coded(result.scores),
+                ingest.Columns(range(n), rows.coded(result.scores),
                                rows.coded(result.used_factors)), args.out)
     _info(f"scored {n} requests, {len(result)} distinct rows -> {args.out}")
     return 0
 
 
 def _cmd_pace(args) -> int:
+    """Pace the scored requests SCRATCH_ROWS at a time, gathering each block's
+    scores from the row codes: beside them, only the decisions (bool, written
+    as 0/1 through a uint8 view) and the threshold trace are full-length."""
     model = predictor.load_model(args.model)
     rows, batch = _encoded_batch(model, args.input, args.delimiter)
     result = predictor.score_batch(model, batch)
@@ -341,10 +344,14 @@ def _cmd_pace(args) -> int:
                                   horizon_requests=horizon,
                                   threshold=args.threshold,
                                   block_size=args.block, gamma=args.gamma)
-    show, threshold = predictor.pace_batch(state, rows.gather(result.scores))
+    show, threshold = np.empty(n, dtype=bool), np.empty(n)
+    for start in range(0, n, ingest.SCRATCH_ROWS):
+        block = slice(start, start + ingest.SCRATCH_ROWS)
+        show[block], threshold[block] = predictor.pace_batch(
+            state, result.scores[rows.codes[block]])
     emit_report(["index", "score", "show", "threshold"],
-                ingest.Columns(np.arange(n), rows.coded(result.scores),
-                               show.astype(np.int64), threshold), args.out)
+                ingest.Columns(range(n), rows.coded(result.scores),
+                               show.view(np.uint8), threshold), args.out)
     _info(f"showed {state.shown_so_far}/{args.target} over {n} requests "
           f"-> {args.out}")
     return 0

@@ -626,7 +626,8 @@ class Coded(NamedTuple):
 
 class Columns:
     """A report's columns, one per header name: numpy int, float or ``S``
-    arrays, ``Coded`` columns or other sequences. ``len()`` is the number of rows."""
+    arrays, ``Coded`` columns, ``range`` objects (an index column without an
+    array) or other sequences. ``len()`` is the number of rows."""
 
     def __init__(self, *columns):
         lengths = {len(c.codes) if isinstance(c, Coded) else len(c) for c in columns}
@@ -737,6 +738,8 @@ _POWERS = 10 ** np.arange(19, dtype=np.int64)
 def _digits(values: np.ndarray, out: np.ndarray) -> None:
     """Fill the rows of ``out``, one per digit, with the ASCII digits of
     non-negative int64 ``values``, right-aligned and padded with "0"."""
+    if values.max(initial=0) <= np.iinfo(np.uint32).max:
+        values = values.astype(np.uint32)  # divides by 10 about twice as fast
     for row in out[::-1]:
         quotient = values // 10
         row[:] = values - quotient * 10
@@ -818,10 +821,12 @@ def _number_cells(values: np.ndarray) -> _Matrix:
 
 
 def _coded_numbers(column: np.ndarray) -> Coded:
-    """A 64-bit numeric column as a coded one whose labels are its distinct
-    values, coded by bit pattern with ``_coded``, so that -0.0 and 0.0 (and
-    NaNs with other payloads) stay apart."""
-    distinct, codes = _coded(column.view(np.uint64))
+    """A numeric column as a coded one whose labels are its distinct values,
+    coded by bit pattern in the column's own width with ``_coded``, so that
+    -0.0 and 0.0 (and NaNs with other payloads) stay apart."""
+    if column.itemsize > 8:  # a long double, written as its float64
+        column = column.astype(np.float64)
+    distinct, codes = _coded(column.view(f"u{column.itemsize}"))
     return Coded(distinct.view(column.dtype), codes)
 
 
@@ -875,25 +880,58 @@ def _label_table(labels: Sequence, codes: np.ndarray | slice,
     return table.rows(0, len(labels))
 
 
+def _chunked(chunk_cells):
+    """A function from a row range to its cells, for the write blocks of
+    ``write_columns``, which asks for them in order: ``chunk_cells(start,
+    stop)`` gives that function for the rows of one chunk, a whole number of
+    write blocks about SCRATCH_ROWS long, and is called once per chunk."""
+    size = WRITE_BLOCK * max(1, SCRATCH_ROWS // WRITE_BLOCK)
+    first, held = -size, None  # the chunk rendered last: its first row, its cells
+
+    def cells(start, stop):
+        nonlocal first, held
+        if start - first not in range(size):
+            first, held = start - start % size, None  # dropped before the next is made
+            held = chunk_cells(first, first + size)
+        return held(start - first, stop - first)
+    return cells
+
+
+def _arange(values: range) -> np.ndarray:
+    """``values`` as an int64 array: exact where each value and the step are
+    int64, as numpy steps from the first value (the stop may lie past int64's
+    range)."""
+    return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+
+
 def _column_cells(column, lone: bool):
     """A function from a row range of ``column`` to its cells as CSV bytes (a
     ``_Matrix``, or a ``_Ragged`` to be rendered a few rows at a time).
 
-    Coded columns render each label once and gather its bytes by code, and
-    so do numeric columns whose first block repeats their bit patterns: coding
+    Coded columns render each label once and gather its bytes by code. A
+    numeric column is widened to 64 bits a block at a time; one whose first
+    256 rows repeat their bit patterns is coded a chunk at a time (see
+    ``_chunked``), each chunk rendering its distinct values once: coding
     costs about as much as formatting half the values, hence 1 distinct value
-    per 2 rows, not read_columns' 8. An ``S`` array (an EventBatch column not
-    yet coded) is its own labels, a block at a time: ``_byte_table`` makes it
-    its byte matrix, and a block it declines is decoded row by row; keys too
-    wide for its matrix are coded first. Numbers, numeric labels included,
-    are written by digit arithmetic (``_int_cells``, ``_float_cells``), other
-    labels by ``str`` and other sequences by ``_fmt`` per cell.
+    per 2 rows, not read_columns' 8. A ``range`` whose values and step are
+    int64 gives its values a block at a time. An ``S`` array (an EventBatch
+    column not yet coded) is its own labels, a block at a time:
+    ``_byte_table`` makes it its byte matrix, and a block it declines is
+    decoded row by row; keys too wide for its matrix are coded first.
+    Numbers, numeric labels included, are written by digit arithmetic
+    (``_int_cells``, ``_float_cells``), other labels by ``str`` and other
+    sequences by ``_fmt`` per cell. No numeric column is copied whole.
     """
+    if isinstance(column, range) and all(
+            _INT64.min <= v <= _INT64.max
+            for v in (column.start, column.step, column[-1] if column else 0)):
+        return lambda start, stop: _int_cells(_arange(column[start:stop]))
     if isinstance(column, np.ndarray) and column.dtype.kind in _WIDE:
-        column = column.astype(_WIDE[column.dtype.kind], copy=False)
-        if not (len(column) and _repeats(column.view(np.uint64)[:ROW_BLOCK].tolist(), 2)):
+        head = column[:ROW_BLOCK].astype(_WIDE[column.dtype.kind]).view(np.uint64)
+        if not (len(column) and _repeats(head.tolist(), 2)):
             return lambda start, stop: _number_cells(column[start:stop])
-        column = _coded_numbers(column)
+        return _chunked(lambda start, stop: _column_cells(
+            _coded_numbers(column[start:stop]), lone))
     if isinstance(column, np.ndarray) and column.dtype.kind == "S":
         if column.itemsize * WRITE_BLOCK <= MAX_BLOCK_BYTES:
             return lambda start, stop: _label_table(column[start:stop], slice(None), lone)
@@ -915,7 +953,9 @@ def write_columns(path, header: Sequence[str], table: Columns) -> None:
     time (fewer where cells are wide, see MAX_BLOCK_BYTES), each block as one
     uint8 matrix of the columns' fixed-width cells and a "," or "\\n" after
     each, less the bytes that its mask drops; neither the report's text nor
-    its rows are ever held whole.
+    its rows, nor a widened or coded copy of a numeric column, are ever held
+    whole: numbers are coded about SCRATCH_ROWS rows at a time (see
+    ``_column_cells``).
     """
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
@@ -990,7 +1030,8 @@ def build_factor_table(batch: RequestBatch,
     DimensionMismatch unless the batch has the dictionary's factor count;
     ValueError for a label other than 0 or 1, or for a level id outside
     [0, L) of its factor. Ids of every width are checked by
-    ``_unsigned_ids`` and counted as 2 * id + label in int64.
+    ``_unsigned_ids`` and counted as 2 * id + label in int64, SCRATCH_ROWS
+    rows at a time: a factor's table is the sum of its blocks' counts.
     """
     if batch.m != dictionary.m:
         raise DimensionMismatch(
@@ -998,7 +1039,7 @@ def build_factor_table(batch: RequestBatch,
     n = len(batch)
     if n and batch.labels.view(np.uint8).max() > 1:
         raise ValueError("record labels must be 0 or 1")
-    flat = np.empty(n, dtype=np.int64)
+    scratch = np.empty(min(n, SCRATCH_ROWS), dtype=np.int64)
     counts = []
     for i, name in enumerate(dictionary.factor_names):
         levels = dictionary.level_count(i)
@@ -1007,10 +1048,15 @@ def build_factor_table(batch: RequestBatch,
         # maximum finds an id past either end
         if n and _unsigned_ids(ids, levels).max() >= levels:
             raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
-        # in int64: in the ids' own type, 2 * id wraps from 2^(b-2) on
-        np.multiply(ids, 2, out=flat, dtype=np.int64)
-        flat += batch.labels
-        counts.append(np.bincount(flat, minlength=levels * 2).reshape(-1, 2))
+        count = np.zeros(levels * 2, dtype=np.int64)
+        for start in range(0, n, SCRATCH_ROWS):
+            rows = slice(start, start + SCRATCH_ROWS)
+            flat = scratch[:len(ids[rows])]
+            # in int64: in the ids' own type, 2 * id wraps from 2^(b-2) on
+            np.multiply(ids[rows], 2, out=flat, dtype=np.int64)
+            flat += batch.labels[rows]
+            count += np.bincount(flat, minlength=levels * 2)
+        counts.append(count.reshape(-1, 2))
     return FactorTable(counts, n, dictionary)
 
 

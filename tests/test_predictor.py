@@ -678,6 +678,36 @@ class TestPace:
         assert np.concatenate(parts).tolist() == expected
         assert batch == scalar
 
+    @given(n=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(0, 2000), max_size=8),
+           block_size=st.one_of(st.sampled_from([0, 1]), st.integers(2, 300)),
+           target_share=st.floats(0.0, 1.2), threshold=st.floats(0.0, 1.0),
+           gamma=st.floats(0.1, 2.0))
+    @example(n=1000, seed=0, cuts=[5, 5, 130, 999], block_size=100, target_share=0.1,
+             threshold=0.3, gamma=0.5)
+    @settings(max_examples=150, deadline=None)
+    def test_any_split_paces_as_one_call(self, n, seed, cuts, block_size, target_share,
+                                         threshold, gamma):
+        # pace's report paces a stream a block of rows at a time: the parts,
+        # empty ones and cuts inside a pacing block included, give the
+        # decisions, threshold trace and final state of one call, bit for bit
+        scores = np.round(np.random.default_rng(seed).random(n), 2)
+
+        def fresh():
+            return PacingState(target_total=int(target_share * n), horizon_requests=n,
+                               threshold=round(threshold, 2), block_size=block_size,
+                               gamma=gamma)
+
+        whole = fresh()
+        show, trace = pace_batch(whole, scores)
+        split = fresh()
+        bounds = [0, *sorted(min(cut, n) for cut in cuts), n]
+        parts = [pace_batch(split, scores[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == show.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == trace.tobytes()
+        assert split == whole
+        assert np.float64(split.threshold).tobytes() == np.float64(whole.threshold).tobytes()
+
 
 class TestPersistence:
     def _trained(self):
