@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import secrets
 from contextlib import contextmanager
@@ -937,12 +938,91 @@ def _column_cells(column, lone: bool):
             return lambda start, stop: _label_table(column[start:stop], slice(None), lone)
         column = _coded(column)  # wider keys are decoded, once per distinct key
     if isinstance(column, Coded):
-        codes = column.codes
-        table = _label_table(column.labels, codes, lone)
-        if isinstance(table, _Matrix):  # each block gathers rows of the mask
-            table = table._replace(keep=np.ascontiguousarray(table.keep))
-        return lambda start, stop: table.take(codes[start:stop])
+        return _gathered(_coded_table(column, lone), column.codes)
     return lambda start, stop: _ragged(_csv_cells(list(map(_fmt, column[start:stop])), lone))
+
+
+def _coded_table(column: Coded, lone: bool) -> _Matrix | _Ragged:
+    """A coded column's label cells by ``_label_table``, a matrix's mask
+    made contiguous: each block gathers rows of it."""
+    table = _label_table(column.labels, column.codes, lone)
+    if isinstance(table, _Matrix):
+        table = table._replace(keep=np.ascontiguousarray(table.keep))
+    return table
+
+
+def _gathered(table: _Matrix | _Ragged, codes: np.ndarray):
+    return lambda start, stop: table.take(codes[start:stop])
+
+
+def _lines(parts: Sequence[_Matrix]) -> _Matrix:
+    """Rows of cells side by side, each cell followed by a "," and the
+    last by a "\n"."""
+    n = len(parts[0].cells)
+    comma, kept = np.full((n, 1), ord(","), np.uint8), np.ones((n, 1), bool)
+    cells = np.concatenate([a for p in parts for a in (p.cells, comma)], axis=1)
+    keep = np.concatenate([a for p in parts for a in (p.keep, kept)], axis=1)
+    cells[:, -1] = ord("\n")
+    return _Matrix(cells, keep)
+
+
+def _joinable(table: _Matrix | _Ragged, codes) -> bool:
+    """Whether a coded column may join a run (see ``_joint_cells``): its
+    label table is a matrix, and its codes are an integer array that intp
+    holds, each in [0, len(labels)). A negative code, which a gather wraps
+    to a label from the end, or one past the labels keeps its own column."""
+    return (isinstance(table, _Matrix) and isinstance(codes, np.ndarray)
+            and codes.dtype.kind in "iu" and np.can_cast(codes.dtype, np.intp)
+            and _unsigned_ids(codes, len(table.cells)).max(initial=0) < len(table.cells))
+
+
+def _joint_cells(run: Sequence[tuple[_Matrix, np.ndarray]], line: bool):
+    """A run of coded columns, as (label table, codes), as one coded column:
+    its table holds a row per combination of labels, rendered once as the
+    columns' cells joined by "," (and ended by "\n" where ``line``: the run
+    is the whole row), and a block's joint codes ((c1·L2 + c2)·L3 + c3)…
+    are made in one WRITE_BLOCK-sized intp scratch and gathered at once."""
+    tables, codes = zip(*run)
+    sizes = [len(table.cells) for table in tables]
+    combinations = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+    joint = _lines([table.take(c) for table, c in zip(tables, combinations)])
+    if not line:
+        joint = _Matrix(*(np.ascontiguousarray(a[:, :-1]) for a in joint))
+    scratch = np.empty(WRITE_BLOCK, np.intp)
+
+    def cells(start, stop):
+        joint_codes = scratch[:len(codes[0][start:stop])]
+        joint_codes[:] = codes[0][start:stop]
+        for column, size in zip(codes[1:], sizes[1:]):
+            joint_codes *= size
+            joint_codes += column[start:stop]
+        return joint.take(joint_codes)
+    return cells
+
+
+def _row_cells(columns: Sequence, lone: bool, rows: int) -> tuple[list, bool]:
+    """The cells functions of a report's columns (see ``_column_cells``),
+    with each run of adjacent ``Coded`` columns that ``_joinable`` takes
+    joined by ``_joint_cells`` while the run's label counts multiply to at
+    most WRITE_BLOCK and to at most half the rows (the repeat rule); and
+    whether the only function is a joint one that gives whole lines."""
+    limit = min(WRITE_BLOCK, rows // 2)
+    groups = []  # a cells function, or a list of (table, codes) to join
+    for column in columns:
+        if not isinstance(column, Coded):
+            groups.append(_column_cells(column, lone))
+            continue
+        table = _coded_table(column, lone)
+        if not _joinable(table, column.codes):
+            groups.append(_gathered(table, column.codes))
+        elif (groups and isinstance(groups[-1], list)
+              and math.prod(len(t.cells) for t, _ in groups[-1]) * len(table.cells) <= limit):
+            groups[-1].append((table, column.codes))
+        else:
+            groups.append([(table, column.codes)])
+    whole = len(groups) == 1 < len(columns)
+    return [g if callable(g) else _joint_cells(g, whole) if len(g) > 1 else _gathered(*g[0])
+            for g in groups], whole
 
 
 def write_columns(path, header: Sequence[str], table: Columns) -> None:
@@ -955,12 +1035,16 @@ def write_columns(path, header: Sequence[str], table: Columns) -> None:
     each, less the bytes that its mask drops; neither the report's text nor
     its rows, nor a widened or coded copy of a numeric column, are ever held
     whole: numbers are coded about SCRATCH_ROWS rows at a time (see
-    ``_column_cells``).
+    ``_column_cells``). A run of adjacent coded columns whose label counts
+    multiply to at most WRITE_BLOCK and to at most half the rows is one
+    joint coded column (see ``_row_cells``): each combination of labels is
+    rendered once, and a report that is one such run (a request log) writes
+    a block as one gather of whole lines.
     """
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
     lone = len(header) == 1
-    columns = [_column_cells(column, lone) for column in table.columns]
+    columns, whole = _row_cells(table.columns, lone, len(table))
     with atomic_write(path) as fh:
         out = fh.buffer
         out.write((",".join(_csv_cells(list(header), lone)) + "\n").encode("utf-8"))
@@ -970,12 +1054,8 @@ def write_columns(path, header: Sequence[str], table: Columns) -> None:
             step = max(1, MAX_BLOCK_BYTES // sum(block.width + 1 for block in blocks))
             for first in range(0, rows, step):
                 parts = [block.rows(first, first + step) for block in blocks]
-                n = len(parts[0].cells)
-                comma, kept = np.full((n, 1), ord(","), np.uint8), np.ones((n, 1), bool)
-                cells = np.concatenate([a for p in parts for a in (p.cells, comma)], axis=1)
-                keep = np.concatenate([a for p in parts for a in (p.keep, kept)], axis=1)
-                cells[:, -1] = ord("\n")
-                out.write(cells[keep])
+                lines = parts[0] if whole else _lines(parts)
+                out.write(lines.cells[lines.keep])
 
 
 _LABEL_IDS = {"0": 0, "1": 1}
@@ -1017,10 +1097,16 @@ def parse_requests(stream: TextIO | str, schema: Schema,
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
                        batch: RequestBatch) -> None:
-    """Serialize records back to the delimited form parse_requests accepts."""
+    """Write a batch in the delimited form parse_requests accepts: each factor
+    as a ``Coded`` column of its levels, and the labels as one of 0 and 1
+    where every label is 0 or 1 (else as numbers), so that the whole row
+    can be one joint column (see ``_row_cells``)."""
+    labels = batch.labels
+    if labels.view(np.uint8).max(initial=0) <= 1:
+        labels = Coded(np.array([0, 1], np.int8), labels)
     write_columns(path, [*schema.factor_columns, schema.label_column],
                   Columns(*(Coded(dictionary.levels(i), batch.factors[:, i])
-                            for i in range(batch.m)), batch.labels))
+                            for i in range(batch.m)), labels))
 
 
 def build_factor_table(batch: RequestBatch,

@@ -298,6 +298,46 @@ def runs_of(draw, values):
 
 
 @st.composite
+def coded_run(draw):
+    """[(column, its cells as Python values)]: 2 to 4 adjacent coded columns
+    of 1 to 5 labels each (text that csv.writer quotes or leaves empty,
+    numpy ints or floats with -0.0 and NaN, or ``S`` bytes), whose codes
+    show their first and last labels, and a numeric column at a drawn place
+    or none."""
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["text", "bytes", "int8", "int64", "float64"]))
+        if kind == "text":
+            labels = shown = draw(st.lists(st.sampled_from(
+                ["", "a,b", 'q"x', "line\nbreak", "a", "é"]), min_size=1, max_size=5,
+                unique=True))
+        elif kind == "bytes":
+            labels = np.array(draw(st.lists(st.sampled_from([b"", b"a", "é".encode(), b"bc"]),
+                                            min_size=1, max_size=4, unique=True)), "S")
+            shown = [key.decode() for key in labels.tolist()]
+        else:
+            if kind == "float64":
+                values = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+            else:
+                info = np.iinfo(kind)
+                values = st.one_of(st.integers(int(info.min), int(info.max)),
+                                   st.sampled_from([int(info.min), int(info.max), 0, -1]))
+            labels = np.array(draw(st.lists(values, min_size=1, max_size=5)), kind)
+            shown = labels.tolist()
+        codes = rng.integers(0, len(labels), n).astype(
+            draw(st.sampled_from(["int8", "uint16", "int32", "int64"])))
+        codes[0], codes[-1] = 0, len(labels) - 1
+        columns.append((ingest.Coded(labels, codes), [shown[k] for k in codes.tolist()]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(columns)))
+        numbers = rng.integers(-3, 3, n) * draw(st.sampled_from([1, 0.25]))
+        columns.insert(at, (numbers, numbers.tolist()))
+    return columns
+
+
+@st.composite
 def block_coded_column(draw):
     """(column, its cells as Python values): a numpy int or float column of
     runs, or a range of other starts and steps."""
@@ -386,6 +426,56 @@ class TestEmitReport:
         with mock.patch.multiple(ingest, WRITE_BLOCK=block, SCRATCH_ROWS=scratch):
             emit_report(header, ingest.Columns(column, *index), path)
         assert path.read_bytes() == csv_writer_oracle(header, zip(cells, *index))
+
+    @given(coded_run(), st.integers(1, 40), st.sampled_from([200, ingest.MAX_BLOCK_BYTES]))
+    @settings(max_examples=300, deadline=None)
+    def test_coded_runs_match_csv_writer(self, tmp_path_factory, columns, block, max_bytes):
+        # adjacent coded columns, joined while their label counts multiply
+        # to at most the write block (1 to 40 rows here) and half the rows,
+        # beside a numeric column or as the whole row, in blocks cut to a
+        # few rows by their width
+        path = tmp_path_factory.mktemp("report") / "r.csv"
+        header = [f"c{j}" for j in range(len(columns))]
+        with mock.patch.multiple(ingest, WRITE_BLOCK=block, MAX_BLOCK_BYTES=max_bytes):
+            emit_report(header, ingest.Columns(*(column for column, _ in columns)), path)
+        assert path.read_bytes() == csv_writer_oracle(
+            header, zip(*(cells for _, cells in columns)))
+
+    @pytest.mark.parametrize("column, runs", [
+        # a gather wraps -1 to the last label
+        (ingest.Coded(["a", "b"], np.array([0, 1, -1, 1] * 4)), [2]),
+        (ingest.Coded(["a", "b"], np.array([0, 1, 2, 1] * 4)), [2]),  # IndexError
+        # a label no row shows is never encoded, so the column joins
+        (ingest.Coded(["a", "\ud800"], np.zeros(16, int)), [3]),
+        # UnicodeEncodeError from its table, before any run is made
+        (ingest.Coded(["a", "\ud800"], np.array([0, 1] * 8)), []),
+        # a label too wide for a matrix ends a run
+        (ingest.Coded(["w" * 20_000, "b"], np.array([0, 1] * 8)), [2]),
+    ])
+    def test_edge_columns_beside_a_run_write_their_labels(self, tmp_path, column, runs):
+        # beside two columns that join, a column whose codes or labels keep
+        # it out of the run gives the bytes, or the error with the old file
+        # kept, of its labels picked row by row
+        columns = [column, ingest.Coded(["x", "y"], np.arange(16) % 2),
+                   ingest.Coded(np.array([0.5, -0.0]), np.arange(16) // 8 % 2)]
+        header = ["c0", "c1", "c2"]
+        try:
+            expected = csv_writer_oracle(header, zip(*(
+                [c.labels[k] for k in c.codes.tolist()] for c in columns)))
+        except (IndexError, UnicodeEncodeError) as e:
+            expected = type(e)
+        path = tmp_path / "r.csv"
+        path.write_text("old\n")
+        with mock.patch.object(ingest, "_joint_cells", wraps=ingest._joint_cells) as joint:
+            try:
+                emit_report(header, ingest.Columns(*columns), path)
+                got = path.read_bytes()
+            except (IndexError, UnicodeEncodeError) as e:
+                got = type(e)
+                assert path.read_text() == "old\n"
+        assert got == expected
+        assert [len(run) for (run, _), _ in joint.call_args_list] == runs
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     @given(NUMBER_LABELS, st.lists(st.integers(0, 2**31 - 1), max_size=300),
            st.booleans(), st.integers(1, 7))
@@ -548,7 +638,8 @@ class TestEmitReport:
         assert peaks[0] < 4.0e6
         assert peaks[1] < 1.05 * peaks[0]
 
-    @pytest.mark.parametrize("writer", ["report", "requests", "events", "json", "model"])
+    @pytest.mark.parametrize("writer", ["report", "requests", "joint_requests", "events",
+                                        "json", "model"])
     def test_every_writer_replaces_its_target_whole(self, tmp_path, monkeypatch, writer):
         # a failure at the final rename leaves the old file and no temporary one
         from adlift import predictor
@@ -559,6 +650,11 @@ class TestEmitReport:
             "requests": lambda p: ingest.write_requests_csv(
                 p, ingest.Schema(("f",), "label"), ingest.FactorDictionary(["f"], [["a"]]),
                 ingest.RequestBatch(np.zeros((2, 1)), np.zeros(2))),
+            # 1 factor x 2 levels and 2 labels over 8 rows: one joint column
+            "joint_requests": lambda p: ingest.write_requests_csv(
+                p, ingest.Schema(("f",), "label"),
+                ingest.FactorDictionary(["f"], [["a", "b"]]),
+                ingest.RequestBatch(np.arange(8).reshape(8, 1) % 2, np.arange(8) // 4)),
             "events": lambda p: ingest.write_events_csv(
                 p, ingest.EventBatch([0], ["c"], [0], ["chrome"], [5])),
             "json": lambda p: _write_json({"a": 1}, p),
