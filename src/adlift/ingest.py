@@ -166,12 +166,12 @@ def id_dtype(levels) -> np.dtype:
     """The narrowest of int8, int16 and int32 that holds -1 and every id below
     the largest of ``levels``, the factors' level counts: L levels fit b bits
     while L <= 2^(b-1), so that every negative id, read as unsigned, is at
-    least L (see ``_unsigned_ids``)."""
+    least L (see ``unsigned_ids``)."""
     widest = max(levels, default=0)
     return next((t for t in ID_DTYPES if widest <= 1 << (8 * t.itemsize - 1)), ID_DTYPES[-1])
 
 
-def _unsigned_ids(ids: np.ndarray, levels: int) -> np.ndarray:
+def unsigned_ids(ids: np.ndarray, levels: int) -> np.ndarray:
     """``ids`` read as unsigned, so that every id outside [0, levels), -1
     included, reads as ``levels`` or more: a view where ``levels`` fits the
     ids' own type (see ``id_dtype``), else an int32 copy."""
@@ -608,6 +608,11 @@ WRITE_BLOCK = 1 << 13
 # (a label of 100 KB) would make it far larger than the text
 MAX_BLOCK_BYTES = 1 << 20
 
+# The byte that fills each cell of a block's matrix out to the block's width,
+# dropped when the block is written: UTF-8 never uses 0xFF, and each byte the
+# writer keeps is UTF-8 (ASCII numbers, S labels _byte_table takes, strict text)
+PAD = 0xFF
+
 
 def _fmt(value) -> str:
     """A report cell: floats at 12 significant digits, anything else by str."""
@@ -660,21 +665,19 @@ def _csv_cells(cells: list[str], lone: bool) -> list[str]:
 
 class _Matrix(NamedTuple):
     """Cells of a block of rows as a (rows, width) uint8 matrix, one cell per
-    row, and the mask of the bytes that are the cell's; the others are
-    padding, dropped when the block is written."""
+    row, each byte that is not the cell's a PAD (see PAD)."""
 
     cells: np.ndarray
-    keep: np.ndarray
 
     @property
     def width(self) -> int:
         return self.cells.shape[1]
 
     def rows(self, start: int, stop: int) -> "_Matrix":
-        return _Matrix(self.cells[start:stop], self.keep[start:stop])
+        return _Matrix(self.cells[start:stop])
 
     def take(self, index: np.ndarray) -> "_Matrix":
-        return _Matrix(self.cells.take(index, axis=0), self.keep.take(index, axis=0))
+        return _Matrix(self.cells.take(index, axis=0))
 
 
 class _Ragged(NamedTuple):
@@ -690,9 +693,8 @@ class _Ragged(NamedTuple):
         return int(self.lengths.max())
 
     def rows(self, start: int, stop: int) -> _Matrix:
-        lengths = self.lengths[start:stop]
-        cells = _cell_bytes(self.data, self.starts[start:stop], lengths)
-        return _Matrix(cells, np.arange(cells.shape[1]) < lengths[:, None])
+        return _Matrix(_cell_bytes(self.data, self.starts[start:stop],
+                                   self.lengths[start:stop], PAD))
 
     def take(self, index: np.ndarray) -> "_Ragged":
         return _Ragged(self.data, self.starts[index], self.lengths[index])
@@ -724,13 +726,12 @@ def _patched(block: _Matrix, slow: np.ndarray, values: np.ndarray) -> _Matrix:
     if not len(rows):
         return block
     patch = _ragged(_formatted(values[rows])).rows(0, len(rows))
+    cells = block.cells
     if patch.width > block.width:
-        block = _Matrix(*(np.pad(a, ((0, 0), (0, patch.width - block.width)))
-                          for a in block))
-    block.cells[rows, :patch.width] = patch.cells
-    block.keep[rows] = False
-    block.keep[rows, :patch.width] = patch.keep
-    return block
+        cells = np.pad(cells, ((0, 0), (0, patch.width - block.width)), constant_values=PAD)
+    cells[rows] = PAD
+    cells[rows, :patch.width] = patch.cells
+    return _Matrix(cells)
 
 
 _POWERS = 10 ** np.arange(19, dtype=np.int64)
@@ -748,20 +749,25 @@ def _digits(values: np.ndarray, out: np.ndarray) -> None:
     out += np.uint8(ord("0"))
 
 
-def _signed(negative: np.ndarray, magnitude: np.ndarray,
-            tail: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The cells and mask of a block built a byte per row (each row one byte
-    of every cell): a "-" kept where ``negative`` (if any is), the digits of
-    int64 ``magnitude`` without leading zeros, and ``tail`` rows left to fill."""
+def _pad(cells: np.ndarray, where: np.ndarray) -> None:
+    """Set ``cells`` to PAD where ``where`` holds: an OR with 0 or 0xFF."""
+    cells |= where.view(np.uint8) * np.uint8(PAD)
+
+
+def _signed(negative: np.ndarray, magnitude: np.ndarray, tail: int = 0) -> np.ndarray:
+    """The cells of a block built a byte per row (each row one byte of every
+    cell), PAD where a cell has no byte: a "-" where ``negative`` (if any
+    is), the digits of int64 ``magnitude`` without leading zeros, and
+    ``tail`` rows left to fill."""
     width = len(str(int(magnitude.max(initial=0))))
     sign = int(negative.any())
     cells = np.empty((sign + width + tail, len(magnitude)), np.uint8)
-    keep = np.empty(cells.shape, bool)
-    cells[:sign], keep[:sign] = ord("-"), negative
+    cells[:sign] = ord("-")
+    if sign:
+        _pad(cells[0], ~negative)
     _digits(magnitude, cells[sign:sign + width])
-    keep[sign:sign + width] = magnitude >= _POWERS[width - 1::-1, None]
-    keep[sign + width - 1] = True
-    return cells, keep
+    _pad(cells[sign:sign + width - 1], magnitude < _POWERS[width - 1:0:-1, None])
+    return cells
 
 
 _INT64 = np.iinfo(np.int64)
@@ -772,8 +778,7 @@ def _int_cells(values: np.ndarray) -> _Matrix:
     int64's minimum and uint64 values above int64's range go per value."""
     slow = values > _INT64.max if values.dtype.kind == "u" else values == _INT64.min
     signed = np.where(slow, 0, values).astype(np.int64)
-    cells, keep = _signed(signed < 0, np.abs(signed))
-    return _patched(_Matrix(cells.T, keep.T), slow, values)
+    return _patched(_Matrix(_signed(signed < 0, np.abs(signed)).T), slow, values)
 
 
 def _float_cells(x: np.ndarray) -> _Matrix:
@@ -801,15 +806,16 @@ def _float_cells(x: np.ndarray) -> _Matrix:
     whole, fraction = np.divmod(np.where(fast, q, 0).astype(np.int64),
                                 _POWERS[np.minimum(places, 12)])
     width = int(places.max())
-    cells, keep = _signed(fast & (x < 0), whole, tail=1 + width)
+    cells = _signed(fast & (x < 0), whole, tail=1 + width)
     point = len(cells) - width - 1
-    cells[point], keep[point] = ord("."), fraction != 0
+    cells[point] = ord(".")
+    _pad(cells[point], fraction == 0)
     _digits(fraction * _POWERS[width - places], cells[point + 1:])
-    significant = np.zeros(len(x), bool)
-    for row in range(len(cells) - 1, point, -1):
-        significant |= cells[row] != ord("0")
-        keep[row] = significant
-    return _patched(_Matrix(cells.T, keep.T), ~fast, x)
+    trailing = cells[point + 1:] == ord("0")  # the fraction's zeros after its last digit
+    for j in range(width - 2, -1, -1):
+        trailing[j] &= trailing[j + 1]
+    _pad(cells[point + 1:], trailing)
+    return _patched(_Matrix(cells.T), ~fast, x)
 
 
 _WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
@@ -832,24 +838,25 @@ def _coded_numbers(column: np.ndarray) -> Coded:
 
 
 def _byte_table(labels: np.ndarray, lone: bool) -> _Matrix | None:
-    """An ``S`` label array as its cells: the uint8 view, each row kept up to its
+    """An ``S`` label array as its cells: its bytes, each label padded past its
     last non-NUL byte. None unless each label is strict UTF-8, none is quoted by
     csv.writer and the padding is small (by ``_label_table``'s rule)."""
     if labels.itemsize * WRITE_BLOCK > MAX_BLOCK_BYTES:  # before any copy
         return None
     data, width = labels.tobytes(), labels.itemsize
     cells = np.frombuffer(data, np.uint8).reshape(len(labels), width)
-    keep = np.ascontiguousarray((cells != 0).T)  # a row per byte: each OR is contiguous
-    for j in range(width - 2, -1, -1):
-        keep[j] |= keep[j + 1]
+    lengths = np.strings.str_len(labels)
     # where the padded text is UTF-8 (no byte dropped by "ignore"), a label
     # that is not UTF-8 alone starts the next one with a continuation byte
     if (len(data.decode("utf-8", "ignore").encode()) < len(data)
-            or (cells[:, 0] >> 6 == 2).any() or (lone and not keep[0].all())
+            or (cells[:, 0] >> 6 == 2).any() or (lone and not lengths.all())
             or any(c.encode() in data for c in _QUOTED_CHARS)
-            or width * len(labels) > MAX_KEY_BLOWUP * np.count_nonzero(keep)):
+            or cells.size > MAX_KEY_BLOWUP * lengths.sum()):
         return None
-    return _Matrix(cells, keep.T)
+    pad = cells == 0
+    if np.count_nonzero(pad) > cells.size - lengths.sum():  # a NUL inside a label
+        pad &= np.arange(width) >= lengths[:, None]
+    return _Matrix(cells | pad.view(np.uint8) * np.uint8(PAD))
 
 
 def _label_table(labels: Sequence, codes: np.ndarray | slice,
@@ -864,7 +871,8 @@ def _label_table(labels: Sequence, codes: np.ndarray | slice,
             return table
         labels = _decoded(labels, "surrogateescape")
     if isinstance(labels, np.ndarray) and labels.dtype.kind in _WIDE and len(labels):
-        cells, keep = _number_cells(labels)
+        cells = _number_cells(labels).cells
+        keep = cells != PAD
         lengths = keep.sum(axis=1)
         table = _Ragged(cells[keep], np.cumsum(lengths) - lengths, lengths)
     else:
@@ -938,17 +946,8 @@ def _column_cells(column, lone: bool):
             return lambda start, stop: _label_table(column[start:stop], slice(None), lone)
         column = _coded(column)  # wider keys are decoded, once per distinct key
     if isinstance(column, Coded):
-        return _gathered(_coded_table(column, lone), column.codes)
+        return _gathered(_label_table(column.labels, column.codes, lone), column.codes)
     return lambda start, stop: _ragged(_csv_cells(list(map(_fmt, column[start:stop])), lone))
-
-
-def _coded_table(column: Coded, lone: bool) -> _Matrix | _Ragged:
-    """A coded column's label cells by ``_label_table``, a matrix's mask
-    made contiguous: each block gathers rows of it."""
-    table = _label_table(column.labels, column.codes, lone)
-    if isinstance(table, _Matrix):
-        table = table._replace(keep=np.ascontiguousarray(table.keep))
-    return table
 
 
 def _gathered(table: _Matrix | _Ragged, codes: np.ndarray):
@@ -958,12 +957,10 @@ def _gathered(table: _Matrix | _Ragged, codes: np.ndarray):
 def _lines(parts: Sequence[_Matrix]) -> _Matrix:
     """Rows of cells side by side, each cell followed by a "," and the
     last by a "\n"."""
-    n = len(parts[0].cells)
-    comma, kept = np.full((n, 1), ord(","), np.uint8), np.ones((n, 1), bool)
+    comma = np.full((len(parts[0].cells), 1), ord(","), np.uint8)
     cells = np.concatenate([a for p in parts for a in (p.cells, comma)], axis=1)
-    keep = np.concatenate([a for p in parts for a in (p.keep, kept)], axis=1)
     cells[:, -1] = ord("\n")
-    return _Matrix(cells, keep)
+    return _Matrix(cells)
 
 
 def _joinable(table: _Matrix | _Ragged, codes) -> bool:
@@ -973,21 +970,23 @@ def _joinable(table: _Matrix | _Ragged, codes) -> bool:
     to a label from the end, or one past the labels keeps its own column."""
     return (isinstance(table, _Matrix) and isinstance(codes, np.ndarray)
             and codes.dtype.kind in "iu" and np.can_cast(codes.dtype, np.intp)
-            and _unsigned_ids(codes, len(table.cells)).max(initial=0) < len(table.cells))
+            and unsigned_ids(codes, len(table.cells)).max(initial=0) < len(table.cells))
 
 
-def _joint_cells(run: Sequence[tuple[_Matrix, np.ndarray]], line: bool):
-    """A run of coded columns, as (label table, codes), as one coded column:
-    its table holds a row per combination of labels, rendered once as the
-    columns' cells joined by "," (and ended by "\n" where ``line``: the run
-    is the whole row), and a block's joint codes ((c1·L2 + c2)·L3 + c3)…
-    are made in one WRITE_BLOCK-sized intp scratch and gathered at once."""
+def _joint_cells(run: Sequence[tuple[list[_Matrix], np.ndarray]], line: bool):
+    """A run of coded columns, as (label tables, the codes they share), as
+    one coded column: its table holds a row per combination of codes,
+    rendered once as the columns' cells joined by "," (and ended by "\n"
+    where ``line``: the run is the whole row), and a block's joint codes
+    ((c1·L2 + c2)·L3 + c3)… are made in one WRITE_BLOCK-sized intp scratch
+    and gathered at once."""
     tables, codes = zip(*run)
-    sizes = [len(table.cells) for table in tables]
+    sizes = [len(shared[0].cells) for shared in tables]
     combinations = np.unravel_index(np.arange(math.prod(sizes)), sizes)
-    joint = _lines([table.take(c) for table, c in zip(tables, combinations)])
+    joint = _lines([table.take(c) for shared, c in zip(tables, combinations)
+                    for table in shared])
     if not line:
-        joint = _Matrix(*(np.ascontiguousarray(a[:, :-1]) for a in joint))
+        joint = _Matrix(np.ascontiguousarray(joint.cells[:, :-1]))
     scratch = np.empty(WRITE_BLOCK, np.intp)
 
     def cells(start, stop):
@@ -1004,25 +1003,28 @@ def _row_cells(columns: Sequence, lone: bool, rows: int) -> tuple[list, bool]:
     """The cells functions of a report's columns (see ``_column_cells``),
     with each run of adjacent ``Coded`` columns that ``_joinable`` takes
     joined by ``_joint_cells`` while the run's label counts multiply to at
-    most WRITE_BLOCK and to at most half the rows (the repeat rule); and
-    whether the only function is a joint one that gives whole lines."""
+    most WRITE_BLOCK and to at most half the rows (the repeat rule), a column
+    with the codes array and label count of the one before it counting once;
+    and whether the only function is a joint one that gives whole lines."""
     limit = min(WRITE_BLOCK, rows // 2)
-    groups = []  # a cells function, or a list of (table, codes) to join
+    groups = []  # a cells function, or a run: a list of ([table, ...], codes)
     for column in columns:
         if not isinstance(column, Coded):
             groups.append(_column_cells(column, lone))
             continue
-        table = _coded_table(column, lone)
+        table = _label_table(column.labels, column.codes, lone)
+        run = groups[-1] if groups and isinstance(groups[-1], list) else None
         if not _joinable(table, column.codes):
             groups.append(_gathered(table, column.codes))
-        elif (groups and isinstance(groups[-1], list)
-              and math.prod(len(t.cells) for t, _ in groups[-1]) * len(table.cells) <= limit):
-            groups[-1].append((table, column.codes))
+        elif run and run[-1][1] is column.codes and len(run[-1][0][0].cells) == len(table.cells):
+            run[-1][0].append(table)
+        elif run and math.prod(len(t[0].cells) for t, _ in run) * len(table.cells) <= limit:
+            run.append(([table], column.codes))
         else:
-            groups.append([(table, column.codes)])
+            groups.append([([table], column.codes)])
     whole = len(groups) == 1 < len(columns)
-    return [g if callable(g) else _joint_cells(g, whole) if len(g) > 1 else _gathered(*g[0])
-            for g in groups], whole
+    return [g if callable(g) else _gathered(*g[0][0], g[0][1]) if len(g) == 1 == len(g[0][0])
+            else _joint_cells(g, whole) for g in groups], whole
 
 
 def write_columns(path, header: Sequence[str], table: Columns) -> None:
@@ -1032,14 +1034,16 @@ def write_columns(path, header: Sequence[str], table: Columns) -> None:
     a coded column), with "\\n" line ends. Rows go out ``WRITE_BLOCK`` at a
     time (fewer where cells are wide, see MAX_BLOCK_BYTES), each block as one
     uint8 matrix of the columns' fixed-width cells and a "," or "\\n" after
-    each, less the bytes that its mask drops; neither the report's text nor
+    each, less the PAD bytes that fill each cell to its column's width (PAD
+    is never a byte of UTF-8, see PAD); neither the report's text nor
     its rows, nor a widened or coded copy of a numeric column, are ever held
     whole: numbers are coded about SCRATCH_ROWS rows at a time (see
     ``_column_cells``). A run of adjacent coded columns whose label counts
     multiply to at most WRITE_BLOCK and to at most half the rows is one
     joint coded column (see ``_row_cells``): each combination of labels is
     rendered once, and a report that is one such run (a request log) writes
-    a block as one gather of whole lines.
+    a block as one gather of whole lines; columns with one codes array and
+    label count (score's two) count once in that product, a row per code.
     """
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
@@ -1054,8 +1058,8 @@ def write_columns(path, header: Sequence[str], table: Columns) -> None:
             step = max(1, MAX_BLOCK_BYTES // sum(block.width + 1 for block in blocks))
             for first in range(0, rows, step):
                 parts = [block.rows(first, first + step) for block in blocks]
-                lines = parts[0] if whole else _lines(parts)
-                out.write(lines.cells[lines.keep])
+                lines = (parts[0] if whole else _lines(parts)).cells.ravel()
+                out.write(lines[lines != PAD])
 
 
 _LABEL_IDS = {"0": 0, "1": 1}
@@ -1116,7 +1120,7 @@ def build_factor_table(batch: RequestBatch,
     DimensionMismatch unless the batch has the dictionary's factor count;
     ValueError for a label other than 0 or 1, or for a level id outside
     [0, L) of its factor. Ids of every width are checked by
-    ``_unsigned_ids`` and counted as 2 * id + label in int64, SCRATCH_ROWS
+    ``unsigned_ids`` and counted as 2 * id + label in int64, SCRATCH_ROWS
     rows at a time: a factor's table is the sum of its blocks' counts.
     """
     if batch.m != dictionary.m:
@@ -1132,7 +1136,7 @@ def build_factor_table(batch: RequestBatch,
         ids = batch.factors[:, i]
         # read as unsigned, a negative id is ``levels`` or more, so one
         # maximum finds an id past either end
-        if n and _unsigned_ids(ids, levels).max() >= levels:
+        if n and unsigned_ids(ids, levels).max() >= levels:
             raise ValueError(f"factor {name!r}: level id outside [0, {levels})")
         count = np.zeros(levels * 2, dtype=np.int64)
         for start in range(0, n, SCRATCH_ROWS):
@@ -1184,13 +1188,18 @@ class _Replay(NamedTuple):
         return next(self.pieces, "")
 
 
-def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _cell_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                pad: int = 0) -> np.ndarray:
     """The (n, w) uint8 matrix of the cells of ``buf`` at ``starts`` with
-    ``lengths``: w is the longest length, and each row is zero past its cell."""
+    ``lengths``: w is the longest length, and each row is ``pad`` past its
+    cell (the event parse's ``S`` keys take NULs, the report writer PAD)."""
     w = max(int(lengths.max(initial=0)), 1)
     padded = np.concatenate([buf, np.zeros(w, np.uint8)])
     cells = np.lib.stride_tricks.sliding_window_view(padded, w)[starts]
-    cells *= np.arange(w) < lengths[:, None]
+    keep = np.arange(w) < lengths[:, None]
+    cells *= keep
+    if pad:
+        cells |= ~keep * np.uint8(pad)
     return cells
 
 

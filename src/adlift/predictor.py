@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainError,
                      FingerprintMismatch, VersionMismatch)
 from .features import ImportanceVector
-from .ingest import (FactorDictionary, FactorTable, RequestBatch, _unsigned_ids,
-                     atomic_write, id_dtype, load_json, open_text)
+from .ingest import (FactorDictionary, FactorTable, RequestBatch, atomic_write, id_dtype,
+                     load_json, open_text, unsigned_ids)
 
 MODEL_VERSION = 1
 
@@ -292,7 +292,7 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     for start in range(0, n, SCORE_BLOCK):
         rows = slice(start, min(n, start + SCORE_BLOCK))
         term, den, known = (a[:rows.stop - start] for a in scratch)
-        block = _unsigned_ids(batch.factors[rows], widest)
+        block = unsigned_ids(batch.factors[rows], widest)
         out, count = scores[rows], used[rows]
         out.fill(0.0)
         seen = model._n_active > 0

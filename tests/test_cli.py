@@ -302,8 +302,9 @@ def coded_run(draw):
     """[(column, its cells as Python values)]: 2 to 4 adjacent coded columns
     of 1 to 5 labels each (text that csv.writer quotes or leaves empty,
     numpy ints or floats with -0.0 and NaN, or ``S`` bytes), whose codes
-    show their first and last labels, and a numeric column at a drawn place
-    or none."""
+    show their first and last labels or are the codes array of the column
+    before (with as many labels or more), and a numeric column at a drawn
+    place or none."""
     n = draw(st.integers(2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
@@ -326,9 +327,15 @@ def coded_run(draw):
                                    st.sampled_from([int(info.min), int(info.max), 0, -1]))
             labels = np.array(draw(st.lists(values, min_size=1, max_size=5)), kind)
             shown = labels.tolist()
-        codes = rng.integers(0, len(labels), n).astype(
-            draw(st.sampled_from(["int8", "uint16", "int32", "int64"])))
-        codes[0], codes[-1] = 0, len(labels) - 1
+        before = columns[-1][0].labels if columns else []
+        if len(labels) >= len(before) > 0 and draw(st.booleans()):
+            if draw(st.booleans()):  # as many labels: one table row per code
+                labels, shown = labels[:len(before)], shown[:len(before)]
+            codes = columns[-1][0].codes
+        else:
+            codes = rng.integers(0, len(labels), n).astype(
+                draw(st.sampled_from(["int8", "uint16", "int32", "int64"])))
+            codes[0], codes[-1] = 0, len(labels) - 1
         columns.append((ingest.Coded(labels, codes), [shown[k] for k in codes.tolist()]))
     if draw(st.booleans()):
         at = draw(st.integers(0, len(columns)))
@@ -432,6 +439,7 @@ class TestEmitReport:
     def test_coded_runs_match_csv_writer(self, tmp_path_factory, columns, block, max_bytes):
         # adjacent coded columns, joined while their label counts multiply
         # to at most the write block (1 to 40 rows here) and half the rows,
+        # or as one table where they share a codes array and a label count,
         # beside a numeric column or as the whole row, in blocks cut to a
         # few rows by their width
         path = tmp_path_factory.mktemp("report") / "r.csv"
@@ -475,6 +483,108 @@ class TestEmitReport:
                 assert path.read_text() == "old\n"
         assert got == expected
         assert [len(run) for (run, _), _ in joint.call_args_list] == runs
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("counts, same, tables", [
+        # the same codes array and label count: one table, a row per code,
+        # though 20 x 20 label pairs are more than half the 600 rows
+        ((20, 20), True, [[2]]),
+        # the same codes and another label count: label pairs, joined where
+        # few enough
+        ((20, 19), True, []),
+        ((3, 2), True, [[1, 1]]),
+        # equal codes in another array: label pairs
+        ((20, 20), False, []),
+    ])
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_shared_codes_join_as_one_table(self, tmp_path, counts, same, tables, whole):
+        codes = np.arange(600) * 7 % min(counts)
+        columns = [ingest.Coded([f"s{k}" for k in range(counts[0])], codes),
+                   ingest.Coded(np.arange(counts[1]) * 0.5, codes if same else codes.copy())]
+        if not whole:
+            columns.insert(0, range(len(codes)))
+        header = [f"c{j}" for j in range(len(columns))]
+        path = tmp_path / "r.csv"
+        with mock.patch.object(ingest, "_joint_cells", wraps=ingest._joint_cells) as joint:
+            emit_report(header, ingest.Columns(*columns), path)
+        assert [[len(shared) for shared, _ in run]
+                for (run, _), _ in joint.call_args_list] == tables
+        assert path.read_bytes() == csv_writer_oracle(header, zip(*(
+            c if isinstance(c, range) else [c.labels[k] for k in c.codes.tolist()]
+            for c in columns)))
+
+    def test_score_writes_its_columns_as_one_table(self, tmp_path):
+        # a log of the benchmark's factors: score and used_factors share the
+        # row codes, so one table of a row per distinct row writes both,
+        # though their label pairs are more than the write block
+        from adlift import predictor
+        from adlift.cli import _encoded_batch
+
+        spec = json.loads((ROOT / "bench" / "spec.json").read_text())["requests"]
+        d = tmp_path
+        (d / "spec.json").write_text(json.dumps({"requests": {
+            "n": 40_000, "base_rate": spec["base_rate"], "factors": spec["factors"]}}))
+        (d / "schema.json").write_text(json.dumps({
+            "version": 1, "factors": [f["name"] for f in spec["factors"]], "label": "label"}))
+        for argv in [("synth", "--spec", d / "spec.json", "--seed", 42,
+                      "--out-requests", d / "requests.csv"),
+                     ("build-tables", "--schema", d / "schema.json",
+                      "--input", d / "requests.csv", "--out", d / "tables.json"),
+                     ("rank", "--tables", d / "tables.json", "--out", d / "importance.json"),
+                     ("train", "--tables", d / "tables.json",
+                      "--importance", d / "importance.json", "--out", d / "model.json")]:
+            assert run(*argv) == 0, argv[0]
+        with mock.patch.object(ingest, "_joint_cells", wraps=ingest._joint_cells) as joint:
+            assert run("score", "--model", d / "model.json", "--input", d / "requests.csv",
+                       "--out", d / "scores.csv") == 0
+        model = predictor.load_model(d / "model.json")
+        rows, batch = _encoded_batch(model, d / "requests.csv", ",")
+        assert len(batch) ** 2 > ingest.WRITE_BLOCK
+        (run_, line), _ = joint.call_args
+        assert joint.call_count == 1 and not line
+        assert [[len(table.cells) for table in shared] for shared, _ in run_] \
+            == [[len(batch)] * 2]
+        result = predictor.score_batch(model, batch)
+        assert (d / "scores.csv").read_bytes() == csv_writer_oracle(
+            ["index", "score", "used_factors"],
+            zip(range(len(rows.codes)), result.scores[rows.codes].tolist(),
+                result.used_factors[rows.codes].tolist()))
+
+    @pytest.mark.parametrize("labels, codes", [
+        (["\u00ff", "\x00", "a\x00b"], [0, 1, 2, 0]),  # U+00FF is written as C3 BF
+        (np.array([b"a\0b", b"c"]), [0, 1, 1]),  # an interior NUL is written
+        (np.array([b"a\xffb", b"c"]), [0, 1, 1]),  # a byte that is never UTF-8 fails
+        (np.array([b"a\xffb", b"c"]), [1, 1, 1]),  # unless no row shows it
+    ])
+    @pytest.mark.parametrize("beside", ["none", "index", "shared"])
+    def test_labels_never_write_the_pad_byte(self, tmp_path, labels, codes, beside):
+        # the writer pads cells with 0xFF and drops every 0xFF it finds: a
+        # label's own bytes, NULs and the two bytes of U+00FF included, are
+        # written as csv.writer writes their text, and a label that holds
+        # 0xFF raises where its text does, with the old file kept
+        codes = np.array(codes)
+        text = [label.decode("utf-8", "surrogateescape") if isinstance(label, bytes)
+                else label for label in list(labels)]
+        columns = [ingest.Coded(labels, codes), *{
+            "none": [], "index": [np.arange(len(codes))],
+            "shared": [ingest.Coded(np.arange(len(labels)), codes)]}[beside]]
+        header = [f"c{j}" for j in range(len(columns))]
+        try:
+            expected = csv_writer_oracle(header, zip(*(
+                [(text if j == 0 else c.labels)[k] for k in codes.tolist()]
+                if isinstance(c, ingest.Coded) else c.tolist() for j, c in enumerate(columns))))
+        except UnicodeEncodeError as e:
+            expected = type(e)
+        path = tmp_path / "r.csv"
+        path.write_text("old\n")
+        try:
+            emit_report(header, ingest.Columns(*columns), path)
+            got = path.read_bytes()
+            assert b"\xff" not in got
+        except UnicodeEncodeError as e:
+            got = type(e)
+            assert path.read_text() == "old\n"
+        assert got == expected
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     @given(NUMBER_LABELS, st.lists(st.integers(0, 2**31 - 1), max_size=300),
@@ -525,7 +635,10 @@ class TestEmitReport:
             return (d / name).read_bytes()
 
         with mock.patch.object(ingest, "WRITE_BLOCK", block):
-            assert written(keys, "bytes.csv") == written(text, "text.csv")
+            got = written(keys, "bytes.csv")
+            assert got == written(text, "text.csv")
+        if isinstance(got, bytes):
+            assert b"\xff" not in got  # the byte that pads cells is never written
 
     def test_numeric_labels_of_no_rows(self, tmp_path):
         # what score and pace write for a header-only request log
@@ -622,6 +735,28 @@ class TestEmitReport:
             assert peak < 8 * ingest.MAX_BLOCK_BYTES
             assert path.read_bytes() == csv_writer_oracle(
                 ["x", "i"], [(labels[k], i) for i, k in enumerate(codes.tolist())])
+
+    @pytest.mark.parametrize("report, bound", [("scores", 1.0e6), ("decisions", 1.75e6)])
+    def test_request_reports_hold_one_block(self, tmp_path, report, bound):
+        # score's and pace's reports of 250k requests over 216 distinct rows,
+        # with pace's 0/1 decisions and a threshold of 0 or 1 per block of
+        # 1000: 0.87 and 1.50 MB measured, where cells with a keep mask
+        # beside them took 1.23 and 2.09 MB
+        rng = np.random.default_rng(13)
+        n = 250_000
+        codes = rng.integers(0, 216, n).astype(np.int32)
+        score = ingest.Coded(rng.random(216), codes)
+        columns = {
+            "scores": [score, ingest.Coded(rng.integers(0, 4, 216).astype(np.int8), codes)],
+            "decisions": [score, (rng.random(n) < 0.1).astype(np.uint8),
+                          np.repeat(rng.integers(0, 2, n // 1000) * 1.0, 1000)],
+        }[report]
+        header = [f"c{j}" for j in range(1 + len(columns))]
+        table = ingest.Columns(range(n), *columns)
+        path = tmp_path / "r.csv"
+        emit_report(header, table, path)  # first calls' set-up
+        _, peak = traced_peak(emit_report, header, table, path)
+        assert peak < bound
 
     def test_coded_numbers_hold_one_chunk(self, tmp_path):
         # a 0/1 int8 column and a repeated float column are widened and
