@@ -221,17 +221,17 @@ def _load_survival(path) -> repeatbuy.SurvivalTable:
         for b, t, d, c in zip(*columns)})
 
 
-def _read_request_rows(path, factor_names, delimiter: str) -> ingest.Rows:
+def _read_request_rows(path, factor_names) -> ingest.Rows:
     """Read the raw level labels of the given factors: one column per factor
     over the distinct rows, and each row's code (see ``ingest.read_columns``)."""
     with ingest.open_text(path) as fh:
-        return ingest.read_columns(fh, factor_names, delimiter)
+        return ingest.read_columns(fh, factor_names)
 
 
-def _encoded_batch(model: predictor.SparseRateModel, path,
-                   delimiter: str) -> tuple[ingest.Rows, ingest.RequestBatch]:
+def _encoded_batch(model: predictor.SparseRateModel,
+                   path) -> tuple[ingest.Rows, ingest.RequestBatch]:
     """The rows of ``path`` and a batch of the model's ids of each distinct row."""
-    rows = _read_request_rows(path, model.factor_names, delimiter)
+    rows = _read_request_rows(path, model.factor_names)
     matrix = model.dictionary.encode(rows.columns)
     return rows, ingest.RequestBatch(matrix, np.zeros(len(matrix), dtype=np.int8))
 
@@ -283,7 +283,7 @@ def _cmd_synth(args) -> int:
 def _cmd_build_tables(args) -> int:
     schema = _load_schema(args.schema)
     with ingest.open_text(args.input) as fh:
-        dictionary, batch = ingest.parse_requests(fh, schema, args.delimiter)
+        dictionary, batch = ingest.parse_requests(fh, schema)
     table = ingest.build_factor_table(batch, dictionary)
     _save_tables(table, args.out)
     _info(f"{table.total} records, {table.m} factors -> {args.out}")
@@ -321,7 +321,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     model = predictor.load_model(args.model)
-    rows, batch = _encoded_batch(model, args.input, args.delimiter)
+    rows, batch = _encoded_batch(model, args.input)
     result = predictor.score_batch(model, batch)
     n = len(rows.codes)
     emit_report(["index", "score", "used_factors"],
@@ -336,7 +336,7 @@ def _cmd_pace(args) -> int:
     scores from the row codes: beside them, only the decisions (bool, written
     as 0/1 through a uint8 view) and the threshold trace are full-length."""
     model = predictor.load_model(args.model)
-    rows, batch = _encoded_batch(model, args.input, args.delimiter)
+    rows, batch = _encoded_batch(model, args.input)
     result = predictor.score_batch(model, batch)
     n = len(rows.codes)
     horizon = args.horizon if args.horizon is not None else n
@@ -614,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trailing residual window")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_alarm)
-
-    for name in ("build-tables", "score", "pace"):
-        sub.choices[name].add_argument(
-            "--tab", dest="delimiter", action="store_const", const="\t", default=",",
-            help="tab-delimited request log")
     return parser
 
 

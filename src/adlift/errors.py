@@ -63,10 +63,6 @@ class DimensionMismatch(DataError):
 
 # --- predictor ------------------------------------------------------------
 
-class FingerprintMismatch(DataError):
-    pass
-
-
 class VersionMismatch(DataError):
     pass
 

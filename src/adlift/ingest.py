@@ -1,11 +1,10 @@
 """Parsing of request/event logs into column batches, contingency tables and
 hourly series.
 
-Input format is UTF-8 delimited text (comma by default) with a mandatory
-header row. Level ids are assigned in first-seen order so that runs are
-reproducible; empty factor values become the reserved level ``__missing__``.
-Timestamps are integer epoch seconds UTC and hour buckets are
-``floor(ts / 3600)``.
+Input format is UTF-8 comma-separated text with a mandatory header row.
+Level ids are assigned in first-seen order so that runs are reproducible;
+empty factor values become the reserved level ``__missing__``. Timestamps
+are integer epoch seconds UTC and hour buckets are ``floor(ts / 3600)``.
 """
 
 from __future__ import annotations
@@ -313,7 +312,7 @@ class EventBatch:
 
 
 class Rows(NamedTuple):
-    """Columns of a delimited file, one entry per distinct row.
+    """Columns of a comma-separated file, one entry per distinct row.
 
     ``columns`` hold one list of raw cells per name, for the distinct rows
     in first-seen order; ``codes`` (int32, one per row of the file) give each
@@ -383,14 +382,14 @@ def _pieces(stream: TextIO, size: int) -> Iterator[str]:
         yield rest
 
 
-def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
+def _key_blocks(stream: TextIO) -> Iterator[list]:
     """The rows of ``stream`` in blocks of keys, one key per row.
 
     A key is the row's line without its "\\n" up to the first piece that
     holds '"' or "\\r" or a line longer than csv's field limit; from that
     piece on it is the tuple of cells csv.reader reads, ROW_BLOCK rows at a
     time. csv.reader reads a line without those as the cells between its
-    delimiters, so both kinds of key give the same cells (see ``_cells``).
+    commas, so both kinds of key give the same cells (see ``_cells``).
     A csv.Error of the reader is raised again naming its line.
     """
     pieces = _pieces(stream, CHUNK_CHARS)
@@ -403,7 +402,7 @@ def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
                 len(piece) > csv.field_size_limit()
                 and max(map(len, lines)) > csv.field_size_limit()):
             text = chain.from_iterable(map(io.StringIO, chain([piece], pieces)))
-            rows = csv.reader(text, delimiter=delimiter)
+            rows = csv.reader(text)
             try:
                 while block := list(map(tuple, islice(rows, ROW_BLOCK))):
                     yield block
@@ -414,14 +413,14 @@ def _key_blocks(stream: TextIO, delimiter: str) -> Iterator[list]:
         yield lines
 
 
-def _cells(block: list, delimiter: str) -> list[Sequence[str]]:
+def _cells(block: list) -> list[Sequence[str]]:
     """The cells of each key of one block of ``_key_blocks``; a blank line
     has none, as csv.reader reads it."""
     if not block or isinstance(block[0], tuple):
         return block
     if "" in block:
-        return [line.split(delimiter) if line else [] for line in block]
-    return list(map(str.split, block, repeat(delimiter)))
+        return [line.split(",") if line else [] for line in block]
+    return list(map(str.split, block, repeat(",")))
 
 
 class _Index(dict):
@@ -442,9 +441,8 @@ class _Index(dict):
         return np.fromiter(map(self.__getitem__, keys), np.int32, len(keys))
 
 
-def read_columns(stream: TextIO | str, names: Sequence[str],
-                 delimiter: str = ",", check=None) -> Rows:
-    """Read the named columns of a delimited file with a header row.
+def read_columns(stream: TextIO | str, names: Sequence[str], check=None) -> Rows:
+    """Read the named columns of a comma-separated file with a header row.
 
     Returns the named cells of the file's distinct rows and each row's code
     (see ``Rows``); extra columns are ignored. Lines end at "\\n" (open_text
@@ -468,7 +466,7 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    blocks = _key_blocks(stream, delimiter)
+    blocks = _key_blocks(stream)
     head: list[list] = []
     for block in blocks:
         head.append(block)
@@ -476,7 +474,7 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
             break
     if not head:
         raise MissingColumn("input is empty: no header row")
-    header = _cells(head[0][:1], delimiter)[0]
+    header = _cells(head[0][:1])[0]
     head[0] = head[0][1:]
     positions = {name: j for j, name in enumerate(header)}
     for name in names:
@@ -486,7 +484,7 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
     getters = [itemgetter(positions[name]) for name in names]
     columns: list[list[str]] = [[] for _ in names]
     keyed = _repeats(list(islice(chain.from_iterable(head), ROW_BLOCK)), 2)
-    sample = [row for block in head for row in _cells(block[:ROW_BLOCK], delimiter)
+    sample = [row for block in head for row in _cells(block[:ROW_BLOCK])
               if len(row) == width][:ROW_BLOCK]
     interned = [not keyed and _repeats(list(map(get, sample)), 8) for get in getters]
 
@@ -509,7 +507,7 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
         n = 0
         for block in chain(head, blocks):
             for start in range(0, len(block), ROW_BLOCK):
-                rows = _cells(block[start:start + ROW_BLOCK], delimiter)
+                rows = _cells(block[start:start + ROW_BLOCK])
                 add(rows, lambda i: Rows(columns, np.arange(n + i, dtype=np.int32)))
                 n += len(rows)
         return Rows(columns, np.arange(n, dtype=np.int32))
@@ -518,7 +516,7 @@ def read_columns(stream: TextIO | str, names: Sequence[str],
     for block in chain(head, blocks):
         seen = len(index.order)
         block_codes = index.lookup(block)
-        add(_cells(index.order[seen:], delimiter),
+        add(_cells(index.order[seen:]),
             lambda i: Rows(columns, np.concatenate(
                 [*codes, block_codes[:np.argmax(block_codes == seen + i)]])))
         codes.append(block_codes)
@@ -1076,9 +1074,10 @@ def _label_ids(column: Sequence[str], line) -> np.ndarray:
     return labels
 
 
-def parse_requests(stream: TextIO | str, schema: Schema,
-                   delimiter: str = ",") -> tuple[FactorDictionary, RequestBatch]:
-    """Parse delimited request-log lines into level ids against a fresh dictionary.
+def parse_requests(stream: TextIO | str,
+                   schema: Schema) -> tuple[FactorDictionary, RequestBatch]:
+    """Parse comma-separated request-log lines into level ids against a fresh
+    dictionary.
 
     The header row must contain every schema column (extras are ignored).
     Raises MissingColumn, BadLabel or RaggedRow; the two row errors name the
@@ -1086,7 +1085,6 @@ def parse_requests(stream: TextIO | str, schema: Schema,
     ``id_dtype`` of the level counts, by ``FactorDictionary.encode``.
     """
     rows = read_columns(stream, [*schema.factor_columns, schema.label_column],
-                        delimiter,
                         check=lambda rows: _label_ids(rows.columns[-1], rows.line))
     *factor_columns, label_column = rows.columns
     labels = _label_ids(label_column, rows.line)
@@ -1101,10 +1099,10 @@ def parse_requests(stream: TextIO | str, schema: Schema,
 
 def write_requests_csv(path, schema: Schema, dictionary: FactorDictionary,
                        batch: RequestBatch) -> None:
-    """Write a batch in the delimited form parse_requests accepts: each factor
-    as a ``Coded`` column of its levels, and the labels as one of 0 and 1
-    where every label is 0 or 1 (else as numbers), so that the whole row
-    can be one joint column (see ``_row_cells``)."""
+    """Write a batch in the form parse_requests accepts: each factor as a
+    ``Coded`` column of its levels, and the labels as one of 0 and 1 where
+    every label is 0 or 1 (else as numbers), so that the whole row can be
+    one joint column (see ``_row_cells``)."""
     labels = batch.labels
     if labels.view(np.uint8).max(initial=0) <= 1:
         labels = Coded(np.array([0, 1], np.int8), labels)

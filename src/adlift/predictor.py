@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AllPrunedWarning, CorruptFile, DimensionMismatch, DomainError,
-                     FingerprintMismatch, VersionMismatch)
+                     VersionMismatch)
 from .features import ImportanceVector
 from .ingest import (FactorDictionary, FactorTable, RequestBatch, atomic_write, id_dtype,
                      load_json, open_text, unsigned_ids)
@@ -196,11 +196,10 @@ def train(table: FactorTable, importance: ImportanceVector,
     return model
 
 
-def score(model: SparseRateModel, factors: Sequence[int],
-          dictionary: FactorDictionary | None = None) -> ScoredRequest:
-    """Score one request, given as its per-factor level ids (``batch[i]``):
-    the importance-weighted mean of its level rates. FingerprintMismatch
-    for a ``dictionary`` unequal to the model's.
+def score(model: SparseRateModel, factors: Sequence[int]) -> ScoredRequest:
+    """Score one request, given as its per-factor level ids (``batch[i]``) of
+    the model's own dictionary: the importance-weighted mean of its level
+    rates.
 
     An id matches a training level by value, as a dict key: numpy ints, bools
     and whole floats score as that level; any other hashable id (-1, 2**40,
@@ -213,8 +212,6 @@ def score(model: SparseRateModel, factors: Sequence[int],
     the same bits. At an unseen level the general loop resumes at the first
     factor of that statement, with the sums of the statements before it.
     """
-    if dictionary is not None and dictionary != model.dictionary:
-        raise FingerprintMismatch("record dictionary does not match the model's")
     if len(factors) != len(model.factor_names):
         raise DimensionMismatch(f"record has {len(factors)} factors, model has {model.m}")
     return model._scorer(factors)
@@ -259,12 +256,11 @@ def worker_count() -> int:
 
 
 def score_batch(model: SparseRateModel, batch: RequestBatch,
-                dictionary: FactorDictionary | None = None,
                 threads: int | None = None) -> BatchScores:
-    """Score every row of ``batch``, preserving order and measuring throughput.
+    """Score every row of ``batch``, ids of the model's own dictionary,
+    preserving order and measuring throughput.
 
-    DimensionMismatch unless the batch has the model's factor count, and
-    FingerprintMismatch for a ``dictionary`` unequal to the model's.
+    DimensionMismatch unless the batch has the model's factor count.
     Scoring runs on the calling thread; ``threads`` is accepted and ignored.
     Walks the rows in blocks of SCORE_BLOCK; in a column-major matrix each
     factor's ids of a block are one contiguous run. Read as unsigned of their
@@ -277,8 +273,6 @@ def score_batch(model: SparseRateModel, batch: RequestBatch,
     row's weights of seen levels in index order, and a row with none scores
     the global rate.
     """
-    if dictionary is not None and dictionary != model.dictionary:
-        raise FingerprintMismatch("record dictionary does not match the model's")
     if batch.m != model.m:
         raise DimensionMismatch(f"batch has {batch.m} factors, model has {model.m}")
     t_start = time.perf_counter()

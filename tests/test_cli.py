@@ -538,7 +538,7 @@ class TestEmitReport:
             assert run("score", "--model", d / "model.json", "--input", d / "requests.csv",
                        "--out", d / "scores.csv") == 0
         model = predictor.load_model(d / "model.json")
-        rows, batch = _encoded_batch(model, d / "requests.csv", ",")
+        rows, batch = _encoded_batch(model, d / "requests.csv")
         assert len(batch) ** 2 > ingest.WRITE_BLOCK
         (run_, line), _ = joint.call_args
         assert joint.call_count == 1 and not line
@@ -847,42 +847,35 @@ class TestRepeatedRequestLines:
     against reports built row by row from csv.reader."""
 
     @staticmethod
-    def write_requests(path, rng, browsers, delimiter, quoted=True):
+    def write_requests(path, rng, browsers, quoted=True):
         rate = {"chrome": 0.6, "safari": 0.1, "": 0.3}
         rows = []
         for _ in range(600):
             browser, os_name = rng.choice(browsers), rng.choice(["win", "mac"])
             shown = rng.random() < rate.get(browser, 0.2) + 0.2 * (os_name == "mac")
             rows.append([browser, os_name, str(int(shown))])
-        lines = [delimiter.join(row) for row in rows]
+        lines = [",".join(row) for row in rows]
         if quoted:
             # one quoted line, read as the same cells, in a later read chunk
-            lines[400] = delimiter.join(f'"{cell}"' for cell in rows[400])
-        path.write_text(delimiter.join(["browser", "os", "label"]) + "\n"
-                        + "\n".join(lines) + "\n")
+            lines[400] = ",".join(f'"{cell}"' for cell in rows[400])
+        path.write_text("browser,os,label\n" + "\n".join(lines) + "\n")
         return rows
 
-    @pytest.mark.parametrize("tab, heldout", [
-        pytest.param(False, "quoted", id="False"), pytest.param(True, "quoted", id="True"),
-        pytest.param(False, "keyed", id="keyed"),
-        pytest.param(False, "distinct", id="distinct")])
-    def test_reports_match_per_row_oracle(self, workdir, monkeypatch, tab, heldout):
+    @pytest.mark.parametrize("heldout", ["quoted", "keyed", "distinct"])
+    def test_reports_match_per_row_oracle(self, workdir, monkeypatch, heldout):
         # held-out logs: line-keyed up to a quoted line and keyed by cells
-        # after it (the ids False and True name the training log's --tab),
-        # line-keyed throughout, or of distinct rows
+        # after it, line-keyed throughout, or of distinct rows
         from adlift import predictor
         from adlift.cli import _encoded_batch, _save_tables
 
         d, rng = workdir, np.random.default_rng(5)
         monkeypatch.setattr(ingest, "CHUNK_CHARS", 256)
-        rows = self.write_requests(d / "requests.csv", rng, ["chrome", "safari", "", "ff"],
-                                   "\t" if tab else ",")
+        rows = self.write_requests(d / "requests.csv", rng, ["chrome", "safari", "", "ff"])
         held = self.write_requests(
             d / "heldout.csv", rng, [str(j) for j in range(600)] if heldout == "distinct"
-            else ["chrome", "safari", "", "opera"], ",", quoted=heldout == "quoted")
+            else ["chrome", "safari", "", "opera"], quoted=heldout == "quoted")
         assert run("build-tables", "--schema", d / "schema.json", "--input",
-                   d / "requests.csv", *(["--tab"] if tab else []),
-                   "--out", d / "tables.json") == 0
+                   d / "requests.csv", "--out", d / "tables.json") == 0
         assert run("rank", "--tables", d / "tables.json", "--out", d / "importance.json") == 0
         assert run("train", "--tables", d / "tables.json", "--importance",
                    d / "importance.json", "--out", d / "model.json") == 0
@@ -905,7 +898,7 @@ class TestRepeatedRequestLines:
 
         model = predictor.load_model(d / "model.json")
         assert (model.importance > 0).all()
-        distinct = len(_encoded_batch(model, d / "heldout.csv", ",")[1])
+        distinct = len(_encoded_batch(model, d / "heldout.csv")[1])
         assert (distinct == len(held)) if heldout == "distinct" \
             else (distinct < len(held) / 2)
         with open(d / "heldout.csv", newline="") as fh:
@@ -935,44 +928,50 @@ class TestRepeatedRequestLines:
 
         rng = np.random.default_rng(9)
         path = tmp_path / "heldout.csv"
-        rows = self.write_requests(path, rng, browsers or [str(j) for j in range(600)], ",")
+        rows = self.write_requests(path, rng, browsers or [str(j) for j in range(600)])
         dictionary = ingest.FactorDictionary(
             ["browser", "os"], [["chrome", "safari", ingest.MISSING_LEVEL], ["win", "mac"]])
         model = predictor.SparseRateModel(
             dictionary, [0.7, 0.2], [[0.2, 0.5, 0.7], [0.4, 0.6]], epsilon=0.0, beta=0.5,
             global_rate=0.3)
-        read, batch = _encoded_batch(model, path, ",")
+        read, batch = _encoded_batch(model, path)
         assert batch.factors.dtype == ingest.id_dtype([3, 2])
         assert batch.factors.flags.f_contiguous
         assert (len(batch) < len(rows) / 2) if browsers else (len(batch) == len(rows))
         assert np.array_equal(read.gather(batch.factors), dictionary.encode(
             [[row[i] for row in rows] for i in (0, 1)]))
 
-    def test_tab_log_scores_as_its_csv_twin(self, workdir, capsys):
-        d, reports = workdir, {}
-        for delimiter, flags in ((",", []), ("\t", ["--tab"])):
-            rng = np.random.default_rng(7)
-            self.write_requests(d / "requests.csv", rng, ["chrome", "safari", ""],
-                                delimiter)
-            self.write_requests(d / "heldout.csv", rng, ["chrome", "opera", ""], delimiter)
-            assert run("build-tables", "--schema", d / "schema.json", "--input",
-                       d / "requests.csv", *flags, "--out", d / "tables.json") == 0
-            assert run("rank", "--tables", d / "tables.json",
-                       "--out", d / "importance.json") == 0
-            assert run("train", "--tables", d / "tables.json", "--importance",
-                       d / "importance.json", "--out", d / "model.json") == 0
-            assert run("score", "--model", d / "model.json", "--input", d / "heldout.csv",
-                       *flags, "--out", d / "scores.csv") == 0
-            assert run("pace", "--model", d / "model.json", "--input", d / "heldout.csv",
-                       *flags, "--target", 60, "--block", 50,
-                       "--out", d / "decisions.csv") == 0
-            reports[delimiter] = [(d / name).read_bytes() for name in
-                                  ("tables.json", "scores.csv", "decisions.csv")]
-        assert reports[","] == reports["\t"]
-        # without --tab the header of the TSV log is one column
-        assert run("score", "--model", d / "model.json", "--input", d / "heldout.csv",
+    def test_tab_log_is_one_column(self, workdir, capsys):
+        # a request log is comma-separated: the header of a TSV log is one column
+        d, rng = workdir, np.random.default_rng(7)
+        self.write_requests(d / "requests.csv", rng, ["chrome", "safari", ""])
+        self.write_requests(d / "heldout.csv", rng, ["chrome", "opera", ""])
+        (d / "heldout.tsv").write_text((d / "heldout.csv").read_text().replace(",", "\t"))
+        assert run("build-tables", "--schema", d / "schema.json", "--input",
+                   d / "requests.csv", "--out", d / "tables.json") == 0
+        assert run("rank", "--tables", d / "tables.json", "--out", d / "importance.json") == 0
+        assert run("train", "--tables", d / "tables.json", "--importance",
+                   d / "importance.json", "--out", d / "model.json") == 0
+        capsys.readouterr()
+        assert run("score", "--model", d / "model.json", "--input", d / "heldout.tsv",
                    "--out", d / "scores.csv") == 2
         assert "column 'browser' not found" in capsys.readouterr().err
+        assert not (d / "scores.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["build-tables", "--schema", "schema.json"], id="build-tables"),
+        pytest.param(["score", "--model", "model.json"], id="score"),
+        pytest.param(["pace", "--model", "model.json", "--target", 60], id="pace")])
+    def test_tab_flag_is_a_usage_error(self, workdir, capsys, argv):
+        # no subcommand takes --tab: the parser refuses it before any file is read
+        d = workdir
+        self.write_requests(d / "requests.csv", np.random.default_rng(7), ["chrome", ""])
+        stage, *flags = argv
+        flags = [d / flag if str(flag).endswith(".json") else flag for flag in flags]
+        assert run(stage, "--tab", *flags, "--input", d / "requests.csv",
+                   "--out", d / "out") == 1
+        assert "unrecognized arguments: --tab" in capsys.readouterr().err
+        assert not (d / "out").exists()
 
 
 class TestRequestReportMemory:

@@ -157,23 +157,22 @@ def test_stage_runs_without_scipy(codes_without_scipy, stage):
 
 def test_calls_in_one_process_match_fresh_processes(d):
     """The parser is built once per process: neither a usage error nor a
-    ``--tab`` stage leaves a value for the next call to read."""
+    call with non-default flags leaves a value for the next call to read."""
     setup = stages(d)[:4]
     assert run_fresh(setup)[0] == [0] * len(setup)
-    (d / "requests.tsv").write_text((d / "requests.csv").read_text().replace(",", "\t"))
+    tables = f"--tables={d / 'tables.json'}"
 
     def calls(tag):
-        return [["pace", "--tab", f"--model={d / 'model.json'}",
-                 f"--input={d / 'requests.tsv'}", f"--out={d / f'decisions_{tag}.csv'}"],
-                ["build-tables", "--tab", f"--schema={d / 'schema.json'}",
-                 f"--input={d / 'requests.tsv'}", f"--out={d / f'tables_{tag}.json'}"],
-                ["score", f"--model={d / 'model.json'}", f"--input={d / 'requests.csv'}",
-                 f"--out={d / f'scores_{tag}.csv'}"]]
+        return [["rank", "--method=renyi", "--alpha=0.5", tables],
+                ["rank", "--method=renyi", "--alpha=0.5", tables,
+                 f"--out={d / f'renyi_{tag}.json'}"],
+                ["rank", tables, f"--out={d / f'importance_{tag}.json'}"]]
 
     fresh = [run_fresh([argv])[0][0] for argv in calls("fresh")]
     shared = run_fresh(calls("shared"))[0]
     assert fresh == shared == [1, 0, 0]
+    assert (d / "renyi_shared.json").read_bytes() == (d / "renyi_fresh.json").read_bytes()
+    assert (d / "renyi_shared.json").read_bytes() != (d / "importance.json").read_bytes()
     for tag in ("fresh", "shared"):
-        assert not (d / f"decisions_{tag}.csv").exists()
-        assert (d / f"tables_{tag}.json").read_bytes() == (d / "tables.json").read_bytes()
-    assert (d / "scores_shared.csv").read_bytes() == (d / "scores_fresh.csv").read_bytes()
+        assert (d / f"importance_{tag}.json").read_bytes() \
+            == (d / "importance.json").read_bytes()

@@ -242,7 +242,10 @@ class TestReadColumns:
 
     def test_quoted_cells_and_tabs(self):
         assert expand(read_columns('a,b\n"x,y",2\n', ["a"])) == [["x,y"]]
-        assert expand(read_columns("a\tb\nx\t2\n", ["b"], delimiter="\t")) == [["2"]]
+        # a tab is ordinary content: the header is one column named "a\tb"
+        assert expand(read_columns("a\tb\nx\t2\n", ["a\tb"])) == [["x\t2"]]
+        with pytest.raises(MissingColumn, match="'b'"):
+            read_columns("a\tb\nx\t2\n", ["b"])
 
     def test_distinct_rows_once(self):
         rows = read_columns("a,b\n" + "x,1\ny,2\n" * 20 + "z,1\n", ["b", "a"])
@@ -261,13 +264,13 @@ class TestReadColumns:
             read_columns("a\n1\n", ["a", "b"])
 
 
-def oracle_columns(stream, names, delimiter, label=None, timestamp=None):
+def oracle_columns(stream, names, label=None, timestamp=None):
     """read_columns' cells row by row from csv.reader: the per-row columns,
     or the error of the earliest bad row; with ``label`` set, that column
     must hold 0 or 1, as parse_requests requires, and with ``timestamp`` set,
     that column must hold int64 integers read by Python ``int``, as
     parse_cookie_events requires."""
-    reader = csv.reader(stream, delimiter=delimiter)
+    reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         raise MissingColumn("input is empty: no header row")
@@ -312,18 +315,17 @@ QUOTED_CELLS = ["x,y", 'q"q', "m\nn", "r\rs", "t\tu", '"']
 
 @st.composite
 def delimited_files(draw):
-    """(text, delimiter, names): a header of 1 to 3 columns (label first)
+    """(text, names): a header of 1 to 3 columns (label first)
     over rows drawn from a small pool or fresh, with ragged rows, blank
     lines, bad labels, quoted cells, "\r\n" line ends and a final newline
     or none."""
-    delimiter = draw(st.sampled_from([",", "\t"]))
     header = ["label", "f", "g"][:draw(st.integers(1, 3))]
     cells = PLAIN_CELLS + (QUOTED_CELLS if draw(st.booleans()) else [])
 
     def render(row):
-        return delimiter.join(
+        return ",".join(
             '"' + cell.replace('"', '""') + '"'
-            if any(c in cell for c in (delimiter, '"', "\n", "\r")) else cell
+            if any(c in cell for c in (",", '"', "\n", "\r")) else cell
             for cell in row)
 
     @st.composite
@@ -347,7 +349,7 @@ def delimited_files(draw):
     text = "".join(map(str.__add__, [render(header)] + lines, ends))
     if draw(st.booleans()):
         text = text[:-len(ends[-1])]
-    return text, delimiter, header
+    return text, header
 
 
 class TestReaderOracle:
@@ -356,25 +358,25 @@ class TestReaderOracle:
 
     @given(case=delimited_files(), chunk=st.integers(1, 48), block=st.integers(1, 6),
            newline=st.sampled_from(["\n", None]))
-    @example(case=("label,f\n" + "1,a\n0,b\n" * 5 + '"1",a\n' + "0,b\n" * 4, ",",
+    @example(case=("label,f\n" + "1,a\n0,b\n" * 5 + '"1",a\n' + "0,b\n" * 4,
                    ["label", "f"]), chunk=9, block=4, newline="\n")
     @settings(max_examples=400, deadline=None)
     def test_matches_csv_reader(self, case, chunk, block, newline):
         # newline None reads "\r\n" and "\r" as "\n", as open_text does
-        text, delimiter, names = case
+        text, names = case
         expected = outcome(lambda: oracle_columns(io.StringIO(text, newline=newline),
-                                                  names, delimiter))
+                                                  names))
         with mock.patch.multiple(ingest, CHUNK_CHARS=chunk, ROW_BLOCK=block):
             got = outcome(lambda: expand(read_columns(
-                io.StringIO(text, newline=newline), names, delimiter)))
+                io.StringIO(text, newline=newline), names)))
             assert got == expected
             if len(names) == 1:
                 return
             schema = Schema(tuple(names[1:]), "label")
             got = outcome(lambda: parse_requests(io.StringIO(text, newline=newline),
-                                                 schema, delimiter))
+                                                 schema))
         expected = outcome(lambda: oracle_columns(io.StringIO(text, newline=newline),
-                                                  names, delimiter, label="label"))
+                                                  names, label="label"))
         if expected[0] != "ok":
             assert got == expected
             return
@@ -441,7 +443,7 @@ def event_lists(events):
 
 def oracle_events(stream):
     """parse_cookie_events from csv.reader and Python int, row by row."""
-    cookies, browsers, stamps = oracle_columns(stream, EVENT_COLUMNS, ",",
+    cookies, browsers, stamps = oracle_columns(stream, EVENT_COLUMNS,
                                                timestamp="timestamp")
     return event_lists(make_events(zip(cookies, browsers, map(int, stamps))))
 

@@ -19,17 +19,13 @@ features.rank_factors(alpha)
 features.rank_factors(method)
 features.renyi_mi(alpha)
 ingest.Schema(timestamp_column)
-ingest.parse_requests(delimiter)
 ingest.read_columns(check)
-ingest.read_columns(delimiter)
 predictor.BatchScores(elapsed_s)
 predictor.PacingState(block_size)
 predictor.PacingState(gamma)
 predictor.PacingState(threshold)
 predictor.SparseRateModel(alpha)
 predictor.SparseRateModel(method)
-predictor.score(dictionary)
-predictor.score_batch(dictionary)
 predictor.score_batch(threads)
 predictor.train(beta)
 predictor.train(epsilon)
@@ -60,13 +56,13 @@ FLAGS = """
 adjust-churn --freq, adjust-churn --mix, adjust-churn --out, adjust-churn --survival,
 adjust-churn --threshold, adjust-churn --window-hours,
 alarm --R, alarm --c, alarm --forecast, alarm --h, alarm --out, alarm --series,
-build-tables --input, build-tables --out, build-tables --schema, build-tables --tab,
+build-tables --input, build-tables --out, build-tables --schema,
 fit-nbd --freq, fit-nbd --out, fit-nbd --window-hours,
 forecast --L, forecast --horizon, forecast --out, forecast --r, forecast --series,
 pace --block, pace --gamma, pace --horizon, pace --input, pace --model, pace --out,
-pace --tab, pace --target, pace --threshold,
+pace --target, pace --threshold,
 rank --alpha, rank --method, rank --out, rank --tables,
-score --input, score --model, score --out, score --tab,
+score --input, score --model, score --out,
 survival --events, survival --guard-days, survival --out, survival --window,
 synth --out-events, synth --out-freq, synth --out-requests, synth --out-series,
 synth --seed, synth --spec,

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adlift.errors import (AllPrunedWarning, CorruptFile, DimensionMismatch,
-                           FingerprintMismatch, VersionMismatch)
+                           VersionMismatch)
 from adlift.features import ImportanceVector, rank_factors
 from adlift.ingest import (MISSING_LEVEL, FactorDictionary, RequestBatch, Schema,
                            build_factor_table, id_dtype, parse_requests)
@@ -174,30 +174,21 @@ class TestScore:
         values = {score(model, rec).score for _ in range(100)}
         assert len(values) == 1
 
-    def test_fingerprint_checked_when_dictionary_given(self):
-        table = make_table([[1, 3]])
-        model = train(table, ImportanceVector(method="shannon", values=[1.0]))
-        other = FactorDictionary(["f0"], [["x", "y"]])
-        with pytest.raises(FingerprintMismatch):
-            score(model, (0,), dictionary=other)
-        # matching dictionary passes
-        assert score(model, (0,), dictionary=table.dictionary).score > 0
-
-    def test_dictionary_compared_by_value(self):
-        table = make_table([[1, 3], [2, 2]], [[3, 1], [2, 2]])
-        model = train(table, ImportanceVector(method="shannon", values=[1.0, 0.5]))
-        batch = RequestBatch(np.array([[0, 1], [1, 0]]), np.zeros(2, dtype=np.int8))
-        equal = FactorDictionary(["f0", "f1"], [["v0", "v1"], ["v0", "v1"]])
-        assert equal is not model.dictionary
-        assert score(model, (0, 1), dictionary=equal) == score(model, (0, 1))
-        assert score_batch(model, batch, dictionary=equal).scores.tobytes() \
-            == score_batch(model, batch).scores.tobytes()
-        # the same names, with one factor's levels reordered
-        reordered = FactorDictionary(["f0", "f1"], [["v0", "v1"], ["v1", "v0"]])
-        with pytest.raises(FingerprintMismatch):
-            score(model, (0, 1), dictionary=reordered)
-        with pytest.raises(FingerprintMismatch):
-            score_batch(model, batch, dictionary=reordered)
+    def test_equal_dictionaries_score_alike(self):
+        # the model's own dictionary is the encoding contract: models over
+        # equal dictionaries, held as distinct objects, score the same bits
+        levels = [["v0", "v1"], ["v0", "v1"]]
+        dictionaries = [FactorDictionary(["f0", "f1"], levels) for _ in range(2)]
+        assert dictionaries[0] is not dictionaries[1]
+        assert dictionaries[0] == dictionaries[1]
+        assert dictionaries[0].fingerprint() == dictionaries[1].fingerprint()
+        models = [SparseRateModel(dictionary, [1.0, 0.5], [[0.2, 0.6], [0.3, 0.7]],
+                                  epsilon=0.0, beta=0.5, global_rate=0.3)
+                  for dictionary in dictionaries]
+        batch = RequestBatch(np.array([[0, 1], [1, 0], [-1, 1]]), np.zeros(3, dtype=np.int8))
+        assert _scored_bits(models[0], (0, 1)) == _scored_bits(models[1], (0, 1))
+        assert score_batch(models[0], batch).scores.tobytes() \
+            == score_batch(models[1], batch).scores.tobytes()
 
     @pytest.mark.parametrize("levels, rates", [
         (["a", "b"], [[0.2]]),
@@ -740,6 +731,22 @@ class TestPersistence:
         with pytest.raises(CorruptFile, match="fingerprint does not match the model's levels"):
             load_model(path)
 
+    @pytest.mark.parametrize("names, levels", [
+        pytest.param(["f0", "g"], [["v0", "v1"], ["v0", "v1"]], id="renamed"),
+        pytest.param(["f0", "f1"], [["v0", "v1"], ["v1", "v0"]], id="reordered"),
+        pytest.param(["f0", "f1"], [["v0", "v1"], ["v0", "w"]], id="relabelled")])
+    def test_fingerprint_names_each_label_in_order(self, tmp_path, names, levels):
+        # the fingerprint that load_model checks and equality both read the
+        # factor names and each factor's labels in id order
+        model = self._trained()
+        other = FactorDictionary(names, levels)
+        assert model.dictionary == FactorDictionary(["f0", "f1"], [["v0", "v1"]] * 2)
+        assert other != model.dictionary
+        assert other.fingerprint() != model.dictionary.fingerprint()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).dictionary.fingerprint() == model.dictionary.fingerprint()
+
     def test_line_separators_in_labels_round_trip(self, tmp_path):
         # JSON keeps U+2028, U+2029 and U+0085 raw; str.splitlines splits at them
         model = _model([f"f{c}" for c in "\u2028\u2029\x85"],
@@ -781,15 +788,6 @@ class TestPersistence:
         path.write_text(body + "\nsha256:" + digest + "\n")
         with pytest.raises(VersionMismatch):
             load_model(path)
-
-    def test_different_dictionary_mismatch_at_score_time(self, tmp_path):
-        model = self._trained()
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        other = FactorDictionary(["f0", "f1"], [["p", "q"], ["r", "s"]])
-        with pytest.raises(FingerprintMismatch):
-            score(loaded, (0, 0), dictionary=other)
 
 
 class TestCalibration:
